@@ -41,7 +41,7 @@ from .sequences import (
 )
 from .space import check_axioms, t_diameter
 from .tnorm import TNorm, tn_check_axioms, tn_has_tn1, tn_leq, unit_grid, unit_grid_pairs
-from .util import TOL, worker_count
+from .util import TOL
 from .valuefn import ZERO
 
 
@@ -445,7 +445,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        worker_count()  # validate FUZZYGH_THREADS early
         return args.fn(args)
     except (ConstructionError, DomainError, SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)

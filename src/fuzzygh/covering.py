@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -164,6 +164,3 @@ def metric_cover_number(
         count += 1
         uncovered &= ~cov[:, best]
     return count
-
-
-CoverBoundFn = Callable[[float], int]

@@ -129,17 +129,21 @@ def _check_floor(
     grid: GridSpec,
     tol: float,
 ) -> None:
-    fns = list(x.pairs) + list(y.pairs)
-    if not fns:
+    if x.n == 1 and y.n == 1:
         return
-    for s in grid:
-        bound = min(f.eval(s) for f in fns)
-        if c.eval(s) > bound + tol:
-            raise HypothesisError(
-                "floor",
-                where=s,
-                detail=f"floor value {c.eval(s)} exceeds min t-diameter {bound}",
-            )
+    # the diagonal's 1 never lowers a minimum over pair values in [0, 1]
+    bound = np.minimum(
+        x.grid_values(grid).min(axis=(1, 2)), y.grid_values(grid).min(axis=(1, 2))
+    )
+    floor = c.eval_array(grid.array())
+    bad = floor > bound + tol
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise HypothesisError(
+            "floor",
+            where=grid.values[k],
+            detail=f"floor value {float(floor[k])} exceeds min t-diameter {float(bound[k])}",
+        )
 
 
 def glue_constant(

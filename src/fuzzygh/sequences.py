@@ -586,23 +586,22 @@ def standard_bridge_check(
     floor_report = check_diameter_floor(family, grid, tol=tol)
 
     radius = eps * t / (1.0 - eps)
-    if cover_n is None:
-        uniform = max(metric_cover_number(m.as_array(), radius, exact_limit) for m in mats)
-        cover_n = lambda r, _u=uniform: _u
+    classical_rows = [metric_cover_number(m.as_array(), radius, exact_limit) for m in mats]
+    n_bound = int(cover_n(radius)) if cover_n is not None else max(classical_rows)
     cover_rows = []
+    nets = []
     translation_ok = True
     bound_ok = True
-    n_bound = int(cover_n(radius))
-    for k, (sp, m) in enumerate(zip(spaces, mats)):
-        fuzzy, _ = cover_number(sp, eps, t, exact_limit=exact_limit, tol=tol)
-        classical = metric_cover_number(m.as_array(), radius, exact_limit)
+    for k, (sp, classical) in enumerate(zip(spaces, classical_rows)):
+        fuzzy, cert = cover_number(sp, eps, t, exact_limit=exact_limit, tol=tol)
+        nets.append(cert.indices)
         cover_rows.append((k, fuzzy, classical, n_bound))
         if fuzzy != classical:
             translation_ok = False
         if fuzzy > n_bound:
             bound_ok = False
 
-    register_nets(family, t, eps, exact_limit=exact_limit, tol=tol)
+    register_nets(family, t, eps, indices=nets, exact_limit=exact_limit, tol=tol)
     ratio_report = check_ratio_condition(family, t, eps, tol=tol)
 
     report = BridgeReport(

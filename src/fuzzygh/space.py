@@ -29,6 +29,9 @@ from .valuefn import (
     vf_min,
 )
 
+#: floats in the block buffer of the O(n^3) triangle scans (2 MiB of float64)
+_BLOCK = 1 << 18
+
 
 @dataclass(frozen=True)
 class FuzzySpace:
@@ -115,14 +118,32 @@ def _unrank_pair(idx: int, n: int) -> tuple[int, int]:
 
 @lru_cache(maxsize=512)
 def _grid_values_cached(space: FuzzySpace, grid: GridSpec) -> np.ndarray:
+    # one array expression per representation; grid values are positive, so
+    # the t = 0 branch of eval_array never applies
     ts = grid.array()
     n = space.n
+    vals = np.empty((len(ts), len(space.pairs)))
+    standard: list[int] = []
+    steps: dict[tuple[float, ...], list[int]] = {}
+    for idx, f in enumerate(space.pairs):
+        if isinstance(f, Standard):
+            standard.append(idx)
+        elif isinstance(f, Stationary):
+            vals[:, idx] = f.c
+        else:
+            steps.setdefault(f.breakpoints, []).append(idx)
+    if standard:
+        d = np.array([space.pairs[idx].d for idx in standard])
+        vals[:, standard] = ts[:, None] / (ts[:, None] + d)
+    for bps, group in steps.items():
+        pos = np.searchsorted(bps, ts, side="left")
+        table = np.array([space.pairs[idx].values for idx in group])
+        vals[:, group] = table[:, pos].T
     out = np.ones((len(ts), n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            vals = space.entry(i, j).eval_array(ts)
-            out[:, i, j] = vals
-            out[:, j, i] = vals
+    # the pairs (i < j) in lexicographic order, as in ``pairs``
+    rows, cols = np.nonzero(np.arange(n)[:, None] < np.arange(n))
+    out[:, rows, cols] = vals
+    out[:, cols, rows] = vals
     out.setflags(write=False)
     return out
 
@@ -174,18 +195,26 @@ def validate_distance_matrix(distances, tol: float = 1e-9) -> np.ndarray:
         raise ConstructionError("distance matrix must have zero diagonal")
     if np.any(np.abs(d - d.T) > tol):
         raise ConstructionError("distance matrix must be symmetric")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not d[i, j] > 0.0:
-                raise ConstructionError(f"distance between points {i} and {j} must be positive")
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if d[i, k] > d[i, j] + d[j, k] + tol:
-                    raise ConstructionError(
-                        f"triangle inequality fails on ({i}, {j}, {k}): "
-                        f"{d[i, k]} > {d[i, j]} + {d[j, k]}"
-                    )
+    bad = ~(d > 0.0)
+    np.fill_diagonal(bad, False)
+    if bad.any():
+        upper = np.triu(bad, 1)  # only pairs i < j count, as in the loop over them
+        if upper.any():
+            i, j = divmod(int(np.argmax(upper)), n)
+            raise ConstructionError(f"distance between points {i} and {j} must be positive")
+    # d[i, k] > d[i, j] + d[j, k] + tol over blocks of rows i; the first
+    # violation in C order is the first triple of the loop over (i, j, k)
+    step = max(1, _BLOCK // max(1, n * n))
+    for i0 in range(0, n, step):
+        rows = d[i0 : i0 + step]
+        viol = rows[:, None, :] > rows[:, :, None] + d + tol
+        if viol.any():
+            di, j, k = np.unravel_index(int(np.argmax(viol)), viol.shape)
+            i, j, k = i0 + int(di), int(j), int(k)
+            raise ConstructionError(
+                f"triangle inequality fails on ({i}, {j}, {k}): "
+                f"{d[i, k]} > {d[i, j]} + {d[j, k]}"
+            )
     return d
 
 
@@ -306,6 +335,62 @@ class AxiomReport:
         }
 
 
+def triangle_residual(V: np.ndarray, norm: TNorm) -> tuple[float, tuple[int, int, int, int]]:
+    """Worst residual M(i,k,t) - T(M(i,j,t), M(j,k,t)) of a (T, n, n) value
+    array, with its first position (tpos, i, j, k) in C order.
+
+    The (T, n, n, n) residual is never materialised: it is scanned in blocks
+    of whole t-slices, or of rows i within one slice, or of rows j within one
+    (t, i) when a single slice exceeds the buffer.  Each block is written into
+    one buffer of at most ``_BLOCK`` floats (``n`` floats once n > _BLOCK) and
+    scanned by a single argmin, so the memory beyond V itself is fixed.
+    Blocks follow C order and only a strictly smaller minimum replaces the
+    running one, so the position is the first argmin of the full residual.
+    """
+    T, n, _ = V.shape
+    if n ** 3 <= _BLOCK:
+        tb, ib, jb = max(1, _BLOCK // n ** 3), n, n
+    elif n * n <= _BLOCK:
+        tb, ib, jb = 1, _BLOCK // (n * n), n
+    else:
+        tb, ib, jb = 1, 1, max(1, _BLOCK // n)
+    buf = np.empty(min(T, tb) * min(n, ib) * min(n, jb) * n)
+    worst, first = np.inf, None
+    for t0 in range(0, T, tb):
+        t1 = min(t0 + tb, T)
+        for i0 in range(0, n, ib):
+            i1 = min(i0 + ib, n)
+            for j0 in range(0, n, jb):
+                j1 = min(j0 + jb, n)
+                a = V[t0:t1, i0:i1, j0:j1, None]  # M(i, j)
+                b = V[t0:t1, None, j0:j1, :]  # M(j, k)
+                shape = (t1 - t0, i1 - i0, j1 - j0, n)
+                blk = buf[: (t1 - t0) * (i1 - i0) * (j1 - j0) * n].reshape(shape)
+                _norm_into(norm, a, b, blk)
+                np.subtract(V[t0:t1, i0:i1, None, :], blk, out=blk)
+                pos = int(blk.argmin())
+                value = float(blk.flat[pos])
+                if first is None or value < worst:
+                    worst, first = value, (t0, i0, j0, shape, pos)
+    t0, i0, j0, shape, pos = first
+    dt, di, dj, k = np.unravel_index(pos, shape)
+    return worst, (t0 + int(dt), i0 + int(di), j0 + int(dj), int(k))
+
+
+def _norm_into(norm: TNorm, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """``out[...] = norm.array(a, b)``, in place for the built-in norms."""
+    if norm.kind == "product":
+        np.multiply(a, b, out=out)
+    elif norm.kind == "minimum":
+        np.minimum(a, b, out=out)
+    elif norm.kind == "lukasiewicz":
+        np.add(a, b, out=out)
+        np.subtract(out, 1.0, out=out)
+        np.maximum(out, 0.0, out=out)
+    else:
+        out[...] = norm.array(a, b)
+
+
 def check_axioms(space: FuzzySpace, grid: Optional[GridSpec] = None, tol: float = TOL) -> AxiomReport:
     """Verify the fuzzy-metric axioms on the grid merged with all breakpoints.
 
@@ -320,15 +405,9 @@ def check_axioms(space: FuzzySpace, grid: Optional[GridSpec] = None, tol: float 
     # monotonicity: structural for each representation, re-checked numerically
     V = space.grid_values(g)
     na2 = bool(np.all(V[1:] - V[:-1] >= -tol)) if len(g) > 1 else True
-    P = space.norm.array(V[:, :, :, None], V[:, None, :, :])
-    R = V[:, :, None, :] - P
-    worst = float(R.min())
+    worst, (tpos, i, j, k) = triangle_residual(V, space.norm)
     na1 = worst >= -tol
-    witness = None
-    if not na1:
-        flat = int(np.argmin(R))
-        tpos, i, j, k = np.unravel_index(flat, R.shape)
-        witness = (int(i), int(j), int(k), float(g.values[tpos]))
+    witness = None if na1 else (i, j, k, float(g.values[tpos]))
     return AxiomReport(
         km1=True,
         km2=km2,

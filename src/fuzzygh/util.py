@@ -1,7 +1,5 @@
 """Small numeric helpers shared across modules."""
 
-import os
-
 from .errors import DomainError
 
 #: default absolute comparison tolerance for all property checks
@@ -28,22 +26,3 @@ def require_positive(x: float, name: str) -> float:
     if not x > 0.0:
         raise DomainError(f"{name} must be positive, got {x!r}")
     return float(x)
-
-
-def worker_count() -> int:
-    """Worker cap from the FUZZYGH_THREADS environment variable.
-
-    All computations run in-process; the variable is an upper bound on any
-    internal worker pool, so serial execution always complies.
-    """
-    raw = os.environ.get("FUZZYGH_THREADS")
-    cpus = os.cpu_count() or 1
-    if raw is None:
-        return cpus
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise DomainError(f"FUZZYGH_THREADS must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise DomainError(f"FUZZYGH_THREADS must be >= 1, got {value}")
-    return min(value, cpus)

@@ -42,6 +42,32 @@ def na1_worst_residual(space, norm_fn, ts) -> float:
     return worst
 
 
+def na1_first_witness(space, norm_fn, ts) -> tuple[float, tuple[int, int, int, float]]:
+    """Worst triangle residual and its first (i, j, k, t) in (t, i, j, k) loop order."""
+    n = space.n
+    worst, witness = np.inf, None
+    for t in ts:
+        m = [[space.value(i, j, t) for j in range(n)] for i in range(n)]
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    r = m[i][k] - norm_fn(m[i][j], m[j][k])
+                    if r < worst:
+                        worst, witness = r, (i, j, k, t)
+    return worst, witness
+
+
+def first_triangle_violation(d: np.ndarray, tol: float = 1e-9):
+    """First (i, j, k) in loop order with d[i, k] > d[i, j] + d[j, k] + tol, or None."""
+    n = d.shape[0]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if d[i, k] > d[i, j] + d[j, k] + tol:
+                    return i, j, k
+    return None
+
+
 def minimal_net_size(space, t: float, eps: float) -> int:
     """Exhaustive minimal net size with strict ball membership."""
     n = space.n

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from fuzzygh import (
     FuzzySpace,
     GridSpec,
     Standard,
+    Stationary,
     Step,
     TNorm,
     check_axioms,
@@ -17,10 +20,21 @@ from fuzzygh import (
     make_stationary_space,
     make_step_space,
     t_diameter,
+    validate_distance_matrix,
 )
+from fuzzygh import space as space_module
+from fuzzygh.space import certification_grid
 
 from conftest import make_random_standard, make_random_stationary
-from oracles import na1_worst_residual, random_metric
+from oracles import (
+    first_triangle_violation,
+    na1_first_witness,
+    na1_worst_residual,
+    random_metric,
+    random_safe_stationary_values,
+)
+
+NORMS = (TNorm.minimum(), TNorm.product(), TNorm.lukasiewicz())
 
 
 def test_standard_space_example(product):
@@ -192,3 +206,124 @@ def test_grid_values_monotone_in_t(rng, product):
     grid = GridSpec.default()
     V = sp.grid_values(grid)
     assert np.all(np.diff(V, axis=0) >= -1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the blocked triangle kernel against loop oracles
+
+
+def _tied_stationary(rng, n, norm):
+    # two levels only, so many triples tie for the worst residual
+    v = rng.choice([0.5, 0.7], size=(n, n))
+    v = np.minimum(v, v.T)
+    np.fill_diagonal(v, 1.0)
+    return make_stationary_space([f"p{i}" for i in range(n)], v, norm)
+
+
+@pytest.mark.parametrize("norm", NORMS, ids=lambda nm: nm.kind)
+def test_na1_residual_equals_loop_oracle_exactly(rng, norm):
+    grid = GridSpec.log(1e-2, 1e2, 7)
+    spaces = [
+        make_random_standard(rng, 5, norm),
+        make_random_stationary(rng, 4, norm),
+        _tied_stationary(rng, 6, norm),
+    ]
+    for sp in spaces:
+        report = check_axioms(sp, grid)
+        assert report.na1_residual == na1_worst_residual(sp, norm, report.grid)
+        worst, witness = na1_first_witness(sp, norm, report.grid)
+        assert report.na1_residual == worst
+        if not report.na1:
+            assert report.witness == witness
+
+
+def test_witness_in_last_block_matches_first_loop_witness(rng, product):
+    # 20 points on the default grid span several blocks of whole t-slices;
+    # (a, b) and (b, c) jump to 1 only past t = 2000, so every violation sits
+    # at the largest grid point, in the last block
+    n, a, b, c = 20, 3, 11, 16
+    v = random_safe_stationary_values(rng, n)
+    steps = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (i, j) in ((a, b), (b, c)):
+                steps[(i, j)] = Step((2000.0,), (v[i, j], 1.0))
+            else:
+                steps[(i, j)] = Step((), (v[i, j],))
+    sp = make_step_space([f"p{i}" for i in range(n)], steps, product)
+    report = check_axioms(sp)
+    assert n ** 3 * len(report.grid) > space_module._BLOCK
+    assert not report.na1
+    worst, witness = na1_first_witness(sp, product, report.grid)
+    assert report.na1_residual == worst
+    assert report.witness == witness
+    assert witness[3] == report.grid[-1]
+
+
+@pytest.mark.parametrize("block", [1, 7, 40, 300, 1 << 18])
+@pytest.mark.parametrize("norm", NORMS, ids=lambda nm: nm.kind)
+def test_every_blocking_level_finds_the_first_worst_triple(rng, monkeypatch, norm, block):
+    # block sizes below n, n^2 and n^3 exercise the j-, i- and t-blocked scans
+    monkeypatch.setattr(space_module, "_BLOCK", block)
+    grid = GridSpec.log(1e-1, 1e1, 3)
+    for sp in (_tied_stationary(rng, 6, norm), make_random_standard(rng, 5, norm)):
+        report = check_axioms(sp, grid)
+        worst, witness = na1_first_witness(sp, norm, report.grid)
+        assert report.na1_residual == worst
+        assert report.witness == (None if report.na1 else witness)
+
+
+def test_check_axioms_memory_is_bounded(rng, product):
+    sp = make_random_standard(rng, 100, product)
+    space_module._grid_values_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        report = check_axioms(sp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    # the (T, n, n, n) residual alone would take 64 * 100**3 * 8 bytes = 512 MB
+    assert peak < 32 * 2 ** 20
+
+
+def test_grid_values_of_mixed_representations_match_per_pair(rng, product):
+    n = 9
+    pairs = []
+    for idx in range(n * (n - 1) // 2):
+        kind = idx % 4
+        if kind == 0:
+            pairs.append(Standard(float(rng.uniform(0.1, 5.0))))
+        elif kind == 1:
+            pairs.append(Stationary(float(rng.uniform(0.0, 0.9))))
+        elif kind == 2:
+            pairs.append(Step((0.5, 4.0), tuple(sorted(rng.uniform(0.0, 0.9, size=3)))))
+        else:
+            pairs.append(Step((2.0,), (float(rng.uniform(0.0, 0.5)), 1.0)))
+    sp = FuzzySpace("mix", tuple(f"p{i}" for i in range(n)), product, tuple(pairs))
+    grid = certification_grid(GridSpec.log(1e-2, 1e2, 11), sp)
+    V = sp.grid_values(grid)
+    ts = grid.array()
+    for i in range(n):
+        assert np.array_equal(V[:, i, i], np.ones(len(ts)))
+        for j in range(i + 1, n):
+            expected = sp.entry(i, j).eval_array(ts)
+            assert np.array_equal(V[:, i, j], expected)
+            assert np.array_equal(V[:, j, i], expected)
+
+
+def test_validate_distance_matrix_names_first_loop_violation(rng):
+    d = rng.uniform(0.1, 10.0, size=(12, 12))
+    d = np.minimum(d, d.T)
+    np.fill_diagonal(d, 0.0)
+    # a metric of 80 points, scanned in two blocks of rows, broken in the second
+    big = random_metric(rng, 80)
+    big[70, 75] = big[75, 70] = 100.0
+    for m in (d, big):
+        i, j, k = first_triangle_violation(m)
+        with pytest.raises(ConstructionError, match=rf"fails on \({i}, {j}, {k}\):"):
+            validate_distance_matrix(m)
+    big[3, 5] = big[5, 3] = 0.0
+    big[2, 9] = big[9, 2] = 0.0
+    with pytest.raises(ConstructionError, match="points 2 and 9 must be positive"):
+        validate_distance_matrix(big)
