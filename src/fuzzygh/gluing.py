@@ -9,6 +9,7 @@ axiom suite on its certification grid.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -24,8 +25,8 @@ from .valuefn import (
     ONE,
     Standard,
     ValueFn,
+    _compress_step,
     is_steplike,
-    materialize_exact,
     vf_breakpoints,
     vf_min,
 )
@@ -433,6 +434,75 @@ def _cross_points(
     return sorted(p for p in pts if p > 0.0)
 
 
+def _check_mutual_bounds(
+    x: FuzzySpace,
+    y: FuzzySpace,
+    nets: MatchedNets,
+    grid: GridSpec,
+    tol: float,
+) -> None:
+    """(a)/(b): the single-factor mutual bounds between matched net entries at
+    every grid scale >= t; the first failure in (i, j, s) order is raised."""
+    one_minus = 1.0 - nets.eps
+    norm = x.norm
+    first = bisect.bisect_left(grid.values, nets.t)
+    left, right = np.asarray(nets.left), np.asarray(nets.right)
+    # (size, size, S) net similarities at the grid scales >= t
+    a = x.grid_values(grid)[first:, left[:, None], left].transpose(1, 2, 0)
+    b = y.grid_values(grid)[first:, right[:, None], right].transpose(1, 2, 0)
+    fail_a = ~(a - norm.array(b, one_minus) >= -tol)
+    fail = fail_a | ~(b - norm.array(a, one_minus) >= -tol)
+    if fail.any():
+        i, j, k = np.unravel_index(np.argmax(fail), fail.shape)
+        which = "(a)" if fail_a[i, j, k] else "(b)"
+        raise HypothesisError(which, where=(int(i), int(j), grid.values[first + k]))
+
+
+def _net_cross(
+    x: FuzzySpace,
+    y: FuzzySpace,
+    nets: MatchedNets,
+    floor: ValueFn,
+    splice: float,
+    points: Sequence[float],
+) -> tuple[tuple[ValueFn, ...], ...]:
+    """Cross matrix of the matched-net gluing, exact at every point of ``points``.
+
+    At s <= splice every entry is floor*floor*(1-eps); above it, entry (p, q)
+    is max_i M_X(p, left_i, s) * M_Y(q, right_i, s), damped by (1-eps).  The
+    maximum accumulates over the net index, so memory is O(n_x * n_y * S).
+    """
+    norm = x.norm
+    one_minus = 1.0 - nets.eps
+    pts = [float(p) for p in points]
+    s = np.asarray(pts)
+
+    def detour(fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
+        # fx (n_x, size, ...) and fy (n_y, size, ...) -> (n_x, n_y, ...)
+        best = norm.array(fx[:, None, 0], fy[None, :, 0])
+        for i in range(1, nets.size):
+            np.maximum(best, norm.array(fx[:, None, i], fy[None, :, i]), out=best)
+        return norm.array(best, one_minus)
+
+    fx = np.array([[x.entry(p, l).eval_array(s) for l in nets.left] for p in range(x.n)])
+    fy = np.array([[y.entry(q, r).eval_array(s) for r in nets.right] for q in range(y.n)])
+    vals = detour(fx, fy)
+    low = s <= splice
+    if low.any():
+        c = floor.eval_array(s[low])
+        vals[:, :, low] = norm.array(norm.array(c, c), one_minus)
+    # the value after the last point, which is >= t > splice: the detour's
+    # right limits there
+    last = pts[-1]
+    rx = np.array([[x.entry(p, l).right_limit(last) for l in nets.left] for p in range(x.n)])
+    ry = np.array([[y.entry(q, r).right_limit(last) for r in nets.right] for q in range(y.n)])
+    tail = detour(rx, ry)
+    return tuple(
+        tuple(_compress_step(pts, vals[p, q].tolist() + [float(tail[p, q])]) for q in range(y.n))
+        for p in range(x.n)
+    )
+
+
 def glue_via_nets(
     x: FuzzySpace,
     y: FuzzySpace,
@@ -470,47 +540,10 @@ def glue_via_nets(
     if not nets.right_net_eps:
         raise HypothesisError("(2)", detail="right side is not a (t, eps)-net")
 
-    # single-factor mutual bounds at every grid scale >= t
-    s_check = [s for s in g.values if s >= t]
-    for i in range(nets.size):
-        for j in range(nets.size):
-            fx = x.entry(nets.left[i], nets.left[j])
-            fy = y.entry(nets.right[i], nets.right[j])
-            for s in s_check:
-                a, b = fx.eval(s), fy.eval(s)
-                if not geq(a, norm(b, one_minus), tol):
-                    raise HypothesisError("(a)", where=(i, j, s))
-                if not geq(b, norm(a, one_minus), tol):
-                    raise HypothesisError("(b)", where=(i, j, s))
-
+    _check_mutual_bounds(x, y, nets, g, tol)
     splice = t - delta
     points = _cross_points(x, y, floor, g, splice, t)
-    cross_rows = []
-    for p in range(x.n):
-        row = []
-        for q in range(y.n):
-            fxs = [x.entry(p, nets.left[i]) for i in range(nets.size)]
-            fys = [y.entry(q, nets.right[i]) for i in range(nets.size)]
-
-            def at(s, fxs=fxs, fys=fys):
-                if s <= splice:
-                    c = floor.eval(s)
-                    return norm(norm(c, c), one_minus)
-                best = max(norm(fx.eval(s), fy.eval(s)) for fx, fy in zip(fxs, fys))
-                return norm(best, one_minus)
-
-            def after(s, fxs=fxs, fys=fys):
-                if s < splice:
-                    c = floor.right_limit(s)
-                    return norm(norm(c, c), one_minus)
-                best = max(
-                    norm(fx.right_limit(s), fy.right_limit(s)) for fx, fy in zip(fxs, fys)
-                )
-                return norm(best, one_minus)
-
-            row.append(materialize_exact(at, after, points))
-        cross_rows.append(tuple(row))
-    u = UnionMetric(x, y, tuple(cross_rows))
+    u = UnionMetric(x, y, _net_cross(x, y, nets, floor, splice, points))
 
     report = validate_union(u, g, tol=tol)
     if not report.passed:

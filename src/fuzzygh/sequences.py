@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .covering import cover_number, find_net, metric_cover_number, uniform_cover_bound
+from .covering import cover_number, find_net, metric_cover_number
 from .errors import ConstructionError, DomainError, HypothesisError
 from .ghdist import DistanceMatrix, gh_fuzzy_lower_bound, gh_fuzzy_upper_bound
 from .gluing import attempt_net_gluing, union_hausdorff
@@ -27,6 +27,7 @@ from .space import (
     make_standard_space,
     make_step_space,
     t_diameter,
+    t_diameters,
 )
 from .tnorm import TNorm
 from .util import TOL, geq, gt_strict, require_positive, require_unit
@@ -138,27 +139,25 @@ def check_diameter_floor(
         raise DomainError("family has no floor function registered")
     c = family.floor
     g = certification_grid(grid, *family.spaces, extra=vf_breakpoints(c))
-    positive = True
-    below = True
-    worst = math.inf
+    floor = c.eval_array(g.array())
+    # diam[k, n]: t-diameter of space n at grid point k
+    diam = np.stack([t_diameters(sp, g) for sp in family.spaces], axis=1)
+    slack = diam - floor[:, None]
+    nonpositive = ~(floor > 0.0)
+    below = slack < -tol
     violations: list[tuple[int, float, float, float]] = []
-    for s in g:
-        c_val = c.eval(s)
-        if not c_val > 0.0:
-            positive = False
-            violations.append((-1, float(s), c_val, math.nan))
-        for n, sp in enumerate(family.spaces):
-            d_val = t_diameter(sp, s)
-            slack = d_val - c_val
-            worst = min(worst, slack)
-            if slack < -tol:
-                below = False
-                violations.append((n, float(s), c_val, d_val))
+    for k in np.flatnonzero(nonpositive | below.any(axis=1)):
+        s, c_val = float(g.values[k]), float(floor[k])
+        if nonpositive[k]:
+            violations.append((-1, s, c_val, math.nan))
+        violations.extend((int(n), s, c_val, float(diam[k, n])) for n in np.flatnonzero(below[k]))
+    positive = not nonpositive.any()
+    below_diameters = not below.any()
     return FloorReport(
-        passed=positive and below,
+        passed=positive and below_diameters,
         positive=positive,
-        below_diameters=below,
-        worst_slack=worst,
+        below_diameters=below_diameters,
+        worst_slack=float(slack.min()),
         violations=tuple(violations),
     )
 
@@ -224,40 +223,40 @@ def check_ratio_condition(
             for j in range(size):
                 vals_s[n, i, j, :] = sp.entry(net[i], net[j]).eval_array(np.asarray(s_vals))
 
+    # damped denominators of every space; space n is compared with each m != n
+    # in turn, so memory stays O(count * size^2 * S)
+    den_t = norm.array(vals_t, one_minus)
+    den_s = norm.array(vals_s, one_minus)
+    zero_t = den_t <= tol
+    zero_s = den_s <= tol
     is_product = norm.kind == "product"
-    passed = True
     product_passed: Optional[bool] = True if is_product else None
     worst = math.inf
     witnesses: list[tuple[int, int, int, int, float]] = []
-    for n in range(count):
-        for m in range(count):
-            if n == m:
-                continue
-            for i in range(size):
-                for j in range(size):
-                    a_t, b_t = vals_t[n, i, j], vals_t[m, i, j]
-                    den_t = norm(b_t, one_minus)
-                    if den_t <= tol:
-                        raise DomainError("zero damped denominator at t")
-                    base = a_t / den_t
-                    base_plain = a_t / b_t
-                    for s_pos, s in enumerate(s_vals):
-                        a_s = vals_s[n, i, j, s_pos]
-                        b_s = vals_s[m, i, j, s_pos]
-                        if not gt_strict(b_s, a_s, tol):
-                            continue
-                        den_s = norm(b_s, one_minus)
-                        if den_s <= tol:
-                            raise DomainError("zero damped denominator above t")
-                        margin = a_s / den_s - base
-                        worst = min(worst, margin)
-                        if margin < -tol:
-                            passed = False
-                            witnesses.append((n, m, i, j, float(s)))
-                        if is_product and a_s / b_s - base_plain < -tol:
-                            product_passed = False
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for n in range(count):
+            a_t, a_s = vals_t[n], vals_s[n]
+            active = vals_s - a_s > tol
+            active[n] = False
+            # the first (m, i, j) in loop order whose damped denominator vanishes
+            # at t, or at an active scale above t, decides which error is raised
+            zero = zero_t | (active & zero_s).any(axis=3)
+            zero[n] = False
+            if zero.any():
+                first = np.unravel_index(np.argmax(zero), zero.shape)
+                if zero_t[first]:
+                    raise DomainError("zero damped denominator at t")
+                raise DomainError("zero damped denominator above t")
+            margin = a_s / den_s - (a_t / den_t)[..., None]
+            if active.any():
+                worst = min(worst, float(margin[active].min()))
+            for m, i, j, s_pos in np.argwhere(active & (margin < -tol)):
+                witnesses.append((n, int(m), int(i), int(j), float(s_vals[s_pos])))
+            if is_product and product_passed:
+                plain = a_s / vals_s - (a_t / vals_t)[..., None]
+                product_passed = not (active & (plain < -tol)).any()
     return RatioReport(
-        passed=passed,
+        passed=not witnesses,
         product_form_passed=product_passed,
         worst_margin=worst if worst is not math.inf else 0.0,
         witnesses=tuple(witnesses),
@@ -501,14 +500,15 @@ def check_stationary_hypotheses(
     best_c = min(t_diameter(sp, 1.0) for sp in family.spaces)
     if not best_c > 0.0:
         failures.append("some space has zero diameter value; no positive constant floor exists")
-    cover_bound: Optional[int] = None
-    if not failures:
-        cover_bound = uniform_cover_bound(family.spaces, eps, 1.0, exact_limit=exact_limit)
     if failures:
-        return StationaryReport(False, tuple(failures), best_c, cover_bound, (), None)
+        return StationaryReport(False, tuple(failures), best_c, None, (), None)
 
+    # each net is found once: its size gives the uniform cover bound and
+    # register_nets re-verifies it
+    nets = [find_net(sp, 1.0, eps, exact_limit=exact_limit, tol=tol).indices for sp in family.spaces]
+    cover_bound = max(len(net) for net in nets)
     pipeline = SequenceFamily(family.spaces, floor=Stationary(best_c))
-    register_nets(pipeline, 1.0, eps, exact_limit=exact_limit, tol=tol)
+    register_nets(pipeline, 1.0, eps, indices=nets, exact_limit=exact_limit, tol=tol)
     _, group = pigeonhole_subsequence(pipeline, 1.0, eps)
     cert = certify_group(pipeline, group, 1.0, eps, tol=tol)
     return StationaryReport(

@@ -116,12 +116,10 @@ def _unrank_pair(idx: int, n: int) -> tuple[int, int]:
     raise IndexError(idx)
 
 
-@lru_cache(maxsize=512)
-def _grid_values_cached(space: FuzzySpace, grid: GridSpec) -> np.ndarray:
-    # one array expression per representation; grid values are positive, so
-    # the t = 0 branch of eval_array never applies
-    ts = grid.array()
-    n = space.n
+def _pair_values(space: FuzzySpace, ts: np.ndarray) -> np.ndarray:
+    # (T, P) values of ``pairs`` at the scales ts, one array expression per
+    # representation; the scales are positive, so the t = 0 branch of
+    # eval_array never applies
     vals = np.empty((len(ts), len(space.pairs)))
     standard: list[int] = []
     steps: dict[tuple[float, ...], list[int]] = {}
@@ -139,7 +137,14 @@ def _grid_values_cached(space: FuzzySpace, grid: GridSpec) -> np.ndarray:
         pos = np.searchsorted(bps, ts, side="left")
         table = np.array([space.pairs[idx].values for idx in group])
         vals[:, group] = table[:, pos].T
-    out = np.ones((len(ts), n, n))
+    return vals
+
+
+@lru_cache(maxsize=512)
+def _grid_values_cached(space: FuzzySpace, grid: GridSpec) -> np.ndarray:
+    vals = _pair_values(space, grid.array())
+    n = space.n
+    out = np.ones((len(grid), n, n))
     # the pairs (i < j) in lexicographic order, as in ``pairs``
     rows, cols = np.nonzero(np.arange(n)[:, None] < np.arange(n))
     out[:, rows, cols] = vals
@@ -429,6 +434,14 @@ def t_diameter(space: FuzzySpace, t: float) -> float:
     if space.n == 1:
         return 1.0
     return min(f.eval(t) for f in space.pairs)
+
+
+def t_diameters(space: FuzzySpace, grid: GridSpec) -> np.ndarray:
+    """t_diameter at every grid point, one array min over the pair values
+    (not cached, unlike ``grid_values``)."""
+    if space.n == 1:
+        return np.ones(len(grid))
+    return _pair_values(space, grid.array()).min(axis=1)
 
 
 def diameter_fn(space: FuzzySpace, grid: Optional[GridSpec] = None) -> ValueFn:

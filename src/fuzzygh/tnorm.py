@@ -76,7 +76,7 @@ class TNorm:
             return np.minimum(a, b)
         if k == "lukasiewicz":
             return np.maximum(np.asarray(a) + np.asarray(b) - 1.0, 0.0)
-        return np.vectorize(self.fn)(a, b)
+        return np.vectorize(self.fn, otypes=[float])(a, b)
 
     def has_tn1_known(self) -> Optional[bool]:
         """Whether ``a - a*b >= a*(1-b)`` holds, when known algebraically.

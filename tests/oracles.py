@@ -110,3 +110,157 @@ def random_safe_stationary_values(rng: np.random.Generator, n: int, lo: float = 
         for j in range(i + 1, n):
             v[i, j] = v[j, i] = rng.uniform(lo, hi)
     return v
+
+
+# ---------------------------------------------------------------------------
+# loop references for the family checks and the matched-net cross matrix
+
+
+def diameter_floor_loop(family, grid=None, tol: float = 1e-12):
+    """check_diameter_floor by a scalar t-diameter per (grid point, space)."""
+    from fuzzygh.sequences import FloorReport
+    from fuzzygh.space import certification_grid, t_diameter
+    from fuzzygh.valuefn import vf_breakpoints
+
+    c = family.floor
+    g = certification_grid(grid, *family.spaces, extra=vf_breakpoints(c))
+    positive = True
+    below = True
+    worst = np.inf
+    violations = []
+    for s in g:
+        c_val = c.eval(s)
+        if not c_val > 0.0:
+            positive = False
+            violations.append((-1, float(s), c_val, np.nan))
+        for n, sp in enumerate(family.spaces):
+            d_val = t_diameter(sp, s)
+            slack = d_val - c_val
+            worst = min(worst, slack)
+            if slack < -tol:
+                below = False
+                violations.append((n, float(s), c_val, d_val))
+    return FloorReport(
+        passed=positive and below,
+        positive=positive,
+        below_diameters=below,
+        worst_slack=worst,
+        violations=tuple(violations),
+    )
+
+
+def ratio_condition_loop(family, t: float, eps: float, s_grid=None, tol: float = 1e-12):
+    """check_ratio_condition by a five-deep loop over (n, m, i, j, s) with the scalar norm."""
+    from fuzzygh.errors import DomainError
+    from fuzzygh.sequences import RatioReport, default_ratio_grid
+
+    nets = family.nets_for(t, eps)
+    norm = family.norm
+    one_minus = 1.0 - eps
+    if s_grid is None:
+        s_grid = default_ratio_grid(family, t)
+    s_vals = [s for s in s_grid if s > t]
+    size = len(nets[0])
+    count = len(family.spaces)
+    vals_t = np.empty((count, size, size))
+    vals_s = np.empty((count, size, size, len(s_vals)))
+    for n, (sp, net) in enumerate(zip(family.spaces, nets)):
+        for i in range(size):
+            for j in range(size):
+                vals_t[n, i, j] = sp.value(net[i], net[j], t)
+                for s_pos, s in enumerate(s_vals):
+                    vals_s[n, i, j, s_pos] = sp.value(net[i], net[j], s)
+    if np.any(vals_t <= tol):
+        raise DomainError("zero net similarity at t; the diameter floor must be violated")
+    is_product = norm.kind == "product"
+    passed = True
+    product_passed = True if is_product else None
+    worst = np.inf
+    witnesses = []
+    for n in range(count):
+        for m in range(count):
+            if n == m:
+                continue
+            for i in range(size):
+                for j in range(size):
+                    a_t, b_t = vals_t[n, i, j], vals_t[m, i, j]
+                    den_t = norm(b_t, one_minus)
+                    if den_t <= tol:
+                        raise DomainError("zero damped denominator at t")
+                    base = a_t / den_t
+                    base_plain = a_t / b_t
+                    for s_pos, s in enumerate(s_vals):
+                        a_s = vals_s[n, i, j, s_pos]
+                        b_s = vals_s[m, i, j, s_pos]
+                        if not b_s - a_s > tol:
+                            continue
+                        den_s = norm(b_s, one_minus)
+                        if den_s <= tol:
+                            raise DomainError("zero damped denominator above t")
+                        margin = a_s / den_s - base
+                        worst = min(worst, margin)
+                        if margin < -tol:
+                            passed = False
+                            witnesses.append((n, m, i, j, float(s)))
+                        if is_product and a_s / b_s - base_plain < -tol:
+                            product_passed = False
+    return RatioReport(
+        passed=passed,
+        product_form_passed=product_passed,
+        worst_margin=float(worst) if worst is not np.inf else 0.0,
+        witnesses=tuple(witnesses),
+    )
+
+
+def mutual_bounds_loop(x, y, nets, s_check, tol: float = 1e-12):
+    """First failing single-factor bound of glue_via_nets in (i, j, s) order, or None.
+
+    Returns ("(a)" or "(b)", (i, j, s)).
+    """
+    norm = x.norm
+    one_minus = 1.0 - nets.eps
+    for i in range(nets.size):
+        for j in range(nets.size):
+            fx = x.entry(nets.left[i], nets.left[j])
+            fy = y.entry(nets.right[i], nets.right[j])
+            for s in s_check:
+                a, b = fx.eval(s), fy.eval(s)
+                if not a - norm(b, one_minus) >= -tol:
+                    return "(a)", (i, j, s)
+                if not b - norm(a, one_minus) >= -tol:
+                    return "(b)", (i, j, s)
+    return None
+
+
+def net_cross_closures(x, y, nets, floor, splice: float, points):
+    """Cross matrix of glue_via_nets: two closures per entry, materialized point by point."""
+    from fuzzygh.valuefn import materialize_exact
+
+    norm = x.norm
+    one_minus = 1.0 - nets.eps
+    rows = []
+    for p in range(x.n):
+        row = []
+        for q in range(y.n):
+            fxs = [x.entry(p, nets.left[i]) for i in range(nets.size)]
+            fys = [y.entry(q, nets.right[i]) for i in range(nets.size)]
+
+            def at(s, fxs=fxs, fys=fys):
+                if s <= splice:
+                    c = floor.eval(s)
+                    return norm(norm(c, c), one_minus)
+                best = max(norm(fx.eval(s), fy.eval(s)) for fx, fy in zip(fxs, fys))
+                return norm(best, one_minus)
+
+            def after(s, fxs=fxs, fys=fys):
+                if s < splice:
+                    c = floor.right_limit(s)
+                    return norm(norm(c, c), one_minus)
+                best = max(
+                    norm(fx.right_limit(s), fy.right_limit(s)) for fx, fy in zip(fxs, fys)
+                )
+                return norm(best, one_minus)
+
+            row.append(materialize_exact(at, after, points))
+        rows.append(tuple(row))
+    return tuple(rows)

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzzygh import (
+    ConstructionError,
     DomainError,
     HypothesisError,
     Standard,
@@ -25,7 +28,17 @@ from fuzzygh import (
     validate_union,
 )
 
+from fuzzygh.gluing import _check_mutual_bounds, _cross_points, _net_cross
+from fuzzygh.space import certification_grid
+from fuzzygh.valuefn import vf_breakpoints
+
 from conftest import make_random_standard, make_random_stationary
+from oracles import (
+    mutual_bounds_loop,
+    net_cross_closures,
+    random_metric,
+    random_safe_stationary_values,
+)
 
 
 def test_zero_floor_always_glues(rng, product):
@@ -277,3 +290,111 @@ def test_damped_domination_bulk_samples(rng):
                 continue
             count += 1
             assert mutual_eps_domination(a, b, k, eps, norm)
+
+
+# ---------------------------------------------------------------------------
+# the array cross matrix and (a)/(b) scan against the closure loops
+
+NORMS = (TNorm.product(), TNorm.minimum(), TNorm.lukasiewicz())
+KIND_PAIRS = (("step", "step"), ("standard", "standard"), ("stationary", "stationary"), ("standard", "step"))
+
+
+def random_space(rng, kind, norm, n, band=(0.3, 0.95)):
+    """A random space; values in the default band need not satisfy the
+    triangle axiom, values in [0.64, 0.8] do under the product and
+    Lukasiewicz norms."""
+    labels = [f"p{i}" for i in range(n)]
+    if kind == "standard":
+        return make_standard_space(labels, random_metric(rng, n, lo=0.2, hi=6.0), norm)
+    if kind == "stationary":
+        return make_stationary_space(labels, random_safe_stationary_values(rng, n, *band), norm)
+    steps = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            bps = sorted(rng.choice([0.3, 0.5, 1.0, 1.7, 4.0], size=int(rng.integers(1, 3)), replace=False))
+            steps[(i, j)] = Step(tuple(bps), tuple(sorted(rng.uniform(*band, size=len(bps) + 1))))
+    return make_step_space(labels, steps, norm)
+
+
+def cross_outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except ConstructionError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def glue_inputs(rng, norm, kinds, eps, t=1.0, delta=0.5):
+    x = random_space(rng, kinds[0], norm, 3)
+    y = random_space(rng, kinds[1], norm, 4)
+    nets = match_nets(x, y, t, eps, (0, 2, 1), (3, 0, 0))
+    floor = Stationary(0.3) if rng.uniform() < 0.5 else floor_envelope(x, y)
+    g = certification_grid(None, x, y, extra=(t, t - delta, *vf_breakpoints(floor)))
+    return x, y, nets, floor, g
+
+
+@pytest.mark.parametrize("norm", NORMS, ids=lambda nm: nm.kind)
+def test_net_cross_matches_closures(rng, norm):
+    t, splice = 1.0, 0.5
+    built = inside = far = 0
+    for kinds in KIND_PAIRS:
+        for eps in (0.2, 0.5):
+            x, y, nets, floor, g = glue_inputs(rng, norm, kinds, eps)
+            points = _cross_points(x, y, floor, g, splice, t)
+            got = cross_outcome(_net_cross, x, y, nets, floor, splice, points)
+            assert got == cross_outcome(net_cross_closures, x, y, nets, floor, splice, points)
+            built += isinstance(got, str)
+            inside += points[0] < splice
+            far += points[-1] >= 1e16
+    assert built > 0
+    assert inside > 0  # a splice strictly inside the merged points
+    assert far > 0  # the far tail sample of analytic entries
+
+
+@pytest.mark.parametrize("norm", NORMS, ids=lambda nm: nm.kind)
+def test_mutual_bounds_scan_matches_loop(rng, norm):
+    seen = set()
+    for kinds in KIND_PAIRS * 3:
+        for eps in (0.1, 0.4, 0.8):
+            x, y, nets, _, g = glue_inputs(rng, norm, kinds, eps)
+            expected = mutual_bounds_loop(x, y, nets, [s for s in g.values if s >= nets.t])
+            seen.add(expected and expected[0])
+            if expected is None:
+                _check_mutual_bounds(x, y, nets, g, 1e-12)
+                continue
+            with pytest.raises(HypothesisError) as err:
+                _check_mutual_bounds(x, y, nets, g, 1e-12)
+            assert (err.value.which, err.value.where) == expected
+            assert str(err.value) == str(HypothesisError(*expected))
+    assert seen == {None, "(a)", "(b)"}
+
+
+@pytest.mark.parametrize("norm", (TNorm.product(), TNorm.lukasiewicz()), ids=lambda nm: nm.kind)
+@pytest.mark.parametrize("kind", ("step", "standard", "stationary"))
+def test_glue_via_nets_cross_matches_closures(rng, norm, kind):
+    x = random_space(rng, kind, norm, 4, band=(0.64, 0.8))
+    t, eps, delta = 1.0, 0.2, 0.4
+    nets = match_nets(x, x, t, eps, range(4), range(4))
+    floor = floor_envelope(x, x)
+    u = glue_via_nets(x, x, nets, delta, floor)
+    g = certification_grid(None, x, x, extra=(t, t - delta, *vf_breakpoints(floor)))
+    points = _cross_points(x, x, floor, g, t - delta, t)
+    assert repr(u.cross) == repr(net_cross_closures(x, x, nets, floor, t - delta, points))
+
+
+def test_glue_via_nets_memory_cap(rng, product):
+    # two 60-point spaces, 20-point matched nets, about 69 merged points: the
+    # whole call peaks near 18 MB, most of it the 120-point union check, while
+    # an (n_x, n_y, size, S) tensor would take 40 MB on its own
+    d = random_metric(rng, 60, lo=0.2, hi=6.0)
+    x = make_standard_space([f"p{i}" for i in range(60)], d, product)
+    y = make_standard_space([f"q{i}" for i in range(60)], d * 1.05, product)
+    nets = match_nets(x, y, 1.0, 0.9, range(20), range(20))
+    floor = floor_envelope(x, y)
+    tracemalloc.start()
+    try:
+        u = glue_via_nets(x, y, nets, 0.5, floor)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(u.cross) == 60 and len(u.cross[0]) == 60
+    assert peak < 32 * 2**20, peak

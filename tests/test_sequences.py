@@ -1,4 +1,6 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from fuzzygh import (
     SequenceFamily,
     Standard,
     Stationary,
+    Step,
     TNorm,
     check_axioms,
     check_diameter_floor,
@@ -19,13 +22,19 @@ from fuzzygh import (
     gen_no_cauchy_family,
     make_standard_space,
     make_stationary_space,
+    make_step_space,
     pigeonhole_subsequence,
     register_nets,
     standard_bridge_check,
     verify_no_cauchy,
 )
 
-from oracles import random_metric
+from oracles import (
+    diameter_floor_loop,
+    random_metric,
+    random_safe_stationary_values,
+    ratio_condition_loop,
+)
 
 
 def stationary_family(values, floor=None, norm=None):
@@ -298,3 +307,170 @@ def test_nocauchy_verification_report():
     assert report.max_pair_upper < 0.9
     assert report.self_lower_bound > 0.98
     assert report.contradiction_confirmed
+
+
+# ---------------------------------------------------------------------------
+# array scans against the loop references
+
+NORMS = (TNorm.product(), TNorm.minimum(), TNorm.lukasiewicz())
+KINDS = ("step", "standard", "stationary")
+
+
+def random_family(rng, kind, norm, count=5, n=3):
+    spaces = []
+    for k in range(count):
+        labels = [f"p{i}" for i in range(n)]
+        if kind == "standard":
+            sp = make_standard_space(labels, random_metric(rng, n, lo=0.2, hi=6.0), norm)
+        elif kind == "stationary":
+            sp = make_stationary_space(labels, random_safe_stationary_values(rng, n, 0.2, 0.95), norm)
+        else:
+            steps = {}
+            for i in range(n):
+                for j in range(i + 1, n):
+                    bps = sorted(rng.choice([0.5, 1.0, 1.7, 3.0, 8.0], size=int(rng.integers(0, 3)), replace=False))
+                    vals = sorted(rng.uniform(0.05, 0.99, size=len(bps) + 1))
+                    steps[(i, j)] = Step(tuple(bps), tuple(vals))
+            sp = make_step_space(labels, steps, norm)
+        spaces.append(sp)
+    return SequenceFamily(tuple(spaces))
+
+
+def outcome(fn, *args, **kwargs):
+    """repr and JSON of the report, or the raised exception's type and message."""
+    try:
+        report = fn(*args, **kwargs)
+    except DomainError as exc:
+        return type(exc).__name__, str(exc)
+    return repr(report), json.dumps(report.as_dict())
+
+
+@pytest.mark.parametrize("norm", NORMS, ids=lambda nm: nm.kind)
+def test_floor_check_matches_loop(rng, norm):
+    floors = (Standard(4.0), Stationary(0.3), Stationary(0.0), Step((0.8, 2.5), (0.1, 0.4, 0.7)))
+    failed = 0
+    for kind in KINDS:
+        for floor in floors:
+            fam = random_family(rng, kind, norm)
+            fam.floor = floor
+            report = check_diameter_floor(fam)
+            assert outcome(check_diameter_floor, fam) == outcome(diameter_floor_loop, fam)
+            assert all(type(v) is float for row in report.violations for v in row[1:])
+            failed += not report.passed
+    assert 0 < failed < len(KINDS) * len(floors)
+
+
+def test_floor_check_violation_order_matches_loop():
+    fam = stationary_family([0.5, 0.2, 0.6], floor=Step((1.0,), (0.0, 0.4)))
+    report = check_diameter_floor(fam)
+    assert outcome(check_diameter_floor, fam) == outcome(diameter_floor_loop, fam)
+    # zero-floor rows (space -1) up to the breakpoint, then the 0.2-space above it
+    assert not report.positive and not report.below_diameters
+    assert {v[0] for v in report.violations} == {-1, 1}
+    assert report.violations == tuple(sorted(report.violations, key=lambda v: (v[1], v[0])))
+
+
+@pytest.mark.parametrize("norm", NORMS, ids=lambda nm: nm.kind)
+def test_ratio_condition_matches_loop(rng, norm):
+    seen = set()
+    for kind in KINDS:
+        for eps in (0.1, 0.3, 0.6):
+            fam = random_family(rng, kind, norm)
+            register_nets(fam, 1.0, eps, indices=[range(sp.n) for sp in fam.spaces])
+            got = outcome(check_ratio_condition, fam, 1.0, eps)
+            assert got == outcome(ratio_condition_loop, fam, 1.0, eps)
+            if got[0] == "DomainError":
+                seen.add(got[1])
+            else:
+                seen.add(len(json.loads(got[1])["witnesses"]) > 1)
+    assert True in seen  # several witnesses in one report
+    if norm.kind == "lukasiewicz":
+        assert "zero damped denominator at t" in seen
+
+
+def test_ratio_condition_witness_order_matches_loop():
+    fam = gen_no_cauchy_family(7)
+    register_nets(fam, 0.5, 0.1)
+    report = check_ratio_condition(fam, 0.5, 0.1)
+    assert outcome(check_ratio_condition, fam, 0.5, 0.1) == outcome(ratio_condition_loop, fam, 0.5, 0.1)
+    assert len(report.witnesses) > 20
+    assert list(report.witnesses) == sorted(report.witnesses)
+
+
+def _dip(a, b):
+    # a product that vanishes whenever the larger argument lies in (0.9, 0.95):
+    # it passes the axiom check on the coarse validation grid but is not
+    # monotone, the only way a damped denominator can vanish above t and not at t
+    return 0.0 if 0.9 < max(a, b) < 0.95 and min(a, b) < 1.0 else a * b
+
+
+def test_ratio_condition_zero_denominator_order():
+    norm = TNorm.custom("dip", _dip)
+    flat = Step((), (0.8,))
+    rising = Step((2.0,), (0.8, 0.92))  # damped denominator 0.7-dip(0.92) = 0 above t
+    high = Step((), (0.92,))  # damped denominator 0 at t already
+    spaces = {
+        name: make_step_space(["a", "b"], {(0, 1): f}, norm, name=name)
+        for name, f in (("flat", flat), ("rising", rising), ("high", high))
+    }
+    # three points: the space's own vanishing denominator at t, on pair (1, 2),
+    # is never compared with itself, so the rising pair (0, 1) of the next space wins
+    spaces["high12"] = make_step_space(["a", "b", "c"], {(0, 1): flat, (0, 2): flat, (1, 2): high}, norm)
+    spaces["rising01"] = make_step_space(["a", "b", "c"], {(0, 1): rising, (0, 2): flat, (1, 2): flat}, norm)
+    for order, message in (
+        (("flat", "rising", "high"), "zero damped denominator above t"),
+        (("flat", "high", "rising"), "zero damped denominator at t"),
+        (("rising", "flat"), "zero damped denominator above t"),
+        (("high12", "rising01"), "zero damped denominator above t"),
+    ):
+        fam = SequenceFamily(tuple(spaces[k] for k in order))
+        register_nets(fam, 1.0, 0.3, indices=[range(fam.spaces[0].n)] * len(order))
+        got = outcome(check_ratio_condition, fam, 1.0, 0.3, s_grid=(1.5, 3.0))
+        assert got == ("DomainError", message)
+        assert got == outcome(ratio_condition_loop, fam, 1.0, 0.3, s_grid=(1.5, 3.0))
+
+
+def test_ratio_condition_custom_norm_without_scales_above_t():
+    norm = TNorm.custom("dip", _dip)
+    fam = SequenceFamily(tuple(make_step_space(["a", "b"], {(0, 1): Step((), (0.8,))}, norm) for _ in range(2)))
+    register_nets(fam, 1.0, 0.3, indices=[(0, 1)] * 2)
+    got = outcome(check_ratio_condition, fam, 1.0, 0.3, s_grid=(0.5,))
+    assert got == outcome(ratio_condition_loop, fam, 1.0, 0.3, s_grid=(0.5,))
+    assert json.loads(got[1])["passed"]
+
+
+def test_ratio_condition_memory_is_per_space(rng):
+    # 40 spaces with 10-point nets on 32 scales: a (count, count, size, size, S)
+    # tensor would take 40 MB, while the scan of one space against all others
+    # peaks near 6 MB
+    spaces = tuple(
+        make_standard_space([f"p{i}" for i in range(10)], random_metric(rng, 10, lo=0.2, hi=6.0), TNorm.product())
+        for _ in range(40)
+    )
+    fam = SequenceFamily(spaces)
+    register_nets(fam, 1.0, 0.95, indices=[range(10)] * 40)
+    tracemalloc.start()
+    try:
+        report = check_ratio_condition(fam, 1.0, 0.95)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 12 * 2**20, peak
+
+
+def test_stationary_hypotheses_find_each_net_once(monkeypatch):
+    import fuzzygh.sequences as seq
+
+    calls = []
+    real = seq.find_net
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("tol"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(seq, "find_net", counting)
+    fam = stationary_family([0.5, 0.52, 0.9, 0.5, 0.52, 0.5])
+    report = check_stationary_hypotheses(fam, 0.3, tol=1e-9)
+    assert report.passed and report.cover_bound == 2
+    assert calls == [1e-9] * 6
