@@ -29,8 +29,8 @@ from .gluing import (
 )
 from .grids import GridSpec
 from .space import FuzzySpace, is_isometric, validate_distance_matrix
-from .util import TOL, require_positive
-from .valuefn import ZERO
+from .util import TOL, geq, require_positive
+from .valuefn import ZERO, ValueFn
 
 DEFAULT_EPS_SCHEDULE = (0.5, 0.3, 0.2, 0.1, 0.05, 0.01)
 DEFAULT_RESOLUTION = 0.01
@@ -85,6 +85,29 @@ class LowerBoundResult:
         return {"t": self.t, "value": self.value, "method": self.method}
 
 
+def _bounds_hold_at_t(
+    mx: list[list[float]],
+    my: list[list[float]],
+    left: Sequence[int],
+    right: Sequence[int],
+    norm,
+    eps: float,
+) -> bool:
+    """persistence_delta's test at t for every matched pair i <= j, on the t-slices.
+
+    Same ``geq``, default tolerance and floats, so an alignment that fails here
+    makes ``attempt_net_gluing`` raise ``HypothesisError``.
+    """
+    one_minus = 1.0 - eps
+    for i in range(len(left)):
+        for j in range(i, len(left)):
+            a = mx[left[i]][left[j]]
+            b = my[right[i]][right[j]]
+            if not (geq(a, norm(b, one_minus)) and geq(b, norm(a, one_minus))):
+                return False
+    return True
+
+
 def gh_fuzzy_lower_bound(
     x: FuzzySpace,
     y: FuzzySpace,
@@ -99,7 +122,9 @@ def gh_fuzzy_lower_bound(
     Strategies: the zero-floor constant gluing (always valid), the
     min-diameter-envelope constant gluing, and for each eps in the schedule a
     matched-net gluing over minimal nets (all alignments up to a size cap) and
-    over the full point sets when the spaces are isometric.
+    over the full point sets when the spaces are isometric.  An alignment whose
+    single-factor mutual bounds already fail at t is skipped before any
+    construction, since the gluing would reject it at that check.
     """
     require_positive(t, "t")
     if x.norm.kind != y.norm.kind:
@@ -116,8 +141,10 @@ def gh_fuzzy_lower_bound(
             best_value, best_witness, best_method = h, u, method
 
     consider(glue_constant(x, y, ZERO, grid), "constant-zero")
+    floor: Optional[ValueFn] = None
     try:
-        consider(glue_constant(x, y, floor_envelope(x, y, grid), grid), "constant-envelope")
+        floor = floor_envelope(x, y, grid)
+        consider(glue_constant(x, y, floor, grid), "constant-envelope")
     except (ConstructionError, HypothesisError):
         pass  # degenerate floors (single-point unions) fall back to other strategies
 
@@ -125,6 +152,8 @@ def gh_fuzzy_lower_bound(
     if x.n == y.n:
         iso = is_isometric(x, y, grid)
 
+    mx = [[x.value(i, j, t) for j in range(x.n)] for i in range(x.n)]
+    my = [[y.value(i, j, t) for j in range(y.n)] for i in range(y.n)]
     for eps in sorted(eps_schedule):
         candidates: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
         if iso is not None:
@@ -139,9 +168,15 @@ def gh_fuzzy_lower_bound(
                 candidates.append((left, tuple(right[k] for k in sigma)))
         else:
             candidates.append((left, right))
+        if floor is None:
+            continue  # every attempt would raise the envelope's error again
         for l_idx, r_idx in candidates:
+            if not _bounds_hold_at_t(mx, my, l_idx, r_idx, x.norm, eps):
+                continue
             try:
-                u = attempt_net_gluing(x, y, t, eps, l_idx, r_idx, grid=grid, tol=tol)
+                u = attempt_net_gluing(
+                    x, y, t, eps, l_idx, r_idx, floor=floor, grid=grid, tol=tol
+                )
             except (HypothesisError, ConstructionError, DomainError):
                 continue
             consider(u, f"matched-nets eps={eps}")

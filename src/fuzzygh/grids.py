@@ -39,7 +39,8 @@ class GridSpec:
 
     @classmethod
     def default(cls) -> "GridSpec":
-        return cls.log(DEFAULT_LOG_LO, DEFAULT_LOG_HI, DEFAULT_LOG_COUNT)
+        """The shared 64-point log grid on [1e-3, 1e3], built once at import."""
+        return _DEFAULT_GRID
 
     @classmethod
     def explicit(cls, values: Iterable[float]) -> "GridSpec":
@@ -80,3 +81,6 @@ class GridSpec:
 
     def __len__(self):
         return len(self.values)
+
+
+_DEFAULT_GRID = GridSpec.log(DEFAULT_LOG_LO, DEFAULT_LOG_HI, DEFAULT_LOG_COUNT)

@@ -264,3 +264,67 @@ def net_cross_closures(x, y, nets, floor, splice: float, points):
             row.append(materialize_exact(at, after, points))
         rows.append(tuple(row))
     return tuple(rows)
+
+
+# ---------------------------------------------------------------------------
+# the lower-bound strategy loop without the screen at t
+
+
+def lower_bound_loop(x, y, t: float, eps_schedule=(0.5, 0.3, 0.2, 0.1, 0.05, 0.01), grid=None,
+                     exact_limit: int = 15, tol: float = 1e-12):
+    """gh_fuzzy_lower_bound trying every alignment, with the floor rebuilt per attempt.
+
+    Returns (value, witness, method).  The gluing functions are looked up in
+    ``fuzzygh.gluing`` at call time, so a test can count or replace them there.
+    """
+    from itertools import permutations
+
+    from fuzzygh.covering import find_net
+    from fuzzygh.errors import ConstructionError, DomainError, HypothesisError
+    from fuzzygh.gluing import attempt_net_gluing, floor_envelope, glue_constant, union_hausdorff
+    from fuzzygh.space import is_isometric
+    from fuzzygh.valuefn import ZERO
+
+    best_value = -1.0
+    best_witness = None
+    best_method = ""
+
+    def consider(u, method):
+        nonlocal best_value, best_witness, best_method
+        h = union_hausdorff(u, t)
+        if h > best_value:
+            best_value, best_witness, best_method = h, u, method
+
+    consider(glue_constant(x, y, ZERO, grid), "constant-zero")
+    try:
+        consider(glue_constant(x, y, floor_envelope(x, y, grid), grid), "constant-envelope")
+    except (ConstructionError, HypothesisError):
+        pass
+
+    iso = None
+    if x.n == y.n:
+        iso = is_isometric(x, y, grid)
+
+    for eps in sorted(eps_schedule):
+        candidates = []
+        if iso is not None:
+            candidates.append((tuple(range(x.n)), iso))
+        net_x = find_net(x, t, eps, exact_limit=exact_limit).indices
+        net_y = find_net(y, t, eps, exact_limit=exact_limit).indices
+        size = max(len(net_x), len(net_y))
+        left = net_x + (net_x[0],) * (size - len(net_x))
+        right = net_y + (net_y[0],) * (size - len(net_y))
+        if size <= 6:
+            for sigma in permutations(range(size)):
+                candidates.append((left, tuple(right[k] for k in sigma)))
+        else:
+            candidates.append((left, right))
+        for l_idx, r_idx in candidates:
+            try:
+                u = attempt_net_gluing(x, y, t, eps, l_idx, r_idx, grid=grid, tol=tol)
+            except (HypothesisError, ConstructionError, DomainError):
+                continue
+            consider(u, f"matched-nets eps={eps}")
+            break
+
+    return best_value, best_witness, best_method

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from fuzzygh import TNorm, make_standard_space, make_stationary_space
+from fuzzygh import cli
 from fuzzygh.cli import main
 from fuzzygh.io import save_space
 
@@ -178,3 +179,33 @@ def test_out_file(tmp_path, capsys, std3):
     code = main(["check", "--space", std3, "--out", str(out)])
     assert code == 0
     assert json.loads(out.read_text(encoding="utf-8"))["report"]["passed"]
+
+
+def test_main_reuses_one_parser(capsys, monkeypatch, std3, half, tmp_path):
+    runs = [
+        ["check", "--space", std3],
+        ["check", "--space", std3, "--bogus"],
+        ["diam", "--space", std3, "--t", "1.0"],
+        ["check", "--space", str(tmp_path / "nope.json")],
+        ["tnorm", "--kind", "product"],
+        ["net", "--space", half, "--t", "1.0", "--eps", "0.3"],
+        ["gh-bounds", "--left", half, "--right", std3, "--t", "1.0"],
+        ["check", "--space", std3],
+    ]
+
+    def outputs():
+        out = []
+        for argv in runs:
+            code = main(argv)
+            captured = capsys.readouterr()
+            out.append((code, captured.out, captured.err))
+        return out
+
+    shared = outputs()
+    assert cli._parser() is cli._parser()
+    # the same calls, each with a freshly built parser
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert outputs() == shared
+    assert [code for code, _, _ in shared] == [0, 2, 0, 2, 0, 0, 0, 0]
+    assert "unrecognized arguments: --bogus" in shared[1][2]
+

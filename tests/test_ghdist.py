@@ -4,20 +4,29 @@ import pytest
 from fuzzygh import (
     DistanceMatrix,
     DomainError,
+    HypothesisError,
     SizeLimitError,
+    Step,
+    TNorm,
+    attempt_net_gluing,
     classical_gh_diameter_bound,
     classical_gh_exact,
     gh_fuzzy_bounds,
     gh_fuzzy_lower_bound,
     gh_fuzzy_upper_bound,
+    make_standard_space,
     make_stationary_space,
+    make_step_space,
     union_hausdorff,
     validate_union,
 )
+from fuzzygh import ghdist, gluing
+from fuzzygh.grids import GridSpec
 from fuzzygh.sequences import gen_no_cauchy_family
+from fuzzygh.space import certification_grid
 
 from conftest import make_random_standard, make_random_stationary
-from oracles import random_metric
+from oracles import lower_bound_loop, random_metric, random_safe_stationary_values
 
 
 def test_lower_bound_self_pair_is_high(rng, product):
@@ -105,6 +114,150 @@ def test_bounds_on_nocauchy_pair_certify_noncloseness():
     even, odd = fam.spaces[1], fam.spaces[2]
     ub = gh_fuzzy_upper_bound(even, odd, 0.5, resolution=0.005)
     assert ub.value < 0.9  # the Cauchy threshold at eps = 1/10 is out of reach
+
+
+# ---------------------------------------------------------------------------
+# the lower bound's screen at t against the unscreened strategy loop
+
+STEP_BREAKS = (0.1, 0.3, 1.0, 3.0, 10.0)
+# (|x|, |y|, y is drawn / a permuted copy of x / a permuted copy moved by under 1 %)
+SHAPES = [(1, 1, "drawn"), (2, 3, "drawn"), (3, 3, "drawn"), (2, 2, "copy"), (4, 4, "copy"),
+          (3, 3, "near"), (4, 4, "near")]
+
+
+def _ultrametric(d):
+    """Largest ultrametric below d (minimax path lengths)."""
+    u = d.copy()
+    for k in range(len(u)):
+        u = np.minimum(u, np.maximum(u[:, k : k + 1], u[k : k + 1, :]))
+    return u
+
+
+def _moved(m, rep):
+    """A nearby space of the same kind: scaled distances, or similarities to a power."""
+    return m**1.01 if rep == "stationary" else m * 1.005
+
+
+def _draw(rng, n, kind, rep):
+    """Distances (standard, step) or similarities (stationary) valid under the norm."""
+    d = random_metric(rng, n)
+    if kind == "minimum":
+        d = _ultrametric(d)
+    if rep != "stationary":
+        return d
+    return 1.0 / (1.0 + d) if kind == "minimum" else random_safe_stationary_values(rng, n)
+
+
+def _build(m, norm, rep, name):
+    labels = [f"{name}{i}" for i in range(len(m))]
+    if rep == "standard":
+        return make_standard_space(labels, m, norm)
+    if rep == "stationary":
+        return make_stationary_space(labels, m, norm)
+    s = np.asarray(STEP_BREAKS + (2.0 * STEP_BREAKS[-1],))
+    steps = {
+        (i, j): Step(STEP_BREAKS, tuple(float(v) for v in s / (s + m[i, j])))
+        for i in range(len(m))
+        for j in range(i + 1, len(m))
+    }
+    return make_step_space(labels, steps, norm)
+
+
+def _pairs(kind, seed=7):
+    rng = np.random.default_rng([seed, ("product", "minimum", "lukasiewicz").index(kind)])
+    norm = TNorm(kind)
+    out = []
+    for rep in ("standard", "stationary", "step"):
+        for nx, ny, how in SHAPES:
+            mx = _draw(rng, nx, kind, rep)
+            if how == "drawn":
+                my = _draw(rng, ny, kind, rep)
+            else:
+                perm = rng.permutation(nx)
+                my = mx[np.ix_(perm, perm)] if how == "copy" else _moved(mx[np.ix_(perm, perm)], rep)
+            t = float(rng.uniform(0.3, 3.0))
+            out.append((_build(mx, norm, rep, "x"), _build(my, norm, rep, "y"), t))
+    return out
+
+
+def _same_result(res, loop):
+    value, witness, method = loop
+    assert res.value == value
+    assert res.method == method
+    assert repr(res.witness.cross) == repr(witness.cross)
+
+
+@pytest.mark.parametrize("kind", ["product", "minimum", "lukasiewicz"])
+def test_lower_bound_matches_unscreened_loop(kind, monkeypatch):
+    screened = []  # ((x, y, t), eps, left, right, passed) for every alignment screened
+    screen = ghdist._bounds_hold_at_t
+
+    def recording(mx, my, left, right, norm, eps):
+        passed = screen(mx, my, left, right, norm, eps)
+        screened.append((current, eps, left, right, passed))
+        return passed
+
+    monkeypatch.setattr(ghdist, "_bounds_hold_at_t", recording)
+    for current in _pairs(kind):
+        x, y, t = current
+        _same_result(gh_fuzzy_lower_bound(x, y, t), lower_bound_loop(x, y, t))
+
+    # soundness: every alignment the screen rejects fails inside the gluing too
+    for (x, y, t), eps, left, right, passed in screened:
+        if not passed:
+            with pytest.raises(HypothesisError):
+                attempt_net_gluing(x, y, t, eps, left, right)
+    # some (pair, eps) had several alignments, some rejected and some not
+    outcomes = {}
+    for (x, y, t), eps, _, _, passed in screened:
+        outcomes.setdefault((id(x), eps), set()).add(passed)
+    assert any(o == {True, False} for o in outcomes.values())
+
+
+def test_lower_bound_without_envelope_skips_net_attempts(monkeypatch):
+    # an envelope that raises makes every matched-net attempt raise the same error
+    def failing(x, y, grid=None):
+        raise HypothesisError("floor", detail="no envelope")
+
+    attempts = []
+    glue = ghdist.attempt_net_gluing
+    monkeypatch.setattr(gluing, "floor_envelope", failing)
+    monkeypatch.setattr(ghdist, "floor_envelope", failing)
+    monkeypatch.setattr(
+        ghdist, "attempt_net_gluing", lambda *a, **k: attempts.append(a) or glue(*a, **k)
+    )
+    for x, y, t in _pairs("product")[:6]:
+        _same_result(gh_fuzzy_lower_bound(x, y, t), lower_bound_loop(x, y, t))
+    assert attempts == []
+
+
+def test_lower_bound_hoists_per_call_work(monkeypatch):
+    # a moved copy: the positional alignment fails at t, a permuted one glues
+    d = random_metric(np.random.default_rng(3), 3)
+    perm = np.array([2, 0, 1])
+    x = _build(d, TNorm.product(), "standard", "x")
+    y = _build(_moved(d[np.ix_(perm, perm)], "standard"), TNorm.product(), "standard", "y")
+    counts = {"library": 0, "loop": 0, "log": 0}
+
+    def counting(side, fn):
+        def wrapped(*args, **kwargs):
+            counts[side] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(ghdist, "attempt_net_gluing", counting("library", ghdist.attempt_net_gluing))
+    monkeypatch.setattr(gluing, "attempt_net_gluing", counting("loop", gluing.attempt_net_gluing))
+    log = GridSpec.log
+    monkeypatch.setattr(GridSpec, "log", classmethod(lambda cls, *a: counting("log", log)(*a)))
+
+    gh_fuzzy_bounds(x, y, 1.0)
+    assert counts["log"] == 0  # the default grid is built once, at import
+    assert certification_grid(None) == GridSpec.default()
+
+    counts["library"] = 0
+    _same_result(gh_fuzzy_lower_bound(x, y, 1.0), lower_bound_loop(x, y, 1.0))
+    assert 0 < counts["library"] < counts["loop"]
 
 
 # ---------------------------------------------------------------------------
