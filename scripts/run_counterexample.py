@@ -2,9 +2,11 @@
 """Reproduce the divergent two-point family and certify why it has no
 GH-close subsequence at the reference scale.
 
-For each adjacent pair the certified upper bound on the GH fuzzy distance is
-printed next to the closeness threshold; the damped mutual-bound inequality
-that closeness would force is evaluated as well.
+For each adjacent pair the exact single-scale upper bound on the GH fuzzy
+distance is printed next to the closeness threshold; the damped mutual-bound
+inequality that closeness would force is evaluated as well.
+
+    PYTHONPATH=src python3 scripts/run_counterexample.py --count 8 --t 0.5 --eps 0.1
 """
 
 import argparse
@@ -18,11 +20,10 @@ def main() -> int:
     parser.add_argument("--count", type=int, default=8)
     parser.add_argument("--t", type=float, default=0.5)
     parser.add_argument("--eps", type=float, default=0.1)
-    parser.add_argument("--resolution", type=float, default=0.005)
     args = parser.parse_args()
 
     family = gen_no_cauchy_family(args.count)
-    report = verify_no_cauchy(family, t=args.t, eps=args.eps, resolution=args.resolution)
+    report = verify_no_cauchy(family, t=args.t, eps=args.eps)
 
     print(dumps_report(report.as_dict()))
     print()

@@ -22,7 +22,6 @@ from .errors import (
 )
 from .ghdist import (
     DEFAULT_EPS_SCHEDULE,
-    DEFAULT_RESOLUTION,
     MAX_CROSS_VARIABLES,
     gh_fuzzy_bounds,
 )
@@ -214,7 +213,6 @@ def _cmd_gh_bounds(args) -> int:
         right,
         args.t,
         eps_schedule=schedule,
-        resolution=args.resolution,
         grid=_grid(args),
         max_variables=args.max_variables,
     )
@@ -222,11 +220,10 @@ def _cmd_gh_bounds(args) -> int:
         "t": args.t,
         "lower": bounds.lower.value,
         "upper": bounds.upper.value,
-        "upper_slack": bounds.upper.slack,
         "witness": fio.union_to_doc(bounds.lower.witness),
         "lower_method": bounds.lower.method,
         "upper_info": bounds.upper.as_dict(),
-        "params": _params(args, resolution=args.resolution, eps_schedule=list(schedule)),
+        "params": _params(args, eps_schedule=list(schedule)),
     }
     _emit(doc, args, f"gh-bounds: [{bounds.lower.value}, {bounds.upper.value}] at t={args.t}")
     return 0
@@ -309,13 +306,13 @@ def _cmd_example(args) -> int:
     if args.which != "no-cauchy":
         raise DomainError(f"unknown example {args.which!r}")
     family = gen_no_cauchy_family(args.count)
-    doc: dict = {"count": args.count, "params": _params(args, resolution=args.resolution)}
+    doc: dict = {"count": args.count, "params": _params(args)}
     if args.out_dir:
         fio.save_family(family, args.out_dir)
         doc["written"] = args.out_dir
     ok = True
     if args.verify:
-        report = verify_no_cauchy(family, t=args.t, eps=args.eps, resolution=args.resolution)
+        report = verify_no_cauchy(family, t=args.t, eps=args.eps)
         doc["verification"] = report.as_dict()
         ok = report.contradiction_confirmed
     _emit(doc, args, f"example no-cauchy: {'confirmed' if ok else 'NOT confirmed'}")
@@ -383,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--resolution", type=float, default=DEFAULT_RESOLUTION)
     p.add_argument("--eps-schedule", type=str, default=None)
     p.add_argument("--max-variables", type=int, default=MAX_CROSS_VARIABLES)
     _add_common(p)
@@ -430,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true")
     p.add_argument("--t", type=float, default=0.5)
     p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--resolution", type=float, default=DEFAULT_RESOLUTION)
     p.add_argument("--out-dir", type=str, default=None)
     _add_common(p)
     p.set_defaults(fn=_cmd_example)

@@ -5,8 +5,13 @@ constructed admissible union metric.  The upper bound relaxes the defining
 supremum to a single scale: any admissible metric restricted to t must satisfy
 every pointwise triangle instance there, so maximizing the Hausdorff objective
 over cross matrices subject to those instances bounds the supremum from above.
-The relaxation is solved by an exhaustive-grid-equivalent branch-and-prune
-search with a Lipschitz certificate.
+The relaxation is solved exactly.  Fixing value gamma on a witness relation W
+that meets every row and column, the least closed cross matrix is the max-T
+closure cl_W(a) = max_{w in W} T(k(w, a), gamma) (Zadeh, Inf. Sci. 3, 1971),
+and it is feasible iff every pair of cells in W is, which is a threshold
+g(w, w') with a closed form per norm.  The supremum is then a bottleneck
+covering problem (Edmonds & Fulkerson, J. Combin. Theory 8, 1970): bisection
+over the thresholds with a covering-clique search, no grid and no slack.
 """
 
 from __future__ import annotations
@@ -33,10 +38,9 @@ from .util import TOL, geq, require_positive
 from .valuefn import ZERO, ValueFn
 
 DEFAULT_EPS_SCHEDULE = (0.5, 0.3, 0.2, 0.1, 0.05, 0.01)
-DEFAULT_RESOLUTION = 0.01
-MAX_CROSS_VARIABLES = 9
+MAX_CROSS_VARIABLES = 36
 _PERMUTATION_CAP = 6  # beyond this net size only the positional alignment is tried
-_NODE_BUDGET = 5_000_000
+_CLIQUE_NODE_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -124,7 +128,9 @@ def gh_fuzzy_lower_bound(
     matched-net gluing over minimal nets (all alignments up to a size cap) and
     over the full point sets when the spaces are isometric.  An alignment whose
     single-factor mutual bounds already fail at t is skipped before any
-    construction, since the gluing would reject it at that check.
+    construction, since the gluing would reject it at that check.  Under the
+    minimum norm no matched-net gluing can beat its strict threshold, so none
+    is attempted.
     """
     require_positive(t, "t")
     if x.norm.kind != y.norm.kind:
@@ -160,6 +166,11 @@ def gh_fuzzy_lower_bound(
             candidates.append((tuple(range(x.n)), iso))
         net_x = find_net(x, t, eps, exact_limit=exact_limit).indices
         net_y = find_net(y, t, eps, exact_limit=exact_limit).indices
+        # every attempt would raise: the envelope's error again, or under the
+        # minimum norm "not above", since each damped cross value at t is
+        # min(., 1-eps) and the strict threshold is min(1-eps, 1-eps)
+        if floor is None or x.norm.kind == "minimum":
+            continue
         size = max(len(net_x), len(net_y))
         left = net_x + (net_x[0],) * (size - len(net_x))
         right = net_y + (net_y[0],) * (size - len(net_y))
@@ -168,8 +179,6 @@ def gh_fuzzy_lower_bound(
                 candidates.append((left, tuple(right[k] for k in sigma)))
         else:
             candidates.append((left, right))
-        if floor is None:
-            continue  # every attempt would raise the envelope's error again
         for l_idx, r_idx in candidates:
             if not _bounds_hold_at_t(mx, my, l_idx, r_idx, x.norm, eps):
                 continue
@@ -187,406 +196,132 @@ def gh_fuzzy_lower_bound(
 
 
 # ---------------------------------------------------------------------------
-# upper bound: pointwise relaxation solved on a certified grid
+# upper bound: the single-scale relaxation, solved exactly
 
 
 @dataclass(frozen=True)
 class UpperBoundResult:
-    """Certified upper bound: best slack-feasible grid point plus the grid slack.
+    """The supremum of the single-scale relaxation and a relation attaining it.
 
-    Soundness: rounding any truly feasible cross matrix down to the grid keeps
-    the product-form constraints satisfied exactly, violates the lower-bound
-    constraints by at most the spacing h, and lowers the objective by at most
-    h; hence best_found >= sup - h and value = min(1, best_found + h) >= sup.
+    ``relation`` is an optimal witness relation W as (p, q) index pairs: every
+    cell of W holds ``value`` in the relaxation's optimal cross matrix.
+    ``nodes`` counts the backtracking nodes of the covering-clique search.
     """
 
     t: float
     value: float
-    slack: float
-    best_found: float
-    refined_incumbent: float
-    resolution: float
     variables: int
     nodes: int
+    relation: tuple[tuple[int, int], ...]
 
     def as_dict(self) -> dict:
         return {
             "t": self.t,
             "value": self.value,
-            "slack": self.slack,
-            "best_found": self.best_found,
-            "refined_incumbent": self.refined_incumbent,
-            "resolution": self.resolution,
             "variables": self.variables,
             "nodes": self.nodes,
+            "relation": [list(w) for w in self.relation],
         }
 
 
-def _tn_scalar(kind: str):
-    if kind == "product":
-        return lambda a, b: a * b
-    if kind == "minimum":
-        return lambda a, b: a if a <= b else b
-    if kind == "lukasiewicz":
-        return lambda a, b: max(a + b - 1.0, 0.0)
-    raise DomainError(f"upper bound supports built-in norms only, got {kind!r}")
+def _witness_thresholds(mx: np.ndarray, my: np.ndarray, norm, tol: float) -> np.ndarray:
+    """g[w, w']: the largest gamma at which cells w and w' can both hold gamma, that
+    is with T(T(k(w, a), k(w', b)), T(gamma, gamma)) <= A + tol for every upper
+    instance T(c_a, c_b) <= A in both orders: cell w = (p, q) holding gamma forces
+    cell a up to T(k(w, a), gamma), k(w, a) = T(M_X(p_a, p_w), M_Y(q_w, q_a))."""
+    nx, ny, k = len(mx), len(my), len(mx) * len(my)
+    kern = norm.array(mx[:, None, :, None], my[None, :, None, :]).reshape(k, k)
+    cells = np.arange(k).reshape(nx, ny)
+    px, px2 = np.triu_indices(nx, 1)
+    qy, qy2 = np.triu_indices(ny, 1)
+    a = np.concatenate([cells[px].ravel(), cells[:, qy].T.ravel()])
+    b = np.concatenate([cells[px2].ravel(), cells[:, qy2].T.ravel()])
+    cap = np.concatenate([np.repeat(mx[px, px2], ny), np.repeat(my[qy, qy2], nx)])
+    cap = cap[:, None, None] + tol
+    kk = norm.array(kern[:, a].T[:, :, None], kern[:, b].T[:, None, :])
+    if norm.kind == "product":
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = np.sqrt(np.fmin(1.0, cap / kk))
+    elif norm.kind == "minimum":
+        g = np.where(kk <= cap, 1.0, cap)
+    else:
+        g = np.minimum(1.0, (cap + 2.0 - kk) / 2.0)
+    g = g.min(axis=0, initial=1.0)  # a 1x1 pair has no instance
+    return np.minimum(g, g.T)  # the instances in the other order
 
 
-def _tn_inverse_cap(kind: str, bound: float, other: float) -> float:
-    """Largest c in [0, 1] with norm(c, other) <= bound (1.0 when unconstrained)."""
-    if bound >= 1.0:
-        return 1.0
-    if kind == "product":
-        if other <= bound:
-            return 1.0
-        return bound / other if other > 0.0 else 1.0
-    if kind == "minimum":
-        return 1.0 if other <= bound else bound
-    # lukasiewicz: c + other - 1 <= bound
-    return min(1.0, bound + 1.0 - other)
+def _covering_clique(ok: np.ndarray, lines: list[int], budget: int) -> tuple[Optional[int], int]:
+    """(bitmask of cells pairwise compatible under ``ok`` that meet every line, or
+    None; nodes).  Branches over the compatible cells of the first line not met,
+    and fails as soon as a line not met has no compatible cell left."""
+    adj = [int.from_bytes(r.tobytes(), "little") for r in np.packbits(ok, 1, bitorder="little")]
+    nodes = 0
 
+    def extend(chosen: int, cand: int) -> Optional[int]:
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise SizeLimitError("upper-bound search exceeded its node budget")
+        branch = 0
+        for line in lines:
+            if not line & chosen:
+                if not line & cand:
+                    return None
+                branch = branch or line & cand
+        if not branch:
+            return chosen
+        while branch:
+            bit = branch & -branch
+            found = extend(chosen | bit, cand & adj[bit.bit_length() - 1])
+            if found is not None:
+                return found
+            branch ^= bit
+            cand ^= bit  # no cover holds chosen and this cell
+        return None
 
-class _RelaxationProblem:
-    def __init__(self, x: FuzzySpace, y: FuzzySpace, t: float, h: float, tol: float):
-        self.nx, self.ny = x.n, y.n
-        self.k = self.nx * self.ny
-        self.kind = x.norm.kind
-        self.tn = _tn_scalar(self.kind)
-        self.h = h
-        self.tol = tol
-        mx = [[x.value(i, j, t) for j in range(self.nx)] for i in range(self.nx)]
-        my = [[y.value(i, j, t) for j in range(self.ny)] for i in range(self.ny)]
-        self.mx, self.my = mx, my
-        var = lambda p, q: p * self.ny + q
-        self.lines = [
-            [var(p, q) for q in range(self.ny)] for p in range(self.nx)
-        ] + [[var(p, q) for p in range(self.nx)] for q in range(self.ny)]
-        # product-form instances: norm(c[a], c[b]) <= A
-        self.uppers: list[tuple[float, int, int]] = []
-        for p in range(self.nx):
-            for p2 in range(p + 1, self.nx):
-                for q in range(self.ny):
-                    self.uppers.append((mx[p][p2], var(p, q), var(p2, q)))
-        for q in range(self.ny):
-            for q2 in range(q + 1, self.ny):
-                for p in range(self.nx):
-                    self.uppers.append((my[q][q2], var(p, q), var(p, q2)))
-        # bound-form instances: c[target] >= norm(K, c[source]) - slack
-        self.lowers: list[tuple[int, float, int]] = []
-        for p in range(self.nx):
-            for q in range(self.ny):
-                for p2 in range(self.nx):
-                    if p2 != p:
-                        self.lowers.append((var(p, q), mx[p][p2], var(p2, q)))
-                for q2 in range(self.ny):
-                    if q2 != q:
-                        self.lowers.append((var(p, q), my[q2][q], var(p, q2)))
-        # grid: i*h for i < last, then exactly 1.0
-        last = int(math.ceil(1.0 / h - 1e-9))
-        self.g = [i * h for i in range(last)] + [1.0]
-        self.last = last
-
-    def idx_floor(self, v: float) -> int:
-        if v >= 1.0 - 1e-15:
-            return self.last
-        i = int(math.floor(v / self.h + 1e-9))
-        return max(0, min(i, self.last - 1))
-
-    def idx_ceil(self, v: float) -> int:
-        if v <= 0.0:
-            return 0
-        if v > 1.0 + 1e-15:
-            return self.last + 1  # infeasible marker
-        i = int(math.ceil(v / self.h - 1e-9))
-        if i >= self.last:
-            return self.last if v <= 1.0 + 1e-15 else self.last + 1
-        return i
-
-    def objective(self, c: Sequence[float]) -> float:
-        ny = self.ny
-        row_min = min(max(c[p * ny + q] for q in range(ny)) for p in range(self.nx))
-        col_min = min(max(c[p * ny + q] for p in range(self.nx)) for q in range(ny))
-        return min(row_min, col_min)
-
-    def feasible_point(self, c: Sequence[float], slack: float) -> bool:
-        tn, tol = self.tn, self.tol
-        for a_bound, va, vb in self.uppers:
-            if tn(c[va], c[vb]) > a_bound + tol:
-                return False
-        for vt, k_val, vs in self.lowers:
-            if c[vt] < tn(k_val, c[vs]) - slack - tol:
-                return False
-        return True
-
-    def contract(
-        self,
-        lo: list[int],
-        hi: list[int],
-        slack: float,
-        gi_req: int,
-        max_sweeps: int = 4,
-    ) -> bool:
-        """Interval tightening; returns False when the box becomes empty.
-
-        ``gi_req`` is the grid index every row and column must reach for the
-        box to improve on the incumbent: lines that cannot reach it kill the
-        box, lines with a single candidate entry force it up (witness
-        propagation).  Sweeps are capped; stopping early is always sound, the
-        box just splits once more.
-        """
-        g, tn, tol = self.g, self.tn, self.tol
-        changed = True
-        sweeps = 0
-        while changed and sweeps < max_sweeps:
-            sweeps += 1
-            changed = False
-            for line in self.lines:
-                candidates = [v for v in line if hi[v] >= gi_req]
-                if not candidates:
-                    return False
-                if len(candidates) == 1:
-                    v = candidates[0]
-                    if lo[v] < gi_req:
-                        if gi_req > hi[v]:
-                            return False
-                        lo[v] = gi_req
-                        changed = True
-            for a_bound, va, vb in self.uppers:
-                cap = a_bound + tol
-                for u, v in ((va, vb), (vb, va)):
-                    bound = _tn_inverse_cap(self.kind, cap, g[lo[v]])
-                    ni = self.idx_floor(bound)
-                    if ni < hi[u]:
-                        hi[u] = ni
-                        if hi[u] < lo[u]:
-                            return False
-                        changed = True
-            for vt, k_val, vs in self.lowers:
-                need = tn(k_val, g[lo[vs]]) - slack - tol
-                ni = self.idx_ceil(need)
-                if ni > lo[vt]:
-                    if ni > hi[vt]:
-                        return False
-                    lo[vt] = ni
-                    changed = True
-                bound = _tn_inverse_cap(self.kind, g[hi[vt]] + slack + tol, k_val)
-                ni = self.idx_floor(bound)
-                if ni < hi[vs]:
-                    hi[vs] = ni
-                    if hi[vs] < lo[vs]:
-                        return False
-                    changed = True
-        return True
-
-    def witness_collision_cap(self) -> float:
-        """Objective cap from witness pigeonholing, independent of the box.
-
-        Every row and column of a feasible matrix with value >= gamma holds a
-        witness entry >= gamma; when one side has more lines than the other
-        two witnesses must share a line, so gamma*gamma is bounded by the
-        corresponding similarity.  The cap maximizes over witness layouts.
-        """
-        from itertools import product as iproduct
-
-        def side_cap(n_from, n_to, sims) -> float:
-            if n_from <= n_to:
-                return 1.0  # injective witnesses exist, no forced collision
-            best = 0.0
-            for assign in iproduct(range(n_to), repeat=n_from):
-                worst = 1.0
-                for i in range(n_from):
-                    for j in range(i + 1, n_from):
-                        if assign[i] == assign[j]:
-                            worst = min(worst, self._gamma_cap(sims[i][j] + self.tol))
-                best = max(best, worst)
-            return best
-
-        # columns witness through rows (collisions bound by M_Y) and rows
-        # witness through columns (collisions bound by M_X)
-        cap_cols = side_cap(self.ny, self.nx, self.my)
-        cap_rows = side_cap(self.nx, self.ny, self.mx)
-        return min(cap_rows, cap_cols)
-
-    def _gamma_cap(self, bound: float) -> float:
-        """Largest gamma with norm(gamma, gamma) <= bound."""
-        if self.kind == "product":
-            return min(1.0, math.sqrt(bound))
-        if self.kind == "minimum":
-            return min(1.0, bound)
-        return min(1.0, (bound + 1.0) / 2.0)
+    return extend(0, sum(1 << w for w in range(len(ok)) if ok[w, w])), nodes
 
 
 def gh_fuzzy_upper_bound(
     x: FuzzySpace,
     y: FuzzySpace,
     t: float,
-    resolution: float = DEFAULT_RESOLUTION,
     max_variables: int = MAX_CROSS_VARIABLES,
-    refine: bool = True,
     tol: float = TOL,
 ) -> UpperBoundResult:
-    """Certified upper bound on the GH fuzzy distance at a single scale.
+    """Exact supremum of the single-scale relaxation at t (upper instances within tol).
 
-    Maximizes min(min-row-max, min-col-max) over cross matrices in [0, 1]
-    subject to every pointwise triangle instance at t, by branch-and-prune
-    over the h-spaced grid; the result is the best slack-feasible grid value
-    plus h, capped at 1.  Refuses problems with more cross variables than
-    ``max_variables``.
+    It is the largest gamma for which a relation W meeting every row and column
+    has g(w, w') >= gamma on all its pairs: bisection over the distinct thresholds,
+    each step a covering-clique search.  Refuses more than ``max_variables`` cross
+    variables, and user-defined norms.
     """
     require_positive(t, "t")
     if x.norm.kind != y.norm.kind:
         raise DomainError("both spaces must share the t-norm kind")
-    if not 0.0 < resolution <= 0.5:
-        raise DomainError(f"resolution must lie in (0, 0.5], got {resolution!r}")
     k = x.n * y.n
     if k > max_variables:
         raise SizeLimitError(
             f"{x.n}x{y.n} cross variables exceed the limit {max_variables}; "
             "use the diameter-based bounds instead"
         )
-    h = float(resolution)
-    prob = _RelaxationProblem(x, y, t, h, tol)
-    g = prob.g
-    slack = h
-
-    # incumbent: the best feasible constant matrix (lower-bound instances are
-    # automatically satisfied on constants), improved by coordinate ascent
-    best_val, best_point = -1.0, None
-    min_upper = min((a for a, _, _ in prob.uppers), default=1.0)
-    for i in range(len(g) - 1, -1, -1):
-        if prob.tn(g[i], g[i]) <= min_upper + tol:
-            best_val = g[i]
-            best_point = [g[i]] * k
-            break
-    if best_point is not None:
-        best_point, best_val = _grid_ascent(prob, best_point, slack)
-
-    cap = prob.witness_collision_cap() + tol
-    gi_req = prob.idx_ceil(best_val + h * 0.5)  # smallest grid index above best
-
-    nodes = 0
-    stack = [([0] * k, [len(g) - 1] * k)]
-    while stack and gi_req <= prob.last:
-        lo, hi = stack.pop()
-        nodes += 1
-        if nodes > _NODE_BUDGET:
-            raise SizeLimitError("search budget exhausted; raise the resolution")
-        if g[gi_req] > cap:
-            break  # no grid value can both beat the incumbent and obey the cap
-        if not prob.contract(lo, hi, slack, gi_req):
-            continue
-        if prob.objective([g[i] for i in hi]) <= best_val + 1e-15:
-            continue
-        width = [hi[d] - lo[d] for d in range(k)]
-        total = 1
-        for w in width:
-            total *= w + 1
-            if total > 64:
-                break
-        if total <= 64:
-            # enumerate the remaining lattice points exactly
-            point_idx = lo[:]
-            while True:
-                c = [g[i] for i in point_idx]
-                if prob.feasible_point(c, slack):
-                    v = prob.objective(c)
-                    if v > best_val:
-                        best_val, best_point = v, c
-                        gi_req = prob.idx_ceil(best_val + h * 0.5)
-                d = 0
-                while d < k:
-                    if point_idx[d] < hi[d]:
-                        point_idx[d] += 1
-                        break
-                    point_idx[d] = lo[d]
-                    d += 1
-                if d == k:
-                    break
-            continue
-        d_split = max(range(k), key=lambda d: width[d])
-        mid = (lo[d_split] + hi[d_split]) // 2
-        lo_hi = hi[:]
-        lo_hi[d_split] = mid
-        hi_lo = lo[:]
-        hi_lo[d_split] = mid + 1
-        stack.append((lo, lo_hi))
-        stack.append((hi_lo, hi))  # explore the upper half first
-
-    refined = best_val
-    if refine and best_point is not None:
-        refined = _coordinate_refine(prob, best_point, slack, h / 10.0)
-
-    value = min(1.0, best_val + h)
-    return UpperBoundResult(
-        t=t,
-        value=value,
-        slack=h,
-        best_found=best_val,
-        refined_incumbent=refined,
-        resolution=h,
-        variables=k,
-        nodes=nodes,
-    )
-
-
-def _grid_ascent(
-    prob: _RelaxationProblem, start: list[float], slack: float
-) -> tuple[list[float], float]:
-    """Coordinate ascent over the search grid itself, used to seed the incumbent.
-
-    Moves maximize (objective, coordinate sum) lexicographically so the walk
-    keeps climbing across objective plateaus toward the coordinatewise-maximal
-    feasible point.
-    """
-    c = list(start)
-    best_obj = prob.objective(c)
-    for _ in range(50):
-        improved = False
-        for d in range(prob.k):
-            orig = c[d]
-            chosen = orig
-            # grid values descend from 1; the first feasible one is maximal
-            for val in reversed(prob.g):
-                if val <= chosen:
-                    break
-                c[d] = val
-                if prob.feasible_point(c, slack):
-                    chosen = val
-                    break
-            c[d] = chosen
-            if chosen > orig:
-                improved = True
-        if not improved:
-            break
-    return c, prob.objective(c)
-
-
-def _coordinate_refine(
-    prob: _RelaxationProblem, start: list[float], slack: float, fine: float
-) -> float:
-    """Diagnostic coordinate ascent on a 10x finer lattice around the incumbent."""
-    c = list(start)
-    best = prob.objective(c)
-    for _ in range(100):
-        improved = False
-        for d in range(prob.k):
-            base = c[d]
-            for m in range(-10, 11):
-                cand = min(1.0, max(0.0, base + m * fine))
-                if cand == c[d]:
-                    continue
-                old = c[d]
-                c[d] = cand
-                if prob.feasible_point(c, slack):
-                    v = prob.objective(c)
-                    if v > best + 1e-15:
-                        best = v
-                        improved = True
-                        continue
-                c[d] = old
-        if not improved:
-            break
-    return best
+    if not x.norm.is_builtin:
+        raise DomainError(f"upper bound supports built-in norms only, got {x.norm.kind!r}")
+    mx = np.array([[x.value(i, j, t) for j in range(x.n)] for i in range(x.n)])
+    my = np.array([[y.value(i, j, t) for j in range(y.n)] for i in range(y.n)])
+    g = _witness_thresholds(mx, my, x.norm, tol)
+    cells = np.arange(k).reshape(x.n, y.n)
+    lines = [sum(1 << int(w) for w in line) for line in (*cells, *cells.T)]
+    levels = sorted(set(g.ravel().tolist()))  # np.unique would import numpy.ma
+    lo, hi = 0, len(levels) - 1
+    best, nodes = (1 << k) - 1, 0  # at the least level every cell pairs with every other
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        found, used = _covering_clique(g >= levels[mid], lines, _CLIQUE_NODE_BUDGET - nodes)
+        nodes += used
+        lo, hi, best = (lo, mid - 1, best) if found is None else (mid, hi, found)
+    relation = tuple(divmod(w, y.n) for w in range(k) if best >> w & 1)
+    return UpperBoundResult(t=t, value=levels[lo], variables=k, nodes=nodes, relation=relation)
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +348,6 @@ class GHBounds:
             "t": self.t,
             "lower": self.lower.value,
             "upper": self.upper.value,
-            "upper_slack": self.upper.slack,
             "lower_method": self.lower.method,
             "upper_info": self.upper.as_dict(),
         }
@@ -624,12 +358,11 @@ def gh_fuzzy_bounds(
     y: FuzzySpace,
     t: float,
     eps_schedule: Sequence[float] = DEFAULT_EPS_SCHEDULE,
-    resolution: float = DEFAULT_RESOLUTION,
     grid: Optional[GridSpec] = None,
     max_variables: int = MAX_CROSS_VARIABLES,
 ) -> GHBounds:
     lower = gh_fuzzy_lower_bound(x, y, t, eps_schedule=eps_schedule, grid=grid)
-    upper = gh_fuzzy_upper_bound(x, y, t, resolution=resolution, max_variables=max_variables)
+    upper = gh_fuzzy_upper_bound(x, y, t, max_variables=max_variables)
     return GHBounds(t=t, lower=lower, upper=upper)
 
 

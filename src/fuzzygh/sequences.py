@@ -679,13 +679,12 @@ def verify_no_cauchy(
     family: SequenceFamily,
     t: float = 0.5,
     eps: float = 0.1,
-    resolution: float = 0.01,
 ) -> NoCauchyReport:
     """Reproduce the contradiction: adjacent spaces cannot be GH-close at t.
 
     Closeness above 1 - eps would force the odd level to dominate the damped
-    even level, which fails numerically; independently, the certified upper
-    bound for every adjacent pair stays below 1 - eps.  A self-pair lower
+    even level, which fails numerically; independently, the exact single-scale
+    upper bound for every adjacent pair stays below 1 - eps.  A self-pair lower
     bound near 1 sanity-checks the bound machinery.
     """
     require_positive(t, "t")
@@ -703,7 +702,7 @@ def verify_no_cauchy(
     net_sizes = tuple(len(find_net(sp, t, eps).indices) for sp in spaces)
     pair_uppers = []
     for n in range(len(spaces) - 1):
-        ub = gh_fuzzy_upper_bound(spaces[n], spaces[n + 1], t, resolution=resolution)
+        ub = gh_fuzzy_upper_bound(spaces[n], spaces[n + 1], t)
         pair_uppers.append((n, n + 1, ub.value))
     max_upper = max(v for _, _, v in pair_uppers)
     threshold = 1.0 - eps

@@ -328,3 +328,128 @@ def lower_bound_loop(x, y, t: float, eps_schedule=(0.5, 0.3, 0.2, 0.1, 0.05, 0.0
             break
 
     return best_value, best_witness, best_method
+
+
+# ---------------------------------------------------------------------------
+# the single-scale relaxation behind the upper bound
+
+
+def _tnorm_loop(kind: str, a: float, b: float) -> float:
+    if kind == "product":
+        return a * b
+    if kind == "minimum":
+        return min(a, b)
+    return max(a + b - 1.0, 0.0)
+
+
+def relaxation_feasible_loop(mx, my, kind: str, c, tol: float = 1e-12) -> bool:
+    """Whether cross matrix c satisfies every triangle instance of the union at one scale.
+
+    Upper instances T(c[p][q], c[p2][q]) <= mx[p][p2] (and the Y analogue) within
+    tol; lower instances c[p][q] >= T(mx[p][p2], c[p2][q]) (and the Y analogue)
+    within tol.
+    """
+    nx, ny = len(mx), len(my)
+    for p in range(nx):
+        for p2 in range(nx):
+            if p2 == p:
+                continue
+            for q in range(ny):
+                if _tnorm_loop(kind, c[p][q], c[p2][q]) > mx[p][p2] + tol:
+                    return False
+                if c[p][q] < _tnorm_loop(kind, mx[p][p2], c[p2][q]) - tol:
+                    return False
+    for q in range(ny):
+        for q2 in range(ny):
+            if q2 == q:
+                continue
+            for p in range(nx):
+                if _tnorm_loop(kind, c[p][q], c[p][q2]) > my[q][q2] + tol:
+                    return False
+                if c[p][q] < _tnorm_loop(kind, my[q2][q], c[p][q2]) - tol:
+                    return False
+    return True
+
+
+def closure_loop(mx, my, kind: str, relation, gamma: float) -> list[list[float]]:
+    """cl_W(p, q) = max over (pw, qw) in W of T(T(mx[p][pw], my[qw][q]), gamma)."""
+    return [
+        [
+            max(
+                _tnorm_loop(kind, _tnorm_loop(kind, mx[p][pw], my[qw][q]), gamma)
+                for pw, qw in relation
+            )
+            for q in range(len(my))
+        ]
+        for p in range(len(mx))
+    ]
+
+
+def relaxation_sup_loop(mx, my, kind: str, tol: float = 1e-12, steps: int = 60) -> float:
+    """Supremum of the Hausdorff objective over the relaxation, by enumeration.
+
+    For every relation W meeting every row and column, bisect the largest gamma
+    whose closure cl_W passes relaxation_feasible_loop (feasibility falls as
+    gamma grows); the supremum is the maximum over W.  Smaller relations come
+    first, and a W whose closure fails 1e-12 above the best value so far is
+    skipped: it cannot beat that value by more.
+    """
+    nx, ny = len(mx), len(my)
+    cells = [(p, q) for p in range(nx) for q in range(ny)]
+    best = 0.0
+    for mask in sorted(range(1, 1 << len(cells)), key=lambda m: bin(m).count("1")):
+        relation = [w for b, w in enumerate(cells) if mask >> b & 1]
+        if {p for p, _ in relation} != set(range(nx)) or {q for _, q in relation} != set(range(ny)):
+            continue
+
+        def feasible(gamma):
+            return relaxation_feasible_loop(mx, my, kind, closure_loop(mx, my, kind, relation, gamma), tol)
+
+        if not feasible(best + 1e-12):
+            continue
+        if feasible(1.0):
+            return 1.0
+        lo, hi = best, 1.0
+        for _ in range(steps):
+            mid = (lo + hi) / 2.0
+            lo, hi = (mid, hi) if feasible(mid) else (lo, mid)
+        best = lo
+    return best
+
+
+def relaxation_grid_max(mx, my, kind: str, points: int = 200_000) -> float:
+    """Largest Hausdorff objective over the cross matrices on a uniform grid of [0, 1]
+    that satisfy every triangle instance at one scale exactly.
+
+    Every admissible grid point lies in the relaxation, so this is a lower bound
+    on its supremum.  The grid has about ``points`` points in total.
+    """
+    from itertools import product
+
+    mx, my = np.asarray(mx), np.asarray(my)
+    nx, ny = len(mx), len(my)
+    k = nx * ny
+    steps = max(1, min(100, int(points ** (1.0 / k)) - 1))
+    g = np.linspace(0.0, 1.0, steps + 1)
+    c = np.stack(np.meshgrid(*([g] * k), indexing="ij"), -1).reshape(-1, nx, ny)
+
+    def tn(a, b):
+        if kind == "product":
+            return a * b
+        if kind == "minimum":
+            return np.minimum(a, b)
+        return np.maximum(a + b - 1.0, 0.0)
+
+    ok = np.ones(len(c), dtype=bool)
+    for p, p2 in product(range(nx), repeat=2):
+        if p != p2:
+            for q in range(ny):
+                ok &= tn(c[:, p, q], c[:, p2, q]) <= mx[p, p2]
+                ok &= c[:, p, q] >= tn(mx[p, p2], c[:, p2, q])
+    for q, q2 in product(range(ny), repeat=2):
+        if q != q2:
+            for p in range(nx):
+                ok &= tn(c[:, p, q], c[:, p, q2]) <= my[q, q2]
+                ok &= c[:, p, q] >= tn(my[q2, q], c[:, p, q2])
+    c = c[ok]
+    return float(np.minimum(c.max(axis=2).min(axis=1), c.max(axis=1).min(axis=1)).max())

@@ -125,8 +125,9 @@ def test_mdelta(capsys, half):
 def test_gh_bounds_schema(capsys, half):
     code, doc = run(capsys, "gh-bounds", "--left", half, "--right", half, "--t", "1.0")
     assert code == 0
-    assert {"t", "lower", "upper", "upper_slack", "witness"} <= set(doc)
-    assert doc["lower"] <= doc["upper"] + doc["upper_slack"]
+    assert {"t", "lower", "upper", "witness"} <= set(doc)
+    assert doc["lower"] <= doc["upper"]
+    assert {"relation", "nodes"} <= set(doc["upper_info"])
 
 
 def test_example_verify_exits_zero(capsys):

@@ -1,7 +1,10 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
 from fuzzygh import (
+    ConstructionError,
     DistanceMatrix,
     DomainError,
     HypothesisError,
@@ -11,6 +14,7 @@ from fuzzygh import (
     attempt_net_gluing,
     classical_gh_diameter_bound,
     classical_gh_exact,
+    find_net,
     gh_fuzzy_bounds,
     gh_fuzzy_lower_bound,
     gh_fuzzy_upper_bound,
@@ -26,7 +30,15 @@ from fuzzygh.sequences import gen_no_cauchy_family
 from fuzzygh.space import certification_grid
 
 from conftest import make_random_standard, make_random_stationary
-from oracles import lower_bound_loop, random_metric, random_safe_stationary_values
+from oracles import (
+    closure_loop,
+    lower_bound_loop,
+    random_metric,
+    random_safe_stationary_values,
+    relaxation_feasible_loop,
+    relaxation_grid_max,
+    relaxation_sup_loop,
+)
 
 
 def test_lower_bound_self_pair_is_high(rng, product):
@@ -53,10 +65,9 @@ def test_lower_bound_zero_floor_fallback(product):
 
 
 def test_upper_bound_counterexample_window(two_point_half, two_point_third):
-    res = gh_fuzzy_upper_bound(two_point_half, two_point_third, 0.5, resolution=0.005)
-    # analytic optimum sqrt(2/3) plus at most twice the grid slack
-    assert 0.8165 - 1e-9 <= res.value <= 0.8265 + 1e-9
-    assert res.best_found == pytest.approx(np.sqrt(2 / 3), abs=res.slack)
+    res = gh_fuzzy_upper_bound(two_point_half, two_point_third, 0.5)
+    # the analytic optimum sqrt(2/3), with no grid slack
+    assert res.value == pytest.approx(np.sqrt(2 / 3), abs=1e-9)
 
 
 def test_upper_bound_self_pair_is_one(rng, product):
@@ -70,15 +81,17 @@ def test_upper_bound_single_points(product):
 
 
 def test_upper_bound_size_refusal(rng, product):
-    x = make_random_stationary(rng, 4, product)
-    y = make_random_stationary(rng, 3, product)
+    x = make_random_stationary(rng, 7, product)
+    y = make_random_stationary(rng, 6, product)
     with pytest.raises(SizeLimitError):
-        gh_fuzzy_upper_bound(x, y, 1.0)  # 12 cross variables > 9
+        gh_fuzzy_upper_bound(x, y, 1.0)  # 42 cross variables > 36
 
 
-def test_upper_bound_resolution_domain(two_point_half):
+def test_upper_bound_custom_norm_domain():
+    norm = TNorm.custom("scaled-product", lambda a, b: a * b)
+    x = make_stationary_space(["a", "b"], [[1, 0.5], [0.5, 1]], norm)
     with pytest.raises(DomainError):
-        gh_fuzzy_upper_bound(two_point_half, two_point_half, 1.0, resolution=0.7)
+        gh_fuzzy_upper_bound(x, x, 1.0)
 
 
 def test_bounds_symmetry(rng, product):
@@ -104,15 +117,15 @@ def test_combined_bounds_sandwich(rng, product):
     x = make_random_stationary(rng, 2, product)
     y = make_random_stationary(rng, 2, product)
     bounds = gh_fuzzy_bounds(x, y, 1.0)
-    assert bounds.lower.value <= bounds.upper.value + 1e-9
     doc = bounds.as_dict()
-    assert set(doc) >= {"t", "lower", "upper", "upper_slack"}
+    assert set(doc) >= {"t", "lower", "upper"}
+    assert doc["lower"] <= doc["upper"]
 
 
 def test_bounds_on_nocauchy_pair_certify_noncloseness():
     fam = gen_no_cauchy_family(4)
     even, odd = fam.spaces[1], fam.spaces[2]
-    ub = gh_fuzzy_upper_bound(even, odd, 0.5, resolution=0.005)
+    ub = gh_fuzzy_upper_bound(even, odd, 0.5)
     assert ub.value < 0.9  # the Cauchy threshold at eps = 1/10 is out of reach
 
 
@@ -197,11 +210,20 @@ def test_lower_bound_matches_unscreened_loop(kind, monkeypatch):
         screened.append((current, eps, left, right, passed))
         return passed
 
+    attempts = []
+    glue = ghdist.attempt_net_gluing
     monkeypatch.setattr(ghdist, "_bounds_hold_at_t", recording)
+    monkeypatch.setattr(
+        ghdist, "attempt_net_gluing", lambda *a, **k: attempts.append(a) or glue(*a, **k)
+    )
     for current in _pairs(kind):
         x, y, t = current
         _same_result(gh_fuzzy_lower_bound(x, y, t), lower_bound_loop(x, y, t))
 
+    if kind == "minimum":
+        # no matched-net gluing can beat its threshold, so none is screened or built
+        assert screened == [] and attempts == []
+        return
     # soundness: every alignment the screen rejects fails inside the gluing too
     for (x, y, t), eps, left, right, passed in screened:
         if not passed:
@@ -212,6 +234,31 @@ def test_lower_bound_matches_unscreened_loop(kind, monkeypatch):
     for (x, y, t), eps, _, _, passed in screened:
         outcomes.setdefault((id(x), eps), set()).add(passed)
     assert any(o == {True, False} for o in outcomes.values())
+
+
+def test_minimum_norm_net_gluings_never_beat_the_threshold():
+    # every alignment that passes the screen is built, validated and then
+    # rejected: each damped cross value at t is min(., 1-eps), the threshold
+    # min(1-eps, 1-eps)
+    norm = TNorm.minimum()
+    passed = 0
+    for x, y, t in _pairs("minimum"):
+        mx = [[x.value(i, j, t) for j in range(x.n)] for i in range(x.n)]
+        my = [[y.value(i, j, t) for j in range(y.n)] for i in range(y.n)]
+        for eps in ghdist.DEFAULT_EPS_SCHEDULE:
+            left = find_net(x, t, eps).indices
+            right = find_net(y, t, eps).indices
+            size = max(len(left), len(right))
+            left += (left[0],) * (size - len(left))
+            right += (right[0],) * (size - len(right))
+            for sigma in permutations(range(size)):
+                aligned = tuple(right[k] for k in sigma)
+                if not ghdist._bounds_hold_at_t(mx, my, left, aligned, norm, eps):
+                    continue
+                passed += 1
+                with pytest.raises(ConstructionError, match="not above"):
+                    attempt_net_gluing(x, y, t, eps, left, aligned)
+    assert passed > 0
 
 
 def test_lower_bound_without_envelope_skips_net_attempts(monkeypatch):
@@ -258,6 +305,88 @@ def test_lower_bound_hoists_per_call_work(monkeypatch):
     counts["library"] = 0
     _same_result(gh_fuzzy_lower_bound(x, y, 1.0), lower_bound_loop(x, y, 1.0))
     assert 0 < counts["library"] < counts["loop"]
+
+
+# ---------------------------------------------------------------------------
+# the exact upper bound against the relaxation oracles
+
+UPPER_SHAPES = [(1, 1, "drawn"), (1, 2, "drawn"), (2, 1, "drawn"), (1, 3, "drawn"),
+                (3, 1, "drawn"), (2, 2, "drawn"), (2, 3, "drawn"), (3, 2, "drawn"),
+                (2, 2, "copy"), (3, 3, "drawn"), (3, 3, "copy"), (3, 3, "near")]
+
+
+def _upper_pairs(kind, seed=11):
+    rng = np.random.default_rng([seed, ("product", "minimum", "lukasiewicz").index(kind)])
+    norm = TNorm(kind)
+    out = []
+    for rep in ("standard", "stationary", "step"):
+        for nx, ny, how in UPPER_SHAPES:
+            mx = _draw(rng, nx, kind, rep)
+            if how == "drawn":
+                my = _draw(rng, ny, kind, rep)
+            else:
+                perm = rng.permutation(nx)
+                my = mx[np.ix_(perm, perm)] if how == "copy" else _moved(mx[np.ix_(perm, perm)], rep)
+            t = float(rng.uniform(0.3, 3.0))
+            out.append((_build(mx, norm, rep, "x"), _build(my, norm, rep, "y"), t))
+    return out
+
+
+def _slice(space, t):
+    return [[space.value(i, j, t) for j in range(space.n)] for i in range(space.n)]
+
+
+@pytest.mark.parametrize("kind", ["product", "minimum", "lukasiewicz"])
+def test_upper_bound_matches_relaxation_oracle(kind):
+    for x, y, t in _upper_pairs(kind):
+        mx, my = _slice(x, t), _slice(y, t)
+        res = gh_fuzzy_upper_bound(x, y, t)
+        assert res.value == pytest.approx(relaxation_sup_loop(mx, my, kind), abs=1e-9)
+        assert res.value >= relaxation_grid_max(mx, my, kind)
+        # the relation meets every row and column, and its closure attains the value
+        assert {p for p, _ in res.relation} == set(range(x.n))
+        assert {q for _, q in res.relation} == set(range(y.n))
+        cl = closure_loop(mx, my, kind, res.relation, res.value - 1e-12)
+        assert relaxation_feasible_loop(mx, my, kind, cl)
+        assert min(min(max(row) for row in cl), min(max(col) for col in zip(*cl))) >= res.value - 2e-12
+        assert gh_fuzzy_lower_bound(x, y, t).value <= res.value
+
+
+def test_upper_bound_beyond_the_old_limit(rng, product):
+    x = make_random_stationary(rng, 4, product)
+    y = make_random_stationary(rng, 3, product)
+    res = gh_fuzzy_upper_bound(x, y, 1.0)  # 12 cross variables, refused before
+    assert res.variables == 12
+    assert gh_fuzzy_lower_bound(x, y, 1.0).value <= res.value <= 1.0
+
+
+def test_upper_bound_node_budget(monkeypatch):
+    x, y, t = _upper_pairs("product")[9]  # 3x3: the bisection searches several levels
+    nodes = gh_fuzzy_upper_bound(x, y, t).nodes
+    monkeypatch.setattr(ghdist, "_CLIQUE_NODE_BUDGET", nodes - 1)
+    with pytest.raises(SizeLimitError):
+        gh_fuzzy_upper_bound(x, y, t)
+    monkeypatch.setattr(ghdist, "_CLIQUE_NODE_BUDGET", nodes)
+    assert gh_fuzzy_upper_bound(x, y, t).nodes == nodes
+
+
+@pytest.mark.parametrize("kind", ["product", "lukasiewicz"])
+def test_upper_bound_memory_at_the_limit(kind):
+    import tracemalloc
+
+    rng = np.random.default_rng(6)
+    norm = TNorm(kind)
+    x = _build(random_metric(rng, 6), norm, "standard", "x")
+    y = _build(random_metric(rng, 6), norm, "standard", "y")
+    tracemalloc.start()
+    try:
+        res = gh_fuzzy_upper_bound(x, y, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.variables == ghdist.MAX_CROSS_VARIABLES
+    # one (instances, 36, 36) threshold stack is 1.9 MB
+    assert peak < 16e6
 
 
 # ---------------------------------------------------------------------------
