@@ -40,7 +40,7 @@ from .gluing import (
     validate_union,
 )
 from .grids import GridSpec
-from .hausdorff import SubsetRef, hausdorff_conditions, hausdorff_fuzzy, point_to_set
+from .hausdorff import SubsetRef, hausdorff_block, hausdorff_conditions, hausdorff_fuzzy, point_to_set
 from .sequences import (
     BridgeReport,
     FloorReport,

@@ -20,11 +20,7 @@ from .errors import (
     HypothesisError,
     SizeLimitError,
 )
-from .ghdist import (
-    DEFAULT_EPS_SCHEDULE,
-    MAX_CROSS_VARIABLES,
-    gh_fuzzy_bounds,
-)
+from .ghdist import DEFAULT_EPS_SCHEDULE, gh_fuzzy_bounds
 from .gluing import attempt_net_gluing, floor_envelope, glue_constant, union_hausdorff, validate_union
 from .grids import GridSpec
 from .hausdorff import SubsetRef, hausdorff_conditions, hausdorff_fuzzy
@@ -208,14 +204,7 @@ def _cmd_gh_bounds(args) -> int:
         if args.eps_schedule
         else DEFAULT_EPS_SCHEDULE
     )
-    bounds = gh_fuzzy_bounds(
-        left,
-        right,
-        args.t,
-        eps_schedule=schedule,
-        grid=_grid(args),
-        max_variables=args.max_variables,
-    )
+    bounds = gh_fuzzy_bounds(left, right, args.t, eps_schedule=schedule, grid=_grid(args))
     doc = {
         "t": args.t,
         "lower": bounds.lower.value,
@@ -381,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--right", required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--eps-schedule", type=str, default=None)
-    p.add_argument("--max-variables", type=int, default=MAX_CROSS_VARIABLES)
     _add_common(p)
     p.set_defaults(fn=_cmd_gh_bounds)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError
 from .space import FuzzySpace
-from .util import TOL, gt_strict, require_positive, require_unit
+from .util import TOL, require_open_unit, require_positive
 
 DEFAULT_EXACT_LIMIT = 15
 
@@ -43,23 +43,22 @@ class NetCertificate:
 
     def verify(self, space: FuzzySpace, tol: float = TOL) -> bool:
         """Re-check coverage independently of the search that produced the net."""
-        threshold = 1.0 - self.eps
-        for x in range(space.n):
-            if not any(
-                gt_strict(space.value(x, y, self.t), threshold, tol) for y in self.indices
-            ):
-                return False
-        return True
+        space.check_index(*self.indices)
+        return is_net(space.at(self.t), self.indices, 1.0 - self.eps, tol)
 
 
-def _coverage_matrix(space: FuzzySpace, t: float, eps: float, tol: float) -> np.ndarray:
-    n = space.n
-    cov = np.zeros((n, n), dtype=bool)
-    threshold = 1.0 - eps
-    for x in range(n):
-        for y in range(n):
-            cov[x, y] = gt_strict(space.value(x, y, t), threshold, tol)
-    return cov
+def coverage(rows, threshold: float, tol: float = TOL) -> np.ndarray:
+    """Strict ball membership on a block of a t-slice: ``rows[x][y] - threshold > tol``.
+
+    Similarities within ``tol`` of the threshold do not cover.
+    """
+    return np.asarray(rows, dtype=float) - threshold > tol
+
+
+def is_net(rows, indices: Sequence[int], threshold: float, tol: float = TOL) -> bool:
+    """Whether every row of the t-slice ``rows`` is covered by a column in ``indices``
+    (indices already checked against the space)."""
+    return bool(coverage(rows, threshold, tol)[:, list(indices)].any(axis=1).all())
 
 
 def _witnesses(cov: np.ndarray, net: Sequence[int]) -> tuple[int, ...]:
@@ -70,6 +69,31 @@ def _witnesses(cov: np.ndarray, net: Sequence[int]) -> tuple[int, ...]:
                 out.append(y)
                 break
     return tuple(out)
+
+
+def _min_cover(cov: np.ndarray, exact_limit: int) -> tuple[tuple[int, ...], bool]:
+    """(cover, minimal) of a boolean coverage matrix ``cov[x, y]``: the
+    lexicographically least minimum cover up to ``exact_limit`` points, a
+    greedy one beyond."""
+    n = len(cov)
+    if n <= exact_limit:
+        for k in range(1, n + 1):
+            for subset in combinations(range(n), k):
+                if cov[:, subset].any(axis=1).all():
+                    return subset, True
+        # every point covers itself, so this is unreachable
+        raise AssertionError("self-coverage guarantees a cover")
+    # greedy set cover: repeatedly take the point covering most uncovered points
+    uncovered = np.ones(n, dtype=bool)
+    net: list[int] = []
+    while uncovered.any():
+        gains = cov[uncovered].sum(axis=0)
+        best = int(np.argmax(gains))  # argmax keeps the lowest index on ties
+        if gains[best] == 0:
+            raise AssertionError("self-coverage guarantees progress")
+        net.append(best)
+        uncovered &= ~cov[:, best]
+    return tuple(sorted(net)), False
 
 
 def find_net(
@@ -85,30 +109,10 @@ def find_net(
     order, so the certificate is the lexicographically least minimal net.
     """
     require_positive(t, "t")
-    require_unit(eps, "eps")
-    if eps == 0.0 or eps == 1.0:
-        raise DomainError("eps must lie strictly between 0 and 1")
-    n = space.n
-    cov = _coverage_matrix(space, t, eps, tol)
-    if n <= exact_limit:
-        for k in range(1, n + 1):
-            for subset in combinations(range(n), k):
-                if cov[:, subset].any(axis=1).all():
-                    return NetCertificate(t, eps, subset, _witnesses(cov, subset), True)
-        # every point covers itself strictly (diagonal is 1), so this is unreachable
-        raise AssertionError("finite space admits the trivial net")
-    # greedy set cover: repeatedly take the point covering most uncovered points
-    uncovered = np.ones(n, dtype=bool)
-    net: list[int] = []
-    while uncovered.any():
-        gains = cov[uncovered].sum(axis=0)
-        best = int(np.argmax(gains))  # argmax keeps the lowest index on ties
-        if gains[best] == 0:
-            raise AssertionError("self-coverage guarantees progress")
-        net.append(best)
-        uncovered &= ~cov[:, best]
-    net_t = tuple(sorted(net))
-    return NetCertificate(t, eps, net_t, _witnesses(cov, net_t), False)
+    require_open_unit(eps, "eps")
+    cov = coverage(space.at(t), 1.0 - eps, tol)
+    net, minimal = _min_cover(cov, exact_limit)
+    return NetCertificate(t, eps, net, _witnesses(cov, net), minimal)
 
 
 def cover_number(
@@ -146,21 +150,7 @@ def metric_cover_number(
 ) -> int:
     """Classical covering number with strict open balls {y : d(c, y) < radius}."""
     d = np.asarray(distances, dtype=float)
-    n = d.shape[0]
     require_positive(radius, "radius")
     cov = d < radius - tol
     np.fill_diagonal(cov, True)
-    if n <= exact_limit:
-        for k in range(1, n + 1):
-            for subset in combinations(range(n), k):
-                if cov[:, subset].any(axis=1).all():
-                    return k
-        raise AssertionError("self-coverage guarantees a cover")
-    uncovered = np.ones(n, dtype=bool)
-    count = 0
-    while uncovered.any():
-        gains = cov[uncovered].sum(axis=0)
-        best = int(np.argmax(gains))
-        count += 1
-        uncovered &= ~cov[:, best]
-    return count
+    return len(_min_cover(cov, exact_limit)[0])

@@ -34,7 +34,7 @@ from .gluing import (
 )
 from .grids import GridSpec
 from .space import FuzzySpace, is_isometric, validate_distance_matrix
-from .util import TOL, geq, require_positive
+from .util import TOL, geq, require_open_unit, require_positive
 from .valuefn import ZERO, ValueFn
 
 DEFAULT_EPS_SCHEDULE = (0.5, 0.3, 0.2, 0.1, 0.05, 0.01)
@@ -129,8 +129,9 @@ def gh_fuzzy_lower_bound(
     over the full point sets when the spaces are isometric.  An alignment whose
     single-factor mutual bounds already fail at t is skipped before any
     construction, since the gluing would reject it at that check.  Under the
-    minimum norm no matched-net gluing can beat its strict threshold, so none
-    is attempted.
+    minimum norm no matched-net gluing can beat its strict threshold, and
+    without an envelope floor none can be built, so then no net is computed:
+    the schedule is only checked.
     """
     require_positive(t, "t")
     if x.norm.kind != y.norm.kind:
@@ -147,6 +148,7 @@ def gh_fuzzy_lower_bound(
             best_value, best_witness, best_method = h, u, method
 
     consider(glue_constant(x, y, ZERO, grid), "constant-zero")
+    assert best_witness is not None
     floor: Optional[ValueFn] = None
     try:
         floor = floor_envelope(x, y, grid)
@@ -154,23 +156,23 @@ def gh_fuzzy_lower_bound(
     except (ConstructionError, HypothesisError):
         pass  # degenerate floors (single-point unions) fall back to other strategies
 
-    iso = None
-    if x.n == y.n:
-        iso = is_isometric(x, y, grid)
+    schedule = sorted(eps_schedule)
+    for eps in schedule:
+        require_open_unit(eps, "eps")
+    # every attempt would raise: the envelope's error again, or under the
+    # minimum norm "not above", since each damped cross value at t is
+    # min(., 1-eps) and the strict threshold is min(1-eps, 1-eps)
+    if floor is None or x.norm.kind == "minimum":
+        return LowerBoundResult(t=t, value=best_value, witness=best_witness, method=best_method)
 
-    mx = [[x.value(i, j, t) for j in range(x.n)] for i in range(x.n)]
-    my = [[y.value(i, j, t) for j in range(y.n)] for i in range(y.n)]
-    for eps in sorted(eps_schedule):
+    iso = is_isometric(x, y, grid) if x.n == y.n else None
+    mx, my = x.at(t), y.at(t)
+    for eps in schedule:
         candidates: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
         if iso is not None:
             candidates.append((tuple(range(x.n)), iso))
         net_x = find_net(x, t, eps, exact_limit=exact_limit).indices
         net_y = find_net(y, t, eps, exact_limit=exact_limit).indices
-        # every attempt would raise: the envelope's error again, or under the
-        # minimum norm "not above", since each damped cross value at t is
-        # min(., 1-eps) and the strict threshold is min(1-eps, 1-eps)
-        if floor is None or x.norm.kind == "minimum":
-            continue
         size = max(len(net_x), len(net_y))
         left = net_x + (net_x[0],) * (size - len(net_x))
         right = net_y + (net_y[0],) * (size - len(net_y))
@@ -191,7 +193,6 @@ def gh_fuzzy_lower_bound(
             consider(u, f"matched-nets eps={eps}")
             break  # one verified construction per eps is enough
 
-    assert best_witness is not None
     return LowerBoundResult(t=t, value=best_value, witness=best_witness, method=best_method)
 
 
@@ -286,30 +287,27 @@ def gh_fuzzy_upper_bound(
     x: FuzzySpace,
     y: FuzzySpace,
     t: float,
-    max_variables: int = MAX_CROSS_VARIABLES,
     tol: float = TOL,
 ) -> UpperBoundResult:
     """Exact supremum of the single-scale relaxation at t (upper instances within tol).
 
     It is the largest gamma for which a relation W meeting every row and column
     has g(w, w') >= gamma on all its pairs: bisection over the distinct thresholds,
-    each step a covering-clique search.  Refuses more than ``max_variables`` cross
-    variables, and user-defined norms.
+    each step a covering-clique search.  Refuses more than ``MAX_CROSS_VARIABLES``
+    cross variables, and user-defined norms.
     """
     require_positive(t, "t")
     if x.norm.kind != y.norm.kind:
         raise DomainError("both spaces must share the t-norm kind")
     k = x.n * y.n
-    if k > max_variables:
+    if k > MAX_CROSS_VARIABLES:
         raise SizeLimitError(
-            f"{x.n}x{y.n} cross variables exceed the limit {max_variables}; "
+            f"{x.n}x{y.n} cross variables exceed the limit {MAX_CROSS_VARIABLES}; "
             "use the diameter-based bounds instead"
         )
     if not x.norm.is_builtin:
         raise DomainError(f"upper bound supports built-in norms only, got {x.norm.kind!r}")
-    mx = np.array([[x.value(i, j, t) for j in range(x.n)] for i in range(x.n)])
-    my = np.array([[y.value(i, j, t) for j in range(y.n)] for i in range(y.n)])
-    g = _witness_thresholds(mx, my, x.norm, tol)
+    g = _witness_thresholds(np.array(x.at(t)), np.array(y.at(t)), x.norm, tol)
     cells = np.arange(k).reshape(x.n, y.n)
     lines = [sum(1 << int(w) for w in line) for line in (*cells, *cells.T)]
     levels = sorted(set(g.ravel().tolist()))  # np.unique would import numpy.ma
@@ -359,10 +357,9 @@ def gh_fuzzy_bounds(
     t: float,
     eps_schedule: Sequence[float] = DEFAULT_EPS_SCHEDULE,
     grid: Optional[GridSpec] = None,
-    max_variables: int = MAX_CROSS_VARIABLES,
 ) -> GHBounds:
     lower = gh_fuzzy_lower_bound(x, y, t, eps_schedule=eps_schedule, grid=grid)
-    upper = gh_fuzzy_upper_bound(x, y, t, max_variables=max_variables)
+    upper = gh_fuzzy_upper_bound(x, y, t)
     return GHBounds(t=t, lower=lower, upper=upper)
 
 

@@ -16,11 +16,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .covering import is_net
 from .errors import ConstructionError, DomainError, HypothesisError
 from .grids import GridSpec
-from .hausdorff import hausdorff_fuzzy
+from .hausdorff import hausdorff_block
 from .space import AxiomReport, FuzzySpace, check_axioms, certification_grid
-from .util import TOL, geq, gt_strict, require_positive, require_unit
+from .util import TOL, geq, gt_strict, require_open_unit, require_positive, require_unit
 from .valuefn import (
     ONE,
     Standard,
@@ -106,8 +107,12 @@ def validate_union(u: UnionMetric, grid: Optional[GridSpec] = None, tol: float =
 
 def union_hausdorff(u: UnionMetric, t: float) -> float:
     """Hausdorff fuzzy distance between the two full parts inside the union."""
-    space = u.as_space()
-    return hausdorff_fuzzy(space, u.left_indices(), u.right_indices(), t)
+    require_positive(t, "t")
+    return hausdorff_block(_cross_at(u, t))
+
+
+def _cross_at(u: UnionMetric, t: float) -> list[list[float]]:
+    return [[f.eval(t) for f in row] for row in u.cross]
 
 
 def floor_envelope(x: FuzzySpace, y: FuzzySpace, grid: Optional[GridSpec] = None) -> ValueFn:
@@ -300,14 +305,6 @@ class MatchedNets:
         }
 
 
-def _is_net(space: FuzzySpace, indices: Sequence[int], t: float, threshold: float, tol: float) -> bool:
-    pts = set(indices)
-    return all(
-        any(gt_strict(space.value(p, q, t), threshold, tol) for q in pts)
-        for p in range(space.n)
-    )
-
-
 def match_nets(
     x: FuzzySpace,
     y: FuzzySpace,
@@ -325,9 +322,7 @@ def match_nets(
     re-verifies its own single-factor bounds over all scales >= t.
     """
     require_positive(t, "t")
-    require_unit(eps, "eps")
-    if eps == 0.0 or eps == 1.0:
-        raise DomainError("eps must lie strictly between 0 and 1")
+    require_open_unit(eps, "eps")
     norm = x.norm
     if factor is None:
         factor = norm(1.0 - eps, 1.0 - eps)
@@ -336,8 +331,11 @@ def match_nets(
     n = len(left)
     if n == 0 or len(right) != n:
         raise DomainError("nets must be nonempty and equally long")
-    mx = [[x.value(left[i], left[j], t) for j in range(n)] for i in range(n)]
-    my = [[y.value(right[i], right[j], t) for j in range(n)] for i in range(n)]
+    x.check_index(*left)
+    y.check_index(*right)
+    sx, sy = x.at(t), y.at(t)
+    mx = [[sx[i][j] for j in left] for i in left]
+    my = [[sy[i][j] for j in right] for i in right]
     cond_a = tuple(
         tuple(geq(mx[i][j], norm(my[i][j], factor), tol) for j in range(n)) for i in range(n)
     )
@@ -362,10 +360,10 @@ def match_nets(
         cond_b=cond_b,
         strict_a=strict_a,
         strict_b=strict_b,
-        left_net_eps=_is_net(x, left, t, thr1, tol),
-        right_net_eps=_is_net(y, right, t, thr1, tol),
-        left_net_eps3=_is_net(x, left, t, thr3, tol),
-        right_net_eps3=_is_net(y, right, t, thr3, tol),
+        left_net_eps=is_net(sx, left, thr1, tol),
+        right_net_eps=is_net(sy, right, thr1, tol),
+        left_net_eps3=is_net(sx, left, thr3, tol),
+        right_net_eps3=is_net(sy, right, thr3, tol),
     )
 
 
@@ -386,21 +384,17 @@ def extract_matched_nets(
     """
     require_positive(t, "t")
     require_unit(eps, "eps")
-    h = union_hausdorff(u, t)
+    cross = _cross_at(u, t)
+    h = hausdorff_block(cross)
     if not gt_strict(h, 1.0 - eps, tol):
         raise HypothesisError(
             "H > 1-eps", where=t, detail=f"Hausdorff value {h} does not exceed {1.0 - eps}"
         )
-    if not _is_net(u.left, net_left, t, 1.0 - eps, tol):
+    u.left.check_index(*net_left)
+    if not is_net(u.left.at(t), net_left, 1.0 - eps, tol):
         raise DomainError("net_left is not a (t, eps)-net in the left space")
-    right = []
-    for p in net_left:
-        best_q, best_v = 0, -1.0
-        for q in range(u.n_right):
-            v = u.cross_value(p, q, t)
-            if v > best_v:
-                best_q, best_v = q, v
-        right.append(best_q)
+    # the first argmax of each row: ties go to the lowest index
+    right = [max(range(u.n_right), key=cross[p].__getitem__) for p in net_left]
     return match_nets(u.left, u.right, t, eps, tuple(net_left), tuple(right), tol=tol)
 
 
@@ -601,9 +595,7 @@ def mutual_eps_domination(a: float, b: float, k: float, eps: float, norm) -> boo
     require_unit(a, "a")
     require_unit(b, "b")
     require_unit(k, "k")
-    require_unit(eps, "eps")
-    if not (0.0 < eps < 1.0):
-        raise DomainError("eps must lie strictly between 0 and 1")
+    require_open_unit(eps, "eps")
     if not (0.0 < k < min(a, b) < 1.0):
         raise DomainError("need 0 < k < min(a, b) < 1")
     known = norm.has_tn1_known()

@@ -5,9 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
+from .covering import coverage
 from .errors import DomainError
 from .space import FuzzySpace
-from .util import TOL, gt_strict, require_positive, require_unit
+from .util import TOL, require_open_unit, require_positive
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,19 @@ def point_to_set(space: FuzzySpace, x: int, a: Subset, t: float) -> float:
     require_positive(t, "t")
     idx = _resolve(space, a)
     space.entry(x, x)  # index validation
-    return max(space.value(x, y, t) for y in idx)
+    row = space.at(t)[x]
+    return max(row[y] for y in idx)
+
+
+def hausdorff_block(rows) -> float:
+    """Hausdorff value of a block of similarities between two point sets, one
+    row per point of the first: the min of the row maxima and the column maxima."""
+    return min(min(max(row) for row in rows), min(max(col) for col in zip(*rows)))
+
+
+def _block(space: FuzzySpace, ia: Sequence[int], ib: Sequence[int], t: float) -> list[list[float]]:
+    rows = space.at(t)
+    return [[rows[x][y] for y in ib] for x in ia]
 
 
 def hausdorff_fuzzy(space: FuzzySpace, a: Subset, b: Subset, t: float) -> float:
@@ -54,9 +67,7 @@ def hausdorff_fuzzy(space: FuzzySpace, a: Subset, b: Subset, t: float) -> float:
     require_positive(t, "t")
     ia = _resolve(space, a)
     ib = _resolve(space, b)
-    fwd = min(max(space.value(x, y, t) for y in ib) for x in ia)
-    bwd = min(max(space.value(x, y, t) for x in ia) for y in ib)
-    return min(fwd, bwd)
+    return hausdorff_block(_block(space, ia, ib, t))
 
 
 def hausdorff_conditions(
@@ -74,17 +85,10 @@ def hausdorff_conditions(
     a partner on the other side with similarity strictly above 1 - eps.
     """
     require_positive(t, "t")
-    require_unit(eps, "eps")
-    if eps == 0.0 or eps == 1.0:
-        raise DomainError("eps must lie strictly between 0 and 1")
+    require_open_unit(eps, "eps")
     ia = _resolve(space, a)
     ib = _resolve(space, b)
-    threshold = 1.0 - eps
-    witnesses: list[tuple[str, int]] = []
-    for x in ia:
-        if not any(gt_strict(space.value(x, y, t), threshold, tol) for y in ib):
-            witnesses.append(("a", x))
-    for y in ib:
-        if not any(gt_strict(space.value(x, y, t), threshold, tol) for x in ia):
-            witnesses.append(("b", y))
+    cov = coverage(_block(space, ia, ib, t), 1.0 - eps, tol)
+    witnesses = [("a", x) for x, hit in zip(ia, cov.any(axis=1)) if not hit]
+    witnesses += [("b", y) for y, hit in zip(ib, cov.any(axis=0)) if not hit]
     return (not witnesses), witnesses

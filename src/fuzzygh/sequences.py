@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .covering import cover_number, find_net, metric_cover_number
+from .covering import cover_number, find_net, is_net, metric_cover_number
 from .errors import ConstructionError, DomainError, HypothesisError
 from .ghdist import DistanceMatrix, gh_fuzzy_lower_bound, gh_fuzzy_upper_bound
 from .gluing import attempt_net_gluing, union_hausdorff
@@ -30,7 +30,7 @@ from .space import (
     t_diameters,
 )
 from .tnorm import TNorm
-from .util import TOL, geq, gt_strict, require_positive, require_unit
+from .util import TOL, geq, require_positive, require_unit
 from .valuefn import Standard, Stationary, Step, ValueFn, vf_breakpoints
 
 
@@ -96,15 +96,19 @@ def register_nets(
         fill = fill + (r[0],) * (size - len(r) - len(fill))
         padded_list.append(tuple(r) + fill)
     padded = tuple(padded_list)
-    threshold = 1.0 - eps
     for sp, net in zip(family.spaces, padded):
-        for p in range(sp.n):
-            if not any(gt_strict(sp.value(p, q, t), threshold, tol) for q in set(net)):
-                raise ConstructionError(
-                    f"registered indices are not a (t, eps)-net in space {sp.name!r}"
-                )
+        sp.check_index(*net)
+        if not is_net(sp.at(t), net, 1.0 - eps, tol):
+            raise ConstructionError(f"registered indices are not a (t, eps)-net in space {sp.name!r}")
     family.nets[(float(t), float(eps))] = padded
     return size
+
+
+def _net_block(sp: FuzzySpace, net: Sequence[int], t: float) -> list[list[float]]:
+    """Similarities M(net[i], net[j], t) between the points of a registered net."""
+    sp.check_index(*net)
+    rows = sp.at(t)
+    return [[rows[i][j] for j in net] for i in net]
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +214,7 @@ def check_ratio_condition(
     s_vals = [s for s in s_grid if s > t]
     size = len(nets[0])
     count = len(family.spaces)
-    vals_t = np.empty((count, size, size))
-    for n, (sp, net) in enumerate(zip(family.spaces, nets)):
-        for i in range(size):
-            for j in range(size):
-                vals_t[n, i, j] = sp.value(net[i], net[j], t)
+    vals_t = np.array([_net_block(sp, net, t) for sp, net in zip(family.spaces, nets)])
     if np.any(vals_t <= tol):
         raise DomainError("zero net similarity at t; the diameter floor must be violated")
     vals_s = np.empty((count, size, size, len(s_vals)))
@@ -309,14 +309,8 @@ def pigeonhole_subsequence(
     width = family.norm(family.floor.eval(t), eps)
     if not width > 0.0:
         raise DomainError(f"cell width {width} is not positive; pick a larger eps or floor")
-    matrices = []
-    for sp, net in zip(family.spaces, nets):
-        size = len(net)
-        mat = tuple(
-            tuple(int(math.floor(sp.value(net[i], net[j], t) / width)) for j in range(size))
-            for i in range(size)
-        )
-        matrices.append(mat)
+    blocks = [_net_block(sp, net, t) for sp, net in zip(family.spaces, nets)]
+    matrices = [tuple(tuple(int(math.floor(v / width)) for v in row) for row in b) for b in blocks]
     groups_by_matrix: dict = {}
     for n, mat in enumerate(matrices):
         groups_by_matrix.setdefault(mat, []).append(n)
@@ -325,15 +319,10 @@ def pigeonhole_subsequence(
     # soundness: equal integer parts bound the similarity gap by the cell width
     for a_pos in range(len(selected)):
         for b_pos in range(a_pos + 1, len(selected)):
-            na, nb = selected[a_pos], selected[b_pos]
-            size = len(nets[na])
-            for i in range(size):
-                for j in range(size):
-                    gap = abs(
-                        family.spaces[na].value(nets[na][i], nets[na][j], t)
-                        - family.spaces[nb].value(nets[nb][i], nets[nb][j], t)
-                    )
-                    if not gap < width:
+            block_a, block_b = blocks[selected[a_pos]], blocks[selected[b_pos]]
+            for row_a, row_b in zip(block_a, block_b):
+                for va, vb in zip(row_a, row_b):
+                    if not abs(va - vb) < width:
                         raise AssertionError("pigeonhole grouping lost its width guarantee")
     table = PigeonholeTable(
         t=t,

@@ -74,14 +74,30 @@ class FuzzySpace:
 
     def entry(self, i: int, j: int) -> ValueFn:
         """Value function of the pair {i, j}; the diagonal is the constant-one function."""
-        self._check_index(i)
-        self._check_index(j)
+        self.check_index(i, j)
         if i == j:
             return ONE
         return self.pairs[self.pair_index(i, j)]
 
     def value(self, i: int, j: int, t: float) -> float:
         return self.entry(i, j).eval(t)
+
+    def at(self, t: float) -> list[list[float]]:
+        """The t-slice M(., ., t): n rows of n floats with the diagonal 1 (t > 0).
+
+        One ``eval`` per stored pair and no per-cell index check.  Plain rows,
+        not an array: on the 1-3 point spaces the lower bound and the nets see
+        most, setting up an array costs more than this loop.
+        """
+        n = self.n
+        one = ONE.eval(t)
+        rows = [[one] * n for _ in range(n)]
+        pairs = iter(self.pairs)
+        for i in range(n):
+            row = rows[i]
+            for j in range(i + 1, n):
+                row[j] = rows[j][i] = next(pairs).eval(t)
+        return rows
 
     def grid_values(self, grid: GridSpec) -> np.ndarray:
         """(T, n, n) array of values on the grid, diagonal filled with 1."""
@@ -96,9 +112,12 @@ class FuzzySpace:
     def all_steplike(self) -> bool:
         return all(is_steplike(f) for f in self.pairs)
 
-    def _check_index(self, i: int) -> None:
-        if not 0 <= i < self.n:
-            raise DomainError(f"point index {i} out of range for n={self.n}")
+    def check_index(self, *indices: int) -> None:
+        """Raise ``DomainError`` for the first index outside 0..n-1."""
+        n = len(self.labels)
+        for i in indices:
+            if not 0 <= i < n:
+                raise DomainError(f"point index {i} out of range for n={n}")
 
     def index_of(self, label: str) -> int:
         try:

@@ -22,6 +22,13 @@ def require_unit(x: float, name: str) -> float:
     return float(x)
 
 
+def require_open_unit(x: float, name: str) -> float:
+    require_unit(x, name)
+    if x == 0.0 or x == 1.0:
+        raise DomainError(f"{name} must lie strictly between 0 and 1")
+    return float(x)
+
+
 def require_positive(x: float, name: str) -> float:
     if not x > 0.0:
         raise DomainError(f"{name} must be positive, got {x!r}")

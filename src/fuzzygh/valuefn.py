@@ -203,14 +203,9 @@ def materialize_below(
 
 
 def _compress_step(pts: list[float], vals: list[float]) -> ValueFn:
-    last = -1.0
-    for v in vals:
-        if not 0.0 <= v <= 1.0:
-            raise ConstructionError(f"materialized value {v!r} outside [0, 1]")
-        if v < last - 1e-15:
-            raise ConstructionError("materialized values are not nondecreasing")
-        last = v
-    # drop a breakpoint whenever the value does not change across it
+    # drop a breakpoint whenever the value does not change across it; Step and
+    # Stationary check range and monotonicity of every kept value, and a
+    # dropped value equals the kept one before it
     keep_b: list[float] = []
     keep_v: list[float] = [vals[0]]
     for b, nxt in zip(pts, vals[1:]):

@@ -453,3 +453,108 @@ def relaxation_grid_max(mx, my, kind: str, points: int = 200_000) -> float:
                 ok &= c[:, p, q] >= tn(my[q2, q], c[:, p, q2])
     c = c[ok]
     return float(np.minimum(c.max(axis=2).min(axis=1), c.max(axis=1).min(axis=1)).max())
+
+
+# ---------------------------------------------------------------------------
+# the per-cell loops that FuzzySpace.at, the coverage predicate and
+# hausdorff_block replaced, kept as they were
+
+
+def slice_loop(space, t: float) -> list:
+    """The t-slice by one ``space.value`` call per cell."""
+    return [[space.value(i, j, t) for j in range(space.n)] for i in range(space.n)]
+
+
+def is_net_loop(space, indices, t: float, threshold: float, tol: float = 1e-12) -> bool:
+    """gluing._is_net: every point strictly above threshold to some point of indices."""
+    from fuzzygh.util import gt_strict
+
+    pts = set(indices)
+    return all(
+        any(gt_strict(space.value(p, q, t), threshold, tol) for q in pts)
+        for p in range(space.n)
+    )
+
+
+def hausdorff_fuzzy_loop(space, ia, ib, t: float) -> float:
+    """hausdorff_fuzzy on resolved index tuples, one ``space.value`` per cell."""
+    fwd = min(max(space.value(x, y, t) for y in ib) for x in ia)
+    bwd = min(max(space.value(x, y, t) for x in ia) for y in ib)
+    return min(fwd, bwd)
+
+
+def hausdorff_conditions_loop(space, ia, ib, t: float, eps: float, tol: float = 1e-12):
+    """hausdorff_conditions on resolved index tuples: (holds, witnesses)."""
+    from fuzzygh.util import gt_strict
+
+    threshold = 1.0 - eps
+    witnesses = []
+    for x in ia:
+        if not any(gt_strict(space.value(x, y, t), threshold, tol) for y in ib):
+            witnesses.append(("a", x))
+    for y in ib:
+        if not any(gt_strict(space.value(x, y, t), threshold, tol) for x in ia):
+            witnesses.append(("b", y))
+    return (not witnesses), witnesses
+
+
+def find_net_loop(space, t: float, eps: float, exact_limit: int = 15, tol: float = 1e-12):
+    """find_net with the per-cell coverage matrix: (indices, coverage, minimal)."""
+    from fuzzygh.util import gt_strict
+
+    n = space.n
+    cov = np.zeros((n, n), dtype=bool)
+    threshold = 1.0 - eps
+    for x in range(n):
+        for y in range(n):
+            cov[x, y] = gt_strict(space.value(x, y, t), threshold, tol)
+
+    def witnesses(net):
+        out = []
+        for x in range(cov.shape[0]):
+            for y in net:
+                if cov[x, y]:
+                    out.append(y)
+                    break
+        return tuple(out)
+
+    if n <= exact_limit:
+        for k in range(1, n + 1):
+            for subset in combinations(range(n), k):
+                if cov[:, subset].any(axis=1).all():
+                    return subset, witnesses(subset), True
+        raise AssertionError("finite space admits the trivial net")
+    uncovered = np.ones(n, dtype=bool)
+    net = []
+    while uncovered.any():
+        gains = cov[uncovered].sum(axis=0)
+        best = int(np.argmax(gains))
+        if gains[best] == 0:
+            raise AssertionError("self-coverage guarantees progress")
+        net.append(best)
+        uncovered &= ~cov[:, best]
+    net_t = tuple(sorted(net))
+    return net_t, witnesses(net_t), False
+
+
+def metric_cover_number_search(distances, radius: float, exact_limit: int = 15,
+                               tol: float = 1e-12) -> int:
+    """metric_cover_number with its own exact and greedy searches."""
+    d = np.asarray(distances, dtype=float)
+    n = d.shape[0]
+    cov = d < radius - tol
+    np.fill_diagonal(cov, True)
+    if n <= exact_limit:
+        for k in range(1, n + 1):
+            for subset in combinations(range(n), k):
+                if cov[:, subset].any(axis=1).all():
+                    return k
+        raise AssertionError("self-coverage guarantees a cover")
+    uncovered = np.ones(n, dtype=bool)
+    count = 0
+    while uncovered.any():
+        gains = cov[uncovered].sum(axis=0)
+        best = int(np.argmax(gains))
+        count += 1
+        uncovered &= ~cov[:, best]
+    return count

@@ -210,3 +210,8 @@ def test_main_reuses_one_parser(capsys, monkeypatch, std3, half, tmp_path):
     assert [code for code, _, _ in shared] == [0, 2, 0, 2, 0, 0, 0, 0]
     assert "unrecognized arguments: --bogus" in shared[1][2]
 
+
+
+def test_gh_bounds_has_no_variable_limit_flag(capsys, half):
+    assert main(["gh-bounds", "--left", half, "--right", half, "--t", "1.0", "--max-variables", "36"]) == 2
+    assert "unrecognized arguments: --max-variables" in capsys.readouterr().err

@@ -441,3 +441,53 @@ def test_growing_distance_pair_matches_half_gap(rng):
         b = np.array([[0.0, m], [m, 0.0]])
         assert classical_gh_exact(a, b) == pytest.approx(abs(n - m) / 2, abs=1e-12)
         assert classical_gh_diameter_bound(a, b) == pytest.approx(abs(n - m) / 2, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# lower bounds that build no net
+
+
+def _counting(monkeypatch, module, name, calls):
+    fn = getattr(module, name)
+
+    def wrapped(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapped)
+
+
+def test_lower_bound_without_net_gluings_builds_no_net(monkeypatch):
+    calls = {"find_net": 0, "is_isometric": 0}
+    _counting(monkeypatch, ghdist, "find_net", calls)
+    _counting(monkeypatch, ghdist, "is_isometric", calls)
+    for x, y, t in _pairs("minimum"):
+        _same_result(gh_fuzzy_lower_bound(x, y, t), lower_bound_loop(x, y, t))
+    assert calls == {"find_net": 0, "is_isometric": 0}
+
+    # an envelope that raises: every matched-net attempt would raise its error
+    def failing(x, y, grid=None):
+        raise HypothesisError("floor", detail="no envelope")
+
+    monkeypatch.setattr(gluing, "floor_envelope", failing)
+    monkeypatch.setattr(ghdist, "floor_envelope", failing)
+    for x, y, t in _pairs("product")[:6]:
+        _same_result(gh_fuzzy_lower_bound(x, y, t), lower_bound_loop(x, y, t))
+    assert calls == {"find_net": 0, "is_isometric": 0}
+
+
+@pytest.mark.parametrize("schedule", [(0.5, 1.5), (0.0,), (1.5, -1.0)])
+@pytest.mark.parametrize("kind", ["product", "minimum", "lukasiewicz"])
+def test_bad_schedule_raises_as_the_strategy_loop(schedule, kind):
+    x, y, t = _pairs(kind)[1]
+    with pytest.raises(DomainError) as loop:
+        lower_bound_loop(x, y, t, eps_schedule=schedule)
+    with pytest.raises(DomainError) as library:
+        gh_fuzzy_lower_bound(x, y, t, eps_schedule=schedule)
+    assert str(library.value) == str(loop.value)
+    one = make_standard_space(["o"], [[0.0]], TNorm(kind))
+    with pytest.raises(DomainError) as loop:
+        lower_bound_loop(one, one, 1.0, eps_schedule=schedule)
+    with pytest.raises(DomainError) as library:
+        gh_fuzzy_lower_bound(one, one, 1.0, eps_schedule=schedule)
+    assert str(library.value) == str(loop.value)

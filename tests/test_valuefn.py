@@ -101,3 +101,13 @@ def test_step_monotone_on_sorted_grids(bps, raw):
     ts = np.linspace(0.0, max(bps) * 1.5, 50)
     out = f.eval_array(ts)
     assert np.all(np.diff(out) >= -1e-15)
+
+
+def test_materialize_exact_rejects_decreasing_and_out_of_range_values():
+    # Step and Stationary check every kept value; compression keeps each change
+    with pytest.raises(ConstructionError):
+        materialize_exact(lambda s: 0.5 if s <= 1.0 else 0.5 - 1e-16, lambda s: 0.5 - 1e-16, [1.0, 2.0])
+    with pytest.raises(ConstructionError):
+        materialize_exact(lambda s: 0.5, lambda s: 1.5, [1.0])
+    with pytest.raises(ConstructionError):
+        materialize_exact(lambda s: -0.25, lambda s: -0.25, [1.0, 2.0])
