@@ -33,6 +33,7 @@ from .gluing import (
     floor_envelope,
     glue_constant,
     glue_via_nets,
+    glue_via_relation,
     match_nets,
     mutual_eps_domination,
     persistence_delta,

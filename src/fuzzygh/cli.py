@@ -20,7 +20,7 @@ from .errors import (
     HypothesisError,
     SizeLimitError,
 )
-from .ghdist import DEFAULT_EPS_SCHEDULE, gh_fuzzy_bounds
+from .ghdist import gh_fuzzy_bounds
 from .gluing import attempt_net_gluing, floor_envelope, glue_constant, union_hausdorff, validate_union
 from .grids import GridSpec
 from .hausdorff import SubsetRef, hausdorff_conditions, hausdorff_fuzzy
@@ -199,12 +199,7 @@ def _cmd_mdelta(args) -> int:
 def _cmd_gh_bounds(args) -> int:
     left = fio.load_space(args.left)
     right = fio.load_space(args.right)
-    schedule = (
-        tuple(float(v) for v in args.eps_schedule.split(","))
-        if args.eps_schedule
-        else DEFAULT_EPS_SCHEDULE
-    )
-    bounds = gh_fuzzy_bounds(left, right, args.t, eps_schedule=schedule, grid=_grid(args))
+    bounds = gh_fuzzy_bounds(left, right, args.t, grid=_grid(args))
     doc = {
         "t": args.t,
         "lower": bounds.lower.value,
@@ -212,7 +207,7 @@ def _cmd_gh_bounds(args) -> int:
         "witness": fio.union_to_doc(bounds.lower.witness),
         "lower_method": bounds.lower.method,
         "upper_info": bounds.upper.as_dict(),
-        "params": _params(args, eps_schedule=list(schedule)),
+        "params": _params(args),
     }
     _emit(doc, args, f"gh-bounds: [{bounds.lower.value}, {bounds.upper.value}] at t={args.t}")
     return 0
@@ -369,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--eps-schedule", type=str, default=None)
     _add_common(p)
     p.set_defaults(fn=_cmd_gh_bounds)
 

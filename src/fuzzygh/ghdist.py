@@ -1,10 +1,11 @@
 """Certified bounds on the Gromov-Hausdorff fuzzy distance, plus classical tools.
 
 The lower bound is realized: it is the Hausdorff value of an explicitly
-constructed admissible union metric.  The upper bound relaxes the defining
-supremum to a single scale: any admissible metric restricted to t must satisfy
-every pointwise triangle instance there, so maximizing the Hausdorff objective
-over cross matrices subject to those instances bounds the supremum from above.
+constructed admissible union metric, glued through the upper bound's optimal
+relation.  The upper bound relaxes the defining supremum to a single scale:
+any admissible metric restricted to t satisfies every pointwise triangle
+instance there, so maximizing the Hausdorff objective over cross matrices
+subject to those instances bounds the supremum from above.
 The relaxation is solved exactly.  Fixing value gamma on a witness relation W
 that meets every row and column, the least closed cross matrix is the max-T
 closure cl_W(a) = max_{w in W} T(k(w, a), gamma) (Zadeh, Inf. Sci. 3, 1971),
@@ -18,28 +19,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .covering import find_net
 from .errors import ConstructionError, DomainError, HypothesisError, SizeLimitError
 from .gluing import (
     UnionMetric,
-    attempt_net_gluing,
+    _kernel,
+    _witness_thresholds,
     floor_envelope,
     glue_constant,
+    glue_via_relation,
     union_hausdorff,
 )
 from .grids import GridSpec
-from .space import FuzzySpace, is_isometric, validate_distance_matrix
-from .util import TOL, geq, require_open_unit, require_positive
-from .valuefn import ZERO, ValueFn
+from .space import FuzzySpace, validate_distance_matrix
+from .util import TOL, require_positive
+from .valuefn import ZERO
 
-DEFAULT_EPS_SCHEDULE = (0.5, 0.3, 0.2, 0.1, 0.05, 0.01)
 MAX_CROSS_VARIABLES = 36
-_PERMUTATION_CAP = 6  # beyond this net size only the positional alignment is tried
 _CLIQUE_NODE_BUDGET = 1_000_000
 
 
@@ -89,111 +88,48 @@ class LowerBoundResult:
         return {"t": self.t, "value": self.value, "method": self.method}
 
 
-def _bounds_hold_at_t(
-    mx: list[list[float]],
-    my: list[list[float]],
-    left: Sequence[int],
-    right: Sequence[int],
-    norm,
-    eps: float,
-) -> bool:
-    """persistence_delta's test at t for every matched pair i <= j, on the t-slices.
-
-    Same ``geq``, default tolerance and floats, so an alignment that fails here
-    makes ``attempt_net_gluing`` raise ``HypothesisError``.
-    """
-    one_minus = 1.0 - eps
-    for i in range(len(left)):
-        for j in range(i, len(left)):
-            a = mx[left[i]][left[j]]
-            b = my[right[i]][right[j]]
-            if not (geq(a, norm(b, one_minus)) and geq(b, norm(a, one_minus))):
-                return False
-    return True
-
-
 def gh_fuzzy_lower_bound(
     x: FuzzySpace,
     y: FuzzySpace,
     t: float,
-    eps_schedule: Sequence[float] = DEFAULT_EPS_SCHEDULE,
     grid: Optional[GridSpec] = None,
-    exact_limit: int = 15,
     tol: float = TOL,
 ) -> LowerBoundResult:
-    """Best Hausdorff value over the admissible gluings the library can build.
+    """Best Hausdorff value over the admissible gluings the library builds.
 
     Strategies: the zero-floor constant gluing (always valid), the
-    min-diameter-envelope constant gluing, and for each eps in the schedule a
-    matched-net gluing over minimal nets (all alignments up to a size cap) and
-    over the full point sets when the spaces are isometric.  An alignment whose
-    single-factor mutual bounds already fail at t is skipped before any
-    construction, since the gluing would reject it at that check.  Under the
-    minimum norm no matched-net gluing can beat its strict threshold, and
-    without an envelope floor none can be built, so then no net is computed:
-    the schedule is only checked.
+    min-diameter-envelope constant gluing, and the witness-relation gluing
+    through the optimal relation of ``gh_fuzzy_upper_bound``.  Beyond
+    ``MAX_CROSS_VARIABLES`` cross variables or under a user-defined norm the
+    upper bound does not apply, and only the two constant gluings run.
     """
     require_positive(t, "t")
     if x.norm.kind != y.norm.kind:
         raise DomainError("both spaces must share the t-norm kind")
-
-    best_value = -1.0
-    best_witness: Optional[UnionMetric] = None
-    best_method = ""
-
-    def consider(u: UnionMetric, method: str) -> None:
-        nonlocal best_value, best_witness, best_method
-        h = union_hausdorff(u, t)
-        if h > best_value:
-            best_value, best_witness, best_method = h, u, method
-
-    consider(glue_constant(x, y, ZERO, grid), "constant-zero")
-    assert best_witness is not None
-    floor: Optional[ValueFn] = None
     try:
-        floor = floor_envelope(x, y, grid)
-        consider(glue_constant(x, y, floor, grid), "constant-envelope")
+        relation: Optional[tuple] = gh_fuzzy_upper_bound(x, y, t, tol).relation
+    except (SizeLimitError, DomainError):
+        relation = None
+    return _lower_bound(x, y, t, relation, grid, tol)
+
+
+def _lower_bound(
+    x: FuzzySpace, y: FuzzySpace, t: float, relation: Optional[tuple], grid, tol: float
+) -> LowerBoundResult:
+    """The first best of the constant gluings and, given a relation, the relation gluing."""
+    found = [(glue_constant(x, y, ZERO, grid), "constant-zero")]
+    try:
+        found.append((glue_constant(x, y, floor_envelope(x, y, grid), grid), "constant-envelope"))
     except (ConstructionError, HypothesisError):
         pass  # degenerate floors (single-point unions) fall back to other strategies
-
-    schedule = sorted(eps_schedule)
-    for eps in schedule:
-        require_open_unit(eps, "eps")
-    # every attempt would raise: the envelope's error again, or under the
-    # minimum norm "not above", since each damped cross value at t is
-    # min(., 1-eps) and the strict threshold is min(1-eps, 1-eps)
-    if floor is None or x.norm.kind == "minimum":
-        return LowerBoundResult(t=t, value=best_value, witness=best_witness, method=best_method)
-
-    iso = is_isometric(x, y, grid) if x.n == y.n else None
-    mx, my = x.at(t), y.at(t)
-    for eps in schedule:
-        candidates: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-        if iso is not None:
-            candidates.append((tuple(range(x.n)), iso))
-        net_x = find_net(x, t, eps, exact_limit=exact_limit).indices
-        net_y = find_net(y, t, eps, exact_limit=exact_limit).indices
-        size = max(len(net_x), len(net_y))
-        left = net_x + (net_x[0],) * (size - len(net_x))
-        right = net_y + (net_y[0],) * (size - len(net_y))
-        if size <= _PERMUTATION_CAP:
-            for sigma in permutations(range(size)):
-                candidates.append((left, tuple(right[k] for k in sigma)))
-        else:
-            candidates.append((left, right))
-        for l_idx, r_idx in candidates:
-            if not _bounds_hold_at_t(mx, my, l_idx, r_idx, x.norm, eps):
-                continue
-            try:
-                u = attempt_net_gluing(
-                    x, y, t, eps, l_idx, r_idx, floor=floor, grid=grid, tol=tol
-                )
-            except (HypothesisError, ConstructionError, DomainError):
-                continue
-            consider(u, f"matched-nets eps={eps}")
-            break  # one verified construction per eps is enough
-
-    return LowerBoundResult(t=t, value=best_value, witness=best_witness, method=best_method)
+    if relation is not None:
+        try:
+            found.append((glue_via_relation(x, y, t, relation, grid, tol), "witness-relation"))
+        except ConstructionError:
+            pass
+    values = [union_hausdorff(u, t) for u, _ in found]
+    k = values.index(max(values))
+    return LowerBoundResult(t, values[k], *found[k])
 
 
 # ---------------------------------------------------------------------------
@@ -223,32 +159,6 @@ class UpperBoundResult:
             "nodes": self.nodes,
             "relation": [list(w) for w in self.relation],
         }
-
-
-def _witness_thresholds(mx: np.ndarray, my: np.ndarray, norm, tol: float) -> np.ndarray:
-    """g[w, w']: the largest gamma at which cells w and w' can both hold gamma, that
-    is with T(T(k(w, a), k(w', b)), T(gamma, gamma)) <= A + tol for every upper
-    instance T(c_a, c_b) <= A in both orders: cell w = (p, q) holding gamma forces
-    cell a up to T(k(w, a), gamma), k(w, a) = T(M_X(p_a, p_w), M_Y(q_w, q_a))."""
-    nx, ny, k = len(mx), len(my), len(mx) * len(my)
-    kern = norm.array(mx[:, None, :, None], my[None, :, None, :]).reshape(k, k)
-    cells = np.arange(k).reshape(nx, ny)
-    px, px2 = np.triu_indices(nx, 1)
-    qy, qy2 = np.triu_indices(ny, 1)
-    a = np.concatenate([cells[px].ravel(), cells[:, qy].T.ravel()])
-    b = np.concatenate([cells[px2].ravel(), cells[:, qy2].T.ravel()])
-    cap = np.concatenate([np.repeat(mx[px, px2], ny), np.repeat(my[qy, qy2], nx)])
-    cap = cap[:, None, None] + tol
-    kk = norm.array(kern[:, a].T[:, :, None], kern[:, b].T[:, None, :])
-    if norm.kind == "product":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = np.sqrt(np.fmin(1.0, cap / kk))
-    elif norm.kind == "minimum":
-        g = np.where(kk <= cap, 1.0, cap)
-    else:
-        g = np.minimum(1.0, (cap + 2.0 - kk) / 2.0)
-    g = g.min(axis=0, initial=1.0)  # a 1x1 pair has no instance
-    return np.minimum(g, g.T)  # the instances in the other order
 
 
 def _covering_clique(ok: np.ndarray, lines: list[int], budget: int) -> tuple[Optional[int], int]:
@@ -307,7 +217,8 @@ def gh_fuzzy_upper_bound(
         )
     if not x.norm.is_builtin:
         raise DomainError(f"upper bound supports built-in norms only, got {x.norm.kind!r}")
-    g = _witness_thresholds(np.array(x.at(t)), np.array(y.at(t)), x.norm, tol)
+    mx, my = np.array([x.at(t)]), np.array([y.at(t)])
+    g = _witness_thresholds(_kernel(mx, my, x.norm), mx + tol, my + tol, x.norm)[0]
     cells = np.arange(k).reshape(x.n, y.n)
     lines = [sum(1 << int(w) for w in line) for line in (*cells, *cells.T)]
     levels = sorted(set(g.ravel().tolist()))  # np.unique would import numpy.ma
@@ -355,11 +266,10 @@ def gh_fuzzy_bounds(
     x: FuzzySpace,
     y: FuzzySpace,
     t: float,
-    eps_schedule: Sequence[float] = DEFAULT_EPS_SCHEDULE,
     grid: Optional[GridSpec] = None,
 ) -> GHBounds:
-    lower = gh_fuzzy_lower_bound(x, y, t, eps_schedule=eps_schedule, grid=grid)
     upper = gh_fuzzy_upper_bound(x, y, t)
+    lower = _lower_bound(x, y, t, upper.relation, grid, TOL)
     return GHBounds(t=t, lower=lower, upper=upper)
 
 

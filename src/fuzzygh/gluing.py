@@ -1,15 +1,16 @@
 """Admissible non-Archimedean metrics on disjoint unions of two finite spaces.
 
-The two constructions are the constant gluing (every cross similarity equals a
-shared floor function below both t-diameters) and the matched-net gluing
-(cross similarities routed through paired nets, spliced at a persistence
-width below the working scale).  Every returned union re-certifies the full
-axiom suite on its certification grid.
+The constructions are the constant gluing (every cross similarity equals a
+shared floor function below both t-diameters), the matched-net gluing (cross
+similarities routed through paired nets, spliced at a persistence width below
+the working scale) and the max-T closure through a witness relation.  Every
+returned union re-certifies the full axiom suite on its certification grid.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -579,6 +580,96 @@ def attempt_net_gluing(
     if floor is None:
         floor = floor_envelope(x, y, grid)
     return glue_via_nets(x, y, nets, delta, floor, grid, tol=tol)
+
+
+# ---------------------------------------------------------------------------
+# the witness-relation gluing
+
+
+def _kernel(mx: np.ndarray, my: np.ndarray, norm) -> np.ndarray:
+    """(S, k, k) kernel k_s(w, a) = T(M_X(p_w, p_a, s), M_Y(q_w, q_a, s)) over
+    cells w = (p, q), from (S, n_x, n_x) and (S, n_y, n_y) slices."""
+    s, nx, ny = len(mx), mx.shape[1], my.shape[1]
+    return norm.array(mx[:, :, None, :, None], my[:, None, :, None, :]).reshape(s, nx * ny, -1)
+
+
+def _witness_thresholds(kern: np.ndarray, capx: np.ndarray, capy: np.ndarray, norm) -> np.ndarray:
+    """g[s, i, j]: the largest gamma with T(T(kern[s, i, a], kern[s, j, b]), T(gamma, gamma))
+    <= A for every upper instance T(c_a, c_b) <= A at scale s, in both orders:
+    A = capx[s, p, p2] for cells (p, q), (p2, q), capy[s, q, q2] for (p, q), (p, q2).
+    A row of ``kern`` is one cell's kernel row, or their maximum over a relation W:
+    since T is monotone, that is the least threshold over W x W."""
+    nx, ny = capx.shape[1], capy.shape[1]
+    cells = np.arange(nx * ny).reshape(nx, ny)
+    px, px2 = np.triu_indices(nx, 1)
+    qy, qy2 = np.triu_indices(ny, 1)
+    a = np.concatenate([cells[px].ravel(), cells[:, qy].T.ravel()])
+    b = np.concatenate([cells[px2].ravel(), cells[:, qy2].T.ravel()])
+    cap = np.concatenate([np.repeat(capx[:, px, px2], ny, 1), np.repeat(capy[:, qy, qy2], nx, 1)], 1)
+    cap = cap[:, :, None, None]
+    ka, kb = np.swapaxes(kern[:, :, a], 1, 2), np.swapaxes(kern[:, :, b], 1, 2)
+    kk = norm.array(ka[:, :, :, None], kb[:, :, None, :])
+    if norm.kind == "product":
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = np.sqrt(np.fmin(1.0, cap / kk))
+    elif norm.kind == "minimum":
+        g = np.where(kk <= cap, 1.0, cap)
+    else:
+        g = np.minimum(1.0, (cap + 2.0 - kk) / 2.0)
+    g = g.min(axis=1, initial=1.0)  # a 1x1 pair has no instance
+    return np.minimum(g, np.swapaxes(g, 1, 2))  # the instances in the other order
+
+
+def _limits(space: FuzzySpace) -> np.ndarray:
+    """M(., ., s) as s -> infinity: 1 for Standard, the last value of Step and Stationary."""
+    out = np.ones((space.n, space.n))
+    i, j = np.triu_indices(space.n, 1)
+    lim = [1.0 if isinstance(f, Standard) else f.right_limit(math.inf) for f in space.pairs]
+    out[i, j] = out[j, i] = lim
+    return out
+
+
+def glue_via_relation(
+    x: FuzzySpace,
+    y: FuzzySpace,
+    t: float,
+    relation: Sequence[tuple[int, int]],
+    grid: Optional[GridSpec] = None,
+    tol: float = TOL,
+) -> UnionMetric:
+    """Union metric whose cross entries are the max-T closure through ``relation`` W.
+
+    Entry (p, q) at s is max_{w in W} T(T(M_X(p, p_w, s), M_Y(q_w, q, s)), gamma(s)),
+    where gamma(s) is the least pairwise threshold over W at the scales >= s
+    (the certification grid with t, then the limits at infinity capped by the
+    last point's values), and 0 at and below a splice s0 halfway between t and
+    the grid point below it.  Lower triangle instances hold for any closure,
+    upper ones as gamma never exceeds a threshold; gamma is nondecreasing.
+    """
+    if x.norm.kind != y.norm.kind:
+        raise DomainError("both spaces must share the t-norm kind")
+    require_positive(t, "t")
+    if not relation or not all(0 <= p < x.n and 0 <= q < y.n for p, q in relation):
+        raise DomainError(f"relation must be a nonempty set of cells of the {x.n}x{y.n} cross matrix")
+    g = certification_grid(grid, x, y, extra=(t,))
+    below = [p for p in g.values if p < t]
+    s0 = (below[-1] + t) / 2.0 if below else t / 2.0
+    g = g.merged((s0,))
+    mx = np.concatenate([x.grid_values(g), _limits(x)[None]])
+    my = np.concatenate([y.grid_values(g), _limits(y)[None]])
+    kern = _kernel(mx, my, x.norm)[:, [p * y.n + q for p, q in relation]].max(1, keepdims=True)
+    caps = (np.concatenate([m[:-1], m[-2:-1]]) for m in (mx, my))
+    gamma = np.minimum.accumulate(_witness_thresholds(kern, *caps, x.norm)[::-1, 0, 0])[::-1]
+    gamma[: g.values.index(s0) + 1] = 0.0
+    vals = x.norm.array(kern[:, 0], gamma[:, None]).T.reshape(x.n, y.n, -1).tolist()
+    cross = tuple(tuple(_compress_step(list(g.values), v) for v in row) for row in vals)
+    u = UnionMetric(x, y, cross)
+    report = validate_union(u, g, tol=tol)
+    if not report.passed:
+        raise ConstructionError(
+            f"witness-relation gluing fails the union axiom check: {report.as_dict()}"
+        )
+    return u
 
 
 # ---------------------------------------------------------------------------

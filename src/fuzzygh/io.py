@@ -13,7 +13,7 @@ from typing import Union
 
 from .errors import ConstructionError
 from .gluing import UnionMetric
-from .sequences import SequenceFamily
+from .sequences import SequenceFamily, register_nets
 from .space import (
     FuzzySpace,
     make_standard_space,
@@ -190,7 +190,8 @@ FAMILY_MANIFEST = "family.json"
 
 def load_family(directory: Union[str, Path]) -> SequenceFamily:
     """Family directory: one JSON space per file plus a ``family.json`` manifest
-    with the ordered file list, an optional floor and optional net registrations."""
+    with the ordered file list, an optional floor and optional net registrations,
+    each one row per space, all of one length, checked by ``register_nets``."""
     directory = Path(directory)
     manifest_path = directory / FAMILY_MANIFEST
     if not manifest_path.exists():
@@ -205,8 +206,13 @@ def load_family(directory: Union[str, Path]) -> SequenceFamily:
     for entry in manifest.get("nets", []):
         t = float(_require(entry, "t", "nets"))
         eps = float(_require(entry, "eps", "nets"))
-        indices = [tuple(int(i) for i in row) for row in _require(entry, "indices", "nets")]
-        family.nets[(t, eps)] = tuple(indices)
+        rows = [tuple(int(i) for i in row) for row in _require(entry, "indices", "nets")]
+        if len(rows) != len(spaces) or len({len(row) for row in rows}) != 1:
+            raise ConstructionError(
+                f"{manifest_path}: nets at (t, eps) = ({t}, {eps}) need one row per space, "
+                "all of one length"
+            )
+        register_nets(family, t, eps, indices=rows)
     return family
 
 

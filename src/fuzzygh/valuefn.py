@@ -145,10 +145,6 @@ def vf_eval(f: ValueFn, t: float) -> float:
     return f.eval(t)
 
 
-def vf_eval_array(f: ValueFn, ts) -> np.ndarray:
-    return f.eval_array(np.asarray(ts, dtype=float))
-
-
 def vf_breakpoints(f: ValueFn) -> tuple[float, ...]:
     return f.breakpoints if isinstance(f, Step) else ()
 

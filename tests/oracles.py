@@ -267,12 +267,27 @@ def net_cross_closures(x, y, nets, floor, splice: float, points):
 
 
 # ---------------------------------------------------------------------------
-# the lower-bound strategy loop without the screen at t
+# the matched-net lower-bound strategy loop
+
+
+def bounds_hold_at_t(mx, my, left, right, norm, eps: float, tol: float = 1e-12) -> bool:
+    """persistence_delta's test at t for every matched pair i <= j, on the t-slices:
+    an alignment that fails here makes ``attempt_net_gluing`` raise ``HypothesisError``."""
+    one_minus = 1.0 - eps
+    for i in range(len(left)):
+        for j in range(i, len(left)):
+            a = mx[left[i]][left[j]]
+            b = my[right[i]][right[j]]
+            if not (a - norm(b, one_minus) >= -tol and b - norm(a, one_minus) >= -tol):
+                return False
+    return True
 
 
 def lower_bound_loop(x, y, t: float, eps_schedule=(0.5, 0.3, 0.2, 0.1, 0.05, 0.01), grid=None,
                      exact_limit: int = 15, tol: float = 1e-12):
-    """gh_fuzzy_lower_bound trying every alignment, with the floor rebuilt per attempt.
+    """The matched-net lower bound: the constant gluings, then for each eps a
+    gluing over every alignment of minimal nets (and of the full point sets when
+    the spaces are isometric), with the floor rebuilt per attempt.
 
     Returns (value, witness, method).  The gluing functions are looked up in
     ``fuzzygh.gluing`` at call time, so a test can count or replace them there.

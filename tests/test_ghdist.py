@@ -1,3 +1,4 @@
+import sys
 from itertools import permutations
 
 import numpy as np
@@ -15,12 +16,14 @@ from fuzzygh import (
     classical_gh_diameter_bound,
     classical_gh_exact,
     find_net,
+    floor_envelope,
     gh_fuzzy_bounds,
     gh_fuzzy_lower_bound,
     gh_fuzzy_upper_bound,
     make_standard_space,
     make_stationary_space,
     make_step_space,
+    glue_constant,
     union_hausdorff,
     validate_union,
 )
@@ -28,11 +31,14 @@ from fuzzygh import ghdist, gluing
 from fuzzygh.grids import GridSpec
 from fuzzygh.sequences import gen_no_cauchy_family
 from fuzzygh.space import certification_grid
+from fuzzygh.util import TOL
 
 from conftest import make_random_standard, make_random_stationary
 from oracles import (
+    bounds_hold_at_t,
     closure_loop,
     lower_bound_loop,
+    na1_first_witness,
     random_metric,
     random_safe_stationary_values,
     relaxation_feasible_loop,
@@ -92,6 +98,8 @@ def test_upper_bound_custom_norm_domain():
     x = make_stationary_space(["a", "b"], [[1, 0.5], [0.5, 1]], norm)
     with pytest.raises(DomainError):
         gh_fuzzy_upper_bound(x, x, 1.0)
+    # the lower bound then runs the constant gluings alone
+    assert gh_fuzzy_lower_bound(x, x, 1.0).method == "constant-envelope"
 
 
 def test_bounds_symmetry(rng, product):
@@ -109,7 +117,8 @@ def test_bounds_symmetry(rng, product):
 def test_constant_glue_lower_bound_monotone_in_t(rng, product):
     x = make_random_standard(rng, 3, product)
     y = make_random_standard(rng, 3, product)
-    values = [gh_fuzzy_lower_bound(x, y, t, eps_schedule=()).value for t in (0.2, 1.0, 5.0)]
+    u = glue_constant(x, y, floor_envelope(x, y))
+    values = [union_hausdorff(u, t) for t in (0.2, 1.0, 5.0)]
     assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
 
 
@@ -130,7 +139,7 @@ def test_bounds_on_nocauchy_pair_certify_noncloseness():
 
 
 # ---------------------------------------------------------------------------
-# the lower bound's screen at t against the unscreened strategy loop
+# the lower bound against the matched-net strategy loop
 
 STEP_BREAKS = (0.1, 0.3, 1.0, 3.0, 10.0)
 # (|x|, |y|, y is drawn / a permuted copy of x / a permuted copy moved by under 1 %)
@@ -200,40 +209,89 @@ def _same_result(res, loop):
     assert repr(res.witness.cross) == repr(witness.cross)
 
 
+def _count_everywhere(monkeypatch, fn, calls):
+    """Count calls of ``fn`` made through any fuzzygh module namespace."""
+    name = fn.__name__
+
+    def wrapped(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    for mod in [m for k, m in list(sys.modules.items()) if k.split(".")[0] == "fuzzygh"]:
+        for attr in [a for a, v in vars(mod).items() if v is fn]:
+            monkeypatch.setattr(mod, attr, wrapped)
+
+
 @pytest.mark.parametrize("kind", ["product", "minimum", "lukasiewicz"])
-def test_lower_bound_matches_unscreened_loop(kind, monkeypatch):
-    screened = []  # ((x, y, t), eps, left, right, passed) for every alignment screened
-    screen = ghdist._bounds_hold_at_t
+def test_lower_bound_dominates_the_strategy_loop(kind):
+    norm = TNorm(kind)
+    relation_gluings = 0
+    for x, y, t in _pairs(kind) + _upper_pairs(kind):
+        res = gh_fuzzy_lower_bound(x, y, t)
+        assert res.value >= lower_bound_loop(x, y, t)[0]
+        if x.n * y.n <= ghdist.MAX_CROSS_VARIABLES:
+            assert res.value <= gh_fuzzy_upper_bound(x, y, t).value
+        # the bound is realized by a witness that passes the triangle loop
+        u = res.witness
+        assert union_hausdorff(u, t) == res.value
+        space = u.as_space()
+        worst, _ = na1_first_witness(space, norm, (*certification_grid(None, space).values, t))
+        assert worst >= -1e-12
+        if res.method != "witness-relation":
+            continue
+        # at t the cross block is the max-T closure through the upper bound's
+        # relation, at the value its cells hold
+        relation = gh_fuzzy_upper_bound(x, y, t).relation
+        gamma = u.cross_value(*relation[0], t)
+        assert all(u.cross_value(p, q, t) == gamma for p, q in relation)
+        cl = closure_loop(x.at(t), y.at(t), kind, relation, gamma)
+        assert np.allclose(gluing._cross_at(u, t), cl, rtol=0.0, atol=1e-15)
+        relation_gluings += 1
+    assert relation_gluings > 0
 
-    def recording(mx, my, left, right, norm, eps):
-        passed = screen(mx, my, left, right, norm, eps)
-        screened.append((current, eps, left, right, passed))
-        return passed
 
-    attempts = []
-    glue = ghdist.attempt_net_gluing
-    monkeypatch.setattr(ghdist, "_bounds_hold_at_t", recording)
-    monkeypatch.setattr(
-        ghdist, "attempt_net_gluing", lambda *a, **k: attempts.append(a) or glue(*a, **k)
-    )
-    for current in _pairs(kind):
-        x, y, t = current
-        _same_result(gh_fuzzy_lower_bound(x, y, t), lower_bound_loop(x, y, t))
+@pytest.mark.parametrize("kind", ["product", "minimum", "lukasiewicz"])
+def test_lower_bound_matches_unscreened_loop(kind):
+    # without a relation (beyond the upper bound's limit, or a custom norm)
+    # only the two constant gluings run: the strategy loop with no eps
+    for x, y, t in _pairs(kind):
+        _same_result(ghdist._lower_bound(x, y, t, None, None, TOL), lower_bound_loop(x, y, t, ()))
+    rng = np.random.default_rng([9, ("product", "minimum", "lukasiewicz").index(kind)])
+    x = _build(_draw(rng, 7, kind, "stationary"), TNorm(kind), "stationary", "x")
+    y = _build(_draw(rng, 6, kind, "stationary"), TNorm(kind), "stationary", "y")
+    _same_result(gh_fuzzy_lower_bound(x, y, 1.0), lower_bound_loop(x, y, 1.0, ()))
 
-    if kind == "minimum":
-        # no matched-net gluing can beat its threshold, so none is screened or built
-        assert screened == [] and attempts == []
-        return
-    # soundness: every alignment the screen rejects fails inside the gluing too
-    for (x, y, t), eps, left, right, passed in screened:
-        if not passed:
-            with pytest.raises(HypothesisError):
-                attempt_net_gluing(x, y, t, eps, left, right)
-    # some (pair, eps) had several alignments, some rejected and some not
-    outcomes = {}
-    for (x, y, t), eps, _, _, passed in screened:
-        outcomes.setdefault((id(x), eps), set()).add(passed)
-    assert any(o == {True, False} for o in outcomes.values())
+
+def test_isometric_copies_and_single_points_reach_one():
+    for kind in ("product", "minimum", "lukasiewicz"):
+        rng = np.random.default_rng([5, ("product", "minimum", "lukasiewicz").index(kind)])
+        cases = [("standard", 1)] + [(r, n) for r in ("stationary", "step") for n in (1, 2, 3, 4)]
+        for rep, n in cases:
+            m = _draw(rng, n, kind, rep)
+            perm = rng.permutation(n)
+            x = _build(m, TNorm(kind), rep, "x")
+            y = _build(m[np.ix_(perm, perm)], TNorm(kind), rep, "y")
+            bounds = gh_fuzzy_bounds(x, y, float(rng.uniform(0.3, 3.0)))
+            assert bounds.lower.value == bounds.upper.value == 1.0
+            assert bounds.lower.method == "witness-relation"
+
+
+def test_even_odd_pair_meets_the_upper_bound(two_point_half, two_point_third):
+    bounds = gh_fuzzy_bounds(two_point_half, two_point_third, 0.5)
+    assert bounds.lower.method == "witness-relation"
+    assert bounds.lower.value == pytest.approx(np.sqrt(2 / 3), abs=1e-9)
+    assert bounds.lower.value <= bounds.upper.value
+
+
+def test_no_cauchy_step_pairs_stay_below_the_upper_bound():
+    # the threshold dips above t (the breakpoint of the larger index), so the
+    # nondecreasing gluing value at t is held below the single-scale optimum
+    fam = gen_no_cauchy_family(5)
+    for a, b in zip(fam.spaces, fam.spaces[1:]):
+        bounds = gh_fuzzy_bounds(a, b, 0.5)
+        assert bounds.lower.method == "witness-relation"
+        assert 0.57 < bounds.lower.value < 0.72
+        assert bounds.upper.value == pytest.approx(np.sqrt(2 / 3), abs=1e-9)
 
 
 def test_minimum_norm_net_gluings_never_beat_the_threshold():
@@ -243,9 +301,8 @@ def test_minimum_norm_net_gluings_never_beat_the_threshold():
     norm = TNorm.minimum()
     passed = 0
     for x, y, t in _pairs("minimum"):
-        mx = [[x.value(i, j, t) for j in range(x.n)] for i in range(x.n)]
-        my = [[y.value(i, j, t) for j in range(y.n)] for i in range(y.n)]
-        for eps in ghdist.DEFAULT_EPS_SCHEDULE:
+        mx, my = x.at(t), y.at(t)
+        for eps in (0.5, 0.3, 0.2, 0.1, 0.05, 0.01):
             left = find_net(x, t, eps).indices
             right = find_net(y, t, eps).indices
             size = max(len(left), len(right))
@@ -253,7 +310,7 @@ def test_minimum_norm_net_gluings_never_beat_the_threshold():
             right += (right[0],) * (size - len(right))
             for sigma in permutations(range(size)):
                 aligned = tuple(right[k] for k in sigma)
-                if not ghdist._bounds_hold_at_t(mx, my, left, aligned, norm, eps):
+                if not bounds_hold_at_t(mx, my, left, aligned, norm, eps):
                     continue
                 passed += 1
                 with pytest.raises(ConstructionError, match="not above"):
@@ -262,20 +319,21 @@ def test_minimum_norm_net_gluings_never_beat_the_threshold():
 
 
 def test_lower_bound_without_envelope_skips_net_attempts(monkeypatch):
-    # an envelope that raises makes every matched-net attempt raise the same error
+    # an envelope that raises leaves the zero floor and the relation gluing
     def failing(x, y, grid=None):
         raise HypothesisError("floor", detail="no envelope")
 
-    attempts = []
-    glue = ghdist.attempt_net_gluing
     monkeypatch.setattr(gluing, "floor_envelope", failing)
     monkeypatch.setattr(ghdist, "floor_envelope", failing)
-    monkeypatch.setattr(
-        ghdist, "attempt_net_gluing", lambda *a, **k: attempts.append(a) or glue(*a, **k)
-    )
-    for x, y, t in _pairs("product")[:6]:
-        _same_result(gh_fuzzy_lower_bound(x, y, t), lower_bound_loop(x, y, t))
-    assert attempts == []
+    pairs = _pairs("product")[:6]
+    loop = [lower_bound_loop(x, y, t)[0] for x, y, t in pairs]
+    calls = {"attempt_net_gluing": 0}
+    _count_everywhere(monkeypatch, gluing.attempt_net_gluing, calls)
+    for (x, y, t), value in zip(pairs, loop):
+        res = gh_fuzzy_lower_bound(x, y, t)
+        assert res.method in ("constant-zero", "witness-relation")
+        assert res.value >= value
+    assert calls == {"attempt_net_gluing": 0}
 
 
 def test_lower_bound_hoists_per_call_work(monkeypatch):
@@ -284,27 +342,20 @@ def test_lower_bound_hoists_per_call_work(monkeypatch):
     perm = np.array([2, 0, 1])
     x = _build(d, TNorm.product(), "standard", "x")
     y = _build(_moved(d[np.ix_(perm, perm)], "standard"), TNorm.product(), "standard", "y")
-    counts = {"library": 0, "loop": 0, "log": 0}
-
-    def counting(side, fn):
-        def wrapped(*args, **kwargs):
-            counts[side] += 1
-            return fn(*args, **kwargs)
-
-        return wrapped
-
-    monkeypatch.setattr(ghdist, "attempt_net_gluing", counting("library", ghdist.attempt_net_gluing))
-    monkeypatch.setattr(gluing, "attempt_net_gluing", counting("loop", gluing.attempt_net_gluing))
+    calls = {"log": 0, "gh_fuzzy_upper_bound": 0}
     log = GridSpec.log
-    monkeypatch.setattr(GridSpec, "log", classmethod(lambda cls, *a: counting("log", log)(*a)))
 
-    gh_fuzzy_bounds(x, y, 1.0)
-    assert counts["log"] == 0  # the default grid is built once, at import
+    def counting(cls, *args):
+        calls["log"] += 1
+        return log(*args)
+
+    monkeypatch.setattr(GridSpec, "log", classmethod(counting))
+    _count_everywhere(monkeypatch, ghdist.gh_fuzzy_upper_bound, calls)
+    bounds = gh_fuzzy_bounds(x, y, 1.0)
+    assert calls == {"log": 0, "gh_fuzzy_upper_bound": 1}  # the default grid is built at import
     assert certification_grid(None) == GridSpec.default()
-
-    counts["library"] = 0
-    _same_result(gh_fuzzy_lower_bound(x, y, 1.0), lower_bound_loop(x, y, 1.0))
-    assert 0 < counts["library"] < counts["loop"]
+    assert bounds.lower.value >= lower_bound_loop(x, y, 1.0)[0]
+    assert bounds.lower == gh_fuzzy_lower_bound(x, y, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -447,47 +498,34 @@ def test_growing_distance_pair_matches_half_gap(rng):
 # lower bounds that build no net
 
 
-def _counting(monkeypatch, module, name, calls):
-    fn = getattr(module, name)
-
-    def wrapped(*args, **kwargs):
-        calls[name] += 1
-        return fn(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, wrapped)
-
-
 def test_lower_bound_without_net_gluings_builds_no_net(monkeypatch):
-    calls = {"find_net": 0, "is_isometric": 0}
-    _counting(monkeypatch, ghdist, "find_net", calls)
-    _counting(monkeypatch, ghdist, "is_isometric", calls)
-    for x, y, t in _pairs("minimum"):
-        _same_result(gh_fuzzy_lower_bound(x, y, t), lower_bound_loop(x, y, t))
-    assert calls == {"find_net": 0, "is_isometric": 0}
+    from fuzzygh import covering, space
 
-    # an envelope that raises: every matched-net attempt would raise its error
-    def failing(x, y, grid=None):
-        raise HypothesisError("floor", detail="no envelope")
-
-    monkeypatch.setattr(gluing, "floor_envelope", failing)
-    monkeypatch.setattr(ghdist, "floor_envelope", failing)
-    for x, y, t in _pairs("product")[:6]:
-        _same_result(gh_fuzzy_lower_bound(x, y, t), lower_bound_loop(x, y, t))
-    assert calls == {"find_net": 0, "is_isometric": 0}
+    calls = {"find_net": 0, "is_isometric": 0, "attempt_net_gluing": 0}
+    _count_everywhere(monkeypatch, covering.find_net, calls)
+    _count_everywhere(monkeypatch, space.is_isometric, calls)
+    _count_everywhere(monkeypatch, gluing.attempt_net_gluing, calls)
+    for kind in ("product", "minimum", "lukasiewicz"):
+        for x, y, t in _pairs(kind):
+            gh_fuzzy_lower_bound(x, y, t)
+            gh_fuzzy_bounds(x, y, t)
+    assert calls == {"find_net": 0, "is_isometric": 0, "attempt_net_gluing": 0}
 
 
-@pytest.mark.parametrize("schedule", [(0.5, 1.5), (0.0,), (1.5, -1.0)])
-@pytest.mark.parametrize("kind", ["product", "minimum", "lukasiewicz"])
-def test_bad_schedule_raises_as_the_strategy_loop(schedule, kind):
-    x, y, t = _pairs(kind)[1]
-    with pytest.raises(DomainError) as loop:
-        lower_bound_loop(x, y, t, eps_schedule=schedule)
-    with pytest.raises(DomainError) as library:
-        gh_fuzzy_lower_bound(x, y, t, eps_schedule=schedule)
-    assert str(library.value) == str(loop.value)
-    one = make_standard_space(["o"], [[0.0]], TNorm(kind))
-    with pytest.raises(DomainError) as loop:
-        lower_bound_loop(one, one, 1.0, eps_schedule=schedule)
-    with pytest.raises(DomainError) as library:
-        gh_fuzzy_lower_bound(one, one, 1.0, eps_schedule=schedule)
-    assert str(library.value) == str(loop.value)
+@pytest.mark.parametrize("kind", ["product", "lukasiewicz"])
+def test_bounds_memory_at_the_limit(kind):
+    import tracemalloc
+
+    rng = np.random.default_rng(6)
+    norm = TNorm(kind)
+    x = _build(random_metric(rng, 6), norm, "standard", "x")
+    y = _build(random_metric(rng, 6), norm, "standard", "y")
+    tracemalloc.start()
+    try:
+        bounds = gh_fuzzy_bounds(x, y, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert bounds.lower.method == "witness-relation"
+    assert bounds.upper.variables == ghdist.MAX_CROSS_VARIABLES
+    assert peak < 16e6

@@ -17,6 +17,7 @@ from fuzzygh import (
     floor_envelope,
     glue_constant,
     glue_via_nets,
+    glue_via_relation,
     make_standard_space,
     make_stationary_space,
     make_step_space,
@@ -398,3 +399,15 @@ def test_glue_via_nets_memory_cap(rng, product):
         tracemalloc.stop()
     assert len(u.cross) == 60 and len(u.cross[0]) == 60
     assert peak < 32 * 2**20, peak
+
+
+def test_relation_gluing_takes_any_relation_of_cells(two_point_half, two_point_third):
+    for relation in [(), ((0, 2),), ((-1, 0),)]:
+        with pytest.raises(DomainError):
+            glue_via_relation(two_point_half, two_point_third, 1.0, relation)
+    # a relation that misses a row still glues: it only lowers the value
+    u = glue_via_relation(two_point_half, two_point_third, 1.0, ((0, 0),))
+    assert validate_union(u).passed
+    assert union_hausdorff(u, 1.0) < union_hausdorff(
+        glue_via_relation(two_point_half, two_point_third, 1.0, ((0, 0), (1, 1))), 1.0
+    )

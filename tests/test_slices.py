@@ -167,7 +167,7 @@ def _unions(kind, seed=3):
         if nx + ny > 2:
             yield glue_constant(x, y, floor_envelope(x, y)), t
         yield gh_fuzzy_lower_bound(x, y, t).witness, t
-        yield gh_fuzzy_lower_bound(x, x, t).witness, t  # a matched-net gluing
+        yield gh_fuzzy_lower_bound(x, x, t).witness, t  # a witness-relation gluing
 
 
 @pytest.mark.parametrize("kind", NORMS)
