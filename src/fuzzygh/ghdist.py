@@ -26,7 +26,6 @@ import numpy as np
 from .errors import ConstructionError, DomainError, HypothesisError, SizeLimitError
 from .gluing import (
     UnionMetric,
-    _kernel,
     _witness_thresholds,
     floor_envelope,
     glue_constant,
@@ -159,6 +158,13 @@ class UpperBoundResult:
             "nodes": self.nodes,
             "relation": [list(w) for w in self.relation],
         }
+
+
+def _kernel(mx: np.ndarray, my: np.ndarray, norm) -> np.ndarray:
+    """(S, k, k) kernel k_s(w, a) = T(M_X(p_w, p_a, s), M_Y(q_w, q_a, s)) over
+    cells w = (p, q), from (S, n_x, n_x) and (S, n_y, n_y) slices."""
+    s, nx, ny = len(mx), mx.shape[1], my.shape[1]
+    return norm.array(mx[:, :, None, :, None], my[:, None, :, None, :]).reshape(s, nx * ny, -1)
 
 
 def _covering_clique(ok: np.ndarray, lines: list[int], budget: int) -> tuple[Optional[int], int]:

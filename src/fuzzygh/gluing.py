@@ -21,8 +21,8 @@ from .covering import is_net
 from .errors import ConstructionError, DomainError, HypothesisError
 from .grids import GridSpec
 from .hausdorff import hausdorff_block
-from .space import AxiomReport, FuzzySpace, check_axioms, certification_grid
-from .util import TOL, geq, gt_strict, require_open_unit, require_positive, require_unit
+from .space import AxiomReport, FuzzySpace, check_axioms, certification_grid, slices_at
+from .util import TOL, gt_strict, require_open_unit, require_positive, require_unit
 from .valuefn import (
     ONE,
     Standard,
@@ -106,6 +106,14 @@ def validate_union(u: UnionMetric, grid: Optional[GridSpec] = None, tol: float =
     return check_axioms(u.as_space(), grid, tol=tol)
 
 
+def _validated(u: UnionMetric, grid: GridSpec, tol: float, what: str) -> UnionMetric:
+    """``u`` once it passes the full union axiom check; ConstructionError otherwise."""
+    report = validate_union(u, grid, tol=tol)
+    if not report.passed:
+        raise ConstructionError(f"{what} gluing fails the union axiom check: {report.as_dict()}")
+    return u
+
+
 def union_hausdorff(u: UnionMetric, t: float) -> float:
     """Hausdorff fuzzy distance between the two full parts inside the union."""
     require_positive(t, "t")
@@ -170,15 +178,19 @@ def glue_constant(
     g = certification_grid(grid, x, y, extra=vf_breakpoints(c))
     _check_floor(x, y, c, g, tol)
     cross = tuple(tuple(c for _ in range(y.n)) for _ in range(x.n))
-    u = UnionMetric(x, y, cross)
-    report = validate_union(u, g, tol=tol)
-    if not report.passed:
-        raise ConstructionError(f"constant gluing fails the union axiom check: {report.as_dict()}")
-    return u
+    return _validated(UnionMetric(x, y, cross), g, tol, "constant")
 
 
 # ---------------------------------------------------------------------------
-# persistence width
+# mutual bounds and the persistence width
+
+#: the bisection's resolution for widths of pairs with an analytic entry
+_WIDTH_TOL = 1e-9
+
+
+def _mutual_bounds(a, b, factor: float, norm, tol: float = TOL):
+    """(ok_a, ok_b): a >= T(b, factor) and b >= T(a, factor) up to ``tol``, elementwise."""
+    return a - norm.array(b, factor) >= -tol, b - norm.array(a, factor) >= -tol
 
 
 def persistence_delta(
@@ -190,14 +202,13 @@ def persistence_delta(
     py2: int,
     t: float,
     eps: float,
-    tol: float = 1e-9,
 ) -> float:
     """Largest width d such that the mutual (1-eps) bounds persist on [t-d, t].
 
     The bounds are M_X(px, px2, s) >= M_Y(py, py2, s) * (1 - eps) and the
     symmetric one.  Piecewise-constant pairs give the exact distance down to
     the last breakpoint below t; pairs involving an analytic entry are solved
-    by bisection to ``tol``; constant pairs return t/2.
+    by bisection to 1e-9; constant pairs return t/2.
     """
     require_positive(t, "t")
     require_unit(eps, "eps")
@@ -205,15 +216,13 @@ def persistence_delta(
         raise DomainError("both spaces must share the t-norm kind")
     fX = x.entry(px, px2)
     fY = y.entry(py, py2)
-    norm = x.norm
     one_minus = 1.0 - eps
 
-    def conds_at(s: float) -> bool:
-        a = fX.eval(s)
-        b = fY.eval(s)
-        return geq(a, norm(b, one_minus)) and geq(b, norm(a, one_minus))
+    def holds(s) -> bool:
+        ok_a, ok_b = _mutual_bounds(fX.eval_array(s), fY.eval_array(s), one_minus, x.norm)
+        return bool(np.all(ok_a & ok_b))
 
-    if not conds_at(t):
+    if not holds(t):
         raise HypothesisError("(a)/(b)", where=t, detail="mutual bounds fail at t")
 
     bps = sorted(set(vf_breakpoints(fX)) | set(vf_breakpoints(fY)))
@@ -225,18 +234,16 @@ def persistence_delta(
         delta = t - b
         # both functions are constant on (b, t]; include b itself only if the
         # bounds survive the jump
-        return delta if conds_at(b) else delta * (1.0 - 1e-12)
+        return delta if holds(b) else delta * (1.0 - 1e-12)
 
     def predicate(delta: float) -> bool:
         lo = t - delta
-        samples = list(np.linspace(lo, t, 33))
-        samples.extend(b for b in bps if lo <= b <= t)
-        return all(conds_at(s) for s in samples)
+        return holds([*np.linspace(lo, t, 33), *(b for b in bps if lo <= b <= t)])
 
     if predicate(t):
         return t
     lo_d, hi_d = 0.0, t
-    while hi_d - lo_d > tol:
+    while hi_d - lo_d > _WIDTH_TOL:
         mid = 0.5 * (lo_d + hi_d)
         if predicate(mid):
             lo_d = mid
@@ -259,19 +266,17 @@ def persistence_delta(
 class MatchedNets:
     """Positionally aligned nets in two spaces with verification flags.
 
-    ``factor`` is the multiplier used for the per-pair mutual-bound flags;
-    net flags record strict ball coverage at eps and at eps*eps*eps.
+    ``cond_a``/``cond_b`` are the per-pair mutual bounds with the factor
+    (1-eps)*(1-eps); net flags record strict ball coverage at eps and at
+    eps*eps*eps.
     """
 
     t: float
     eps: float
     left: tuple[int, ...]
     right: tuple[int, ...]
-    factor: float
     cond_a: tuple[tuple[bool, ...], ...]
     cond_b: tuple[tuple[bool, ...], ...]
-    strict_a: tuple[tuple[bool, ...], ...]
-    strict_b: tuple[tuple[bool, ...], ...]
     left_net_eps: bool
     right_net_eps: bool
     left_net_eps3: bool
@@ -288,23 +293,6 @@ class MatchedNets:
     def all_conditions_hold(self) -> bool:
         return all(all(row) for row in self.cond_a) and all(all(row) for row in self.cond_b)
 
-    def as_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "eps": self.eps,
-            "left": list(self.left),
-            "right": list(self.right),
-            "factor": self.factor,
-            "cond_a": [list(r) for r in self.cond_a],
-            "cond_b": [list(r) for r in self.cond_b],
-            "strict_a": [list(r) for r in self.strict_a],
-            "strict_b": [list(r) for r in self.strict_b],
-            "left_net_eps": self.left_net_eps,
-            "right_net_eps": self.right_net_eps,
-            "left_net_eps3": self.left_net_eps3,
-            "right_net_eps3": self.right_net_eps3,
-        }
-
 
 def match_nets(
     x: FuzzySpace,
@@ -313,20 +301,17 @@ def match_nets(
     eps: float,
     left: Sequence[int],
     right: Sequence[int],
-    factor: Optional[float] = None,
     tol: float = TOL,
 ) -> MatchedNets:
     """Pair two index lists positionally and record all verification flags.
 
-    ``factor`` defaults to (1-eps)*(1-eps), the multiplier appearing in the
+    The mutual-bound flags use the factor (1-eps)*(1-eps) of the
     necessary-condition direction; the sufficient-condition direction
     re-verifies its own single-factor bounds over all scales >= t.
     """
     require_positive(t, "t")
     require_open_unit(eps, "eps")
     norm = x.norm
-    if factor is None:
-        factor = norm(1.0 - eps, 1.0 - eps)
     left = tuple(int(i) for i in left)
     right = tuple(int(i) for i in right)
     n = len(left)
@@ -335,32 +320,17 @@ def match_nets(
     x.check_index(*left)
     y.check_index(*right)
     sx, sy = x.at(t), y.at(t)
-    mx = [[sx[i][j] for j in left] for i in left]
-    my = [[sy[i][j] for j in right] for i in right]
-    cond_a = tuple(
-        tuple(geq(mx[i][j], norm(my[i][j], factor), tol) for j in range(n)) for i in range(n)
-    )
-    cond_b = tuple(
-        tuple(geq(my[i][j], norm(mx[i][j], factor), tol) for j in range(n)) for i in range(n)
-    )
-    strict_a = tuple(
-        tuple(gt_strict(mx[i][j], norm(my[i][j], factor), tol) for j in range(n)) for i in range(n)
-    )
-    strict_b = tuple(
-        tuple(gt_strict(my[i][j], norm(mx[i][j], factor), tol) for j in range(n)) for i in range(n)
-    )
     thr1 = 1.0 - eps
     thr3 = norm(norm(thr1, thr1), thr1)
+    mx, my = np.array(sx)[np.ix_(left, left)], np.array(sy)[np.ix_(right, right)]
+    ok_a, ok_b = _mutual_bounds(mx, my, norm(thr1, thr1), norm, tol)
     return MatchedNets(
         t=t,
         eps=eps,
         left=left,
         right=right,
-        factor=factor,
-        cond_a=cond_a,
-        cond_b=cond_b,
-        strict_a=strict_a,
-        strict_b=strict_b,
+        cond_a=tuple(map(tuple, ok_a.tolist())),
+        cond_b=tuple(map(tuple, ok_b.tolist())),
         left_net_eps=is_net(sx, left, thr1, tol),
         right_net_eps=is_net(sy, right, thr1, tol),
         left_net_eps3=is_net(sx, left, thr3, tol),
@@ -397,6 +367,30 @@ def extract_matched_nets(
     # the first argmax of each row: ties go to the lowest index
     right = [max(range(u.n_right), key=cross[p].__getitem__) for p in net_left]
     return match_nets(u.left, u.right, t, eps, tuple(net_left), tuple(right), tol=tol)
+
+
+# ---------------------------------------------------------------------------
+# the max-T closure, shared by the matched-net and witness-relation gluings
+
+
+def _closure(mx: np.ndarray, my: np.ndarray, relation, norm) -> np.ndarray:
+    """(S, n_x, n_y) max-T closure max_{(p_w, q_w) in W} T(M_X(p_w, p, s), M_Y(q_w, q, s))
+    through a nonempty relation W, from (S, n_x, n_x) and (S, n_y, n_y) slices.
+    The maximum accumulates over W, so memory is O(n_x * n_y * S)."""
+    pairs = iter(relation)
+    pw, qw = next(pairs)
+    best = norm.array(mx[:, pw, :, None], my[:, qw, None, :])
+    for pw, qw in pairs:
+        np.maximum(best, norm.array(mx[:, pw, :, None], my[:, qw, None, :]), out=best)
+    return best
+
+
+def _right_limits(space: FuzzySpace, s: float) -> np.ndarray:
+    """(n, n) values just right of s, diagonal 1; at s = inf, the limits."""
+    out = np.ones((space.n, space.n))
+    i, j = np.triu_indices(space.n, 1)
+    out[i, j] = out[j, i] = [f.right_limit(s) for f in space.pairs]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -438,18 +432,16 @@ def _check_mutual_bounds(
 ) -> None:
     """(a)/(b): the single-factor mutual bounds between matched net entries at
     every grid scale >= t; the first failure in (i, j, s) order is raised."""
-    one_minus = 1.0 - nets.eps
-    norm = x.norm
     first = bisect.bisect_left(grid.values, nets.t)
     left, right = np.asarray(nets.left), np.asarray(nets.right)
     # (size, size, S) net similarities at the grid scales >= t
     a = x.grid_values(grid)[first:, left[:, None], left].transpose(1, 2, 0)
     b = y.grid_values(grid)[first:, right[:, None], right].transpose(1, 2, 0)
-    fail_a = ~(a - norm.array(b, one_minus) >= -tol)
-    fail = fail_a | ~(b - norm.array(a, one_minus) >= -tol)
+    ok_a, ok_b = _mutual_bounds(a, b, 1.0 - nets.eps, x.norm, tol)
+    fail = ~(ok_a & ok_b)
     if fail.any():
         i, j, k = np.unravel_index(np.argmax(fail), fail.shape)
-        which = "(a)" if fail_a[i, j, k] else "(b)"
+        which = "(b)" if ok_a[i, j, k] else "(a)"
         raise HypothesisError(which, where=(int(i), int(j), grid.values[first + k]))
 
 
@@ -464,37 +456,26 @@ def _net_cross(
     """Cross matrix of the matched-net gluing, exact at every point of ``points``.
 
     At s <= splice every entry is floor*floor*(1-eps); above it, entry (p, q)
-    is max_i M_X(p, left_i, s) * M_Y(q, right_i, s), damped by (1-eps).  The
-    maximum accumulates over the net index, so memory is O(n_x * n_y * S).
+    is the max-T closure through the pairs (left_i, right_i), damped by
+    (1-eps).  After the last point (>= t > splice) it is the closure of the
+    right limits there.
     """
     norm = x.norm
     one_minus = 1.0 - nets.eps
     pts = [float(p) for p in points]
     s = np.asarray(pts)
-
-    def detour(fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
-        # fx (n_x, size, ...) and fy (n_y, size, ...) -> (n_x, n_y, ...)
-        best = norm.array(fx[:, None, 0], fy[None, :, 0])
-        for i in range(1, nets.size):
-            np.maximum(best, norm.array(fx[:, None, i], fy[None, :, i]), out=best)
-        return norm.array(best, one_minus)
-
-    fx = np.array([[x.entry(p, l).eval_array(s) for l in nets.left] for p in range(x.n)])
-    fy = np.array([[y.entry(q, r).eval_array(s) for r in nets.right] for q in range(y.n)])
-    vals = detour(fx, fy)
-    low = s <= splice
-    if low.any():
-        c = floor.eval_array(s[low])
-        vals[:, :, low] = norm.array(norm.array(c, c), one_minus)
-    # the value after the last point, which is >= t > splice: the detour's
-    # right limits there
-    last = pts[-1]
-    rx = np.array([[x.entry(p, l).right_limit(last) for l in nets.left] for p in range(x.n)])
-    ry = np.array([[y.entry(q, r).right_limit(last) for r in nets.right] for q in range(y.n)])
-    tail = detour(rx, ry)
+    # uncached slices: a cached pair would stay alive through the union check
+    mx, my = (
+        np.concatenate([slices_at(sp, s), _right_limits(sp, pts[-1])[None]]) for sp in (x, y)
+    )
+    vals = norm.array(_closure(mx, my, zip(nets.left, nets.right), norm), one_minus)
+    low = bisect.bisect_right(pts, splice)
+    if low:
+        c = floor.eval_array(s[:low])
+        vals[:low] = norm.array(norm.array(c, c), one_minus)[:, None, None]
+    vals = vals.transpose(1, 2, 0)
     return tuple(
-        tuple(_compress_step(pts, vals[p, q].tolist() + [float(tail[p, q])]) for q in range(y.n))
-        for p in range(x.n)
+        tuple(_compress_step(pts, vals[p, q].tolist()) for q in range(y.n)) for p in range(x.n)
     )
 
 
@@ -525,8 +506,6 @@ def glue_via_nets(
     require_positive(t, "t")
     if not 0.0 < delta <= t:
         raise DomainError(f"delta must lie in (0, t], got {delta!r}")
-    norm = x.norm
-    one_minus = 1.0 - eps
     g = certification_grid(grid, x, y, extra=(t, t - delta, *vf_breakpoints(floor)))
 
     _check_floor(x, y, floor, g, tol)
@@ -538,15 +517,10 @@ def glue_via_nets(
     _check_mutual_bounds(x, y, nets, g, tol)
     splice = t - delta
     points = _cross_points(x, y, floor, g, splice, t)
-    u = UnionMetric(x, y, _net_cross(x, y, nets, floor, splice, points))
-
-    report = validate_union(u, g, tol=tol)
-    if not report.passed:
-        raise ConstructionError(
-            f"matched-net gluing fails the union axiom check: {report.as_dict()}"
-        )
+    cross = _net_cross(x, y, nets, floor, splice, points)
+    u = _validated(UnionMetric(x, y, cross), g, tol, "matched-net")
     h = union_hausdorff(u, t)
-    threshold = norm(one_minus, one_minus)
+    threshold = x.norm(1.0 - eps, 1.0 - eps)
     if not gt_strict(h, threshold, tol):
         raise ConstructionError(
             f"matched-net gluing reaches Hausdorff value {h}, not above {threshold}"
@@ -586,13 +560,6 @@ def attempt_net_gluing(
 # the witness-relation gluing
 
 
-def _kernel(mx: np.ndarray, my: np.ndarray, norm) -> np.ndarray:
-    """(S, k, k) kernel k_s(w, a) = T(M_X(p_w, p_a, s), M_Y(q_w, q_a, s)) over
-    cells w = (p, q), from (S, n_x, n_x) and (S, n_y, n_y) slices."""
-    s, nx, ny = len(mx), mx.shape[1], my.shape[1]
-    return norm.array(mx[:, :, None, :, None], my[:, None, :, None, :]).reshape(s, nx * ny, -1)
-
-
 def _witness_thresholds(kern: np.ndarray, capx: np.ndarray, capy: np.ndarray, norm) -> np.ndarray:
     """g[s, i, j]: the largest gamma with T(T(kern[s, i, a], kern[s, j, b]), T(gamma, gamma))
     <= A for every upper instance T(c_a, c_b) <= A at scale s, in both orders:
@@ -618,15 +585,6 @@ def _witness_thresholds(kern: np.ndarray, capx: np.ndarray, capy: np.ndarray, no
         g = np.minimum(1.0, (cap + 2.0 - kk) / 2.0)
     g = g.min(axis=1, initial=1.0)  # a 1x1 pair has no instance
     return np.minimum(g, np.swapaxes(g, 1, 2))  # the instances in the other order
-
-
-def _limits(space: FuzzySpace) -> np.ndarray:
-    """M(., ., s) as s -> infinity: 1 for Standard, the last value of Step and Stationary."""
-    out = np.ones((space.n, space.n))
-    i, j = np.triu_indices(space.n, 1)
-    lim = [1.0 if isinstance(f, Standard) else f.right_limit(math.inf) for f in space.pairs]
-    out[i, j] = out[j, i] = lim
-    return out
 
 
 def glue_via_relation(
@@ -655,21 +613,15 @@ def glue_via_relation(
     below = [p for p in g.values if p < t]
     s0 = (below[-1] + t) / 2.0 if below else t / 2.0
     g = g.merged((s0,))
-    mx = np.concatenate([x.grid_values(g), _limits(x)[None]])
-    my = np.concatenate([y.grid_values(g), _limits(y)[None]])
-    kern = _kernel(mx, my, x.norm)[:, [p * y.n + q for p, q in relation]].max(1, keepdims=True)
+    mx, my = (np.concatenate([sp.grid_values(g), _right_limits(sp, math.inf)[None]]) for sp in (x, y))
+    closure = _closure(mx, my, relation, x.norm)
     caps = (np.concatenate([m[:-1], m[-2:-1]]) for m in (mx, my))
+    kern = closure.reshape(len(closure), 1, -1)
     gamma = np.minimum.accumulate(_witness_thresholds(kern, *caps, x.norm)[::-1, 0, 0])[::-1]
     gamma[: g.values.index(s0) + 1] = 0.0
-    vals = x.norm.array(kern[:, 0], gamma[:, None]).T.reshape(x.n, y.n, -1).tolist()
+    vals = x.norm.array(closure, gamma[:, None, None]).transpose(1, 2, 0).tolist()
     cross = tuple(tuple(_compress_step(list(g.values), v) for v in row) for row in vals)
-    u = UnionMetric(x, y, cross)
-    report = validate_union(u, g, tol=tol)
-    if not report.passed:
-        raise ConstructionError(
-            f"witness-relation gluing fails the union axiom check: {report.as_dict()}"
-        )
-    return u
+    return _validated(UnionMetric(x, y, cross), g, tol, "witness-relation")
 
 
 # ---------------------------------------------------------------------------
@@ -689,8 +641,7 @@ def mutual_eps_domination(a: float, b: float, k: float, eps: float, norm) -> boo
     require_open_unit(eps, "eps")
     if not (0.0 < k < min(a, b) < 1.0):
         raise DomainError("need 0 < k < min(a, b) < 1")
-    known = norm.has_tn1_known()
-    if known is not True:
+    if norm.has_tn1_known() is not True:
         raise DomainError(f"t-norm {norm.kind!r} lacks the required damping property")
-    one_minus = 1.0 - eps
-    return geq(a, norm(b, one_minus)) and geq(b, norm(a, one_minus))
+    ok_a, ok_b = _mutual_bounds(a, b, 1.0 - eps, norm)
+    return bool(ok_a and ok_b)

@@ -16,10 +16,9 @@ DEFAULT_LOG_COUNT = 64
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Sorted positive t-values; ``derived`` marks grids merged with breakpoints."""
+    """Sorted positive t-values."""
 
     values: tuple[float, ...]
-    derived: bool = False
 
     def __post_init__(self):
         if not self.values:
@@ -71,7 +70,7 @@ class GridSpec:
                 added = True
         if not added:
             return self
-        return GridSpec(tuple(sorted(pool)), derived=True)
+        return GridSpec(tuple(sorted(pool)))
 
     def array(self) -> np.ndarray:
         return np.asarray(self.values)

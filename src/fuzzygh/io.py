@@ -11,7 +11,7 @@ import json
 from pathlib import Path
 from typing import Union
 
-from .errors import ConstructionError
+from .errors import ConstructionError, DomainError
 from .gluing import UnionMetric
 from .sequences import SequenceFamily, register_nets
 from .space import (
@@ -207,12 +207,13 @@ def load_family(directory: Union[str, Path]) -> SequenceFamily:
         t = float(_require(entry, "t", "nets"))
         eps = float(_require(entry, "eps", "nets"))
         rows = [tuple(int(i) for i in row) for row in _require(entry, "indices", "nets")]
+        where = f"{manifest_path}: nets at (t, eps) = ({t}, {eps})"
         if len(rows) != len(spaces) or len({len(row) for row in rows}) != 1:
-            raise ConstructionError(
-                f"{manifest_path}: nets at (t, eps) = ({t}, {eps}) need one row per space, "
-                "all of one length"
-            )
-        register_nets(family, t, eps, indices=rows)
+            raise ConstructionError(f"{where} need one row per space, all of one length")
+        try:
+            register_nets(family, t, eps, indices=rows)
+        except (ConstructionError, DomainError) as exc:
+            raise ConstructionError(f"{where}: {exc}") from exc
     return family
 
 

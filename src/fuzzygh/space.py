@@ -159,15 +159,22 @@ def _pair_values(space: FuzzySpace, ts: np.ndarray) -> np.ndarray:
     return vals
 
 
-@lru_cache(maxsize=512)
-def _grid_values_cached(space: FuzzySpace, grid: GridSpec) -> np.ndarray:
-    vals = _pair_values(space, grid.array())
+def slices_at(space: FuzzySpace, ts: np.ndarray) -> np.ndarray:
+    """(T, n, n) array of M(., ., s) at the positive scales ts, diagonal 1
+    (not cached, unlike ``grid_values``)."""
+    vals = _pair_values(space, ts)
     n = space.n
-    out = np.ones((len(grid), n, n))
+    out = np.ones((len(ts), n, n))
     # the pairs (i < j) in lexicographic order, as in ``pairs``
     rows, cols = np.nonzero(np.arange(n)[:, None] < np.arange(n))
     out[:, rows, cols] = vals
     out[:, cols, rows] = vals
+    return out
+
+
+@lru_cache(maxsize=512)
+def _grid_values_cached(space: FuzzySpace, grid: GridSpec) -> np.ndarray:
+    out = slices_at(space, grid.array())
     out.setflags(write=False)
     return out
 

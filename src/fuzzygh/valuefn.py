@@ -101,7 +101,7 @@ class Standard:
             raise DomainError(f"s must be nonnegative, got {s!r}")
         if s == 0.0:
             return 0.0 if self.d > 0.0 else 1.0
-        return s / (s + self.d)
+        return 1.0 if s == np.inf else s / (s + self.d)
 
 
 @dataclass(frozen=True)

@@ -267,6 +267,122 @@ def net_cross_closures(x, y, nets, floor, splice: float, points):
 
 
 # ---------------------------------------------------------------------------
+# the scalar mutual-bound loops of persistence_delta and match_nets, kept as
+# they were before the one array predicate replaced them
+
+
+def persistence_delta_loop(x, y, px: int, px2: int, py: int, py2: int, t: float, eps: float,
+                           tol: float = 1e-9) -> float:
+    """persistence_delta with one scalar test of both bounds per sample."""
+    from fuzzygh.errors import DomainError, HypothesisError
+    from fuzzygh.util import geq, require_positive, require_unit
+    from fuzzygh.valuefn import is_steplike, vf_breakpoints
+
+    require_positive(t, "t")
+    require_unit(eps, "eps")
+    if x.norm.kind != y.norm.kind:
+        raise DomainError("both spaces must share the t-norm kind")
+    fX = x.entry(px, px2)
+    fY = y.entry(py, py2)
+    norm = x.norm
+    one_minus = 1.0 - eps
+
+    def conds_at(s: float) -> bool:
+        a = fX.eval(s)
+        b = fY.eval(s)
+        return geq(a, norm(b, one_minus)) and geq(b, norm(a, one_minus))
+
+    if not conds_at(t):
+        raise HypothesisError("(a)/(b)", where=t, detail="mutual bounds fail at t")
+
+    bps = sorted(set(vf_breakpoints(fX)) | set(vf_breakpoints(fY)))
+    if is_steplike(fX) and is_steplike(fY):
+        below = [b for b in bps if b < t]
+        if not below:
+            return t / 2.0
+        b = max(below)
+        delta = t - b
+        # both functions are constant on (b, t]; include b itself only if the
+        # bounds survive the jump
+        return delta if conds_at(b) else delta * (1.0 - 1e-12)
+
+    def predicate(delta: float) -> bool:
+        lo = t - delta
+        samples = list(np.linspace(lo, t, 33))
+        samples.extend(b for b in bps if lo <= b <= t)
+        return all(conds_at(s) for s in samples)
+
+    if predicate(t):
+        return t
+    lo_d, hi_d = 0.0, t
+    while hi_d - lo_d > tol:
+        mid = 0.5 * (lo_d + hi_d)
+        if predicate(mid):
+            lo_d = mid
+        else:
+            hi_d = mid
+    if lo_d <= 0.0:
+        raise HypothesisError(
+            "(a)/(b)",
+            where=t,
+            detail="bounds hold at t with no positive persistence width (exact tie)",
+        )
+    return lo_d
+
+
+def match_nets_loop(x, y, t: float, eps: float, left, right, factor=None, tol: float = 1e-12) -> dict:
+    """match_nets with one scalar comparison per pair and flag; the fields as a dict."""
+    from fuzzygh.covering import is_net
+    from fuzzygh.errors import DomainError
+    from fuzzygh.util import geq, gt_strict, require_open_unit, require_positive
+
+    require_positive(t, "t")
+    require_open_unit(eps, "eps")
+    norm = x.norm
+    if factor is None:
+        factor = norm(1.0 - eps, 1.0 - eps)
+    left = tuple(int(i) for i in left)
+    right = tuple(int(i) for i in right)
+    n = len(left)
+    if n == 0 or len(right) != n:
+        raise DomainError("nets must be nonempty and equally long")
+    x.check_index(*left)
+    y.check_index(*right)
+    sx, sy = x.at(t), y.at(t)
+    mx = [[sx[i][j] for j in left] for i in left]
+    my = [[sy[i][j] for j in right] for i in right]
+    cond_a = tuple(
+        tuple(geq(mx[i][j], norm(my[i][j], factor), tol) for j in range(n)) for i in range(n)
+    )
+    cond_b = tuple(
+        tuple(geq(my[i][j], norm(mx[i][j], factor), tol) for j in range(n)) for i in range(n)
+    )
+    strict_a = tuple(
+        tuple(gt_strict(mx[i][j], norm(my[i][j], factor), tol) for j in range(n)) for i in range(n)
+    )
+    strict_b = tuple(
+        tuple(gt_strict(my[i][j], norm(mx[i][j], factor), tol) for j in range(n)) for i in range(n)
+    )
+    thr1 = 1.0 - eps
+    thr3 = norm(norm(thr1, thr1), thr1)
+    return dict(
+        t=t,
+        eps=eps,
+        left=left,
+        right=right,
+        factor=factor,
+        cond_a=cond_a,
+        cond_b=cond_b,
+        strict_a=strict_a,
+        strict_b=strict_b,
+        left_net_eps=is_net(sx, left, thr1, tol),
+        right_net_eps=is_net(sy, right, thr1, tol),
+        left_net_eps3=is_net(sx, left, thr3, tol),
+        right_net_eps3=is_net(sy, right, thr3, tol),
+    )
+
+
+# ---------------------------------------------------------------------------
 # the matched-net lower-bound strategy loop
 
 

@@ -35,8 +35,10 @@ from fuzzygh.valuefn import vf_breakpoints
 
 from conftest import make_random_standard, make_random_stationary
 from oracles import (
+    match_nets_loop,
     mutual_bounds_loop,
     net_cross_closures,
+    persistence_delta_loop,
     random_metric,
     random_safe_stationary_values,
 )
@@ -367,6 +369,54 @@ def test_mutual_bounds_scan_matches_loop(rng, norm):
             assert (err.value.which, err.value.where) == expected
             assert str(err.value) == str(HypothesisError(*expected))
     assert seen == {None, "(a)", "(b)"}
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (DomainError, HypothesisError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+# t on the step breakpoints of random_space (0.5, 1.0, 1.7) and off them
+SCALES = (0.5, 0.8, 1.0, 1.7, 2.0)
+
+
+@pytest.mark.parametrize("norm", NORMS, ids=lambda nm: nm.kind)
+def test_persistence_delta_matches_scalar_loop(rng, norm):
+    seen = set()
+    for kinds in KIND_PAIRS:
+        for t in SCALES:
+            for eps in (0.05, 0.2, 0.5):
+                x = random_space(rng, kinds[0], norm, 3)
+                y = random_space(rng, kinds[1], norm, 3)
+                for pair in ((0, 1, 0, 1), (0, 2, 1, 2), (1, 2, 2, 0), (1, 1, 2, 2)):
+                    got = outcome(persistence_delta, x, y, *pair, t, eps)
+                    assert repr(got) == repr(outcome(persistence_delta_loop, x, y, *pair, t, eps))
+                    seen.add("raised" if isinstance(got, tuple) else "t" if got == t else
+                             "half" if got == t / 2 else "width")
+    assert seen == {"raised", "t", "half", "width"}
+
+
+@pytest.mark.parametrize("norm", NORMS, ids=lambda nm: nm.kind)
+def test_match_nets_matches_scalar_loop(rng, norm):
+    fields = ("t", "eps", "left", "right", "cond_a", "cond_b",
+              "left_net_eps", "right_net_eps", "left_net_eps3", "right_net_eps3")
+    seen = set()
+    for kinds in KIND_PAIRS:
+        for t in SCALES:
+            for eps in (0.1, 0.4, 0.8):
+                x = random_space(rng, kinds[0], norm, 3)
+                y = random_space(rng, kinds[1], norm, 4)
+                for left, right in (((0, 2, 1), (3, 0, 0)), ((1, 0), (2, 3)), ((0,), (4,)), ((), ())):
+                    got = outcome(match_nets, x, y, t, eps, left, right)
+                    want = outcome(match_nets_loop, x, y, t, eps, left, right)
+                    if isinstance(want, dict):
+                        got = {f: getattr(got, f) for f in fields}
+                        want = {f: want[f] for f in fields}
+                        seen.update(want["cond_a"][0] + want["cond_b"][0])
+                    assert repr(got) == repr(want)
+    assert seen == {True, False}
 
 
 @pytest.mark.parametrize("norm", (TNorm.product(), TNorm.lukasiewicz()), ids=lambda nm: nm.kind)

@@ -114,6 +114,21 @@ def test_family_directory_roundtrip(tmp_path):
     assert loaded.nets == fam.nets
 
 
+def test_family_net_rows_out_of_range_name_the_manifest_entry(tmp_path):
+    fam = gen_no_cauchy_family(4)
+    register_nets(fam, 0.5, 0.1)
+    save_family(fam, tmp_path / "fam")
+    path = tmp_path / "fam" / "family.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    manifest["nets"][0]["indices"][1][0] = 99
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    with pytest.raises(ConstructionError) as err:
+        load_family(tmp_path / "fam")
+    assert str(err.value) == (
+        f"{path}: nets at (t, eps) = (0.5, 0.1): point index 99 out of range for n=2"
+    )
+
+
 def test_family_missing_manifest(tmp_path):
     (tmp_path / "empty").mkdir()
     with pytest.raises(ConstructionError, match="family.json"):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -47,6 +49,14 @@ def test_right_limits():
     assert f.right_limit(3.0) == 1.0
     assert Standard(1.0).right_limit(0.0) == 0.0
     assert Stationary(0.3).right_limit(0.0) == 0.3
+
+
+def test_right_limit_at_infinity_is_the_limit():
+    # Standard's s / (s + d) is inf / inf there, the limit 1
+    assert Standard(2.0).right_limit(math.inf) == 1.0
+    assert Standard(0.0).right_limit(math.inf) == 1.0
+    assert Step((1.0, 3.0), (0.2, 0.5, 0.9)).right_limit(math.inf) == 0.9
+    assert Stationary(0.3).right_limit(math.inf) == 0.3
 
 
 def test_eval_array_matches_scalar():
