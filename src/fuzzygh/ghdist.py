@@ -1,4 +1,5 @@
-"""Certified bounds on the Gromov-Hausdorff fuzzy distance, plus classical tools.
+"""Certified bounds on the Gromov-Hausdorff fuzzy distance, and the exact
+classical GH distance through the same relation search.
 
 The lower bound is realized: it is the Hausdorff value of an explicitly
 constructed admissible union metric, glued through the upper bound's optimal
@@ -17,7 +18,6 @@ over the thresholds with a covering-clique search, no grid and no slack.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,12 +33,11 @@ from .gluing import (
     union_hausdorff,
 )
 from .grids import GridSpec
-from .space import FuzzySpace, validate_distance_matrix
+from .space import _CLIQUE_NODE_BUDGET, FuzzySpace, _covering_clique, validate_distance_matrix
 from .util import TOL, require_positive
 from .valuefn import ZERO
 
 MAX_CROSS_VARIABLES = 36
-_CLIQUE_NODE_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -167,36 +166,21 @@ def _kernel(mx: np.ndarray, my: np.ndarray, norm) -> np.ndarray:
     return norm.array(mx[:, :, None, :, None], my[:, None, :, None, :]).reshape(s, nx * ny, -1)
 
 
-def _covering_clique(ok: np.ndarray, lines: list[int], budget: int) -> tuple[Optional[int], int]:
-    """(bitmask of cells pairwise compatible under ``ok`` that meet every line, or
-    None; nodes).  Branches over the compatible cells of the first line not met,
-    and fails as soon as a line not met has no compatible cell left."""
-    adj = [int.from_bytes(r.tobytes(), "little") for r in np.packbits(ok, 1, bitorder="little")]
-    nodes = 0
-
-    def extend(chosen: int, cand: int) -> Optional[int]:
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise SizeLimitError("upper-bound search exceeded its node budget")
-        branch = 0
-        for line in lines:
-            if not line & chosen:
-                if not line & cand:
-                    return None
-                branch = branch or line & cand
-        if not branch:
-            return chosen
-        while branch:
-            bit = branch & -branch
-            found = extend(chosen | bit, cand & adj[bit.bit_length() - 1])
-            if found is not None:
-                return found
-            branch ^= bit
-            cand ^= bit  # no cover holds chosen and this cell
-        return None
-
-    return extend(0, sum(1 << w for w in range(len(ok)) if ok[w, w])), nodes
+def _bottleneck(g: np.ndarray, nx: int, ny: int) -> tuple[float, tuple[tuple[int, int], ...], int]:
+    """(value, relation, nodes): the largest entry of the (k, k) threshold matrix
+    g over cells w = p * ny + q at which a relation meeting every row and column
+    has g >= value on all its pairs, such a relation as (p, q) pairs, and the
+    nodes the relation searches spent.  Bisection over the distinct entries.
+    """
+    levels = sorted(set(g.ravel().tolist()))  # np.unique would import numpy.ma
+    lo, hi = 0, len(levels) - 1
+    best, nodes = (1 << nx * ny) - 1, 0  # at the least level every cell pairs with every other
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        found, used = _covering_clique(g >= levels[mid], nx, ny, _CLIQUE_NODE_BUDGET - nodes)
+        nodes += used
+        lo, hi, best = (lo, mid - 1, best) if found is None else (mid, hi, found)
+    return levels[lo], tuple(divmod(w, ny) for w in range(nx * ny) if best >> w & 1), nodes
 
 
 def gh_fuzzy_upper_bound(
@@ -225,18 +209,8 @@ def gh_fuzzy_upper_bound(
         raise DomainError(f"upper bound supports built-in norms only, got {x.norm.kind!r}")
     mx, my = np.array([x.at(t)]), np.array([y.at(t)])
     g = _witness_thresholds(_kernel(mx, my, x.norm), mx + tol, my + tol, x.norm)[0]
-    cells = np.arange(k).reshape(x.n, y.n)
-    lines = [sum(1 << int(w) for w in line) for line in (*cells, *cells.T)]
-    levels = sorted(set(g.ravel().tolist()))  # np.unique would import numpy.ma
-    lo, hi = 0, len(levels) - 1
-    best, nodes = (1 << k) - 1, 0  # at the least level every cell pairs with every other
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        found, used = _covering_clique(g >= levels[mid], lines, _CLIQUE_NODE_BUDGET - nodes)
-        nodes += used
-        lo, hi, best = (lo, mid - 1, best) if found is None else (mid, hi, found)
-    relation = tuple(divmod(w, y.n) for w in range(k) if best >> w & 1)
-    return UpperBoundResult(t=t, value=levels[lo], variables=k, nodes=nodes, relation=relation)
+    value, relation, nodes = _bottleneck(g, x.n, y.n)
+    return UpperBoundResult(t=t, value=value, variables=k, nodes=nodes, relation=relation)
 
 
 # ---------------------------------------------------------------------------
@@ -280,52 +254,30 @@ def gh_fuzzy_bounds(
 
 
 # ---------------------------------------------------------------------------
-# classical Gromov-Hausdorff tools
+# classical Gromov-Hausdorff distance
 
 
 def classical_gh_exact(dx, dy, limit: int = 12) -> float:
-    """Exact classical GH distance by exhaustive correspondence enumeration.
+    """Exact classical GH distance by the relation search.
 
     Half the minimum, over relations with full projections, of the worst
-    distance distortion.  Only for |X| * |Y| <= limit.
+    distance distortion |d_X(p, p') - d_Y(q, q')| over pairs of its cells: the
+    bottleneck of the negated distortions.  Only for |X| * |Y| <= limit.
     """
     mx = _coerce_metric(dx)
     my = _coerce_metric(dy)
     nx, ny = mx.n, my.n
     if nx * ny > limit:
         raise SizeLimitError(
-            f"{nx}x{ny} cells exceed the correspondence-enumeration limit {limit}; "
+            f"{nx}x{ny} cells exceed the relation-search limit {limit}; "
             "use classical_gh_diameter_bound instead"
         )
-    cells = [(i, j) for i in range(nx) for j in range(ny)]
-    nm = len(cells)
-    row_mask = [0] * nx
-    col_mask = [0] * ny
-    for b, (i, j) in enumerate(cells):
-        row_mask[i] |= 1 << b
-        col_mask[j] |= 1 << b
-    ax = mx.entries
-    ay = my.entries
-    best = math.inf
-    for mask in range(1, 1 << nm):
-        if any(not mask & rm for rm in row_mask) or any(not mask & cm for cm in col_mask):
-            continue
-        members = [cells[b] for b in range(nm) if mask & (1 << b)]
-        worst = 0.0
-        for a_pos in range(len(members)):
-            i, j = members[a_pos]
-            for b_pos in range(a_pos, len(members)):
-                i2, j2 = members[b_pos]
-                dist = abs(ax[i][i2] - ay[j][j2])
-                if dist > worst:
-                    worst = dist
-                    if worst >= best:
-                        break
-            if worst >= best:
-                break
-        if worst < best:
-            best = worst
-    return best / 2.0
+    k = nx * ny
+    g = -np.abs(mx.as_array()[:, None, :, None] - my.as_array()[None, :, None, :]).reshape(k, k)
+    # each unordered pair of cells reads its entry in the earlier cell's row,
+    # so a metric symmetric only within the validation tolerance counts it once
+    g = np.where(np.tri(k, k, -1, dtype=bool), g.T, g)
+    return -_bottleneck(g, nx, ny)[0] / 2
 
 
 def classical_gh_diameter_bound(dx, dy) -> float:

@@ -1,4 +1,5 @@
-"""Finite fuzzy metric spaces, axiom verification, t-diameter, isometry testing.
+"""Finite fuzzy metric spaces, axiom verification, t-diameter, the relation
+search and isometry testing.
 
 A space stores one value function per unordered off-diagonal pair; the
 diagonal is implicit (1 for t > 0, 0 at t = 0), which builds the symmetry and
@@ -13,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConstructionError, DomainError
+from .errors import ConstructionError, DomainError, SizeLimitError
 from .grids import GridSpec
 from .tnorm import TNorm, tn_check_axioms
 from .util import TOL
@@ -31,6 +32,8 @@ from .valuefn import (
 
 #: floats in the block buffer of the O(n^3) triangle scans (2 MiB of float64)
 _BLOCK = 1 << 18
+#: backtracking nodes one relation search may visit
+_CLIQUE_NODE_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -217,10 +220,12 @@ def _validate_norm(norm: TNorm) -> TNorm:
 
 
 def validate_distance_matrix(distances, tol: float = 1e-9) -> np.ndarray:
-    """Check symmetry, zero diagonal, positivity and the triangle inequality."""
+    """Check finiteness, symmetry, zero diagonal, positivity and the triangle inequality."""
     d = np.asarray(distances, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ConstructionError("distance matrix must be square")
+    if not np.isfinite(d).all():
+        raise ConstructionError("distance matrix entries must be finite")
     n = d.shape[0]
     if np.any(np.abs(np.diag(d)) > tol):
         raise ConstructionError("distance matrix must have zero diagonal")
@@ -483,7 +488,46 @@ def diameter_fn(space: FuzzySpace, grid: Optional[GridSpec] = None) -> ValueFn:
 
 
 # ---------------------------------------------------------------------------
-# isometry
+# relation search and isometry
+
+
+def _covering_clique(ok: np.ndarray, nx: int, ny: int, budget: int) -> tuple[Optional[int], int]:
+    """(bitmask of cells w = p * ny + q pairwise compatible under the (k, k)
+    boolean ``ok`` that meets every row p and column q, or None; nodes).
+
+    The relation search behind the GH distances and isometry.  Branches over
+    the compatible cells, in index order, of the first row (then column) not
+    met, and fails as soon as a line not met has no compatible cell left.
+    Raises ``SizeLimitError`` past ``budget`` nodes.
+    """
+    row, col = (1 << ny) - 1, sum(1 << p * ny for p in range(nx))
+    lines = [row << p * ny for p in range(nx)] + [col << q for q in range(ny)]
+    adj = [int.from_bytes(r.tobytes(), "little") for r in np.packbits(ok, 1, bitorder="little")]
+    nodes = 0
+
+    def extend(chosen: int, cand: int) -> Optional[int]:
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise SizeLimitError("relation search exceeded its node budget")
+        branch = 0
+        for line in lines:
+            if not line & chosen:
+                if not line & cand:
+                    return None
+                branch = branch or line & cand
+        if not branch:
+            return chosen
+        while branch:
+            bit = branch & -branch
+            found = extend(chosen | bit, cand & adj[bit.bit_length() - 1])
+            if found is not None:
+                return found
+            branch ^= bit
+            cand ^= bit  # no cover holds chosen and this cell
+        return None
+
+    return extend(0, sum(1 << w for w in range(len(ok)) if ok[w, w])), nodes
 
 
 def is_isometric(
@@ -492,37 +536,28 @@ def is_isometric(
     grid: Optional[GridSpec] = None,
     tol: float = TOL,
 ) -> Optional[tuple[int, ...]]:
-    """Permutation matching all pair values on the grid, or None.
+    """The first permutation, in lexicographic order, matching all pair values
+    on the grid, or None.
 
     The comparison grid merges both spaces' breakpoints, so piecewise-constant
-    spaces are compared exactly; analytic entries are grid-certified.
+    spaces are compared exactly; analytic entries are grid-certified.  Cells
+    (i, p) and (j, q) are compatible when M_a(i, j) and M_b(p, q) agree within
+    tol on the grid and the cells share a row exactly when they share a
+    column, so a relation search over them finds a permutation.  Holds
+    O(n^4) booleans and floats; raises ``SizeLimitError`` past the search's
+    node budget.
     """
     if a.norm.kind != b.norm.kind:
         raise DomainError("isometry testing requires the same t-norm kind")
     if a.n != b.n:
         return None
     g = certification_grid(grid, a, b)
-    Va = a.grid_values(g)
-    Vb = b.grid_values(g)
     n = a.n
-
-    def extend(partial: list[int], used: set[int]) -> Optional[list[int]]:
-        i = len(partial)
-        if i == n:
-            return partial
-        for cand in range(n):
-            if cand in used:
-                continue
-            ok = True
-            for j, pj in enumerate(partial):
-                if np.max(np.abs(Va[:, i, j] - Vb[:, cand, pj])) > tol:
-                    ok = False
-                    break
-            if ok:
-                res = extend(partial + [cand], used | {cand})
-                if res is not None:
-                    return res
-        return None
-
-    res = extend([], set())
-    return tuple(res) if res is not None else None
+    ok = np.ones((n, n, n, n), dtype=bool)  # [i, p, j, q], accumulated one slice at a time
+    for va, vb in zip(a.grid_values(g), b.grid_values(g)):
+        gap = va[:, None, :, None] - vb[None, :, None, :]
+        ok &= np.abs(gap, out=gap) <= tol
+    same = np.eye(n, dtype=bool)
+    ok &= same[:, None, :, None] == same[None, :, None, :]
+    found, _ = _covering_clique(ok.reshape(n * n, n * n), n, n, _CLIQUE_NODE_BUDGET)
+    return None if found is None else tuple(w % n for w in range(n * n) if found >> w & 1)

@@ -77,8 +77,8 @@ class Standard:
     d: float
 
     def __post_init__(self):
-        if not self.d >= 0.0:
-            raise ConstructionError(f"distance must be nonnegative, got {self.d!r}")
+        if not 0.0 <= self.d < np.inf:
+            raise ConstructionError(f"distance must be nonnegative and finite, got {self.d!r}")
         object.__setattr__(self, "d", float(self.d))
 
     def eval(self, t: float) -> float:

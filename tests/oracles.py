@@ -6,6 +6,7 @@ code path with the implementations under test.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -413,7 +414,6 @@ def lower_bound_loop(x, y, t: float, eps_schedule=(0.5, 0.3, 0.2, 0.1, 0.05, 0.0
     from fuzzygh.covering import find_net
     from fuzzygh.errors import ConstructionError, DomainError, HypothesisError
     from fuzzygh.gluing import attempt_net_gluing, floor_envelope, glue_constant, union_hausdorff
-    from fuzzygh.space import is_isometric
     from fuzzygh.valuefn import ZERO
 
     best_value = -1.0
@@ -434,7 +434,7 @@ def lower_bound_loop(x, y, t: float, eps_schedule=(0.5, 0.3, 0.2, 0.1, 0.05, 0.0
 
     iso = None
     if x.n == y.n:
-        iso = is_isometric(x, y, grid)
+        iso = is_isometric_loop(x, y, grid)
 
     for eps in sorted(eps_schedule):
         candidates = []
@@ -689,3 +689,78 @@ def metric_cover_number_search(distances, radius: float, exact_limit: int = 15,
         count += 1
         uncovered &= ~cov[:, best]
     return count
+
+
+# ---------------------------------------------------------------------------
+# the correspondence enumeration and the permutation backtracking that the
+# relation search replaced, kept as they were
+
+
+def classical_gh_loop(dx, dy) -> float:
+    """classical_gh_exact by enumerating every relation with full projections."""
+    ax = dx.entries if hasattr(dx, "entries") else np.asarray(dx, dtype=float).tolist()
+    ay = dy.entries if hasattr(dy, "entries") else np.asarray(dy, dtype=float).tolist()
+    nx, ny = len(ax), len(ay)
+    cells = [(i, j) for i in range(nx) for j in range(ny)]
+    nm = len(cells)
+    row_mask = [0] * nx
+    col_mask = [0] * ny
+    for b, (i, j) in enumerate(cells):
+        row_mask[i] |= 1 << b
+        col_mask[j] |= 1 << b
+    best = math.inf
+    for mask in range(1, 1 << nm):
+        if any(not mask & rm for rm in row_mask) or any(not mask & cm for cm in col_mask):
+            continue
+        members = [cells[b] for b in range(nm) if mask & (1 << b)]
+        worst = 0.0
+        for a_pos in range(len(members)):
+            i, j = members[a_pos]
+            for b_pos in range(a_pos, len(members)):
+                i2, j2 = members[b_pos]
+                dist = abs(ax[i][i2] - ay[j][j2])
+                if dist > worst:
+                    worst = dist
+                    if worst >= best:
+                        break
+            if worst >= best:
+                break
+        if worst < best:
+            best = worst
+    return best / 2.0
+
+
+def is_isometric_loop(a, b, grid=None, tol: float = 1e-12):
+    """is_isometric by backtracking over permutations in lexicographic order."""
+    from fuzzygh.errors import DomainError
+    from fuzzygh.space import certification_grid
+
+    if a.norm.kind != b.norm.kind:
+        raise DomainError("isometry testing requires the same t-norm kind")
+    if a.n != b.n:
+        return None
+    g = certification_grid(grid, a, b)
+    Va = a.grid_values(g)
+    Vb = b.grid_values(g)
+    n = a.n
+
+    def extend(partial: list[int], used: set[int]) -> list[int] | None:
+        i = len(partial)
+        if i == n:
+            return partial
+        for cand in range(n):
+            if cand in used:
+                continue
+            ok = True
+            for j, pj in enumerate(partial):
+                if np.max(np.abs(Va[:, i, j] - Vb[:, cand, pj])) > tol:
+                    ok = False
+                    break
+            if ok:
+                res = extend(partial + [cand], used | {cand})
+                if res is not None:
+                    return res
+        return None
+
+    res = extend([], set())
+    return tuple(res) if res is not None else None

@@ -36,6 +36,7 @@ from fuzzygh.util import TOL
 from conftest import make_random_standard, make_random_stationary
 from oracles import (
     bounds_hold_at_t,
+    classical_gh_loop,
     closure_loop,
     lower_bound_loop,
     na1_first_witness,
@@ -492,6 +493,53 @@ def test_growing_distance_pair_matches_half_gap(rng):
         b = np.array([[0.0, m], [m, 0.0]])
         assert classical_gh_exact(a, b) == pytest.approx(abs(n - m) / 2, abs=1e-12)
         assert classical_gh_diameter_bound(a, b) == pytest.approx(abs(n - m) / 2, abs=1e-12)
+
+
+def _integer_metric(rng, n):
+    """Distances drawn from {3, 4, 5}: a metric with slack and many ties."""
+    d = np.triu(rng.integers(3, 6, (n, n)), 1).astype(float)
+    return d + d.T
+
+
+def test_classical_matches_the_enumeration():
+    """Bit-equal to the enumeration over all relations on drawn, tied, permuted
+    and near-symmetric pairs (asymmetric within the validation tolerance)."""
+    rng = np.random.default_rng(17)
+    shapes = [(nx, ny) for nx in range(1, 5) for ny in range(1, 5) if nx * ny <= 12] * 20
+    for k, (nx, ny) in enumerate(shapes + [(4, 4)] * 4):  # 4x4 costs the enumeration 0.25 s
+        how = ("drawn", "tied", "copy", "near")[k % 4]
+        if how == "copy":
+            nx = ny = min(nx, ny)
+        if how == "drawn":
+            dx, dy = random_metric(rng, nx), random_metric(rng, ny)
+        else:
+            dx, dy = _integer_metric(rng, nx), _integer_metric(rng, ny)
+        if how == "copy":
+            perm = rng.permutation(nx)
+            dy = dx[np.ix_(perm, perm)]
+        elif how == "near":
+            dx = dx + rng.choice([-4e-10, 0.0, 4e-10], (nx, nx)) * (1 - np.eye(nx))
+            dy = dy + rng.choice([-4e-10, 0.0, 4e-10], (ny, ny)) * (1 - np.eye(ny))
+        mx, my = DistanceMatrix.from_array(dx), DistanceMatrix.from_array(dy)
+        assert classical_gh_exact(mx, my, limit=16) == classical_gh_loop(mx, my)
+    # read in the later cell's row, the asymmetric entries would give 0.50000000015
+    dx = [[0.0, 1.0], [0.9999999997, 0.0]]
+    dy = [[0.0, 1.9999999997, 2.0000000003], [1.9999999997, 0.0, 0.9999999997], [2.0, 0.9999999997, 0.0]]
+    assert classical_gh_exact(dx, dy) == classical_gh_loop(dx, dy) == 0.5
+
+
+def test_classical_permuted_copy_beyond_the_enumeration(rng):
+    d = random_metric(rng, 8)
+    perm = rng.permutation(8)
+    assert classical_gh_exact(d, d[np.ix_(perm, perm)], limit=64) == 0.0
+
+
+def test_distance_matrix_rejects_non_finite_entries():
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ConstructionError, match="finite"):
+            DistanceMatrix.from_array([[0.0, bad], [bad, 0.0]])
+    with pytest.raises(ConstructionError, match="finite"):
+        DistanceMatrix.from_array([[np.nan, 1.0], [1.0, 0.0]])
 
 
 # ---------------------------------------------------------------------------

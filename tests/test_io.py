@@ -41,6 +41,12 @@ def test_valuefn_bad_docs():
         valuefn_from_doc({"kind": "spline"})
 
 
+def test_valuefn_doc_rejects_an_infinite_distance():
+    doc = json.loads('{"kind": "standard", "d": Infinity}')
+    with pytest.raises(ConstructionError, match="finite"):
+        valuefn_from_doc(doc)
+
+
 def test_space_roundtrip_all_kinds(rng, product, line4, two_point_half):
     step_space = make_step_space(
         ["a", "b"], {(0, 1): Step((2.0,), (0.5, 1.0))}, product, name="step2"

@@ -28,6 +28,7 @@ from fuzzygh.space import certification_grid
 from conftest import make_random_standard, make_random_stationary
 from oracles import (
     first_triangle_violation,
+    is_isometric_loop,
     na1_first_witness,
     na1_worst_residual,
     random_metric,
@@ -178,6 +179,76 @@ def test_isometry_requires_same_norm(two_point_half):
     other = make_stationary_space(["x1", "x2"], [[1, 0.5], [0.5, 1]], TNorm.minimum())
     with pytest.raises(DomainError):
         is_isometric(two_point_half, other)
+
+
+def _iso_space(m, norm, rep, name):
+    """A space of the representation rep whose pair values fall with the distances m;
+    step pairs are all 0 below t = 0.5, so they differ only at later scales."""
+    labels = [f"{name}{i}" for i in range(len(m))]
+    if rep == "standard":
+        return make_standard_space(labels, m, norm)
+    if rep == "stationary":
+        return make_stationary_space(labels, 1.0 / (1.0 + m), norm)
+    s = np.array([2.0, 4.0])
+    steps = {
+        (i, j): Step((0.5, 2.0), (0.0, *(float(v) for v in s / (s + m[i, j]))))
+        for i in range(len(m))
+        for j in range(i + 1, len(m))
+    }
+    return make_step_space(labels, steps, norm)
+
+
+def _moved_copy(rng, m, shift):
+    """A permuted copy of m whose first and last points are moved shift apart."""
+    perm = rng.permutation(len(m))
+    m2 = m[np.ix_(perm, perm)]
+    if len(m) > 1:
+        m2[0, -1] += shift
+        m2[-1, 0] += shift
+    return m2
+
+
+def test_isometry_matches_the_backtracking():
+    """The same permutation or None as the permutation backtracking on drawn,
+    equilateral, tied and permuted spaces and on copies moved just past or
+    just within the tolerance."""
+    rng = np.random.default_rng(23)
+    isometric = 0
+    for norm in NORMS:
+        for rep in ("standard", "stationary", "step"):
+            for n in range(1, 7):
+                ties = np.triu(rng.integers(1, 3, (n, n)), 1).astype(float)
+                cases = [(random_metric(rng, n, 1.0, 2.0), random_metric(rng, n, 1.0, 2.0)),
+                         (1.0 - np.eye(n), 1.0 - np.eye(n)),
+                         (ties + ties.T, _moved_copy(rng, ties + ties.T, 0.0))]
+                for shift in (0.0, 1e-10, 1e-13):
+                    m = random_metric(rng, n, 1.0, 2.0)
+                    cases.append((m, _moved_copy(rng, m, shift)))
+                for m, m2 in cases:
+                    a, b = _iso_space(m, norm, rep, "a"), _iso_space(m2, norm, rep, "b")
+                    found = is_isometric(a, b)
+                    assert found == is_isometric_loop(a, b)
+                    isometric += found is not None
+    assert isometric > 150
+
+
+def test_isometry_of_points_closer_than_the_tolerance(product):
+    """Points 1e-16 apart agree with the diagonal on the grid, so only the
+    row-and-column condition keeps the relation a permutation."""
+    e = 1e-16
+    a = make_standard_space("abc", [[0, e, 1], [e, 0, 1], [1, 1, 0]], product)
+    b = make_standard_space("xyz", [[0, 1, 1], [1, 0, e], [1, e, 0]], product)
+    assert is_isometric(a, a) == is_isometric_loop(a, a) == (0, 1, 2)
+    assert is_isometric(a, b) == is_isometric_loop(a, b) == (1, 2, 0)
+
+
+def test_standard_space_rejects_non_finite_distances(product):
+    with pytest.raises(ConstructionError, match="finite"):
+        make_standard_space(["a", "b"], [[0.0, np.inf], [np.inf, 0.0]], product)
+    with pytest.raises(ConstructionError, match="finite"):
+        make_standard_space(["a", "b"], [[np.nan, 1.0], [1.0, 0.0]], product)
+    with pytest.raises(ConstructionError, match="finite"):
+        Standard(np.inf)
 
 
 @settings(max_examples=25, deadline=None)
