@@ -40,9 +40,17 @@ from .util import TOL
 from .valuefn import ZERO
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=TOL, help="comparison tolerance")
-    p.add_argument("--grid", type=str, default=None, help="t-grid: log:<lo>:<hi>:<count> or CSV")
+def _add_common(p: argparse.ArgumentParser, tol: bool = True, grid: bool = True) -> None:
+    """``--out``, and ``--tol``/``--grid`` on the verbs that read them; a verb
+    without one still reports the default it works with in ``params``."""
+    if tol:
+        p.add_argument("--tol", type=float, default=TOL, help="comparison tolerance")
+    else:
+        p.set_defaults(tol=TOL)
+    if grid:
+        p.add_argument("--grid", type=str, default=None, help="t-grid: log:<lo>:<hi>:<count> or CSV")
+    else:
+        p.set_defaults(grid=None)
     p.add_argument("--out", type=str, default=None, help="write the JSON report to a file")
 
 
@@ -314,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=("minimum", "product", "lukasiewicz"))
     p.add_argument("--axiom-grid", type=str, default=None)
     p.add_argument("--tn1-step", type=float, default=0.01)
-    _add_common(p)
+    _add_common(p, grid=False)
     p.set_defaults(fn=_cmd_tnorm)
 
     p = sub.add_parser("check", help="verify the fuzzy-metric axioms of a space")
@@ -325,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diam", help="t-diameter of a space")
     p.add_argument("--space", required=True)
     p.add_argument("--t", type=float, required=True)
-    _add_common(p)
+    _add_common(p, tol=False, grid=False)
     p.set_defaults(fn=_cmd_diam)
 
     p = sub.add_parser("hausdorff", help="Hausdorff fuzzy distance between label subsets")
@@ -334,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True, help="comma-separated labels")
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--eps", type=float, default=None)
-    _add_common(p)
+    _add_common(p, grid=False)
     p.set_defaults(fn=_cmd_hausdorff)
 
     p = sub.add_parser("glue", help="constant gluing of two spaces")
@@ -364,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--t", type=float, required=True)
-    _add_common(p)
+    _add_common(p, tol=False)
     p.set_defaults(fn=_cmd_gh_bounds)
 
     p = sub.add_parser("net", help="minimal (t, eps)-net")
@@ -372,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--exact-limit", type=int, default=15)
-    _add_common(p)
+    _add_common(p, grid=False)
     p.set_defaults(fn=_cmd_net)
 
     p = sub.add_parser("cover", help="cover number")
@@ -380,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--exact-limit", type=int, default=15)
-    _add_common(p)
+    _add_common(p, grid=False)
     p.set_defaults(fn=_cmd_cover)
 
     p = sub.add_parser("pigeonhole", help="group extraction and pairwise certification")
@@ -409,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=0.5)
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--out-dir", type=str, default=None)
-    _add_common(p)
+    _add_common(p, tol=False, grid=False)
     p.set_defaults(fn=_cmd_example)
 
     return parser

@@ -12,7 +12,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -21,14 +20,15 @@ from .covering import is_net
 from .errors import ConstructionError, DomainError, HypothesisError
 from .grids import GridSpec
 from .hausdorff import hausdorff_block
-from .space import AxiomReport, FuzzySpace, check_axioms, certification_grid, slices_at
+from .space import AxiomReport, FuzzySpace, check_axioms, certification_grid, slices_at, t_diameters
 from .util import TOL, gt_strict, require_open_unit, require_positive, require_unit
 from .valuefn import (
     ONE,
-    Standard,
     ValueFn,
     _compress_step,
     is_steplike,
+    standard_scale,
+    values,
     vf_breakpoints,
     vf_min,
 )
@@ -75,30 +75,24 @@ class UnionMetric:
         return self.cross[j][i - nl].eval(t)
 
     def as_space(self) -> FuzzySpace:
-        return _union_space(self)
+        labels = (*(f"L.{l}" for l in self.left.labels), *(f"R.{l}" for l in self.right.labels))
+        nl, n = self.n_left, self.n_left + self.n_right
+        pairs: list[ValueFn] = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                if j < nl:
+                    pairs.append(self.left.entry(i, j))
+                elif i >= nl:
+                    pairs.append(self.right.entry(i - nl, j - nl))
+                else:
+                    pairs.append(self.cross[i][j - nl])
+        return FuzzySpace("", labels, self.left.norm, tuple(pairs))
 
     def left_indices(self) -> tuple[int, ...]:
         return tuple(range(self.n_left))
 
     def right_indices(self) -> tuple[int, ...]:
         return tuple(range(self.n_left, self.n_left + self.n_right))
-
-
-@lru_cache(maxsize=256)
-def _union_space(u: UnionMetric) -> FuzzySpace:
-    labels = tuple(f"L.{l}" for l in u.left.labels) + tuple(f"R.{l}" for l in u.right.labels)
-    nl, nr = u.n_left, u.n_right
-    n = nl + nr
-    pairs: list[ValueFn] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j < nl:
-                pairs.append(u.left.entry(i, j))
-            elif i >= nl:
-                pairs.append(u.right.entry(i - nl, j - nl))
-            else:
-                pairs.append(u.cross[i][j - nl])
-    return FuzzySpace("", labels, u.left.norm, tuple(pairs))
 
 
 def validate_union(u: UnionMetric, grid: Optional[GridSpec] = None, tol: float = TOL) -> AxiomReport:
@@ -144,13 +138,8 @@ def _check_floor(
     grid: GridSpec,
     tol: float,
 ) -> None:
-    if x.n == 1 and y.n == 1:
-        return
-    # the diagonal's 1 never lowers a minimum over pair values in [0, 1]
-    bound = np.minimum(
-        x.grid_values(grid).min(axis=(1, 2)), y.grid_values(grid).min(axis=(1, 2))
-    )
-    floor = c.eval_array(grid.array())
+    bound = np.minimum(t_diameters(x, grid), t_diameters(y, grid))
+    floor = values([c], grid.array())[:, 0]
     bad = floor > bound + tol
     if bad.any():
         k = int(np.argmax(bad))
@@ -218,8 +207,9 @@ def persistence_delta(
     fY = y.entry(py, py2)
     one_minus = 1.0 - eps
 
-    def holds(s) -> bool:
-        ok_a, ok_b = _mutual_bounds(fX.eval_array(s), fY.eval_array(s), one_minus, x.norm)
+    def holds(*s: float) -> bool:
+        v = values((fX, fY), np.array(s, dtype=float))
+        ok_a, ok_b = _mutual_bounds(v[:, 0], v[:, 1], one_minus, x.norm)
         return bool(np.all(ok_a & ok_b))
 
     if not holds(t):
@@ -238,7 +228,9 @@ def persistence_delta(
 
     def predicate(delta: float) -> bool:
         lo = t - delta
-        return holds([*np.linspace(lo, t, 33), *(b for b in bps if lo <= b <= t)])
+        # s = 0 is left out: there both bounds read 0 >= T(0, 1 - eps) = 0
+        samples = [s for s in np.linspace(lo, t, 33) if s > 0.0]
+        return holds(*samples, *(b for b in bps if lo <= b <= t))
 
     if predicate(t):
         return t
@@ -414,10 +406,7 @@ def _cross_points(
         pts.update(grid.values)
         # a far sample where every analytic entry has converged within ~1e-13,
         # so the frozen step tail stays inside the certification tolerance
-        max_d = max(
-            (f.d for f in (*x.pairs, *y.pairs, floor) if isinstance(f, Standard)),
-            default=1.0,
-        )
+        max_d = standard_scale((*x.pairs, *y.pairs, floor))
         far = max(1e16, max_d * 1e14, t * 10.0, max(pts, default=1.0) * 2.0)
         pts.add(far)
     return sorted(p for p in pts if p > 0.0)
@@ -464,14 +453,13 @@ def _net_cross(
     one_minus = 1.0 - nets.eps
     pts = [float(p) for p in points]
     s = np.asarray(pts)
-    # uncached slices: a cached pair would stay alive through the union check
     mx, my = (
         np.concatenate([slices_at(sp, s), _right_limits(sp, pts[-1])[None]]) for sp in (x, y)
     )
     vals = norm.array(_closure(mx, my, zip(nets.left, nets.right), norm), one_minus)
     low = bisect.bisect_right(pts, splice)
     if low:
-        c = floor.eval_array(s[:low])
+        c = values([floor], s[:low])[:, 0]
         vals[:low] = norm.array(norm.array(c, c), one_minus)[:, None, None]
     vals = vals.transpose(1, 2, 0)
     return tuple(

@@ -26,12 +26,13 @@ from .space import (
     certification_grid,
     make_standard_space,
     make_step_space,
+    slices_at,
     t_diameter,
     t_diameters,
 )
 from .tnorm import TNorm
 from .util import TOL, geq, require_positive, require_unit
-from .valuefn import Standard, Stationary, Step, ValueFn, vf_breakpoints
+from .valuefn import Standard, Stationary, Step, ValueFn, values, vf_breakpoints
 
 
 @dataclass
@@ -143,7 +144,7 @@ def check_diameter_floor(
         raise DomainError("family has no floor function registered")
     c = family.floor
     g = certification_grid(grid, *family.spaces, extra=vf_breakpoints(c))
-    floor = c.eval_array(g.array())
+    floor = values([c], g.array())[:, 0]
     # diam[k, n]: t-diameter of space n at grid point k
     diam = np.stack([t_diameters(sp, g) for sp in family.spaces], axis=1)
     slack = diam - floor[:, None]
@@ -212,16 +213,14 @@ def check_ratio_condition(
     if s_grid is None:
         s_grid = default_ratio_grid(family, t)
     s_vals = [s for s in s_grid if s > t]
-    size = len(nets[0])
     count = len(family.spaces)
     vals_t = np.array([_net_block(sp, net, t) for sp, net in zip(family.spaces, nets)])
     if np.any(vals_t <= tol):
         raise DomainError("zero net similarity at t; the diameter floor must be violated")
-    vals_s = np.empty((count, size, size, len(s_vals)))
-    for n, (sp, net) in enumerate(zip(family.spaces, nets)):
-        for i in range(size):
-            for j in range(size):
-                vals_s[n, i, j, :] = sp.entry(net[i], net[j]).eval_array(np.asarray(s_vals))
+    # (count, size, size, S) net similarities at the scales above t
+    ts = np.asarray(s_vals, dtype=float)
+    vals_s = np.array([slices_at(sp, ts)[:, net][:, :, net] for sp, net in zip(family.spaces, nets)])
+    vals_s = vals_s.transpose(0, 2, 3, 1)
 
     # damped denominators of every space; space n is compared with each m != n
     # in turn, so memory stays O(count * size^2 * S)

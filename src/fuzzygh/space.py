@@ -9,7 +9,6 @@ self-identity axioms into the representation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,6 +25,7 @@ from .valuefn import (
     ValueFn,
     attains_below_one,
     is_steplike,
+    values,
     vf_breakpoints,
     vf_min,
 )
@@ -104,7 +104,7 @@ class FuzzySpace:
 
     def grid_values(self, grid: GridSpec) -> np.ndarray:
         """(T, n, n) array of values on the grid, diagonal filled with 1."""
-        return _grid_values_cached(self, grid)
+        return slices_at(self, grid.array())
 
     def breakpoints(self) -> tuple[float, ...]:
         out: set[float] = set()
@@ -138,47 +138,15 @@ def _unrank_pair(idx: int, n: int) -> tuple[int, int]:
     raise IndexError(idx)
 
 
-def _pair_values(space: FuzzySpace, ts: np.ndarray) -> np.ndarray:
-    # (T, P) values of ``pairs`` at the scales ts, one array expression per
-    # representation; the scales are positive, so the t = 0 branch of
-    # eval_array never applies
-    vals = np.empty((len(ts), len(space.pairs)))
-    standard: list[int] = []
-    steps: dict[tuple[float, ...], list[int]] = {}
-    for idx, f in enumerate(space.pairs):
-        if isinstance(f, Standard):
-            standard.append(idx)
-        elif isinstance(f, Stationary):
-            vals[:, idx] = f.c
-        else:
-            steps.setdefault(f.breakpoints, []).append(idx)
-    if standard:
-        d = np.array([space.pairs[idx].d for idx in standard])
-        vals[:, standard] = ts[:, None] / (ts[:, None] + d)
-    for bps, group in steps.items():
-        pos = np.searchsorted(bps, ts, side="left")
-        table = np.array([space.pairs[idx].values for idx in group])
-        vals[:, group] = table[:, pos].T
-    return vals
-
-
 def slices_at(space: FuzzySpace, ts: np.ndarray) -> np.ndarray:
-    """(T, n, n) array of M(., ., s) at the positive scales ts, diagonal 1
-    (not cached, unlike ``grid_values``)."""
-    vals = _pair_values(space, ts)
+    """(T, n, n) array of M(., ., s) at the positive scales ts, diagonal 1."""
+    vals = values(space.pairs, ts)
     n = space.n
     out = np.ones((len(ts), n, n))
     # the pairs (i < j) in lexicographic order, as in ``pairs``
     rows, cols = np.nonzero(np.arange(n)[:, None] < np.arange(n))
     out[:, rows, cols] = vals
     out[:, cols, rows] = vals
-    return out
-
-
-@lru_cache(maxsize=512)
-def _grid_values_cached(space: FuzzySpace, grid: GridSpec) -> np.ndarray:
-    out = slices_at(space, grid.array())
-    out.setflags(write=False)
     return out
 
 
@@ -402,7 +370,7 @@ def triangle_residual(V: np.ndarray, norm: TNorm) -> tuple[float, tuple[int, int
                 b = V[t0:t1, None, j0:j1, :]  # M(j, k)
                 shape = (t1 - t0, i1 - i0, j1 - j0, n)
                 blk = buf[: (t1 - t0) * (i1 - i0) * (j1 - j0) * n].reshape(shape)
-                _norm_into(norm, a, b, blk)
+                norm.array(a, b, out=blk)
                 np.subtract(V[t0:t1, i0:i1, None, :], blk, out=blk)
                 pos = int(blk.argmin())
                 value = float(blk.flat[pos])
@@ -411,20 +379,6 @@ def triangle_residual(V: np.ndarray, norm: TNorm) -> tuple[float, tuple[int, int
     t0, i0, j0, shape, pos = first
     dt, di, dj, k = np.unravel_index(pos, shape)
     return worst, (t0 + int(dt), i0 + int(di), j0 + int(dj), int(k))
-
-
-def _norm_into(norm: TNorm, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    """``out[...] = norm.array(a, b)``, in place for the built-in norms."""
-    if norm.kind == "product":
-        np.multiply(a, b, out=out)
-    elif norm.kind == "minimum":
-        np.minimum(a, b, out=out)
-    elif norm.kind == "lukasiewicz":
-        np.add(a, b, out=out)
-        np.subtract(out, 1.0, out=out)
-        np.maximum(out, 0.0, out=out)
-    else:
-        out[...] = norm.array(a, b)
 
 
 def check_axioms(space: FuzzySpace, grid: Optional[GridSpec] = None, tol: float = TOL) -> AxiomReport:
@@ -468,11 +422,10 @@ def t_diameter(space: FuzzySpace, t: float) -> float:
 
 
 def t_diameters(space: FuzzySpace, grid: GridSpec) -> np.ndarray:
-    """t_diameter at every grid point, one array min over the pair values
-    (not cached, unlike ``grid_values``)."""
+    """t_diameter at every grid point, one array min over the pair values."""
     if space.n == 1:
         return np.ones(len(grid))
-    return _pair_values(space, grid.array()).min(axis=1)
+    return values(space.pairs, grid.array()).min(axis=1)
 
 
 def diameter_fn(space: FuzzySpace, grid: Optional[GridSpec] = None) -> ValueFn:
@@ -544,8 +497,9 @@ def is_isometric(
     (i, p) and (j, q) are compatible when M_a(i, j) and M_b(p, q) agree within
     tol on the grid and the cells share a row exactly when they share a
     column, so a relation search over them finds a permutation.  Holds
-    O(n^4) booleans and floats; raises ``SizeLimitError`` past the search's
-    node budget.
+    O(n^4) booleans; the value gaps are taken in blocks of rows i of at most
+    ``_BLOCK`` floats (one row once a row exceeds it).  Raises
+    ``SizeLimitError`` past the search's node budget.
     """
     if a.norm.kind != b.norm.kind:
         raise DomainError("isometry testing requires the same t-norm kind")
@@ -553,11 +507,17 @@ def is_isometric(
         return None
     g = certification_grid(grid, a, b)
     n = a.n
-    ok = np.ones((n, n, n, n), dtype=bool)  # [i, p, j, q], accumulated one slice at a time
-    for va, vb in zip(a.grid_values(g), b.grid_values(g)):
-        gap = va[:, None, :, None] - vb[None, :, None, :]
-        ok &= np.abs(gap, out=gap) <= tol
+    va, vb = a.grid_values(g), b.grid_values(g)
     same = np.eye(n, dtype=bool)
-    ok &= same[:, None, :, None] == same[None, :, None, :]
+    ok = np.empty((n, n, n, n), dtype=bool)  # [i, p, j, q]
+    step = max(1, _BLOCK // n ** 3)
+    buf = np.empty(min(n, step) * n ** 3)
+    for i0 in range(0, n, step):
+        blk = ok[i0 : i0 + step]
+        np.equal(same[i0 : i0 + step, None, :, None], same[None, :, None, :], out=blk)
+        gap = buf[: blk.size].reshape(blk.shape)
+        for sa, sb in zip(va, vb):
+            np.subtract(sa[i0 : i0 + step, None, :, None], sb[None, :, None, :], out=gap)
+            blk &= np.abs(gap, out=gap) <= tol
     found, _ = _covering_clique(ok.reshape(n * n, n * n), n, n, _CLIQUE_NODE_BUDGET)
     return None if found is None else tuple(w % n for w in range(n * n) if found >> w & 1)

@@ -67,16 +67,21 @@ class TNorm:
             return s if s > 0.0 else 0.0
         return self.fn(a, b)  # type: ignore[misc]
 
-    def array(self, a, b):
-        """Vectorized evaluation on numpy arrays (broadcasting allowed)."""
+    def array(self, a, b, out=None):
+        """Vectorized evaluation on numpy arrays (broadcasting allowed), written
+        into ``out`` when given (in place for the built-in norms)."""
         k = self.kind
         if k == "product":
-            return np.asarray(a) * np.asarray(b)
+            return np.multiply(a, b, out=out)
         if k == "minimum":
-            return np.minimum(a, b)
+            return np.minimum(a, b, out=out)
         if k == "lukasiewicz":
-            return np.maximum(np.asarray(a) + np.asarray(b) - 1.0, 0.0)
-        return np.vectorize(self.fn, otypes=[float])(a, b)
+            return np.maximum(np.subtract(np.add(a, b, out=out), 1.0, out=out), 0.0, out=out)
+        vals = np.vectorize(self.fn, otypes=[float])(a, b)
+        if out is None:
+            return vals
+        out[...] = vals
+        return out
 
     def has_tn1_known(self) -> Optional[bool]:
         """Whether ``a - a*b >= a*(1-b)`` holds, when known algebraically.

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -55,14 +55,6 @@ class Step:
             return 0.0
         return self.values[bisect.bisect_left(self.breakpoints, t)]
 
-    def eval_array(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        if np.any(ts < 0.0):
-            raise DomainError("t values must be nonnegative")
-        idx = np.searchsorted(self.breakpoints, ts, side="left")
-        out = np.asarray(self.values)[idx]
-        return np.where(ts == 0.0, 0.0, out)
-
     def right_limit(self, s: float) -> float:
         """Value on the interval immediately to the right of s (s >= 0)."""
         if s < 0.0:
@@ -88,14 +80,6 @@ class Standard:
             return 0.0
         return t / (t + self.d)
 
-    def eval_array(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        if np.any(ts < 0.0):
-            raise DomainError("t values must be nonnegative")
-        with np.errstate(invalid="ignore"):
-            out = np.where(ts == 0.0, 0.0, ts / (ts + self.d))
-        return out
-
     def right_limit(self, s: float) -> float:
         if s < 0.0:
             raise DomainError(f"s must be nonnegative, got {s!r}")
@@ -119,12 +103,6 @@ class Stationary:
         if t < 0.0:
             raise DomainError(f"t must be nonnegative, got {t!r}")
         return 0.0 if t == 0.0 else self.c
-
-    def eval_array(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        if np.any(ts < 0.0):
-            raise DomainError("t values must be nonnegative")
-        return np.where(ts == 0.0, 0.0, self.c)
 
     def right_limit(self, s: float) -> float:
         if s < 0.0:
@@ -163,39 +141,32 @@ def attains_below_one(f: ValueFn) -> bool:
     return f.c < 1.0
 
 
-def materialize_exact(
-    fn_at: Callable[[float], float],
-    fn_after: Callable[[float], float],
-    points: Sequence[float],
-) -> ValueFn:
-    """Step function through the sampled values of a nondecreasing expression.
+def values(fns: Sequence[ValueFn], ts: np.ndarray) -> np.ndarray:
+    """(T, P) array of fns[p] at the positive scales ts, one array expression
+    per representation; the scalar ``eval`` covers t = 0."""
+    vals = np.empty((len(ts), len(fns)))
+    standard: list[int] = []
+    steps: dict[tuple[float, ...], list[int]] = {}
+    for idx, f in enumerate(fns):
+        if isinstance(f, Standard):
+            standard.append(idx)
+        elif isinstance(f, Stationary):
+            vals[:, idx] = f.c
+        else:
+            steps.setdefault(f.breakpoints, []).append(idx)
+    if standard:
+        d = np.array([fns[idx].d for idx in standard])
+        vals[:, standard] = ts[:, None] / (ts[:, None] + d)
+    for bps, group in steps.items():
+        pos = np.searchsorted(bps, ts, side="left")
+        table = np.array([fns[idx].values for idx in group])
+        vals[:, group] = table[:, pos].T
+    return vals
 
-    ``fn_at(p)`` is the expression value at p, ``fn_after(p)`` its value on the
-    interval immediately after p.  The result agrees with the expression at
-    every point of ``points`` and, when the expression is itself piecewise
-    constant with breakpoints inside ``points``, everywhere.
-    """
-    pts = sorted(set(float(p) for p in points if p > 0.0))
-    if not pts:
-        raise DomainError("materialize_exact needs at least one positive point")
-    vals = [float(fn_at(p)) for p in pts] + [float(fn_after(pts[-1]))]
-    return _compress_step(pts, vals)
 
-
-def materialize_below(
-    fn_after: Callable[[float], float],
-    points: Sequence[float],
-) -> ValueFn:
-    """Step lower envelope: on each interval the exact infimum of the expression.
-
-    For a left-continuous nondecreasing expression the infimum on (a, b] is the
-    right limit at a, so the result is pointwise <= the expression everywhere.
-    """
-    pts = sorted(set(float(p) for p in points if p > 0.0))
-    if not pts:
-        raise DomainError("materialize_below needs at least one positive point")
-    vals = [float(fn_after(p)) for p in [0.0] + pts]
-    return _compress_step(pts, vals)
+def standard_scale(fns: Iterable[ValueFn]) -> float:
+    """Largest distance d among the ``Standard`` functions of fns, 1 if none."""
+    return max((f.d for f in fns if isinstance(f, Standard)), default=1.0)
 
 
 def _compress_step(pts: list[float], vals: list[float]) -> ValueFn:
@@ -234,12 +205,11 @@ def vf_min(fns: Sequence[ValueFn], grid: Sequence[float] = ()) -> ValueFn:
         if not bps:
             return Stationary(min(f.c for f in fns))  # type: ignore[union-attr]
         pts = sorted(bps)
-        return materialize_exact(
-            lambda s: min(f.eval(s) for f in fns),
-            lambda s: min(f.right_limit(s) for f in fns),
-            pts,
-        )
+        vals = [min(f.eval(s) for f in fns) for s in pts]
+        return _compress_step(pts, vals + [min(f.right_limit(pts[-1]) for f in fns)])
     pts = sorted(bps.union(float(g) for g in grid if g > 0.0))
     if not pts:
         raise DomainError("vf_min of mixed representations needs a sampling grid")
-    return materialize_below(lambda s: min(f.right_limit(s) for f in fns), pts)
+    # the step lower envelope: on (a, b] the infimum of a left-continuous
+    # nondecreasing function is its right limit at a
+    return _compress_step(pts, [min(f.right_limit(s) for f in fns) for s in [0.0, *pts]])

@@ -235,10 +235,11 @@ def mutual_bounds_loop(x, y, nets, s_check, tol: float = 1e-12):
 
 def net_cross_closures(x, y, nets, floor, splice: float, points):
     """Cross matrix of glue_via_nets: two closures per entry, materialized point by point."""
-    from fuzzygh.valuefn import materialize_exact
+    from fuzzygh.valuefn import Stationary, Step
 
     norm = x.norm
     one_minus = 1.0 - nets.eps
+    pts = sorted(set(float(p) for p in points if p > 0.0))
     rows = []
     for p in range(x.n):
         row = []
@@ -262,7 +263,15 @@ def net_cross_closures(x, y, nets, floor, splice: float, points):
                 )
                 return norm(best, one_minus)
 
-            row.append(materialize_exact(at, after, points))
+            # the value at each point, then after the last; a breakpoint is
+            # kept where the value changes
+            vals = [float(at(p)) for p in pts] + [float(after(pts[-1]))]
+            keep = [k for k in range(len(pts)) if vals[k + 1] != vals[k]]
+            if keep:
+                step = Step(tuple(pts[k] for k in keep), (vals[0], *(vals[k + 1] for k in keep)))
+                row.append(step)
+            else:
+                row.append(Stationary(vals[0]))
         rows.append(tuple(row))
     return tuple(rows)
 

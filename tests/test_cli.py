@@ -215,3 +215,35 @@ def test_main_reuses_one_parser(capsys, monkeypatch, std3, half, tmp_path):
 def test_gh_bounds_has_no_variable_limit_flag(capsys, half):
     assert main(["gh-bounds", "--left", half, "--right", half, "--t", "1.0", "--max-variables", "36"]) == 2
     assert "unrecognized arguments: --max-variables" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "verb, flag",
+    [
+        ("tnorm", "--grid"),
+        ("diam", "--grid"),
+        ("hausdorff", "--grid"),
+        ("net", "--grid"),
+        ("cover", "--grid"),
+        ("example", "--grid"),
+        ("diam", "--tol"),
+        ("gh-bounds", "--tol"),
+        ("example", "--tol"),
+    ],
+)
+def test_flags_a_verb_does_not_read_exit_two(capsys, half, verb, flag):
+    """--tol and --grid exist only on the verbs that read them."""
+    base = {
+        "tnorm": ["--kind", "product"],
+        "diam": ["--space", half, "--t", "1.0"],
+        "hausdorff": ["--space", half, "--a", "x1", "--b", "x2", "--t", "1.0"],
+        "net": ["--space", half, "--t", "1.0", "--eps", "0.5"],
+        "cover": ["--space", half, "--t", "1.0", "--eps", "0.5"],
+        "example": ["no-cauchy", "--count", "2"],
+        "gh-bounds": ["--left", half, "--right", half, "--t", "1.0"],
+    }[verb]
+    value = "0.3" if flag == "--tol" else "log:1e-2:1e2:8"
+    assert main([verb, *base]) == 0
+    capsys.readouterr()
+    assert main([verb, *base, flag, value]) == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err

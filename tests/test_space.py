@@ -24,6 +24,7 @@ from fuzzygh import (
 )
 from fuzzygh import space as space_module
 from fuzzygh.space import certification_grid
+from fuzzygh.valuefn import values
 
 from conftest import make_random_standard, make_random_stationary
 from oracles import (
@@ -242,6 +243,35 @@ def test_isometry_of_points_closer_than_the_tolerance(product):
     assert is_isometric(a, b) == is_isometric_loop(a, b) == (1, 2, 0)
 
 
+@pytest.mark.parametrize("block", [1, 300])
+def test_isometry_in_row_blocks_matches_the_backtracking(monkeypatch, product, block):
+    # blocks of one row, and of two rows with a shorter last block at n = 5
+    monkeypatch.setattr(space_module, "_BLOCK", block)
+    rng = np.random.default_rng(29)
+    for rep in ("standard", "step"):
+        for shift in (0.0, 1e-10):
+            m = random_metric(rng, 5, 1.0, 2.0)
+            a, b = _iso_space(m, product, rep, "a"), _iso_space(_moved_copy(rng, m, shift), product, rep, "b")
+            assert is_isometric(a, b) == is_isometric_loop(a, b)
+
+
+def test_isometry_memory_is_bounded(rng, product):
+    """A permuted 50-point copy: one n^4 float gap per slice would take 50 MB."""
+    n = 50
+    d = random_metric(rng, n)
+    perm = rng.permutation(n)
+    a = make_standard_space([f"p{i}" for i in range(n)], d, product)
+    b = make_standard_space([f"q{i}" for i in range(n)], d[np.ix_(perm, perm)], product)
+    tracemalloc.start()
+    try:
+        found = is_isometric(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert found == is_isometric_loop(a, b) == tuple(int(k) for k in np.argsort(perm))
+    assert peak < 16 * 2 ** 20
+
+
 def test_standard_space_rejects_non_finite_distances(product):
     with pytest.raises(ConstructionError, match="finite"):
         make_standard_space(["a", "b"], [[0.0, np.inf], [np.inf, 0.0]], product)
@@ -346,7 +376,6 @@ def test_every_blocking_level_finds_the_first_worst_triple(rng, monkeypatch, nor
 
 def test_check_axioms_memory_is_bounded(rng, product):
     sp = make_random_standard(rng, 100, product)
-    space_module._grid_values_cached.cache_clear()
     tracemalloc.start()
     try:
         report = check_axioms(sp)
@@ -378,7 +407,7 @@ def test_grid_values_of_mixed_representations_match_per_pair(rng, product):
     for i in range(n):
         assert np.array_equal(V[:, i, i], np.ones(len(ts)))
         for j in range(i + 1, n):
-            expected = sp.entry(i, j).eval_array(ts)
+            expected = values([sp.entry(i, j)], ts)[:, 0]
             assert np.array_equal(V[:, i, j], expected)
             assert np.array_equal(V[:, j, i], expected)
 

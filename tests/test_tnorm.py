@@ -88,6 +88,20 @@ def test_array_matches_scalar(a, b):
         )
 
 
+@pytest.mark.parametrize(
+    "norm",
+    [TNorm.minimum(), TNorm.product(), TNorm.lukasiewicz(), TNorm.custom("plain-product", lambda a, b: a * b)],
+    ids=lambda norm: norm.kind,
+)
+def test_array_into_a_buffer_matches_a_fresh_array(norm):
+    rng = np.random.default_rng(5)
+    a, b = rng.uniform(0.0, 1.0, (7, 1)), rng.uniform(0.0, 1.0, (1, 9))
+    buf = np.full((7, 9), np.nan)
+    fresh = norm.array(a, b)
+    assert norm.array(a, b, out=buf) is buf
+    assert buf.tobytes() == fresh.tobytes()
+
+
 def test_custom_norm_extension_point():
     norm = TNorm.custom("drastic-ish", lambda a, b: a * b * b)
     report = tn_check_axioms(norm, list(unit_grid(0.25)))

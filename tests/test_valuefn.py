@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fuzzygh import ConstructionError, DomainError, Standard, Stationary, Step, vf_eval
-from fuzzygh.valuefn import materialize_below, materialize_exact, vf_min
+from fuzzygh.valuefn import ONE, _compress_step, values, vf_min
 
 
 def test_standard_eval():
@@ -59,25 +59,34 @@ def test_right_limit_at_infinity_is_the_limit():
     assert Stationary(0.3).right_limit(math.inf) == 0.3
 
 
-def test_eval_array_matches_scalar():
-    ts = np.array([0.0, 0.5, 1.0, 2.0, 2.5, 7.0])
-    for f in (Step((1.0, 2.5), (0.1, 0.4, 0.9)), Standard(2.0), Stationary(0.7)):
-        arr = f.eval_array(ts)
-        assert np.allclose(arr, [f.eval(t) for t in ts])
+def test_values_matches_scalar():
+    ts = np.array([0.5, 1.0, 2.0, 2.5, 7.0])
+    fns = (
+        Step((1.0, 2.5), (0.1, 0.4, 0.9)),
+        Standard(2.0),
+        Stationary(0.7),
+        Step((1.0, 2.5), (0.2, 0.3, 1.0)),  # shares the first step's breakpoints
+        Standard(0.0),
+    )
+    out = values(fns, ts)
+    assert out.shape == (len(ts), len(fns))
+    for p, f in enumerate(fns):
+        assert out[:, p].tolist() == [f.eval(t) for t in ts]
 
 
-def test_materialize_exact_reproduces_steps():
+def test_vf_min_and_compress_step_reproduce_steps():
     f = Step((1.0, 3.0), (0.2, 0.5, 1.0))
-    g = materialize_exact(f.eval, f.right_limit, (1.0, 3.0))
-    assert g == f
+    assert vf_min([f, f]) == f
+    assert vf_min([f, ONE]) == f
     # compression drops silent breakpoints
-    h = materialize_exact(f.eval, f.right_limit, (0.5, 1.0, 2.0, 3.0, 4.0))
-    assert h == f
+    pts = [0.5, 1.0, 2.0, 3.0, 4.0]
+    assert _compress_step(pts, [f.eval(p) for p in pts] + [f.right_limit(pts[-1])]) == f
 
 
-def test_materialize_below_is_a_lower_envelope():
+def test_vf_min_of_mixed_inputs_is_a_lower_envelope():
     f = Standard(1.0)
-    g = materialize_below(f.right_limit, [0.5, 1.0, 2.0])
+    g = vf_min([f, ONE], grid=[0.5, 1.0, 2.0])
+    assert g == Step((0.5, 1.0, 2.0), (0.0, 1 / 3, 0.5, 2 / 3))
     for t in np.linspace(0.01, 5.0, 200):
         assert g.eval(t) <= f.eval(t) + 1e-15
 
@@ -108,16 +117,16 @@ def test_step_monotone_on_sorted_grids(bps, raw):
     if len(vals) < len(bps) + 1:
         vals = vals + (vals[-1],) * (len(bps) + 1 - len(vals))
     f = Step(bps, vals)
-    ts = np.linspace(0.0, max(bps) * 1.5, 50)
-    out = f.eval_array(ts)
+    ts = np.linspace(0.0, max(bps) * 1.5, 50)[1:]
+    out = values([f], ts)[:, 0]
     assert np.all(np.diff(out) >= -1e-15)
 
 
-def test_materialize_exact_rejects_decreasing_and_out_of_range_values():
+def test_compress_step_rejects_decreasing_and_out_of_range_values():
     # Step and Stationary check every kept value; compression keeps each change
     with pytest.raises(ConstructionError):
-        materialize_exact(lambda s: 0.5 if s <= 1.0 else 0.5 - 1e-16, lambda s: 0.5 - 1e-16, [1.0, 2.0])
+        _compress_step([1.0, 2.0], [0.5, 0.5 - 1e-16, 0.5 - 1e-16])
     with pytest.raises(ConstructionError):
-        materialize_exact(lambda s: 0.5, lambda s: 1.5, [1.0])
+        _compress_step([1.0], [0.5, 1.5])
     with pytest.raises(ConstructionError):
-        materialize_exact(lambda s: -0.25, lambda s: -0.25, [1.0, 2.0])
+        _compress_step([1.0, 2.0], [-0.25, -0.25, -0.25])
