@@ -142,6 +142,13 @@ def _cmd_hausdorff(args) -> int:
     return 0
 
 
+def _add_floor(p: argparse.ArgumentParser) -> None:
+    floor = p.add_mutually_exclusive_group()
+    floor.add_argument("--floor", type=str, default=None, help="value-function JSON file")
+    floor.add_argument("--floor-zero", action="store_true")
+    floor.add_argument("--floor-envelope", action="store_true")
+
+
 def _floor_fn(args, left, right, grid):
     if args.floor_zero:
         return ZERO
@@ -209,12 +216,8 @@ def _cmd_gh_bounds(args) -> int:
     right = fio.load_space(args.right)
     bounds = gh_fuzzy_bounds(left, right, args.t, grid=_grid(args))
     doc = {
-        "t": args.t,
-        "lower": bounds.lower.value,
-        "upper": bounds.upper.value,
+        **bounds.as_dict(),
         "witness": fio.union_to_doc(bounds.lower.witness),
-        "lower_method": bounds.lower.method,
-        "upper_info": bounds.upper.as_dict(),
         "params": _params(args),
     }
     _emit(doc, args, f"gh-bounds: [{bounds.lower.value}, {bounds.upper.value}] at t={args.t}")
@@ -348,9 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("glue", help="constant gluing of two spaces")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
-    p.add_argument("--floor", type=str, default=None, help="value-function JSON file")
-    p.add_argument("--floor-zero", action="store_true")
-    p.add_argument("--floor-envelope", action="store_true")
+    _add_floor(p)
     p.add_argument("--t", type=float, default=None, help="also report H at this scale")
     _add_common(p)
     p.set_defaults(fn=_cmd_glue)
@@ -362,9 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--net-left", type=str, default=None, help="comma-separated labels")
     p.add_argument("--net-right", type=str, default=None, help="comma-separated labels")
-    p.add_argument("--floor", type=str, default=None)
-    p.add_argument("--floor-zero", action="store_true")
-    p.add_argument("--floor-envelope", action="store_true")
+    _add_floor(p)
     _add_common(p)
     p.set_defaults(fn=_cmd_mdelta)
 

@@ -20,7 +20,15 @@ from .covering import is_net
 from .errors import ConstructionError, DomainError, HypothesisError
 from .grids import GridSpec
 from .hausdorff import hausdorff_block
-from .space import AxiomReport, FuzzySpace, check_axioms, certification_grid, slices_at, t_diameters
+from .space import (
+    AxiomReport,
+    FuzzySpace,
+    certification_grid,
+    check_axioms,
+    pair_indices,
+    slices_at,
+    t_diameters,
+)
 from .util import TOL, gt_strict, require_open_unit, require_positive, require_unit
 from .valuefn import (
     ONE,
@@ -380,7 +388,7 @@ def _closure(mx: np.ndarray, my: np.ndarray, relation, norm) -> np.ndarray:
 def _right_limits(space: FuzzySpace, s: float) -> np.ndarray:
     """(n, n) values just right of s, diagonal 1; at s = inf, the limits."""
     out = np.ones((space.n, space.n))
-    i, j = np.triu_indices(space.n, 1)
+    i, j = pair_indices(space.n)
     out[i, j] = out[j, i] = [f.right_limit(s) for f in space.pairs]
     return out
 
@@ -556,8 +564,8 @@ def _witness_thresholds(kern: np.ndarray, capx: np.ndarray, capy: np.ndarray, no
     since T is monotone, that is the least threshold over W x W."""
     nx, ny = capx.shape[1], capy.shape[1]
     cells = np.arange(nx * ny).reshape(nx, ny)
-    px, px2 = np.triu_indices(nx, 1)
-    qy, qy2 = np.triu_indices(ny, 1)
+    px, px2 = pair_indices(nx)
+    qy, qy2 = pair_indices(ny)
     a = np.concatenate([cells[px].ravel(), cells[:, qy].T.ravel()])
     b = np.concatenate([cells[px2].ravel(), cells[:, qy2].T.ravel()])
     cap = np.concatenate([np.repeat(capx[:, px, px2], ny, 1), np.repeat(capy[:, qy, qy2], nx, 1)], 1)

@@ -8,6 +8,7 @@ path-and-field diagnostic before any computation runs.
 from __future__ import annotations
 
 import json
+from itertools import combinations
 from pathlib import Path
 from typing import Union
 
@@ -21,7 +22,7 @@ from .space import (
     make_step_space,
 )
 from .tnorm import BUILTIN_KINDS, TNorm
-from .valuefn import Standard, Stationary, Step, ValueFn, is_steplike
+from .valuefn import Standard, Stationary, Step, ValueFn, is_stationary, is_steplike
 
 
 def tnorm_to_str(norm: TNorm) -> str:
@@ -39,12 +40,12 @@ def tnorm_from_str(text: str) -> TNorm:
 
 
 def valuefn_to_doc(f: ValueFn) -> dict:
-    if isinstance(f, Step):
-        return {"kind": "step", "breakpoints": list(f.breakpoints), "values": list(f.values)}
     if isinstance(f, Standard):
         return {"kind": "standard", "d": f.d}
-    if isinstance(f, Stationary):
-        return {"kind": "stationary", "c": f.c}
+    if isinstance(f, Step):
+        if not f.breakpoints:
+            return {"kind": "stationary", "c": f.values[0]}
+        return {"kind": "step", "breakpoints": list(f.breakpoints), "values": list(f.values)}
     raise ConstructionError(f"unknown value-function type {type(f)!r}")
 
 
@@ -61,6 +62,15 @@ def valuefn_from_doc(doc: dict) -> ValueFn:
     raise ConstructionError(f"unknown value-function kind {kind!r}")
 
 
+def _symmetric(n: int, diag: float, upper: list[float]) -> list[list[float]]:
+    """n x n rows with ``diag`` on the diagonal and ``upper`` on the pairs i < j,
+    in the lexicographic order of ``FuzzySpace.pairs``."""
+    mat = [[diag] * n for _ in range(n)]
+    for (i, j), v in zip(combinations(range(n), 2), upper):
+        mat[i][j] = mat[j][i] = v
+    return mat
+
+
 def space_to_doc(space: FuzzySpace) -> dict:
     pairs = space.pairs
     doc: dict = {
@@ -70,32 +80,16 @@ def space_to_doc(space: FuzzySpace) -> dict:
     }
     n = space.n
     if all(isinstance(f, Standard) for f in pairs) and n > 1:
-        mat = [[0.0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                mat[i][j] = mat[j][i] = space.entry(i, j).d  # type: ignore[union-attr]
+        mat = _symmetric(n, 0.0, [f.d for f in pairs])  # type: ignore[union-attr]
         doc["metric"] = {"kind": "standard", "distances": mat}
-    elif all(isinstance(f, Stationary) for f in pairs):
-        mat = [[1.0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                mat[i][j] = mat[j][i] = space.entry(i, j).c  # type: ignore[union-attr]
+    elif all(is_stationary(f) for f in pairs):
+        mat = _symmetric(n, 1.0, [f.values[0] for f in pairs])  # type: ignore[union-attr]
         doc["metric"] = {"kind": "stationary", "values": mat}
     elif all(is_steplike(f) for f in pairs):
-        rows = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                f = space.entry(i, j)
-                if isinstance(f, Stationary):
-                    f = Step((), (f.c,))
-                rows.append(
-                    {
-                        "i": i,
-                        "j": j,
-                        "breakpoints": list(f.breakpoints),
-                        "values": list(f.values),
-                    }
-                )
+        rows = [
+            {"i": i, "j": j, "breakpoints": list(f.breakpoints), "values": list(f.values)}
+            for (i, j), f in zip(combinations(range(n), 2), pairs)
+        ]
         doc["metric"] = {"kind": "step", "pairs": rows}
     else:
         raise ConstructionError(

@@ -32,7 +32,7 @@ from .space import (
 )
 from .tnorm import TNorm
 from .util import TOL, geq, require_positive, require_unit
-from .valuefn import Standard, Stationary, Step, ValueFn, values, vf_breakpoints
+from .valuefn import Standard, Stationary, Step, ValueFn, is_stationary, values, vf_breakpoints
 
 
 @dataclass
@@ -167,10 +167,14 @@ def check_diameter_floor(
     )
 
 
-def default_ratio_grid(family: SequenceFamily, t: float, count: int = 32) -> tuple[float, ...]:
+#: log-spaced scales in (t, 100t] of the default ratio-condition grid
+_RATIO_SCALES = 32
+
+
+def default_ratio_grid(family: SequenceFamily, t: float) -> tuple[float, ...]:
     """Scales above t where the ratio condition is checked: a log sweep of
     (t, 100t] merged with every step breakpoint above t and a tail point."""
-    vals = set(np.logspace(math.log10(t), math.log10(100.0 * t), count + 1)[1:])
+    vals = set(np.logspace(math.log10(t), math.log10(100.0 * t), _RATIO_SCALES + 1)[1:])
     bps = [b for sp in family.spaces for b in sp.breakpoints() if b > t]
     vals.update(bps)
     if bps:
@@ -483,7 +487,7 @@ def check_stationary_hypotheses(
     if family.norm.has_tn1_known() is not True:
         failures.append(f"t-norm {family.norm.kind!r} lacks the damping property")
     for n, sp in enumerate(family.spaces):
-        if not all(isinstance(f, Stationary) for f in sp.pairs):
+        if not all(is_stationary(f) for f in sp.pairs):
             failures.append(f"space {n} ({sp.name!r}) is not stationary")
     best_c = min(t_diameter(sp, 1.0) for sp in family.spaces)
     if not best_c > 0.0:
@@ -542,7 +546,6 @@ class BridgeReport:
 def standard_bridge_check(
     metrics: Sequence,
     bound: float,
-    cover_n: Optional[Callable[[float], int]] = None,
     t: float = 1.0,
     eps: float = 0.1,
     grid: Optional[GridSpec] = None,
@@ -575,7 +578,7 @@ def standard_bridge_check(
 
     radius = eps * t / (1.0 - eps)
     classical_rows = [metric_cover_number(m.as_array(), radius, exact_limit) for m in mats]
-    n_bound = int(cover_n(radius)) if cover_n is not None else max(classical_rows)
+    n_bound = max(classical_rows)
     cover_rows = []
     nets = []
     translation_ok = True

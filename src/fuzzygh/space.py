@@ -58,7 +58,7 @@ class FuzzySpace:
             raise ConstructionError("wrong number of off-diagonal entries")
         for idx, f in enumerate(self.pairs):
             if not attains_below_one(f):
-                i, j = _unrank_pair(idx, n)
+                i, j = (int(k[idx]) for k in pair_indices(n))
                 raise ConstructionError(
                     f"pair ({self.labels[i]}, {self.labels[j]}) never drops below 1; "
                     "distinct points must be separated"
@@ -129,13 +129,10 @@ class FuzzySpace:
             raise DomainError(f"unknown point label {label!r}") from exc
 
 
-def _unrank_pair(idx: int, n: int) -> tuple[int, int]:
-    for i in range(n):
-        row = n - i - 1
-        if idx < row:
-            return i, i + 1 + idx
-        idx -= row
-    raise IndexError(idx)
+def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the pairs i < j in lexicographic order, as in
+    ``FuzzySpace.pairs`` (``np.triu_indices(n, 1)``, without its overhead)."""
+    return np.nonzero(np.arange(n)[:, None] < np.arange(n))
 
 
 def slices_at(space: FuzzySpace, ts: np.ndarray) -> np.ndarray:
@@ -143,8 +140,7 @@ def slices_at(space: FuzzySpace, ts: np.ndarray) -> np.ndarray:
     vals = values(space.pairs, ts)
     n = space.n
     out = np.ones((len(ts), n, n))
-    # the pairs (i < j) in lexicographic order, as in ``pairs``
-    rows, cols = np.nonzero(np.arange(n)[:, None] < np.arange(n))
+    rows, cols = pair_indices(n)
     out[:, rows, cols] = vals
     out[:, cols, rows] = vals
     return out

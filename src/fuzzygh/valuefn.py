@@ -1,13 +1,14 @@
 """Closed-form left-continuous nondecreasing value functions [0, inf) -> [0, 1].
 
-Three representations cover every construction in the library:
+Two representations cover every construction in the library:
 
 * ``Step``      -- piecewise constant, value v_k on (b_{k-1}, b_k] with b_0 = 0;
-* ``Standard``  -- t / (t + d) for a fixed distance d;
-* ``Stationary``-- constant c for t > 0.
+* ``Standard``  -- t / (t + d) for a fixed distance d.
 
-All three vanish at t = 0 and are exactly evaluable, which keeps axiom checks
-exact on step breakpoints.
+A stationary value function (constant c for t > 0) is a ``Step`` without
+breakpoints; ``Stationary(c)`` builds it, and documents write it with the
+``stationary`` kind.  Both representations vanish at t = 0 and are exactly
+evaluable, which keeps axiom checks exact on step breakpoints.
 """
 
 from __future__ import annotations
@@ -88,29 +89,12 @@ class Standard:
         return 1.0 if s == np.inf else s / (s + self.d)
 
 
-@dataclass(frozen=True)
-class Stationary:
-    """f(t) = c for every t > 0."""
-
-    c: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.c <= 1.0:
-            raise ConstructionError(f"stationary value must lie in [0, 1], got {self.c!r}")
-        object.__setattr__(self, "c", float(self.c))
-
-    def eval(self, t: float) -> float:
-        if t < 0.0:
-            raise DomainError(f"t must be nonnegative, got {t!r}")
-        return 0.0 if t == 0.0 else self.c
-
-    def right_limit(self, s: float) -> float:
-        if s < 0.0:
-            raise DomainError(f"s must be nonnegative, got {s!r}")
-        return self.c
+def Stationary(c: float) -> Step:
+    """f(t) = c for every t > 0: a step without breakpoints."""
+    return Step((), (c,))
 
 
-ValueFn = Union[Step, Standard, Stationary]
+ValueFn = Union[Step, Standard]
 
 #: diagonal entry M(x, x, .): 1 for t > 0, 0 at t = 0
 ONE: ValueFn = Stationary(1.0)
@@ -128,17 +112,18 @@ def vf_breakpoints(f: ValueFn) -> tuple[float, ...]:
 
 
 def is_steplike(f: ValueFn) -> bool:
-    """Step and Stationary functions are piecewise constant, hence exactly combinable."""
-    return isinstance(f, (Step, Stationary))
+    """Step functions are piecewise constant, hence exactly combinable."""
+    return isinstance(f, Step)
+
+
+def is_stationary(f: ValueFn) -> bool:
+    """A step without breakpoints: constant in t > 0."""
+    return isinstance(f, Step) and not f.breakpoints
 
 
 def attains_below_one(f: ValueFn) -> bool:
     """Whether f(t) < 1 for some t > 0 (the separation axiom for off-diagonal pairs)."""
-    if isinstance(f, Step):
-        return f.values[0] < 1.0
-    if isinstance(f, Standard):
-        return f.d > 0.0
-    return f.c < 1.0
+    return f.right_limit(0.0) < 1.0
 
 
 def values(fns: Sequence[ValueFn], ts: np.ndarray) -> np.ndarray:
@@ -150,8 +135,8 @@ def values(fns: Sequence[ValueFn], ts: np.ndarray) -> np.ndarray:
     for idx, f in enumerate(fns):
         if isinstance(f, Standard):
             standard.append(idx)
-        elif isinstance(f, Stationary):
-            vals[:, idx] = f.c
+        elif not f.breakpoints:
+            vals[:, idx] = f.values[0]
         else:
             steps.setdefault(f.breakpoints, []).append(idx)
     if standard:
@@ -170,17 +155,15 @@ def standard_scale(fns: Iterable[ValueFn]) -> float:
 
 
 def _compress_step(pts: list[float], vals: list[float]) -> ValueFn:
-    # drop a breakpoint whenever the value does not change across it; Step and
-    # Stationary check range and monotonicity of every kept value, and a
-    # dropped value equals the kept one before it
+    # drop a breakpoint whenever the value does not change across it; Step
+    # checks range and monotonicity of every kept value, and a dropped value
+    # equals the kept one before it
     keep_b: list[float] = []
     keep_v: list[float] = [vals[0]]
     for b, nxt in zip(pts, vals[1:]):
         if nxt != keep_v[-1]:
             keep_b.append(b)
             keep_v.append(nxt)
-    if not keep_b:
-        return Stationary(keep_v[0])
     return Step(tuple(keep_b), tuple(keep_v))
 
 
@@ -201,15 +184,12 @@ def vf_min(fns: Sequence[ValueFn], grid: Sequence[float] = ()) -> ValueFn:
     bps: set[float] = set()
     for f in fns:
         bps.update(vf_breakpoints(f))
-    if all(is_steplike(f) for f in fns):
+    if not all(is_steplike(f) for f in fns):
+        bps.update(float(g) for g in grid if g > 0.0)
         if not bps:
-            return Stationary(min(f.c for f in fns))  # type: ignore[union-attr]
-        pts = sorted(bps)
-        vals = [min(f.eval(s) for f in fns) for s in pts]
-        return _compress_step(pts, vals + [min(f.right_limit(pts[-1]) for f in fns)])
-    pts = sorted(bps.union(float(g) for g in grid if g > 0.0))
-    if not pts:
-        raise DomainError("vf_min of mixed representations needs a sampling grid")
+            raise DomainError("vf_min of mixed representations needs a sampling grid")
     # the step lower envelope: on (a, b] the infimum of a left-continuous
-    # nondecreasing function is its right limit at a
+    # nondecreasing function is its right limit at a; for steps alone it is
+    # exact, since a step's value on (b_{k-1}, b_k] is its right limit at b_{k-1}
+    pts = sorted(bps)
     return _compress_step(pts, [min(f.right_limit(s) for f in fns) for s in [0.0, *pts]])

@@ -773,3 +773,19 @@ def is_isometric_loop(a, b, grid=None, tol: float = 1e-12):
 
     res = extend([], set())
     return tuple(res) if res is not None else None
+
+
+def vf_min_steps_loop(fns):
+    """Pointwise minimum of step functions read off by ``eval`` at the merged
+    breakpoints (each value holds on the interval ending there), plus the
+    right limit after the last one."""
+    from fuzzygh.valuefn import Stationary, _compress_step, vf_breakpoints
+
+    bps: set[float] = set()
+    for f in fns:
+        bps.update(vf_breakpoints(f))
+    if not bps:
+        return Stationary(min(f.values[0] for f in fns))
+    pts = sorted(bps)
+    vals = [min(f.eval(s) for f in fns) for s in pts]
+    return _compress_step(pts, vals + [min(f.right_limit(pts[-1]) for f in fns)])

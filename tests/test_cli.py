@@ -114,6 +114,23 @@ def test_glue_envelope(capsys, half):
     assert doc["axioms"]["passed"]
 
 
+@pytest.mark.parametrize("verb", ["glue", "mdelta"])
+def test_conflicting_floor_flags_exit_two(capsys, half, tmp_path, verb):
+    floor_doc = tmp_path / "floor.json"
+    floor_doc.write_text(json.dumps({"kind": "stationary", "c": 0.3}), encoding="utf-8")
+    base = [verb, "--left", half, "--right", half]
+    if verb == "mdelta":
+        base += ["--t", "1.0", "--eps", "0.1"]
+    flags = (["--floor", str(floor_doc)], ["--floor-zero"], ["--floor-envelope"])
+    for flag in flags:
+        assert main([*base, *flag]) != 2
+        capsys.readouterr()
+    for k, first in enumerate(flags):
+        for second in flags[k + 1 :]:
+            assert main([*base, *first, *second]) == 2
+            assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_mdelta(capsys, half):
     code, doc = run(
         capsys, "mdelta", "--left", half, "--right", half, "--t", "1.0", "--eps", "0.1"

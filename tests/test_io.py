@@ -34,6 +34,46 @@ def test_valuefn_roundtrip():
         assert valuefn_from_doc(valuefn_to_doc(f)) == f
 
 
+def test_stationary_docs_round_trip_byte_identically():
+    doc = {"kind": "stationary", "c": 0.25}
+    text = dumps_report(doc)
+    assert dumps_report(valuefn_to_doc(valuefn_from_doc(json.loads(text)))) == text
+    space_doc = {
+        "name": "stat3",
+        "points": ["a", "b", "c"],
+        "tnorm": "product",
+        "metric": {"kind": "stationary", "values": [[1.0, 0.5, 0.7], [0.5, 1.0, 0.6], [0.7, 0.6, 1.0]]},
+    }
+    text = dumps_report(space_doc)
+    assert dumps_report(space_to_doc(space_from_doc(json.loads(text)))) == text
+
+
+def test_breakpoint_less_step_docs_are_written_as_stationary():
+    f = valuefn_from_doc({"kind": "step", "breakpoints": [], "values": [0.4]})
+    assert f == Stationary(0.4)
+    assert valuefn_to_doc(f) == {"kind": "stationary", "c": 0.4}
+    doc = {
+        "name": "flat",
+        "points": ["a", "b", "c"],
+        "tnorm": "product",
+        "metric": {
+            "kind": "step",
+            "pairs": [
+                {"i": 0, "j": 1, "breakpoints": [], "values": [0.5]},
+                {"i": 0, "j": 2, "breakpoints": [], "values": [0.7]},
+                {"i": 1, "j": 2, "breakpoints": [], "values": [0.6]},
+            ],
+        },
+    }
+    sp = space_from_doc(doc)
+    out = space_to_doc(sp)
+    assert out["metric"] == {
+        "kind": "stationary",
+        "values": [[1.0, 0.5, 0.7], [0.5, 1.0, 0.6], [0.7, 0.6, 1.0]],
+    }
+    assert space_from_doc(out) == sp
+
+
 def test_valuefn_bad_docs():
     with pytest.raises(ConstructionError):
         valuefn_from_doc({"d": 1.0})

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -23,7 +24,7 @@ from fuzzygh import (
     validate_distance_matrix,
 )
 from fuzzygh import space as space_module
-from fuzzygh.space import certification_grid
+from fuzzygh.space import certification_grid, pair_indices
 from fuzzygh.valuefn import values
 
 from conftest import make_random_standard, make_random_stationary
@@ -427,3 +428,20 @@ def test_validate_distance_matrix_names_first_loop_violation(rng):
     big[2, 9] = big[9, 2] = 0.0
     with pytest.raises(ConstructionError, match="points 2 and 9 must be positive"):
         validate_distance_matrix(big)
+
+
+def test_pair_indices_match_triu_indices():
+    for n in range(9):
+        got, want = pair_indices(n), np.triu_indices(n, 1)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tolist() == b.tolist()
+
+
+def test_unseparated_pair_is_named():
+    labels = ("p0", "p1", "p2", "p3")
+    for idx, (i, j) in enumerate(itertools.combinations(range(4), 2)):
+        for bad in (Standard(0.0), Stationary(1.0), Step((1.0,), (1.0, 1.0))):
+            pairs = [Stationary(0.5)] * 6
+            pairs[idx] = bad
+            with pytest.raises(ConstructionError, match=f"pair \\(p{i}, p{j}\\) never drops below 1"):
+                FuzzySpace("x", labels, TNorm.product(), tuple(pairs))

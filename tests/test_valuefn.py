@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 from fuzzygh import ConstructionError, DomainError, Standard, Stationary, Step, vf_eval
 from fuzzygh.valuefn import ONE, _compress_step, values, vf_min
 
+from oracles import vf_min_steps_loop
+
 
 def test_standard_eval():
     f = Standard(3.0)
@@ -130,3 +132,36 @@ def test_compress_step_rejects_decreasing_and_out_of_range_values():
         _compress_step([1.0], [0.5, 1.5])
     with pytest.raises(ConstructionError):
         _compress_step([1.0, 2.0], [-0.25, -0.25, -0.25])
+
+
+def test_stationary_is_a_step_without_breakpoints():
+    for c in (0.0, 0.3, 1.0):
+        f = Stationary(c)
+        assert f == Step((), (c,))
+        assert repr(f) == f"Step(breakpoints=(), values=({c!r},))"
+        assert (f.eval(0.0), f.eval(2.5), f.right_limit(0.0), f.right_limit(math.inf)) == (0.0, c, c, c)
+    with pytest.raises(ConstructionError, match="outside"):
+        Stationary(1.5)
+
+
+def _random_step(rng, pool):
+    bps = sorted(rng.choice(pool, size=rng.integers(0, len(pool) + 1), replace=False).tolist())
+    # distinct values from a coarse lattice: each step is compressed, and
+    # several steps tie
+    vals = np.sort(rng.choice(5, size=len(bps) + 1, replace=False) / 4.0).tolist()
+    return Step(tuple(bps), tuple(vals))
+
+
+def test_vf_min_of_steps_matches_the_eval_envelope():
+    rng = np.random.default_rng(13)
+    cases = [
+        [Stationary(0.5), Stationary(0.25), Stationary(0.25)],  # all breakpoint-less, tied
+        [Step((1.0, 2.0), (0.2, 0.5, 0.9)), Step((1.0, 2.0), (0.2, 0.6, 0.8))],  # shared, tied
+        [Step((1.0,), (0.5, 1.0)), Stationary(0.5)],  # ties the first value
+    ]
+    for _ in range(300):
+        pool = [0.5, 1.0, 2.0] if rng.uniform() < 0.5 else rng.uniform(0.01, 10.0, size=4)
+        cases.append([_random_step(rng, pool) for _ in range(rng.integers(1, 5))])
+    for fns in cases:
+        got, want = vf_min(fns), vf_min_steps_loop(fns)
+        assert (got.breakpoints, got.values) == (want.breakpoints, want.values)
