@@ -9,6 +9,7 @@ stderr, no timestamps.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -64,7 +65,12 @@ def _emit(report: dict, args, summary: str) -> None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # the reader closed stdout early: point the descriptor at devnull
+            # so the interpreter's final flush stays quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     print(summary, file=sys.stderr)
 
 

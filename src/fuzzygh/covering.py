@@ -16,13 +16,13 @@ import numpy as np
 
 from .errors import DomainError
 from .space import FuzzySpace
-from .util import TOL, require_open_unit, require_positive
+from .util import TOL, Report, require_open_unit, require_positive
 
 DEFAULT_EXACT_LIMIT = 15
 
 
 @dataclass(frozen=True)
-class NetCertificate:
+class NetCertificate(Report):
     """A verified net: per-point coverage witnesses plus a minimality flag."""
 
     t: float
@@ -32,14 +32,7 @@ class NetCertificate:
     minimal: bool
 
     def as_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "eps": self.eps,
-            "indices": list(self.indices),
-            "coverage": list(self.coverage),
-            "minimal": self.minimal,
-            "size": len(self.indices),
-        }
+        return {**super().as_dict(), "size": len(self.indices)}
 
     def verify(self, space: FuzzySpace, tol: float = TOL) -> bool:
         """Re-check coverage independently of the search that produced the net."""
@@ -62,13 +55,9 @@ def is_net(rows, indices: Sequence[int], threshold: float, tol: float = TOL) -> 
 
 
 def _witnesses(cov: np.ndarray, net: Sequence[int]) -> tuple[int, ...]:
-    out = []
-    for x in range(cov.shape[0]):
-        for y in net:
-            if cov[x, y]:
-                out.append(y)
-                break
-    return tuple(out)
+    """The first point of the covering ``net`` whose ball holds each point."""
+    cols = np.asarray(net)
+    return tuple(cols[np.argmax(cov[:, cols], axis=1)].tolist())
 
 
 def _min_cover(cov: np.ndarray, exact_limit: int) -> tuple[tuple[int, ...], bool]:

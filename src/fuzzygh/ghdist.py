@@ -34,7 +34,7 @@ from .gluing import (
 )
 from .grids import GridSpec
 from .space import _CLIQUE_NODE_BUDGET, FuzzySpace, _covering_clique, validate_distance_matrix
-from .util import TOL, require_positive
+from .util import TOL, Report, require_positive
 from .valuefn import ZERO
 
 MAX_CROSS_VARIABLES = 36
@@ -135,7 +135,7 @@ def _lower_bound(
 
 
 @dataclass(frozen=True)
-class UpperBoundResult:
+class UpperBoundResult(Report):
     """The supremum of the single-scale relaxation and a relation attaining it.
 
     ``relation`` is an optimal witness relation W as (p, q) index pairs: every
@@ -148,15 +148,6 @@ class UpperBoundResult:
     variables: int
     nodes: int
     relation: tuple[tuple[int, int], ...]
-
-    def as_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "value": self.value,
-            "variables": self.variables,
-            "nodes": self.nodes,
-            "relation": [list(w) for w in self.relation],
-        }
 
 
 def _kernel(mx: np.ndarray, my: np.ndarray, norm) -> np.ndarray:

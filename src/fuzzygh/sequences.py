@@ -31,7 +31,7 @@ from .space import (
     t_diameters,
 )
 from .tnorm import TNorm
-from .util import TOL, geq, require_positive, require_unit
+from .util import TOL, Report, geq, require_positive, require_unit
 from .valuefn import Standard, Stationary, Step, ValueFn, is_stationary, values, vf_breakpoints
 
 
@@ -117,7 +117,7 @@ def _net_block(sp: FuzzySpace, net: Sequence[int], t: float) -> list[list[float]
 
 
 @dataclass(frozen=True)
-class FloorReport:
+class FloorReport(Report):
     passed: bool
     positive: bool
     below_diameters: bool
@@ -125,13 +125,9 @@ class FloorReport:
     violations: tuple[tuple[int, float, float, float], ...]  # (space, s, floor, diam)
 
     def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "positive": self.positive,
-            "below_diameters": self.below_diameters,
-            "worst_slack": self.worst_slack,
-            "violations": [list(v) for v in self.violations[:20]],
-        }
+        doc = super().as_dict()
+        doc["violations"] = doc["violations"][:20]
+        return doc
 
 
 def check_diameter_floor(
@@ -183,19 +179,16 @@ def default_ratio_grid(family: SequenceFamily, t: float) -> tuple[float, ...]:
 
 
 @dataclass(frozen=True)
-class RatioReport:
+class RatioReport(Report):
     passed: bool
     product_form_passed: Optional[bool]
     worst_margin: float
     witnesses: tuple[tuple[int, int, int, int, float], ...]  # (n, m, i, j, s)
 
     def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "product_form_passed": self.product_form_passed,
-            "worst_margin": self.worst_margin,
-            "witnesses": [list(w) for w in self.witnesses[:20]],
-        }
+        doc = super().as_dict()
+        doc["witnesses"] = doc["witnesses"][:20]
+        return doc
 
 
 def check_ratio_condition(
@@ -271,7 +264,7 @@ def check_ratio_condition(
 
 
 @dataclass(frozen=True)
-class PigeonholeTable:
+class PigeonholeTable(Report):
     """Integer-part matrices of net similarities and their equality groups."""
 
     t: float
@@ -280,16 +273,6 @@ class PigeonholeTable:
     matrices: tuple[tuple[tuple[int, ...], ...], ...]
     groups: tuple[tuple[int, ...], ...]
     selected: tuple[int, ...]
-
-    def as_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "eps": self.eps,
-            "cell_width": self.cell_width,
-            "matrices": [[list(r) for r in m] for m in self.matrices],
-            "groups": [list(g) for g in self.groups],
-            "selected": list(self.selected),
-        }
 
 
 def pigeonhole_subsequence(
@@ -320,13 +303,8 @@ def pigeonhole_subsequence(
     groups = tuple(tuple(g) for g in groups_by_matrix.values())
     selected = min(groups, key=lambda g: (-len(g), g[0]))
     # soundness: equal integer parts bound the similarity gap by the cell width
-    for a_pos in range(len(selected)):
-        for b_pos in range(a_pos + 1, len(selected)):
-            block_a, block_b = blocks[selected[a_pos]], blocks[selected[b_pos]]
-            for row_a, row_b in zip(block_a, block_b):
-                for va, vb in zip(row_a, row_b):
-                    if not abs(va - vb) < width:
-                        raise AssertionError("pigeonhole grouping lost its width guarantee")
+    if not (np.ptp([blocks[n] for n in selected], axis=0) < width).all():
+        raise AssertionError("pigeonhole grouping lost its width guarantee")
     table = PigeonholeTable(
         t=t,
         eps=eps,
@@ -339,7 +317,7 @@ def pigeonhole_subsequence(
 
 
 @dataclass(frozen=True)
-class GroupCertificate:
+class GroupCertificate(Report):
     """Achieved Hausdorff values of the pairwise gluings within a group."""
 
     t: float
@@ -351,16 +329,6 @@ class GroupCertificate:
     @property
     def passed(self) -> bool:
         return not self.failures and all(h > self.threshold for _, _, h in self.h_values)
-
-    def as_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "eps": self.eps,
-            "threshold": self.threshold,
-            "h_values": [list(v) for v in self.h_values],
-            "failures": [list(f) for f in self.failures],
-            "passed": self.passed,
-        }
 
 
 def certify_group(
@@ -450,23 +418,13 @@ def _is_subsequence(sub: Sequence[int], seq: Sequence[int]) -> bool:
 
 
 @dataclass(frozen=True)
-class StationaryReport:
+class StationaryReport(Report):
     passed: bool
     failures: tuple[str, ...]
     floor_value: float
     cover_bound: Optional[int]
     group: tuple[int, ...]
     certificate: Optional[GroupCertificate]
-
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "failures": list(self.failures),
-            "floor_value": self.floor_value,
-            "cover_bound": self.cover_bound,
-            "group": list(self.group),
-            "certificate": self.certificate.as_dict() if self.certificate else None,
-        }
 
 
 def check_stationary_hypotheses(
@@ -518,7 +476,7 @@ def check_stationary_hypotheses(
 
 
 @dataclass(frozen=True)
-class BridgeReport:
+class BridgeReport(Report):
     passed: bool
     floor: FloorReport
     cover_rows: tuple[tuple[int, int, int, int], ...]  # (space, fuzzy, metric, bound)
@@ -528,19 +486,6 @@ class BridgeReport:
     t: float
     eps: float
     radius: float
-
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "floor": self.floor.as_dict(),
-            "cover_rows": [list(r) for r in self.cover_rows],
-            "cover_translation_ok": self.cover_translation_ok,
-            "cover_bound_ok": self.cover_bound_ok,
-            "ratio": self.ratio.as_dict(),
-            "t": self.t,
-            "eps": self.eps,
-            "radius": self.radius,
-        }
 
 
 def standard_bridge_check(
@@ -633,7 +578,7 @@ def gen_no_cauchy_family(count: int) -> SequenceFamily:
 
 
 @dataclass(frozen=True)
-class NoCauchyReport:
+class NoCauchyReport(Report):
     count: int
     t: float
     eps: float
@@ -647,23 +592,6 @@ class NoCauchyReport:
     threshold: float
     self_lower_bound: float
     contradiction_confirmed: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "t": self.t,
-            "eps": self.eps,
-            "even_value": self.even_value,
-            "odd_value": self.odd_value,
-            "damped_requirement": self.damped_requirement,
-            "necessity_inequality_holds": self.necessity_inequality_holds,
-            "net_sizes": list(self.net_sizes),
-            "pair_upper_bounds": [list(p) for p in self.pair_upper_bounds],
-            "max_pair_upper": self.max_pair_upper,
-            "threshold": self.threshold,
-            "self_lower_bound": self.self_lower_bound,
-            "contradiction_confirmed": self.contradiction_confirmed,
-        }
 
 
 def verify_no_cauchy(

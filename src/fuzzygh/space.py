@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ConstructionError, DomainError, SizeLimitError
 from .grids import GridSpec
 from .tnorm import TNorm, tn_check_axioms
-from .util import TOL
+from .util import TOL, Report
 from .valuefn import (
     ONE,
     Standard,
@@ -296,11 +296,11 @@ def make_step_space(
 
 
 @dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(Report):
     """Pass/fail per axiom with the worst triangle residual and its witness.
 
     ``na1_residual`` is the minimum over grid t and ordered triples (i, j, k)
-    of M(i,k,t) - M(i,j,t) * M(j,k,t); nonnegative residual means the
+    of M(i,k,t) - T(M(i,j,t), M(j,k,t)); nonnegative residual means the
     non-Archimedean triangle inequality holds on the grid.
     """
 
@@ -320,19 +320,8 @@ class AxiomReport:
         return self.km1 and self.km2 and self.km3 and self.km5 and self.na1 and self.na2
 
     def as_dict(self) -> dict:
-        return {
-            "km1": self.km1,
-            "km2": self.km2,
-            "km3": self.km3,
-            "km5": self.km5,
-            "na1": self.na1,
-            "na2": self.na2,
-            "na1_residual": self.na1_residual,
-            "witness": list(self.witness) if self.witness is not None else None,
-            "grid_size": len(self.grid),
-            "tol": self.tol,
-            "passed": self.passed,
-        }
+        doc = super().as_dict().items()
+        return {("grid_size" if k == "grid" else k): (len(v) if k == "grid" else v) for k, v in doc}
 
 
 def triangle_residual(V: np.ndarray, norm: TNorm) -> tuple[float, tuple[int, int, int, int]]:

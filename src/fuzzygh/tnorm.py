@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConstructionError, DomainError
-from .util import TOL, require_unit
+from .util import TOL, Report, require_unit
 
 BUILTIN_KINDS = ("minimum", "product", "lukasiewicz")
 
@@ -97,7 +97,7 @@ class TNorm:
 
 
 @dataclass(frozen=True)
-class TNormAxiomReport:
+class TNormAxiomReport(Report):
     """Worst absolute residuals of the defining t-norm properties on a grid."""
 
     commutativity: float
@@ -116,17 +116,6 @@ class TNormAxiomReport:
             and self.monotonicity <= self.tol
             and self.range_violation <= self.tol
         )
-
-    def as_dict(self) -> dict:
-        return {
-            "commutativity": self.commutativity,
-            "associativity": self.associativity,
-            "identity": self.identity,
-            "monotonicity": self.monotonicity,
-            "range_violation": self.range_violation,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
 
 
 def tn_eval(norm: TNorm, a: float, b: float) -> float:

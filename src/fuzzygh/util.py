@@ -1,4 +1,7 @@
-"""Small numeric helpers shared across modules."""
+"""Small numeric helpers and the report serializer shared across modules."""
+
+import math
+from dataclasses import fields
 
 from .errors import DomainError
 
@@ -33,3 +36,26 @@ def require_positive(x: float, name: str) -> float:
     if not x > 0.0:
         raise DomainError(f"{name} must be positive, got {x!r}")
     return float(x)
+
+
+class Report:
+    """Mixin for result dataclasses: ``as_dict`` writes every field in
+    declaration order, then a ``passed`` property where the class defines one.
+
+    Tuples and lists become lists, nested reports write their own ``as_dict``
+    and a float NaN is written as ``None`` (JSON ``null``).
+    """
+
+    def as_dict(self) -> dict:
+        doc = {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+        if isinstance(getattr(type(self), "passed", None), property):
+            doc["passed"] = self.passed
+        return doc
+
+
+def _plain(v):
+    if isinstance(v, Report):
+        return v.as_dict()
+    if isinstance(v, (tuple, list)):
+        return [_plain(x) for x in v]
+    return None if isinstance(v, float) and math.isnan(v) else v

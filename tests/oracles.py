@@ -789,3 +789,161 @@ def vf_min_steps_loop(fns):
     pts = sorted(bps)
     vals = [min(f.eval(s) for f in fns) for s in pts]
     return _compress_step(pts, vals + [min(f.right_limit(pts[-1]) for f in fns)])
+
+
+# ---------------------------------------------------------------------------
+# report serialization: the per-class ``as_dict`` bodies the ``Report`` mixin
+# replaced, kept verbatim except that nested reports go through this oracle
+
+
+def _net_certificate(self) -> dict:
+    return {
+        "t": self.t,
+        "eps": self.eps,
+        "indices": list(self.indices),
+        "coverage": list(self.coverage),
+        "minimal": self.minimal,
+        "size": len(self.indices),
+    }
+
+
+def _axiom_report(self) -> dict:
+    return {
+        "km1": self.km1,
+        "km2": self.km2,
+        "km3": self.km3,
+        "km5": self.km5,
+        "na1": self.na1,
+        "na2": self.na2,
+        "na1_residual": self.na1_residual,
+        "witness": list(self.witness) if self.witness is not None else None,
+        "grid_size": len(self.grid),
+        "tol": self.tol,
+        "passed": self.passed,
+    }
+
+
+def _tnorm_axiom_report(self) -> dict:
+    return {
+        "commutativity": self.commutativity,
+        "associativity": self.associativity,
+        "identity": self.identity,
+        "monotonicity": self.monotonicity,
+        "range_violation": self.range_violation,
+        "tol": self.tol,
+        "passed": self.passed,
+    }
+
+
+def _upper_bound_result(self) -> dict:
+    return {
+        "t": self.t,
+        "value": self.value,
+        "variables": self.variables,
+        "nodes": self.nodes,
+        "relation": [list(w) for w in self.relation],
+    }
+
+
+def _floor_report(self) -> dict:
+    return {
+        "passed": self.passed,
+        "positive": self.positive,
+        "below_diameters": self.below_diameters,
+        "worst_slack": self.worst_slack,
+        "violations": [list(v) for v in self.violations[:20]],
+    }
+
+
+def _ratio_report(self) -> dict:
+    return {
+        "passed": self.passed,
+        "product_form_passed": self.product_form_passed,
+        "worst_margin": self.worst_margin,
+        "witnesses": [list(w) for w in self.witnesses[:20]],
+    }
+
+
+def _pigeonhole_table(self) -> dict:
+    return {
+        "t": self.t,
+        "eps": self.eps,
+        "cell_width": self.cell_width,
+        "matrices": [[list(r) for r in m] for m in self.matrices],
+        "groups": [list(g) for g in self.groups],
+        "selected": list(self.selected),
+    }
+
+
+def _group_certificate(self) -> dict:
+    return {
+        "t": self.t,
+        "eps": self.eps,
+        "threshold": self.threshold,
+        "h_values": [list(v) for v in self.h_values],
+        "failures": [list(f) for f in self.failures],
+        "passed": self.passed,
+    }
+
+
+def _stationary_report(self) -> dict:
+    return {
+        "passed": self.passed,
+        "failures": list(self.failures),
+        "floor_value": self.floor_value,
+        "cover_bound": self.cover_bound,
+        "group": list(self.group),
+        "certificate": report_as_dict(self.certificate) if self.certificate else None,
+    }
+
+
+def _bridge_report(self) -> dict:
+    return {
+        "passed": self.passed,
+        "floor": report_as_dict(self.floor),
+        "cover_rows": [list(r) for r in self.cover_rows],
+        "cover_translation_ok": self.cover_translation_ok,
+        "cover_bound_ok": self.cover_bound_ok,
+        "ratio": report_as_dict(self.ratio),
+        "t": self.t,
+        "eps": self.eps,
+        "radius": self.radius,
+    }
+
+
+def _no_cauchy_report(self) -> dict:
+    return {
+        "count": self.count,
+        "t": self.t,
+        "eps": self.eps,
+        "even_value": self.even_value,
+        "odd_value": self.odd_value,
+        "damped_requirement": self.damped_requirement,
+        "necessity_inequality_holds": self.necessity_inequality_holds,
+        "net_sizes": list(self.net_sizes),
+        "pair_upper_bounds": [list(p) for p in self.pair_upper_bounds],
+        "max_pair_upper": self.max_pair_upper,
+        "threshold": self.threshold,
+        "self_lower_bound": self.self_lower_bound,
+        "contradiction_confirmed": self.contradiction_confirmed,
+    }
+
+
+_AS_DICT = {
+    "NetCertificate": _net_certificate,
+    "AxiomReport": _axiom_report,
+    "TNormAxiomReport": _tnorm_axiom_report,
+    "UpperBoundResult": _upper_bound_result,
+    "FloorReport": _floor_report,
+    "RatioReport": _ratio_report,
+    "PigeonholeTable": _pigeonhole_table,
+    "GroupCertificate": _group_certificate,
+    "StationaryReport": _stationary_report,
+    "BridgeReport": _bridge_report,
+    "NoCauchyReport": _no_cauchy_report,
+}
+
+
+def report_as_dict(report) -> dict:
+    """The hand-written field-by-field dict of a report, keyed by its class name."""
+    return _AS_DICT[type(report).__name__](report)

@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from fuzzygh import TNorm, make_standard_space, make_stationary_space
 from fuzzygh import cli
 from fuzzygh.cli import main
-from fuzzygh.io import save_space
+from fuzzygh.io import save_family, save_space
+from fuzzygh.sequences import SequenceFamily
+from fuzzygh.valuefn import Step
 
 
 @pytest.fixture
@@ -264,3 +270,43 @@ def test_flags_a_verb_does_not_read_exit_two(capsys, half, verb, flag):
     capsys.readouterr()
     assert main([verb, *base, flag, value]) == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_pigeonhole_reports_a_zero_floor_in_full(capsys, tmp_path):
+    # a floor that is 0 below s = 0.01 gives violation rows with no diameter,
+    # written as null: the verb reports the finding instead of crashing
+    line = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+    spaces = tuple(
+        make_standard_space(["a", "b", "c"], [[k * d for d in row] for row in line], TNorm.product())
+        for k in (1, 2, 3)
+    )
+    save_family(SequenceFamily(spaces, floor=Step((0.01,), (0.0, 0.2))), tmp_path / "fam")
+    fam = str(tmp_path / "fam")
+    code, doc = run(capsys, "pigeonhole", "--family", fam, "--t", "1.0", "--eps", "0.1")
+    assert code == 1
+    assert doc["floor"]["positive"] is False
+    zero_rows = [row for row in doc["floor"]["violations"] if row[0] == -1]
+    assert zero_rows and all(row[2] == 0.0 and row[3] is None for row in zero_rows)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_quietly(unbuffered):
+    # the reader closes the pipe before the report is written (the child is
+    # still importing numpy): no traceback, and the verb's own exit code; a
+    # buffered stdout fails only at the interpreter's final flush
+    fixtures = Path(__file__).parent / "golden" / "fixtures"
+    src = str(Path(__file__).parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = path
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [sys.executable, "-m", "fuzzygh.cli", "gh-bounds", "--t", "1.0",
+            "--left", str(fixtures / "half.json"), "--right", str(fixtures / "third.json")]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 0, err
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err.startswith("gh-bounds: ")
