@@ -75,7 +75,7 @@ from .space import (
     validate_distance_matrix,
 )
 from .tnorm import TNorm, tn_check_axioms, tn_eval, tn_has_tn1, tn_leq
-from .valuefn import ONE, ZERO, Standard, Stationary, Step, ValueFn, vf_eval
+from .valuefn import ONE, ZERO, Standard, Stationary, Step, ValueFn
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

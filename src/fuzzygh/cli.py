@@ -9,6 +9,7 @@ stderr, no timestamps.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -23,7 +24,7 @@ from .errors import (
 )
 from .ghdist import gh_fuzzy_bounds
 from .gluing import attempt_net_gluing, floor_envelope, glue_constant, union_hausdorff, validate_union
-from .grids import GridSpec
+from .grids import DEFAULT_SPEC, GridSpec
 from .hausdorff import SubsetRef, hausdorff_conditions, hausdorff_fuzzy
 from .sequences import (
     certify_group,
@@ -75,7 +76,7 @@ def _emit(report: dict, args, summary: str) -> None:
 
 
 def _params(args, **extra) -> dict:
-    out = {"tol": args.tol, "grid": args.grid or "log:1e-3:1e3:64"}
+    out = {"tol": args.tol, "grid": args.grid or DEFAULT_SPEC}
     out.update(extra)
     return out
 
@@ -449,6 +450,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if not 0.0 <= args.tol < math.inf:
+            raise DomainError(f"--tol must be finite and >= 0, got {args.tol!r}")
         return args.fn(args)
     except (ConstructionError, DomainError, SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -456,7 +459,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except HypothesisError as exc:
         print(f"finding: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

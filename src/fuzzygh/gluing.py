@@ -32,12 +32,11 @@ from .space import (
 from .util import TOL, gt_strict, require_open_unit, require_positive, require_unit
 from .valuefn import (
     ONE,
+    Step,
     ValueFn,
-    _compress_step,
     is_steplike,
     standard_scale,
     values,
-    vf_breakpoints,
     vf_min,
 )
 
@@ -71,16 +70,6 @@ class UnionMetric:
 
     def cross_value(self, p: int, q: int, t: float) -> float:
         return self.cross[p][q].eval(t)
-
-    def value(self, i: int, j: int, t: float) -> float:
-        nl = self.n_left
-        if i < nl and j < nl:
-            return self.left.value(i, j, t)
-        if i >= nl and j >= nl:
-            return self.right.value(i - nl, j - nl, t)
-        if i < nl:
-            return self.cross[i][j - nl].eval(t)
-        return self.cross[j][i - nl].eval(t)
 
     def as_space(self) -> FuzzySpace:
         labels = (*(f"L.{l}" for l in self.left.labels), *(f"R.{l}" for l in self.right.labels))
@@ -172,7 +161,7 @@ def glue_constant(
     """
     if x.norm.kind != y.norm.kind:
         raise DomainError("both spaces must share the t-norm kind")
-    g = certification_grid(grid, x, y, extra=vf_breakpoints(c))
+    g = certification_grid(grid, x, y, extra=c.breakpoints)
     _check_floor(x, y, c, g, tol)
     cross = tuple(tuple(c for _ in range(y.n)) for _ in range(x.n))
     return _validated(UnionMetric(x, y, cross), g, tol, "constant")
@@ -223,7 +212,7 @@ def persistence_delta(
     if not holds(t):
         raise HypothesisError("(a)/(b)", where=t, detail="mutual bounds fail at t")
 
-    bps = sorted(set(vf_breakpoints(fX)) | set(vf_breakpoints(fY)))
+    bps = sorted(set(fX.breakpoints) | set(fY.breakpoints))
     if is_steplike(fX) and is_steplike(fY):
         below = [b for b in bps if b < t]
         if not below:
@@ -393,6 +382,12 @@ def _right_limits(space: FuzzySpace, s: float) -> np.ndarray:
     return out
 
 
+def _step_cross(points: Sequence[float], samples: np.ndarray) -> tuple[tuple[ValueFn, ...], ...]:
+    """Cross matrix of steps from (S+1, n_x, n_y) samples: entry (p, q) holds
+    samples[k, p, q] on (points[k-1], points[k]], then samples[S, p, q]."""
+    return tuple(tuple(Step(points, v) for v in row) for row in samples.transpose(1, 2, 0).tolist())
+
+
 # ---------------------------------------------------------------------------
 # the matched-net gluing
 
@@ -406,7 +401,7 @@ def _cross_points(
     t: float,
 ) -> list[float]:
     exact = x.all_steplike() and y.all_steplike() and is_steplike(floor)
-    pts: set[float] = set(x.breakpoints()) | set(y.breakpoints()) | set(vf_breakpoints(floor))
+    pts: set[float] = set(x.breakpoints()) | set(y.breakpoints()) | set(floor.breakpoints)
     pts.add(t)
     if splice > 0.0:
         pts.add(splice)
@@ -469,10 +464,7 @@ def _net_cross(
     if low:
         c = values([floor], s[:low])[:, 0]
         vals[:low] = norm.array(norm.array(c, c), one_minus)[:, None, None]
-    vals = vals.transpose(1, 2, 0)
-    return tuple(
-        tuple(_compress_step(pts, vals[p, q].tolist()) for q in range(y.n)) for p in range(x.n)
-    )
+    return _step_cross(pts, vals)
 
 
 def glue_via_nets(
@@ -502,7 +494,7 @@ def glue_via_nets(
     require_positive(t, "t")
     if not 0.0 < delta <= t:
         raise DomainError(f"delta must lie in (0, t], got {delta!r}")
-    g = certification_grid(grid, x, y, extra=(t, t - delta, *vf_breakpoints(floor)))
+    g = certification_grid(grid, x, y, extra=(t, t - delta, *floor.breakpoints))
 
     _check_floor(x, y, floor, g, tol)
     if not nets.left_net_eps:
@@ -615,8 +607,7 @@ def glue_via_relation(
     kern = closure.reshape(len(closure), 1, -1)
     gamma = np.minimum.accumulate(_witness_thresholds(kern, *caps, x.norm)[::-1, 0, 0])[::-1]
     gamma[: g.values.index(s0) + 1] = 0.0
-    vals = x.norm.array(closure, gamma[:, None, None]).transpose(1, 2, 0).tolist()
-    cross = tuple(tuple(_compress_step(list(g.values), v) for v in row) for row in vals)
+    cross = _step_cross(g.values, x.norm.array(closure, gamma[:, None, None]))
     return _validated(UnionMetric(x, y, cross), g, tol, "witness-relation")
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -9,14 +10,13 @@ import numpy as np
 
 from .errors import DomainError
 
-DEFAULT_LOG_LO = 1e-3
-DEFAULT_LOG_HI = 1e3
-DEFAULT_LOG_COUNT = 64
+#: the working grid of every check that is given none: 64 log-spaced points on [1e-3, 1e3]
+DEFAULT_SPEC = "log:1e-3:1e3:64"
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Sorted positive t-values."""
+    """Sorted positive finite t-values."""
 
     values: tuple[float, ...]
 
@@ -28,17 +28,19 @@ class GridSpec:
             if not v > prev:
                 raise DomainError("grid values must be strictly increasing and positive")
             prev = v
+        if not prev < math.inf:
+            raise DomainError("grid values must be finite")
 
     @classmethod
     def log(cls, lo: float, hi: float, count: int) -> "GridSpec":
-        if not (0 < lo < hi) or count < 2:
-            raise DomainError("log grid requires 0 < lo < hi and count >= 2")
+        if not (0 < lo < hi < math.inf) or count < 2:
+            raise DomainError("log grid requires 0 < lo < hi < inf and count >= 2")
         vals = np.logspace(np.log10(lo), np.log10(hi), count)
         return cls(tuple(float(v) for v in vals))
 
     @classmethod
     def default(cls) -> "GridSpec":
-        """The shared 64-point log grid on [1e-3, 1e3], built once at import."""
+        """The grid of ``DEFAULT_SPEC``, built once at import."""
         return _DEFAULT_GRID
 
     @classmethod
@@ -49,10 +51,12 @@ class GridSpec:
     def parse(cls, text: str) -> "GridSpec":
         """Parse a CLI grid string: ``log:<lo>:<hi>:<count>`` or comma-separated values."""
         if text.startswith("log:"):
-            parts = text.split(":")
-            if len(parts) != 4:
-                raise DomainError(f"bad grid spec {text!r}; expected log:<lo>:<hi>:<count>")
-            return cls.log(float(parts[1]), float(parts[2]), int(parts[3]))
+            try:
+                _, lo, hi, count = text.split(":")
+                bounds = float(lo), float(hi), int(count)
+            except ValueError as exc:
+                raise DomainError(f"bad grid spec {text!r}; expected log:<lo>:<hi>:<count>") from exc
+            return cls.log(*bounds)
         try:
             values = [float(v) for v in text.split(",") if v.strip()]
         except ValueError as exc:
@@ -82,4 +86,4 @@ class GridSpec:
         return len(self.values)
 
 
-_DEFAULT_GRID = GridSpec.log(DEFAULT_LOG_LO, DEFAULT_LOG_HI, DEFAULT_LOG_COUNT)
+_DEFAULT_GRID = GridSpec.parse(DEFAULT_SPEC)

@@ -53,12 +53,14 @@ def valuefn_from_doc(doc: dict) -> ValueFn:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ConstructionError("value-function document needs a 'kind' field")
     kind = doc["kind"]
+    where = f"{kind} value function"
     if kind == "step":
-        return Step(tuple(doc["breakpoints"]), tuple(doc["values"]))
+        bps, vals = _require(doc, "breakpoints", where), _require(doc, "values", where)
+        return Step(tuple(bps), tuple(vals))
     if kind == "standard":
-        return Standard(float(doc["d"]))
+        return Standard(float(_require(doc, "d", where)))
     if kind == "stationary":
-        return Stationary(float(doc["c"]))
+        return Stationary(float(_require(doc, "c", where)))
     raise ConstructionError(f"unknown value-function kind {kind!r}")
 
 
@@ -99,13 +101,15 @@ def space_to_doc(space: FuzzySpace) -> dict:
 
 
 def _require(doc: dict, field: str, where: str):
+    if not isinstance(doc, dict):
+        raise ConstructionError(f"{where}: expected a JSON object, got {type(doc).__name__}")
     if field not in doc:
         raise ConstructionError(f"{where}: missing field {field!r}")
     return doc[field]
 
 
 def space_from_doc(doc: dict) -> FuzzySpace:
-    where = f"space {doc.get('name', '?')!r}"
+    where = f"space {doc.get('name', '?')!r}" if isinstance(doc, dict) else "space"
     labels = [str(l) for l in _require(doc, "points", where)]
     norm = tnorm_from_str(_require(doc, "tnorm", where))
     metric = _require(doc, "metric", where)
@@ -165,6 +169,10 @@ def load_json(path: Union[str, Path]) -> dict:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConstructionError(f"{path}: invalid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConstructionError(f"{path}: not UTF-8 text: {exc}") from exc
+    except OSError as exc:
+        raise ConstructionError(str(exc)) from exc
 
 
 def load_space(path: Union[str, Path]) -> FuzzySpace:

@@ -32,7 +32,7 @@ from .space import (
 )
 from .tnorm import TNorm
 from .util import TOL, Report, geq, require_positive, require_unit
-from .valuefn import Standard, Stationary, Step, ValueFn, is_stationary, values, vf_breakpoints
+from .valuefn import Standard, Stationary, Step, ValueFn, is_stationary, values
 
 
 @dataclass
@@ -139,7 +139,7 @@ def check_diameter_floor(
     if family.floor is None:
         raise DomainError("family has no floor function registered")
     c = family.floor
-    g = certification_grid(grid, *family.spaces, extra=vf_breakpoints(c))
+    g = certification_grid(grid, *family.spaces, extra=c.breakpoints)
     floor = values([c], g.array())[:, 0]
     # diam[k, n]: t-diameter of space n at grid point k
     diam = np.stack([t_diameters(sp, g) for sp in family.spaces], axis=1)
@@ -458,7 +458,7 @@ def check_stationary_hypotheses(
     nets = [find_net(sp, 1.0, eps, exact_limit=exact_limit, tol=tol).indices for sp in family.spaces]
     cover_bound = max(len(net) for net in nets)
     pipeline = SequenceFamily(family.spaces, floor=Stationary(best_c))
-    register_nets(pipeline, 1.0, eps, indices=nets, exact_limit=exact_limit, tol=tol)
+    register_nets(pipeline, 1.0, eps, indices=nets, tol=tol)
     _, group = pigeonhole_subsequence(pipeline, 1.0, eps)
     cert = certify_group(pipeline, group, 1.0, eps, tol=tol)
     return StationaryReport(
@@ -537,7 +537,7 @@ def standard_bridge_check(
         if fuzzy > n_bound:
             bound_ok = False
 
-    register_nets(family, t, eps, indices=nets, exact_limit=exact_limit, tol=tol)
+    register_nets(family, t, eps, indices=nets, tol=tol)
     ratio_report = check_ratio_condition(family, t, eps, tol=tol)
 
     report = BridgeReport(

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ConstructionError, DomainError, SizeLimitError
 from .grids import GridSpec
 from .tnorm import TNorm, tn_check_axioms
-from .util import TOL, Report
+from .util import TOL, Report, require_positive
 from .valuefn import (
     ONE,
     Standard,
@@ -26,7 +26,6 @@ from .valuefn import (
     attains_below_one,
     is_steplike,
     values,
-    vf_breakpoints,
     vf_min,
 )
 
@@ -107,10 +106,7 @@ class FuzzySpace:
         return slices_at(self, grid.array())
 
     def breakpoints(self) -> tuple[float, ...]:
-        out: set[float] = set()
-        for f in self.pairs:
-            out.update(vf_breakpoints(f))
-        return tuple(sorted(out))
+        return tuple(sorted(set().union(*(f.breakpoints for f in self.pairs))))
 
     def all_steplike(self) -> bool:
         return all(is_steplike(f) for f in self.pairs)
@@ -399,8 +395,7 @@ def check_axioms(space: FuzzySpace, grid: Optional[GridSpec] = None, tol: float 
 
 def t_diameter(space: FuzzySpace, t: float) -> float:
     """Minimum pair value at scale t; 1 for a single point."""
-    if not t > 0.0:
-        raise DomainError(f"t must be positive, got {t!r}")
+    require_positive(t, "t")
     if space.n == 1:
         return 1.0
     return min(f.eval(t) for f in space.pairs)

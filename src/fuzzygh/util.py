@@ -33,8 +33,8 @@ def require_open_unit(x: float, name: str) -> float:
 
 
 def require_positive(x: float, name: str) -> float:
-    if not x > 0.0:
-        raise DomainError(f"{name} must be positive, got {x!r}")
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"{name} must be positive and finite, got {x!r}")
     return float(x)
 
 

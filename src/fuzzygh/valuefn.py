@@ -15,7 +15,10 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from itertools import compress
+from math import inf
+from operator import lt, ne
+from typing import ClassVar, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -24,30 +27,41 @@ from .errors import ConstructionError, DomainError
 
 @dataclass(frozen=True)
 class Step:
-    """Left-continuous step function: f(t) = values[k] for t in (b_{k-1}, b_k]."""
+    """Left-continuous step function: f(t) = values[k] for t in (b_{k-1}, b_k].
+
+    Stored canonically: a breakpoint across which the value does not change
+    is dropped, so equal functions compare equal.
+    """
 
     breakpoints: tuple[float, ...]
     values: tuple[float, ...]
 
     def __post_init__(self):
-        bps = tuple(float(b) for b in self.breakpoints)
-        vals = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "breakpoints", bps)
-        object.__setattr__(self, "values", vals)
+        bps = tuple(map(float, self.breakpoints))
+        vals = tuple(map(float, self.values))
         if len(vals) != len(bps) + 1:
             raise ConstructionError("step needs exactly len(breakpoints)+1 values")
-        prev = 0.0
-        for b in bps:
-            if not b > prev:
-                raise ConstructionError("breakpoints must be strictly increasing and positive")
-            prev = b
-        last = -1.0
-        for v in vals:
-            if not 0.0 <= v <= 1.0:
-                raise ConstructionError(f"step value {v!r} outside [0, 1]")
-            if v < last:
-                raise ConstructionError("step values must be nondecreasing")
-            last = v
+        if bps and not (bps[0] > 0.0 and all(map(lt, bps, bps[1:]))):
+            raise ConstructionError("breakpoints must be strictly increasing and positive")
+        if bps and not bps[-1] < inf:
+            raise ConstructionError("breakpoints must be finite")
+        tail = vals[1:]
+        in_range = 0.0 <= vals[0] and vals[-1] <= 1.0
+        if not (in_range and all(map(lt, vals, tail))):
+            # the canonical form drops each breakpoint across which the value
+            # stays; its values rise strictly iff all values are nondecreasing
+            changes = tuple(map(ne, vals, tail))
+            kept = (vals[0], *compress(tail, changes))
+            if not (in_range and all(map(lt, kept, kept[1:]))):
+                # the first bad value in order, out of range before decreasing
+                for prev, v in zip((0.0, *vals), vals):
+                    if not 0.0 <= v <= 1.0:
+                        raise ConstructionError(f"step value {v!r} outside [0, 1]")
+                    if v < prev:
+                        raise ConstructionError("step values must be nondecreasing")
+            bps, vals = tuple(compress(bps, changes)), kept
+        object.__setattr__(self, "breakpoints", bps)
+        object.__setattr__(self, "values", vals)
 
     def eval(self, t: float) -> float:
         if t < 0.0:
@@ -68,6 +82,8 @@ class Standard:
     """f(t) = t / (t + d); the fuzzy value induced by a classical distance d."""
 
     d: float
+    #: no jumps; a class attribute, not a field
+    breakpoints: ClassVar[tuple[float, ...]] = ()
 
     def __post_init__(self):
         if not 0.0 <= self.d < np.inf:
@@ -100,15 +116,6 @@ ValueFn = Union[Step, Standard]
 ONE: ValueFn = Stationary(1.0)
 #: the always-admissible zero cross floor
 ZERO: ValueFn = Stationary(0.0)
-
-
-def vf_eval(f: ValueFn, t: float) -> float:
-    """Exact evaluation per the representation semantics."""
-    return f.eval(t)
-
-
-def vf_breakpoints(f: ValueFn) -> tuple[float, ...]:
-    return f.breakpoints if isinstance(f, Step) else ()
 
 
 def is_steplike(f: ValueFn) -> bool:
@@ -154,19 +161,6 @@ def standard_scale(fns: Iterable[ValueFn]) -> float:
     return max((f.d for f in fns if isinstance(f, Standard)), default=1.0)
 
 
-def _compress_step(pts: list[float], vals: list[float]) -> ValueFn:
-    # drop a breakpoint whenever the value does not change across it; Step
-    # checks range and monotonicity of every kept value, and a dropped value
-    # equals the kept one before it
-    keep_b: list[float] = []
-    keep_v: list[float] = [vals[0]]
-    for b, nxt in zip(pts, vals[1:]):
-        if nxt != keep_v[-1]:
-            keep_b.append(b)
-            keep_v.append(nxt)
-    return Step(tuple(keep_b), tuple(keep_v))
-
-
 def vf_min(fns: Sequence[ValueFn], grid: Sequence[float] = ()) -> ValueFn:
     """Pointwise minimum of value functions, exact whenever representable.
 
@@ -181,9 +175,7 @@ def vf_min(fns: Sequence[ValueFn], grid: Sequence[float] = ()) -> ValueFn:
         return fns[0]
     if all(isinstance(f, Standard) for f in fns):
         return Standard(max(f.d for f in fns))
-    bps: set[float] = set()
-    for f in fns:
-        bps.update(vf_breakpoints(f))
+    bps: set[float] = set().union(*(f.breakpoints for f in fns))
     if not all(is_steplike(f) for f in fns):
         bps.update(float(g) for g in grid if g > 0.0)
         if not bps:
@@ -192,4 +184,4 @@ def vf_min(fns: Sequence[ValueFn], grid: Sequence[float] = ()) -> ValueFn:
     # nondecreasing function is its right limit at a; for steps alone it is
     # exact, since a step's value on (b_{k-1}, b_k] is its right limit at b_{k-1}
     pts = sorted(bps)
-    return _compress_step(pts, [min(f.right_limit(s) for f in fns) for s in [0.0, *pts]])
+    return Step(pts, [min(f.right_limit(s) for f in fns) for s in [0.0, *pts]])

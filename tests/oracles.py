@@ -121,10 +121,9 @@ def diameter_floor_loop(family, grid=None, tol: float = 1e-12):
     """check_diameter_floor by a scalar t-diameter per (grid point, space)."""
     from fuzzygh.sequences import FloorReport
     from fuzzygh.space import certification_grid, t_diameter
-    from fuzzygh.valuefn import vf_breakpoints
 
     c = family.floor
-    g = certification_grid(grid, *family.spaces, extra=vf_breakpoints(c))
+    g = certification_grid(grid, *family.spaces, extra=c.breakpoints)
     positive = True
     below = True
     worst = np.inf
@@ -286,7 +285,7 @@ def persistence_delta_loop(x, y, px: int, px2: int, py: int, py2: int, t: float,
     """persistence_delta with one scalar test of both bounds per sample."""
     from fuzzygh.errors import DomainError, HypothesisError
     from fuzzygh.util import geq, require_positive, require_unit
-    from fuzzygh.valuefn import is_steplike, vf_breakpoints
+    from fuzzygh.valuefn import is_steplike
 
     require_positive(t, "t")
     require_unit(eps, "eps")
@@ -305,7 +304,7 @@ def persistence_delta_loop(x, y, px: int, px2: int, py: int, py2: int, t: float,
     if not conds_at(t):
         raise HypothesisError("(a)/(b)", where=t, detail="mutual bounds fail at t")
 
-    bps = sorted(set(vf_breakpoints(fX)) | set(vf_breakpoints(fY)))
+    bps = sorted(set(fX.breakpoints) | set(fY.breakpoints))
     if is_steplike(fX) and is_steplike(fY):
         below = [b for b in bps if b < t]
         if not below:
@@ -775,20 +774,37 @@ def is_isometric_loop(a, b, grid=None, tol: float = 1e-12):
     return tuple(res) if res is not None else None
 
 
+def compress_step_loop(pts, vals):
+    """The step with values vals on the intervals ending at pts, built by
+    dropping each breakpoint across which the value does not change."""
+    from fuzzygh.valuefn import Step
+
+    # drop a breakpoint whenever the value does not change across it; Step
+    # checks range and monotonicity of every kept value, and a dropped value
+    # equals the kept one before it
+    keep_b: list[float] = []
+    keep_v: list[float] = [vals[0]]
+    for b, nxt in zip(pts, vals[1:]):
+        if nxt != keep_v[-1]:
+            keep_b.append(b)
+            keep_v.append(nxt)
+    return Step(tuple(keep_b), tuple(keep_v))
+
+
 def vf_min_steps_loop(fns):
     """Pointwise minimum of step functions read off by ``eval`` at the merged
     breakpoints (each value holds on the interval ending there), plus the
     right limit after the last one."""
-    from fuzzygh.valuefn import Stationary, _compress_step, vf_breakpoints
+    from fuzzygh.valuefn import Stationary
 
     bps: set[float] = set()
     for f in fns:
-        bps.update(vf_breakpoints(f))
+        bps.update(f.breakpoints)
     if not bps:
         return Stationary(min(f.values[0] for f in fns))
     pts = sorted(bps)
     vals = [min(f.eval(s) for f in fns) for s in pts]
-    return _compress_step(pts, vals + [min(f.right_limit(pts[-1]) for f in fns)])
+    return compress_step_loop(pts, vals + [min(f.right_limit(pts[-1]) for f in fns)])
 
 
 # ---------------------------------------------------------------------------

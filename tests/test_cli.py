@@ -310,3 +310,49 @@ def test_closed_stdout_exits_quietly(unbuffered):
     assert proc.wait() == 0, err
     assert "Traceback" not in err and "Exception ignored" not in err
     assert err.startswith("gh-bounds: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--space", "{std3}", "--grid", "log:a:b:c"],
+        ["check", "--space", "{std3}", "--grid", "log:1:10:2.5"],
+        ["check", "--space", "{std3}", "--grid", "1,inf"],
+        ["check", "--space", "{std3}", "--grid", "log:1:inf:4"],
+        ["gh-bounds", "--left", "{half}", "--right", "{half}", "--t", "inf"],
+        ["hausdorff", "--space", "{std3}", "--a", "a", "--b", "c", "--t", "inf"],
+        ["diam", "--space", "{std3}", "--t", "inf"],
+        ["glue", "--left", "{half}", "--right", "{half}", "--t", "inf"],
+        ["net", "--space", "{half}", "--t", "1.0", "--eps", "0.1", "--tol", "nan"],
+        ["net", "--space", "{half}", "--t", "1.0", "--eps", "0.1", "--tol=-1e-9"],
+        ["check", "--space", "{list_doc}"],
+        ["check", "--space", "{binary}"],
+        ["check", "--space", "{directory}"],
+        ["glue", "--left", "{half}", "--right", "{half}", "--floor", "{no_values}"],
+        ["pigeonhole", "--family", "{list_family}", "--t", "1.0", "--eps", "0.1"],
+        ["check", "--space", "{std3}", "--out", "{directory}"],
+    ],
+    ids=" ".join,
+)
+def test_malformed_input_exits_two(capsys, tmp_path, std3, half, argv):
+    # each is a usage or document error: one "error:" line, no traceback
+    (tmp_path / "list.json").write_text("[1, 2]", encoding="utf-8")
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe{}")
+    no_values = '{"kind": "step", "breakpoints": [1.0]}'
+    (tmp_path / "no_values.json").write_text(no_values, encoding="utf-8")
+    (tmp_path / "fam").mkdir()
+    (tmp_path / "fam" / "family.json").write_text('["space_000.json"]', encoding="utf-8")
+    paths = {
+        "std3": std3,
+        "half": half,
+        "list_doc": str(tmp_path / "list.json"),
+        "binary": str(tmp_path / "binary.json"),
+        "directory": str(tmp_path),
+        "no_values": str(tmp_path / "no_values.json"),
+        "list_family": str(tmp_path / "fam"),
+    }
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1

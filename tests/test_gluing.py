@@ -31,7 +31,6 @@ from fuzzygh import (
 
 from fuzzygh.gluing import _check_mutual_bounds, _cross_points, _net_cross
 from fuzzygh.space import certification_grid
-from fuzzygh.valuefn import vf_breakpoints
 
 from conftest import make_random_standard, make_random_stationary
 from oracles import (
@@ -331,7 +330,7 @@ def glue_inputs(rng, norm, kinds, eps, t=1.0, delta=0.5):
     y = random_space(rng, kinds[1], norm, 4)
     nets = match_nets(x, y, t, eps, (0, 2, 1), (3, 0, 0))
     floor = Stationary(0.3) if rng.uniform() < 0.5 else floor_envelope(x, y)
-    g = certification_grid(None, x, y, extra=(t, t - delta, *vf_breakpoints(floor)))
+    g = certification_grid(None, x, y, extra=(t, t - delta, *floor.breakpoints))
     return x, y, nets, floor, g
 
 
@@ -427,7 +426,7 @@ def test_glue_via_nets_cross_matches_closures(rng, norm, kind):
     nets = match_nets(x, x, t, eps, range(4), range(4))
     floor = floor_envelope(x, x)
     u = glue_via_nets(x, x, nets, delta, floor)
-    g = certification_grid(None, x, x, extra=(t, t - delta, *vf_breakpoints(floor)))
+    g = certification_grid(None, x, x, extra=(t, t - delta, *floor.breakpoints))
     points = _cross_points(x, x, floor, g, t - delta, t)
     assert repr(u.cross) == repr(net_cross_closures(x, x, nets, floor, t - delta, points))
 

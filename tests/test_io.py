@@ -74,6 +74,24 @@ def test_breakpoint_less_step_docs_are_written_as_stationary():
     assert space_from_doc(out) == sp
 
 
+def test_step_docs_with_constant_values_are_written_as_stationary():
+    # a step drops the breakpoints across which its value does not change
+    f = valuefn_from_doc({"kind": "step", "breakpoints": [1.0, 2.0], "values": [0.4, 0.4, 0.4]})
+    assert f == Stationary(0.4)
+    assert valuefn_to_doc(f) == {"kind": "stationary", "c": 0.4}
+    g = valuefn_from_doc({"kind": "step", "breakpoints": [1.0, 2.0], "values": [0.4, 0.4, 0.9]})
+    assert valuefn_to_doc(g) == {"kind": "step", "breakpoints": [2.0], "values": [0.4, 0.9]}
+
+
+def test_unreadable_files_are_document_errors(tmp_path):
+    (tmp_path / "list.json").write_text("[1, 2]", encoding="utf-8")
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe{}")
+    cases = [("list.json", "expected a JSON object"), ("binary.json", "binary.json: not UTF-8")]
+    for name, match in [*cases, ("", "Is a directory")]:
+        with pytest.raises(ConstructionError, match=match):
+            load_space(tmp_path / name)
+
+
 def test_valuefn_bad_docs():
     with pytest.raises(ConstructionError):
         valuefn_from_doc({"d": 1.0})

@@ -1,38 +1,39 @@
+import bisect
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fuzzygh import ConstructionError, DomainError, Standard, Stationary, Step, vf_eval
-from fuzzygh.valuefn import ONE, _compress_step, values, vf_min
+from fuzzygh import ConstructionError, DomainError, Standard, Stationary, Step
+from fuzzygh.valuefn import ONE, values, vf_min
 
-from oracles import vf_min_steps_loop
+from oracles import compress_step_loop, vf_min_steps_loop
 
 
 def test_standard_eval():
     f = Standard(3.0)
-    assert vf_eval(f, 1.0) == 0.25
-    assert vf_eval(f, 0.0) == 0.0
+    assert f.eval(1.0) == 0.25
+    assert f.eval(0.0) == 0.0
 
 
 def test_step_right_closed_intervals():
     f = Step((2.0,), (0.5, 1.0))
-    assert vf_eval(f, 2.0) == 0.5  # value at the breakpoint comes from the left
-    assert vf_eval(f, 2.0000001) == 1.0
-    assert vf_eval(f, 0.5) == 0.5
-    assert vf_eval(f, 0.0) == 0.0
+    assert f.eval(2.0) == 0.5  # value at the breakpoint comes from the left
+    assert f.eval(2.0000001) == 1.0
+    assert f.eval(0.5) == 0.5
+    assert f.eval(0.0) == 0.0
 
 
 def test_stationary_eval():
     f = Stationary(0.5)
-    assert vf_eval(f, 10.0) == 0.5
-    assert vf_eval(f, 0.0) == 0.0
+    assert f.eval(10.0) == 0.5
+    assert f.eval(0.0) == 0.0
 
 
 def test_negative_t_rejected():
     with pytest.raises(DomainError):
-        vf_eval(Standard(1.0), -0.1)
+        Standard(1.0).eval(-0.1)
 
 
 def test_step_validation():
@@ -80,9 +81,9 @@ def test_vf_min_and_compress_step_reproduce_steps():
     f = Step((1.0, 3.0), (0.2, 0.5, 1.0))
     assert vf_min([f, f]) == f
     assert vf_min([f, ONE]) == f
-    # compression drops silent breakpoints
+    # a step drops its silent breakpoints
     pts = [0.5, 1.0, 2.0, 3.0, 4.0]
-    assert _compress_step(pts, [f.eval(p) for p in pts] + [f.right_limit(pts[-1])]) == f
+    assert Step(pts, [f.eval(p) for p in pts] + [f.right_limit(pts[-1])]) == f
 
 
 def test_vf_min_of_mixed_inputs_is_a_lower_envelope():
@@ -125,13 +126,54 @@ def test_step_monotone_on_sorted_grids(bps, raw):
 
 
 def test_compress_step_rejects_decreasing_and_out_of_range_values():
-    # Step and Stationary check every kept value; compression keeps each change
-    with pytest.raises(ConstructionError):
-        _compress_step([1.0, 2.0], [0.5, 0.5 - 1e-16, 0.5 - 1e-16])
-    with pytest.raises(ConstructionError):
-        _compress_step([1.0], [0.5, 1.5])
-    with pytest.raises(ConstructionError):
-        _compress_step([1.0, 2.0], [-0.25, -0.25, -0.25])
+    # Step checks every value before it drops the silent breakpoints
+    with pytest.raises(ConstructionError, match="nondecreasing"):
+        Step([1.0, 2.0], [0.5, 0.5 - 1e-16, 0.5 - 1e-16])
+    with pytest.raises(ConstructionError, match="outside"):
+        Step([1.0], [0.5, 1.5])
+    with pytest.raises(ConstructionError, match="outside"):
+        Step([1.0, 2.0], [-0.25, -0.25, -0.25])
+
+
+@given(
+    bps=st.lists(st.floats(0.01, 50.0), max_size=8, unique=True).map(sorted),
+    levels=st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), min_size=9, max_size=9),
+)
+def test_step_is_the_compressed_step(bps, levels):
+    # nondecreasing values with ties: every tie is a silent breakpoint
+    vals = sorted(levels[: len(bps) + 1])
+    f = Step(bps, vals)
+    assert f == compress_step_loop(bps, vals)
+    assert all(map(lambda a, b: a < b, f.values, f.values[1:]))
+    # the uncompressed function: vals[k] on (bps[k-1], bps[k]]
+    mids = [(a + b) / 2 for a, b in zip([0.0, *bps], bps)]
+    for s in (*bps, *mids, 2.0 * max(bps, default=1.0)):
+        assert f.eval(s) == vals[bisect.bisect_left(bps, s)]
+
+
+def test_step_reports_the_first_bad_value():
+    # in order of the values; a value out of range is reported before a decrease
+    with pytest.raises(ConstructionError, match="nondecreasing"):
+        Step((1.0, 2.0, 3.0), (0.5, 0.4, 1.5, 1.5))
+    with pytest.raises(ConstructionError, match="outside"):
+        Step((1.0, 2.0, 3.0), (0.5, 1.5, 0.4, 0.4))
+    with pytest.raises(ConstructionError, match="-0.1 outside"):
+        Step((1.0,), (0.5, -0.1))
+    with pytest.raises(ConstructionError, match="nan outside"):
+        Step((1.0, 2.0), (0.5, math.nan, 0.7))
+    with pytest.raises(ConstructionError, match="strictly increasing"):
+        Step((1.0, 1.0), (0.5, 0.6, 0.7))
+    with pytest.raises(ConstructionError, match="exactly"):
+        Step((), ())
+    with pytest.raises(ConstructionError, match="finite"):
+        Step((1.0, math.inf), (0.5, 0.6, 0.7))
+
+
+def test_standard_has_no_breakpoints():
+    f = Standard(2.0)
+    assert f.breakpoints == ()
+    assert repr(f) == "Standard(d=2.0)"
+    assert vf_min([f, Step((1.0,), (0.4, 0.9))], grid=[0.5]).breakpoints == (0.5, 1.0)
 
 
 def test_stationary_is_a_step_without_breakpoints():
