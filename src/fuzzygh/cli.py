@@ -288,10 +288,8 @@ def _cmd_pigeonhole(args) -> int:
 
 
 def _cmd_bridge(args) -> int:
-    payload = fio.load_json(args.metrics)
-    matrices = payload["metrics"] if isinstance(payload, dict) else payload
     report, _family = standard_bridge_check(
-        matrices,
+        fio.load_metrics(args.metrics),
         args.bound,
         t=args.t,
         eps=args.eps,

@@ -10,10 +10,14 @@ subject to those instances bounds the supremum from above.
 The relaxation is solved exactly.  Fixing value gamma on a witness relation W
 that meets every row and column, the least closed cross matrix is the max-T
 closure cl_W(a) = max_{w in W} T(k(w, a), gamma) (Zadeh, Inf. Sci. 3, 1971),
-and it is feasible iff every pair of cells in W is, which is a threshold
-g(w, w') with a closed form per norm.  The supremum is then a bottleneck
-covering problem (Edmonds & Fulkerson, J. Combin. Theory 8, 1970): bisection
-over the thresholds with a covering-clique search, no grid and no slack.
+and it is feasible iff every pair of cells in W is: cells (p, q), (p', q')
+allow gamma up to min(max_damping(B, A), max_damping(A, B)) in the values
+A = M_X(p, p', t), B = M_Y(q, q', t) (``TNorm.max_damping``).  At one scale
+-log M (product) and 1 - M (minimum, Lukasiewicz) are classical (pseudo)metrics,
+and this is the classical GH problem, min over relations of dis R (Burago,
+Burago & Ivanov, Thm 7.3.25), solved as a bottleneck covering problem
+(Edmonds & Fulkerson, J. Combin. Theory 8, 1970): bisection over the
+thresholds with a covering-clique search, no grid and no slack.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ import numpy as np
 from .errors import ConstructionError, DomainError, HypothesisError, SizeLimitError
 from .gluing import (
     UnionMetric,
-    _witness_thresholds,
     floor_envelope,
     glue_constant,
     glue_via_relation,
@@ -57,9 +60,7 @@ class DistanceMatrix:
 
     @property
     def diameter(self) -> float:
-        if self.n == 1:
-            return 0.0
-        return max(max(row) for row in self.entries)
+        return max(map(max, self.entries))
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.entries)
@@ -150,11 +151,10 @@ class UpperBoundResult(Report):
     relation: tuple[tuple[int, int], ...]
 
 
-def _kernel(mx: np.ndarray, my: np.ndarray, norm) -> np.ndarray:
-    """(S, k, k) kernel k_s(w, a) = T(M_X(p_w, p_a, s), M_Y(q_w, q_a, s)) over
-    cells w = (p, q), from (S, n_x, n_x) and (S, n_y, n_y) slices."""
-    s, nx, ny = len(mx), mx.shape[1], my.shape[1]
-    return norm.array(mx[:, :, None, :, None], my[:, None, :, None, :]).reshape(s, nx * ny, -1)
+def _cell_pairs(mx: np.ndarray, my: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B): A[w, w'] = mx[p, p'] and B[w, w'] = my[q, q'] over cells w = p * n_y + q."""
+    nx, ny = len(mx), len(my)
+    return np.repeat(np.repeat(mx, ny, 0), ny, 1), np.tile(my, (nx, nx))
 
 
 def _bottleneck(g: np.ndarray, nx: int, ny: int) -> tuple[float, tuple[tuple[int, int], ...], int]:
@@ -196,10 +196,8 @@ def gh_fuzzy_upper_bound(
             f"{x.n}x{y.n} cross variables exceed the limit {MAX_CROSS_VARIABLES}; "
             "use the diameter-based bounds instead"
         )
-    if not x.norm.is_builtin:
-        raise DomainError(f"upper bound supports built-in norms only, got {x.norm.kind!r}")
-    mx, my = np.array([x.at(t)]), np.array([y.at(t)])
-    g = _witness_thresholds(_kernel(mx, my, x.norm), mx + tol, my + tol, x.norm)[0]
+    a, b = _cell_pairs(np.array(x.at(t)), np.array(y.at(t)))
+    g = np.minimum(x.norm.max_damping(b, a + tol), x.norm.max_damping(a, b + tol))
     value, relation, nodes = _bottleneck(g, x.n, y.n)
     return UpperBoundResult(t=t, value=value, variables=k, nodes=nodes, relation=relation)
 
@@ -263,11 +261,11 @@ def classical_gh_exact(dx, dy, limit: int = 12) -> float:
             f"{nx}x{ny} cells exceed the relation-search limit {limit}; "
             "use classical_gh_diameter_bound instead"
         )
-    k = nx * ny
-    g = -np.abs(mx.as_array()[:, None, :, None] - my.as_array()[None, :, None, :]).reshape(k, k)
+    a, b = _cell_pairs(mx.as_array(), my.as_array())
+    g = -np.abs(a - b)
     # each unordered pair of cells reads its entry in the earlier cell's row,
     # so a metric symmetric only within the validation tolerance counts it once
-    g = np.where(np.tri(k, k, -1, dtype=bool), g.T, g)
+    g = np.where(np.tri(len(g), k=-1, dtype=bool), g.T, g)
     return -_bottleneck(g, nx, ny)[0] / 2
 
 

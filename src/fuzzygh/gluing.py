@@ -548,31 +548,15 @@ def attempt_net_gluing(
 # the witness-relation gluing
 
 
-def _witness_thresholds(kern: np.ndarray, capx: np.ndarray, capy: np.ndarray, norm) -> np.ndarray:
-    """g[s, i, j]: the largest gamma with T(T(kern[s, i, a], kern[s, j, b]), T(gamma, gamma))
-    <= A for every upper instance T(c_a, c_b) <= A at scale s, in both orders:
-    A = capx[s, p, p2] for cells (p, q), (p2, q), capy[s, q, q2] for (p, q), (p, q2).
-    A row of ``kern`` is one cell's kernel row, or their maximum over a relation W:
-    since T is monotone, that is the least threshold over W x W."""
-    nx, ny = capx.shape[1], capy.shape[1]
-    cells = np.arange(nx * ny).reshape(nx, ny)
-    px, px2 = pair_indices(nx)
-    qy, qy2 = pair_indices(ny)
-    a = np.concatenate([cells[px].ravel(), cells[:, qy].T.ravel()])
-    b = np.concatenate([cells[px2].ravel(), cells[:, qy2].T.ravel()])
-    cap = np.concatenate([np.repeat(capx[:, px, px2], ny, 1), np.repeat(capy[:, qy, qy2], nx, 1)], 1)
-    cap = cap[:, :, None, None]
-    ka, kb = np.swapaxes(kern[:, :, a], 1, 2), np.swapaxes(kern[:, :, b], 1, 2)
-    kk = norm.array(ka[:, :, :, None], kb[:, :, None, :])
-    if norm.kind == "product":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = np.sqrt(np.fmin(1.0, cap / kk))
-    elif norm.kind == "minimum":
-        g = np.where(kk <= cap, 1.0, cap)
-    else:
-        g = np.minimum(1.0, (cap + 2.0 - kk) / 2.0)
-    g = g.min(axis=1, initial=1.0)  # a 1x1 pair has no instance
-    return np.minimum(g, np.swapaxes(g, 1, 2))  # the instances in the other order
+def _damping(closure: np.ndarray, capx: np.ndarray, capy: np.ndarray, norm) -> np.ndarray:
+    """(S,) largest gamma with T(T(c_a, c_b), T(gamma, gamma)) <= A for every upper instance
+    of the (S, n_x, n_y) cross matrix c = ``closure``, 1 if none: cells (p, q), (p2, q)
+    with A = capx[s, p, p2], and cells (p, q), (p, q2) with A = capy[s, q, q2]."""
+    px, px2 = pair_indices(capx.shape[1])
+    qy, qy2 = pair_indices(capy.shape[1])
+    gx = norm.max_damping(norm.array(closure[:, px], closure[:, px2]), capx[:, px, px2, None])
+    gy = norm.max_damping(norm.array(closure[:, :, qy], closure[:, :, qy2]), capy[:, None, qy, qy2])
+    return np.minimum(gx.min(axis=(1, 2), initial=1.0), gy.min(axis=(1, 2), initial=1.0))
 
 
 def glue_via_relation(
@@ -586,11 +570,12 @@ def glue_via_relation(
     """Union metric whose cross entries are the max-T closure through ``relation`` W.
 
     Entry (p, q) at s is max_{w in W} T(T(M_X(p, p_w, s), M_Y(q_w, q, s)), gamma(s)),
-    where gamma(s) is the least pairwise threshold over W at the scales >= s
-    (the certification grid with t, then the limits at infinity capped by the
-    last point's values), and 0 at and below a splice s0 halfway between t and
-    the grid point below it.  Lower triangle instances hold for any closure,
-    upper ones as gamma never exceeds a threshold; gamma is nondecreasing.
+    where gamma(s) is the least damping that keeps every upper instance of the
+    closure within its cap at the scales >= s (the certification grid with t,
+    then the limits at infinity capped by the last point's values), and 0 at
+    and below a splice s0 halfway between t and the grid point below it.  Lower
+    triangle instances hold for any closure, upper ones by the choice of gamma,
+    which is nondecreasing.  Built-in norms only (``TNorm.max_damping``).
     """
     if x.norm.kind != y.norm.kind:
         raise DomainError("both spaces must share the t-norm kind")
@@ -604,8 +589,7 @@ def glue_via_relation(
     mx, my = (np.concatenate([sp.grid_values(g), _right_limits(sp, math.inf)[None]]) for sp in (x, y))
     closure = _closure(mx, my, relation, x.norm)
     caps = (np.concatenate([m[:-1], m[-2:-1]]) for m in (mx, my))
-    kern = closure.reshape(len(closure), 1, -1)
-    gamma = np.minimum.accumulate(_witness_thresholds(kern, *caps, x.norm)[::-1, 0, 0])[::-1]
+    gamma = np.minimum.accumulate(_damping(closure, *caps, x.norm)[::-1])[::-1]
     gamma[: g.values.index(s0) + 1] = 0.0
     cross = _step_cross(g.values, x.norm.array(closure, gamma[:, None, None]))
     return _validated(UnionMetric(x, y, cross), g, tol, "witness-relation")

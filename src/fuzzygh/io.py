@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import Union
 
 from .errors import ConstructionError, DomainError
+from .ghdist import DistanceMatrix
 from .gluing import UnionMetric
 from .sequences import SequenceFamily, register_nets
 from .space import (
@@ -50,17 +51,14 @@ def valuefn_to_doc(f: ValueFn) -> dict:
 
 
 def valuefn_from_doc(doc: dict) -> ValueFn:
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise ConstructionError("value-function document needs a 'kind' field")
-    kind = doc["kind"]
+    kind = _require(doc, "kind", "value-function document")
     where = f"{kind} value function"
     if kind == "step":
-        bps, vals = _require(doc, "breakpoints", where), _require(doc, "values", where)
-        return Step(tuple(bps), tuple(vals))
+        return _step(doc, where)
     if kind == "standard":
-        return Standard(float(_require(doc, "d", where)))
+        return Standard(_require(doc, "d", where, float))
     if kind == "stationary":
-        return Stationary(float(_require(doc, "c", where)))
+        return Stationary(_require(doc, "c", where, float))
     raise ConstructionError(f"unknown value-function kind {kind!r}")
 
 
@@ -100,38 +98,42 @@ def space_to_doc(space: FuzzySpace) -> dict:
     return doc
 
 
-def _require(doc: dict, field: str, where: str):
+def _require(doc: dict, field: str, where: str, build=lambda value: value):
+    """``build`` of the field's value; a ValueError or TypeError there names the field."""
     if not isinstance(doc, dict):
         raise ConstructionError(f"{where}: expected a JSON object, got {type(doc).__name__}")
     if field not in doc:
         raise ConstructionError(f"{where}: missing field {field!r}")
-    return doc[field]
+    try:
+        return build(doc[field])
+    except (TypeError, ValueError) as exc:
+        raise ConstructionError(f"{where}: field {field!r}: {exc}") from exc
+
+
+def _step(doc: dict, where: str) -> Step:
+    floats = lambda values: tuple(map(float, values))
+    return Step(_require(doc, "breakpoints", where, floats), _require(doc, "values", where, floats))
 
 
 def space_from_doc(doc: dict) -> FuzzySpace:
     where = f"space {doc.get('name', '?')!r}" if isinstance(doc, dict) else "space"
-    labels = [str(l) for l in _require(doc, "points", where)]
+    labels = _require(doc, "points", where, lambda points: [str(l) for l in points])
     norm = tnorm_from_str(_require(doc, "tnorm", where))
     metric = _require(doc, "metric", where)
     kind = _require(metric, "kind", where)
     name = str(doc.get("name", ""))
     n = len(labels)
-    if kind == "standard":
-        mat = _require(metric, "distances", where)
-        return make_standard_space(labels, mat, norm, name=name)
-    if kind == "stationary":
-        mat = _require(metric, "values", where)
-        return make_stationary_space(labels, mat, norm, name=name)
+    if kind in ("standard", "stationary"):
+        field = "distances" if kind == "standard" else "values"
+        make = make_standard_space if kind == "standard" else make_stationary_space
+        return _require(metric, field, where, lambda m: make(labels, m, norm, name))
     if kind == "step":
-        rows = _require(metric, "pairs", where)
         entries = {}
-        for row in rows:
-            i, j = int(_require(row, "i", where)), int(_require(row, "j", where))
+        for row in _require(metric, "pairs", where, list):
+            i, j = _require(row, "i", where, int), _require(row, "j", where, int)
             if (i, j) in entries:
                 raise ConstructionError(f"{where}: duplicate step entry for pair ({i}, {j})")
-            step_bps = tuple(_require(row, "breakpoints", where))
-            step_vals = tuple(_require(row, "values", where))
-            entries[(i, j)] = Step(step_bps, step_vals)
+            entries[(i, j)] = _step(row, where)
         expected = n * (n - 1) // 2
         if len(entries) != expected:
             raise ConstructionError(
@@ -151,11 +153,9 @@ def union_to_doc(u: UnionMetric) -> dict:
 
 
 def union_from_doc(doc: dict) -> UnionMetric:
-    left = space_from_doc(_require(doc, "left", "union"))
-    right = space_from_doc(_require(doc, "right", "union"))
-    cross_doc = _require(doc, "cross", "union")
-    cross = tuple(tuple(valuefn_from_doc(d) for d in row) for row in cross_doc)
-    return UnionMetric(left, right, cross)
+    left, right = (_require(doc, side, "union", space_from_doc) for side in ("left", "right"))
+    build = lambda rows: tuple(tuple(map(valuefn_from_doc, row)) for row in rows)
+    return UnionMetric(left, right, _require(doc, "cross", "union", build))
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +175,16 @@ def load_json(path: Union[str, Path]) -> dict:
         raise ConstructionError(str(exc)) from exc
 
 
+def _in_file(path, from_doc, doc):
+    """``from_doc(doc)``; a ValueError or TypeError there names the file."""
+    try:
+        return from_doc(doc)
+    except (TypeError, ValueError) as exc:
+        raise ConstructionError(f"{path}: {exc}") from exc
+
+
 def load_space(path: Union[str, Path]) -> FuzzySpace:
-    return space_from_doc(load_json(path))
+    return _in_file(path, space_from_doc, load_json(path))
 
 
 def save_space(space: FuzzySpace, path: Union[str, Path]) -> None:
@@ -184,7 +192,16 @@ def save_space(space: FuzzySpace, path: Union[str, Path]) -> None:
 
 
 def load_valuefn(path: Union[str, Path]) -> ValueFn:
-    return valuefn_from_doc(load_json(path))
+    return _in_file(path, valuefn_from_doc, load_json(path))
+
+
+def load_metrics(path: Union[str, Path]) -> list[DistanceMatrix]:
+    """The distance matrices of a metrics file: a JSON list of matrices, or an
+    object holding that list under ``metrics``."""
+    doc = load_json(path)
+    doc = doc if isinstance(doc, dict) else {"metrics": doc}
+    build = lambda mats: [DistanceMatrix.from_array(m) for m in mats]
+    return _in_file(path, lambda d: _require(d, "metrics", "metrics file", build), doc)
 
 
 FAMILY_MANIFEST = "family.json"
@@ -199,16 +216,16 @@ def load_family(directory: Union[str, Path]) -> SequenceFamily:
     if not manifest_path.exists():
         raise ConstructionError(f"{directory}: missing {FAMILY_MANIFEST}")
     manifest = load_json(manifest_path)
-    files = _require(manifest, "spaces", FAMILY_MANIFEST)
-    spaces = tuple(load_space(directory / fname) for fname in files)
+    files = _require(manifest, "spaces", manifest_path, lambda fs: [directory / f for f in fs])
+    spaces = tuple(map(load_space, files))
     floor = None
     if manifest.get("floor") is not None:
-        floor = valuefn_from_doc(manifest["floor"])
+        floor = _require(manifest, "floor", manifest_path, valuefn_from_doc)
     family = SequenceFamily(spaces, floor=floor)
-    for entry in manifest.get("nets", []):
-        t = float(_require(entry, "t", "nets"))
-        eps = float(_require(entry, "eps", "nets"))
-        rows = [tuple(int(i) for i in row) for row in _require(entry, "indices", "nets")]
+    for entry in _require(manifest, "nets", manifest_path, list) if "nets" in manifest else ():
+        nets = f"{manifest_path}: nets"
+        t, eps = _require(entry, "t", nets, float), _require(entry, "eps", nets, float)
+        rows = _require(entry, "indices", nets, lambda idx: [tuple(map(int, row)) for row in idx])
         where = f"{manifest_path}: nets at (t, eps) = ({t}, {eps})"
         if len(rows) != len(spaces) or len({len(row) for row in rows}) != 1:
             raise ConstructionError(f"{where} need one row per space, all of one length")

@@ -396,16 +396,12 @@ def check_axioms(space: FuzzySpace, grid: Optional[GridSpec] = None, tol: float 
 def t_diameter(space: FuzzySpace, t: float) -> float:
     """Minimum pair value at scale t; 1 for a single point."""
     require_positive(t, "t")
-    if space.n == 1:
-        return 1.0
-    return min(f.eval(t) for f in space.pairs)
+    return min((f.eval(t) for f in space.pairs), default=1.0)
 
 
 def t_diameters(space: FuzzySpace, grid: GridSpec) -> np.ndarray:
     """t_diameter at every grid point, one array min over the pair values."""
-    if space.n == 1:
-        return np.ones(len(grid))
-    return values(space.pairs, grid.array()).min(axis=1)
+    return values(space.pairs, grid.array()).min(axis=1, initial=1.0)
 
 
 def diameter_fn(space: FuzzySpace, grid: Optional[GridSpec] = None) -> ValueFn:

@@ -83,6 +83,19 @@ class TNorm:
         out[...] = vals
         return out
 
+    def max_damping(self, kk, cap):
+        """Elementwise largest gamma in [0, 1] with T(kk, T(gamma, gamma)) <= cap:
+        the closed form of each built-in norm; DomainError for the others."""
+        k = self.kind
+        if k == "product":
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.sqrt(np.fmin(1.0, cap / kk))
+        if k == "minimum":
+            return np.where(kk <= cap, 1.0, cap)
+        if k == "lukasiewicz":
+            return np.minimum(1.0, (cap + 2.0 - kk) / 2.0)
+        raise DomainError(f"closed-form damping needs a built-in norm, got {k!r}")
+
     def has_tn1_known(self) -> Optional[bool]:
         """Whether ``a - a*b >= a*(1-b)`` holds, when known algebraically.
 
@@ -149,15 +162,8 @@ def tn_check_axioms(norm: TNorm, grid: Sequence[float]) -> TNormAxiomReport:
     assoc = float(np.max(np.abs(lhs - rhs)))
     ident = float(np.max(np.abs(norm.array(g, 1.0) - g)))
     # on a sorted grid, monotone in each argument == rows and columns nondecreasing
-    mono = 0.0
-    if len(g) > 1:
-        mono = float(
-            max(
-                np.max(table[:, :-1] - table[:, 1:], initial=0.0),
-                np.max(table[:-1, :] - table[1:, :], initial=0.0),
-                0.0,
-            )
-        )
+    rows, cols = table[:, :-1] - table[:, 1:], table[:-1, :] - table[1:, :]
+    mono = float(max(np.max(rows, initial=0.0), np.max(cols, initial=0.0), 0.0))
     rng = float(max(np.max(table - 1.0, initial=0.0), np.max(-table, initial=0.0), 0.0))
     return TNormAxiomReport(comm, assoc, ident, mono, rng)
 

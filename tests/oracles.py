@@ -594,6 +594,50 @@ def relaxation_grid_max(mx, my, kind: str, points: int = 200_000) -> float:
     return float(np.minimum(c.max(axis=2).min(axis=1), c.max(axis=1).min(axis=1)).max())
 
 
+def _damping_loop(kind: str, kk: float, cap: float) -> float:
+    """The largest gamma in [0, 1] with T(kk, T(gamma, gamma)) <= cap."""
+    if kind == "product":
+        return 1.0 if kk == 0.0 else math.sqrt(min(1.0, cap / kk))
+    if kind == "minimum":
+        return 1.0 if kk <= cap else cap
+    return min(1.0, (cap + 2.0 - kk) / 2.0)
+
+
+def instance_damping_loop(ca, cb, capx, capy, kind: str) -> float:
+    """Least largest gamma with T(T(ca[a], cb[b]), T(gamma, gamma)) <= A over
+    every upper instance: cells a = (p, q), b = (p2, q) with A = capx[p][p2],
+    and a = (p, q), b = (p, q2) with A = capy[q][q2] (p < p2, q < q2); 1 when
+    there is none.  ``ca`` and ``cb`` are n_x rows of n_y values."""
+    g = 1.0
+    for p, p2 in combinations(range(len(capx)), 2):
+        for q in range(len(capy)):
+            g = min(g, _damping_loop(kind, _tnorm_loop(kind, ca[p][q], cb[p2][q]), capx[p][p2]))
+    for q, q2 in combinations(range(len(capy)), 2):
+        for p in range(len(capx)):
+            g = min(g, _damping_loop(kind, _tnorm_loop(kind, ca[p][q], cb[p][q2]), capy[q][q2]))
+    return g
+
+
+def pair_thresholds_loop(mx, my, kind: str, tol: float = 1e-12) -> list[list[float]]:
+    """The upper bound's pairwise thresholds in their instance form, at one scale.
+
+    Cell w = (p_w, q_w), numbered p_w * n_y + q_w, has the kernel rows
+    k_w[p][q] = T(mx[p_w][p], my[q_w][q]).  The threshold of cells w, w' is the
+    least ``instance_damping_loop`` of (k_w, k_w') and of (k_w', k_w), every
+    upper instance in both orders, with the caps mx + tol and my + tol.
+    """
+    nx, ny = len(mx), len(my)
+    kern = [
+        [[_tnorm_loop(kind, mx[pw][p], my[qw][q]) for q in range(ny)] for p in range(nx)]
+        for pw in range(nx)
+        for qw in range(ny)
+    ]
+    capx = [[v + tol for v in row] for row in mx]
+    capy = [[v + tol for v in row] for row in my]
+    one_way = [[instance_damping_loop(ka, kb, capx, capy, kind) for kb in kern] for ka in kern]
+    return [[min(g, back) for g, back in zip(row, col)] for row, col in zip(one_way, zip(*one_way))]
+
+
 # ---------------------------------------------------------------------------
 # the per-cell loops that FuzzySpace.at, the coverage predicate and
 # hausdorff_block replaced, kept as they were

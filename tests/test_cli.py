@@ -356,3 +356,39 @@ def test_malformed_input_exits_two(capsys, tmp_path, std3, half, argv):
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
+
+
+BAD_VALUE_DOCS = {
+    "no_metrics.json": {"x": 1},
+    "int_metrics.json": {"metrics": 3},
+    "string_distance.json": {
+        "name": "s",
+        "points": ["a", "b"],
+        "tnorm": "product",
+        "metric": {"kind": "standard", "distances": [[0, "x"], ["x", 0]]},
+    },
+    "string_floor.json": {"kind": "standard", "d": "x"},
+}
+
+
+@pytest.mark.parametrize(
+    "argv, name, field",
+    [
+        (["bridge", "--metrics", "{doc}", "--bound", "1"], "no_metrics.json", "missing field 'metrics'"),
+        (["bridge", "--metrics", "{doc}", "--bound", "1"], "int_metrics.json", "field 'metrics'"),
+        (["check", "--space", "{doc}"], "string_distance.json", "field 'distances'"),
+        (["glue", "--left", "{half}", "--right", "{half}", "--floor", "{doc}"], "string_floor.json", "field 'd'"),
+    ],
+    ids=["no-metrics", "int-metrics", "string-distance", "string-floor"],
+)
+def test_document_values_of_the_wrong_type_exit_two(capsys, tmp_path, half, argv, name, field):
+    # a KeyError, TypeError or ValueError from a document's values is a
+    # document error naming the file and the field, not a traceback
+    doc = tmp_path / name
+    doc.write_text(json.dumps(BAD_VALUE_DOCS[name]), encoding="utf-8")
+    assert main([arg.format(doc=doc, half=half) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"error: {doc}: ") and field in line

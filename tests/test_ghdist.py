@@ -38,8 +38,10 @@ from oracles import (
     bounds_hold_at_t,
     classical_gh_loop,
     closure_loop,
+    instance_damping_loop,
     lower_bound_loop,
     na1_first_witness,
+    pair_thresholds_loop,
     random_metric,
     random_safe_stationary_values,
     relaxation_feasible_loop,
@@ -422,6 +424,79 @@ def test_upper_bound_node_budget(monkeypatch):
     assert gh_fuzzy_upper_bound(x, y, t).nodes == nodes
 
 
+# ---------------------------------------------------------------------------
+# the pairwise closed form against the instance form it replaced
+
+THRESHOLD_TS = (0.05, 0.7, 3.0, 40.0)
+
+
+def _tied_ultrametric(d):
+    """The subdominant ultrametric of d on three tied levels: a nondecreasing
+    map of its values, which keeps the ultrametric inequality."""
+    u = _ultrametric(d)
+    levels = np.unique(u[u > 0])
+    return np.where(u > 0, 1.0 + 2.0 * (np.searchsorted(levels, u) * 3 // len(levels)), 0.0)
+
+
+def _threshold_pairs(kind):
+    """Drawn Standard, stationary and step pairs of 1x1 to 6x6 points, permuted
+    copies and copies moved by 0.3 %, minimum-norm ultrametrics on tied levels,
+    and Lukasiewicz stationary values of 0.5, where T(0.5, 0.5) is exactly 0."""
+    rng = np.random.default_rng([5, ("product", "minimum", "lukasiewicz").index(kind)])
+    norm = TNorm(kind)
+    shapes = {
+        "standard": [(1, 1), (1, 3), (2, 2), (3, 2), (4, 3), (6, 6)],
+        "stationary": [(1, 2), (2, 3), (3, 3), (5, 4)],
+        "step": [(2, 2), (3, 4)],
+    }
+    out = [
+        tuple(_build(_draw(rng, n, kind, rep), norm, rep, name) for n, name in ((nx, "x"), (ny, "y")))
+        for rep, sizes in shapes.items()
+        for nx, ny in sizes
+    ]
+    for rep in ("standard", "stationary"):
+        m = _draw(rng, 4, kind, rep)
+        perm = rng.permutation(4)
+        copy = m[np.ix_(perm, perm)]
+        moved = copy**1.003 if rep == "stationary" else copy * 1.003
+        out += [(_build(m, norm, rep, "x"), _build(c, norm, rep, "y")) for c in (copy, moved)]
+    if kind == "minimum":
+        tied = [_tied_ultrametric(random_metric(rng, n)) for n in (4, 4, 5, 3)]
+        pairs = (tied[:2], tied[2:], (tied[0], tied[0][::-1, ::-1]))  # the last one a copy
+        out += [(_build(a, norm, "standard", "x"), _build(b, norm, "standard", "y")) for a, b in pairs]
+    if kind == "lukasiewicz":
+        half = [np.full((n, n), 0.5) + 0.5 * np.eye(n) for n in (3, 2)]
+        other = _draw(rng, 3, kind, "stationary")
+        x = _build(half[0], norm, "stationary", "x")
+        out += [(x, _build(m, norm, "stationary", "y")) for m in (half[1], other)]
+    return out
+
+
+@pytest.mark.parametrize("kind", ["product", "minimum", "lukasiewicz"])
+def test_upper_bound_thresholds_match_the_instance_loop(monkeypatch, kind):
+    # the (k, k) matrix the upper bound bisects is the instance form, bit for bit
+    seen = []
+    bottleneck = ghdist._bottleneck
+
+    def spy(g, nx, ny):
+        seen.append(g)
+        return bottleneck(g, nx, ny)
+
+    monkeypatch.setattr(ghdist, "_bottleneck", spy)
+    for x, y in _threshold_pairs(kind):
+        sx, sy = (np.array([sp.at(s) for s in THRESHOLD_TS]) for sp in (x, y))
+        for mx, my, t in zip(sx.tolist(), sy.tolist(), THRESHOLD_TS):
+            relation = gh_fuzzy_upper_bound(x, y, t).relation
+            assert seen.pop().tolist() == pair_thresholds_loop(mx, my, kind, TOL)
+            # the relation gluing's damping, on the closure through that relation
+            closure = gluing._closure(sx, sy, relation, x.norm)
+            loop = [
+                instance_damping_loop(c, c, cx, cy, kind)
+                for c, cx, cy in zip(closure.tolist(), sx.tolist(), sy.tolist())
+            ]
+            assert gluing._damping(closure, sx, sy, x.norm).tolist() == loop
+
+
 @pytest.mark.parametrize("kind", ["product", "lukasiewicz"])
 def test_upper_bound_memory_at_the_limit(kind):
     import tracemalloc
@@ -437,8 +512,7 @@ def test_upper_bound_memory_at_the_limit(kind):
     finally:
         tracemalloc.stop()
     assert res.variables == ghdist.MAX_CROSS_VARIABLES
-    # one (instances, 36, 36) threshold stack is 1.9 MB
-    assert peak < 16e6
+    assert peak < 1e6
 
 
 # ---------------------------------------------------------------------------
@@ -576,4 +650,4 @@ def test_bounds_memory_at_the_limit(kind):
         tracemalloc.stop()
     assert bounds.lower.method == "witness-relation"
     assert bounds.upper.variables == ghdist.MAX_CROSS_VARIABLES
-    assert peak < 16e6
+    assert peak < 4e6

@@ -14,7 +14,9 @@ from fuzzygh import (
 from fuzzygh.io import (
     dumps_report,
     load_family,
+    load_metrics,
     load_space,
+    load_valuefn,
     save_family,
     save_space,
     space_from_doc,
@@ -205,3 +207,49 @@ def test_dumps_report_is_deterministic():
     assert a == b
     # full double precision round-trips
     assert json.loads(a)["a"][1] == 0.3333333333333333
+
+
+def test_values_of_the_wrong_type_name_the_file_and_the_field(tmp_path, line4):
+    doc = space_to_doc(line4)
+    doc["metric"]["distances"][0][1] = "x"
+    with pytest.raises(ConstructionError, match="field 'distances': could not convert"):
+        space_from_doc(doc)
+    cases = [
+        (load_space, doc, "field 'distances'"),
+        (load_valuefn, {"kind": "standard", "d": "x"}, "standard value function: field 'd'"),
+        (load_valuefn, {"kind": "step", "breakpoints": 1.0, "values": [0.5, 1.0]}, "field 'breakpoints'"),
+        (load_metrics, {"x": 1}, "missing field 'metrics'"),
+        (load_metrics, {"metrics": 3}, "field 'metrics': 'int' object is not iterable"),
+        (load_metrics, [[[0, "x"], ["x", 0]]], "could not convert"),
+    ]
+    for k, (load, content, match) in enumerate(cases):
+        path = tmp_path / f"doc{k}.json"
+        path.write_text(json.dumps(content), encoding="utf-8")
+        with pytest.raises(ConstructionError) as err:
+            load(path)
+        assert str(err.value).startswith(f"{path}: ") and match in str(err.value)
+
+
+def test_family_manifest_values_of_the_wrong_type_name_the_manifest(tmp_path):
+    fam = gen_no_cauchy_family(4)
+    register_nets(fam, 0.5, 0.1)
+    save_family(fam, tmp_path / "fam")
+    path = tmp_path / "fam" / "family.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    for field, value, match in [
+        ("spaces", 3, "field 'spaces'"),
+        ("floor", {"kind": "standard", "d": "x"}, "field 'floor': standard value function: field 'd'"),
+        ("nets", [{"t": "x", "eps": 0.1, "indices": []}], "nets: field 't'"),
+    ]:
+        path.write_text(json.dumps({**manifest, field: value}), encoding="utf-8")
+        with pytest.raises(ConstructionError) as err:
+            load_family(tmp_path / "fam")
+        assert str(err.value).startswith(f"{path}: ") and match in str(err.value)
+
+
+def test_metrics_files_load_as_distance_matrices(tmp_path):
+    metrics = [[[0, 1.0], [1.0, 0]], [[0, 2.0], [2.0, 0]]]
+    for k, content in enumerate((metrics, {"metrics": metrics})):
+        path = tmp_path / f"metrics{k}.json"
+        path.write_text(json.dumps(content), encoding="utf-8")
+        assert [m.as_array().tolist() for m in load_metrics(path)] == metrics
