@@ -1,0 +1,144 @@
+#!/usr/bin/env python3
+"""Scaling curves of the triangle check and the isometry test over n.
+
+`check_axioms` runs on standard, step and stationary spaces of n = 20, 40,
+80, 160 and 320 points under the product and Lukasiewicz norms, and
+`is_isometric` on permuted standard and step copies of 10-50 points under the
+product norm.  Each entry records the wall time (the minimum over the
+repeats), the `tracemalloc` peak of one more call, n, the size of the
+certification grid and the number of t-slices the call scans, that is the
+grid points whose slice differs from the one before (`space.fresh_slices`).
+The results go to a JSON file, BENCH_axioms.json by default:
+
+    PYTHONPATH=src python3 scripts/run_axioms_curve.py --max-n 320 --repeats 3
+"""
+
+import argparse
+import json
+import os
+import platform
+import time
+import tracemalloc
+
+import numpy as np
+
+from fuzzygh import (
+    FuzzySpace,
+    Step,
+    TNorm,
+    check_axioms,
+    is_isometric,
+    make_standard_space,
+    make_stationary_space,
+    make_step_space,
+)
+from fuzzygh.space import certification_grid, fresh_slices
+
+CHECK_SIZES = (20, 40, 80, 160, 320)
+ISOMETRY_SIZES = (10, 20, 30, 40, 50)
+#: breakpoints of the step spaces: eight distinct slices on the default grid
+STEP_BREAKS = tuple(float(b) for b in np.logspace(-1.0, 1.0, 7))
+
+
+def random_metric(rng, n):
+    pts = rng.uniform(0.0, 1.0, size=(n, 3))
+    d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
+    return d * (5.0 / d.max()) + 0.05 * (1.0 - np.eye(n))
+
+
+def make_space(rng, n, norm, rep, name="p"):
+    labels = [f"{name}{i}" for i in range(n)]
+    if rep == "stationary":
+        v = rng.uniform(0.64, 0.8, size=(n, n))  # NA1 holds for both norms
+        v = np.minimum(v, v.T)
+        np.fill_diagonal(v, 1.0)
+        return make_stationary_space(labels, v, norm)
+    d = random_metric(rng, n)
+    if rep == "standard":
+        return make_standard_space(labels, d, norm)
+    return make_step_space(labels, step_pairs(d), norm)
+
+
+def step_pairs(d):
+    """Per-pair steps equal to t/(t+d) sampled at the right end of each interval."""
+    samples = np.asarray(STEP_BREAKS + (2.0 * STEP_BREAKS[-1],))
+    n = len(d)
+    return {
+        (i, j): Step(STEP_BREAKS, tuple(float(v) for v in samples / (samples + d[i, j])))
+        for i in range(n)
+        for j in range(i + 1, n)
+    }
+
+
+def scanned_slices(*spaces):
+    g = certification_grid(None, *spaces)
+    vals = [sp.grid_values(g) for sp in spaces]
+    return len(g), len(fresh_slices(*(v[1:] - v[:-1] for v in vals)))
+
+
+def measure(call, repeats):
+    """(minimum wall time in s over the repeats, tracemalloc peak in MB, result)."""
+    best = np.inf
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = call()
+        best = min(best, time.perf_counter() - start)
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return best, peak / 1e6, result
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--max-n", type=int, default=max(CHECK_SIZES))
+    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--out", default="BENCH_axioms.json")
+    args = parser.parse_args()
+
+    rng = np.random.default_rng(args.seed)
+    entries = []
+    for n in (n for n in CHECK_SIZES if n <= args.max_n):
+        for rep in ("standard", "step", "stationary"):
+            for kind in ("product", "lukasiewicz"):
+                space = make_space(rng, n, TNorm(kind), rep)
+                wall, peak, report = measure(lambda: check_axioms(space), args.repeats)
+                grid_size, scanned = scanned_slices(space)
+                entries.append({"op": "check_axioms", "rep": rep, "norm": kind, "n": n,
+                                "grid_size": grid_size, "scanned_slices": scanned,
+                                "wall_s": wall, "peak_mb": peak, "passed": report.passed})
+                print(json.dumps(entries[-1]), flush=True)
+    norm = TNorm.product()
+    for n in (n for n in ISOMETRY_SIZES if n <= args.max_n):
+        for rep in ("standard", "step"):
+            a = make_space(rng, n, norm, rep, "a")
+            perm = rng.permutation(n)
+            pairs = tuple(a.entry(int(perm[i]), int(perm[j])) for i in range(n) for j in range(i + 1, n))
+            b = FuzzySpace("b", tuple(f"b{i}" for i in range(n)), norm, pairs)
+            wall, peak, found = measure(lambda: is_isometric(a, b), args.repeats)
+            grid_size, scanned = scanned_slices(a, b)
+            inverse = tuple(int(k) for k in np.argsort(perm))
+            entries.append({"op": "is_isometric", "rep": rep, "norm": "product", "n": n,
+                            "grid_size": grid_size, "scanned_slices": scanned,
+                            "wall_s": wall, "peak_mb": peak, "passed": found == inverse})
+            print(json.dumps(entries[-1]), flush=True)
+
+    doc = {
+        "harness": "scripts/run_axioms_curve.py",
+        "argv": {"max_n": args.max_n, "repeats": args.repeats, "seed": args.seed},
+        "machine": {"platform": platform.platform(), "cpus": os.cpu_count(),
+                    "python": platform.python_version(), "numpy": np.__version__},
+        "entries": entries,
+    }
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+    return 0 if all(e["passed"] for e in entries) else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

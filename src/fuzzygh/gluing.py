@@ -73,16 +73,16 @@ class UnionMetric:
 
     def as_space(self) -> FuzzySpace:
         labels = (*(f"L.{l}" for l in self.left.labels), *(f"R.{l}" for l in self.right.labels))
-        nl, n = self.n_left, self.n_left + self.n_right
+        # row i < n_left holds the left pairs (i, j > i), a contiguous run of
+        # left.pairs, then cross[i]; the rows of the right part are right.pairs
         pairs: list[ValueFn] = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                if j < nl:
-                    pairs.append(self.left.entry(i, j))
-                elif i >= nl:
-                    pairs.append(self.right.entry(i - nl, j - nl))
-                else:
-                    pairs.append(self.cross[i][j - nl])
+        start = 0
+        for i, row in enumerate(self.cross):
+            stop = start + self.n_left - i - 1
+            pairs += self.left.pairs[start:stop]
+            pairs += row
+            start = stop
+        pairs += self.right.pairs
         return FuzzySpace("", labels, self.left.norm, tuple(pairs))
 
     def left_indices(self) -> tuple[int, ...]:

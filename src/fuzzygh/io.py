@@ -56,9 +56,9 @@ def valuefn_from_doc(doc: dict) -> ValueFn:
     if kind == "step":
         return _step(doc, where)
     if kind == "standard":
-        return Standard(_require(doc, "d", where, float))
+        return Standard(_require(doc, "d", where, _number))
     if kind == "stationary":
-        return Stationary(_require(doc, "c", where, float))
+        return Stationary(_require(doc, "c", where, _number))
     raise ConstructionError(f"unknown value-function kind {kind!r}")
 
 
@@ -110,9 +110,30 @@ def _require(doc: dict, field: str, where: str, build=lambda value: value):
         raise ConstructionError(f"{where}: field {field!r}: {exc}") from exc
 
 
+def _number(value) -> float:
+    """A JSON number as a float; a string or a boolean, which ``float`` takes, is none."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"could not convert {value!r} to a number: expected a JSON number")
+    return float(value)
+
+
+def _index(value) -> int:
+    """A JSON number with an integral value as an int; 0.5 is no index."""
+    if not _number(value).is_integer():
+        raise ValueError(f"index {value!r} is not an integer")
+    return int(value)
+
+
+def _numbers(values) -> tuple[float, ...]:
+    return tuple(map(_number, values))
+
+
+def _matrix(rows) -> list[tuple[float, ...]]:
+    return list(map(_numbers, rows))
+
+
 def _step(doc: dict, where: str) -> Step:
-    floats = lambda values: tuple(map(float, values))
-    return Step(_require(doc, "breakpoints", where, floats), _require(doc, "values", where, floats))
+    return Step(_require(doc, "breakpoints", where, _numbers), _require(doc, "values", where, _numbers))
 
 
 def space_from_doc(doc: dict) -> FuzzySpace:
@@ -126,11 +147,11 @@ def space_from_doc(doc: dict) -> FuzzySpace:
     if kind in ("standard", "stationary"):
         field = "distances" if kind == "standard" else "values"
         make = make_standard_space if kind == "standard" else make_stationary_space
-        return _require(metric, field, where, lambda m: make(labels, m, norm, name))
+        return _require(metric, field, where, lambda m: make(labels, _matrix(m), norm, name))
     if kind == "step":
         entries = {}
         for row in _require(metric, "pairs", where, list):
-            i, j = _require(row, "i", where, int), _require(row, "j", where, int)
+            i, j = _require(row, "i", where, _index), _require(row, "j", where, _index)
             if (i, j) in entries:
                 raise ConstructionError(f"{where}: duplicate step entry for pair ({i}, {j})")
             entries[(i, j)] = _step(row, where)
@@ -200,7 +221,7 @@ def load_metrics(path: Union[str, Path]) -> list[DistanceMatrix]:
     object holding that list under ``metrics``."""
     doc = load_json(path)
     doc = doc if isinstance(doc, dict) else {"metrics": doc}
-    build = lambda mats: [DistanceMatrix.from_array(m) for m in mats]
+    build = lambda mats: [DistanceMatrix.from_array(_matrix(m)) for m in mats]
     return _in_file(path, lambda d: _require(d, "metrics", "metrics file", build), doc)
 
 
@@ -224,8 +245,8 @@ def load_family(directory: Union[str, Path]) -> SequenceFamily:
     family = SequenceFamily(spaces, floor=floor)
     for entry in _require(manifest, "nets", manifest_path, list) if "nets" in manifest else ():
         nets = f"{manifest_path}: nets"
-        t, eps = _require(entry, "t", nets, float), _require(entry, "eps", nets, float)
-        rows = _require(entry, "indices", nets, lambda idx: [tuple(map(int, row)) for row in idx])
+        t, eps = _require(entry, "t", nets, _number), _require(entry, "eps", nets, _number)
+        rows = _require(entry, "indices", nets, lambda idx: [tuple(map(_index, row)) for row in idx])
         where = f"{manifest_path}: nets at (t, eps) = ({t}, {eps})"
         if len(rows) != len(spaces) or len({len(row) for row in rows}) != 1:
             raise ConstructionError(f"{where} need one row per space, all of one length")

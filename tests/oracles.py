@@ -58,6 +58,22 @@ def na1_first_witness(space, norm_fn, ts) -> tuple[float, tuple[int, int, int, f
     return worst, witness
 
 
+def union_pairs_loop(u) -> tuple:
+    """The pair functions of ``u.as_space()``, one ``entry`` call per pair i < j
+    of the union in lexicographic order."""
+    nl, n = u.n_left, u.n_left + u.n_right
+    pairs = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if j < nl:
+                pairs.append(u.left.entry(i, j))
+            elif i >= nl:
+                pairs.append(u.right.entry(i - nl, j - nl))
+            else:
+                pairs.append(u.cross[i][j - nl])
+    return tuple(pairs)
+
+
 def first_triangle_violation(d: np.ndarray, tol: float = 1e-9):
     """First (i, j, k) in loop order with d[i, k] > d[i, j] + d[j, k] + tol, or None."""
     n = d.shape[0]

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from fuzzygh import (
     ConstructionError,
+    UnionMetric,
     DomainError,
     HypothesisError,
     Standard,
@@ -40,6 +41,7 @@ from oracles import (
     persistence_delta_loop,
     random_metric,
     random_safe_stationary_values,
+    union_pairs_loop,
 )
 
 
@@ -49,6 +51,17 @@ def test_zero_floor_always_glues(rng, product):
     u = glue_constant(x, y, ZERO)
     assert validate_union(u).passed
     assert union_hausdorff(u, 1.0) == 0.0
+
+
+def test_union_pairs_match_the_entry_loop(rng, product):
+    """The union's pairs, built from row slices of both parts and the cross
+    rows, are the per-pair ``entry`` loop's, with 1-point and multi-point sides."""
+    for nx, ny in ((1, 1), (1, 4), (4, 1), (3, 5), (6, 2)):
+        x = make_random_standard(rng, nx, product, name="X")
+        y = make_random_stationary(rng, ny, product, name="Y")
+        cross = tuple(tuple(Stationary(0.1 + 0.01 * (p * ny + q)) for q in range(ny)) for p in range(nx))
+        u = UnionMetric(x, y, cross)
+        assert u.as_space().pairs == union_pairs_loop(u)
 
 
 def test_standard_floor_with_large_offset(rng, product):

@@ -253,3 +253,56 @@ def test_metrics_files_load_as_distance_matrices(tmp_path):
         path = tmp_path / f"metrics{k}.json"
         path.write_text(json.dumps(content), encoding="utf-8")
         assert [m.as_array().tolist() for m in load_metrics(path)] == metrics
+
+
+def test_only_json_numbers_are_numbers(tmp_path, line4):
+    """A string or a boolean where a number belongs, and a fractional index,
+    is a document error naming the file and the field, never a value."""
+    std = space_to_doc(line4)
+    std["metric"]["distances"][0][1] = std["metric"]["distances"][1][0] = "1.5"
+    stat = {"name": "s", "points": ["a", "b"], "tnorm": "product",
+            "metric": {"kind": "stationary", "values": [[True, 0.5], [0.5, 1]]}}
+    step = {"name": "s", "points": ["a", "b"], "tnorm": "product",
+            "metric": {"kind": "step", "pairs": [{"i": 0, "j": 1, "breakpoints": [], "values": [0.5]}]}}
+    cases = [
+        (load_space, std, "field 'distances': could not convert '1.5'"),
+        (load_space, stat, "field 'values': could not convert True"),
+        (load_valuefn, {"kind": "stationary", "c": False}, "field 'c': could not convert False"),
+        (load_valuefn, {"kind": "standard", "d": True}, "field 'd'"),
+        (load_valuefn, {"kind": "step", "breakpoints": ["1"], "values": [0.5, 1.0]}, "field 'breakpoints'"),
+        (load_metrics, [[[0, True], [True, 0]]], "field 'metrics': could not convert True"),
+    ]
+    for i, j, match in ((0.5, 1, "field 'i': index 0.5 is not an integer"),
+                        (0, True, "field 'j': could not convert True"),
+                        (0, "1", "field 'j': could not convert '1'")):
+        pairs = [{**step["metric"]["pairs"][0], "i": i, "j": j}]
+        cases.append((load_space, {**step, "metric": {"kind": "step", "pairs": pairs}}, match))
+    for k, (load, content, match) in enumerate(cases):
+        path = tmp_path / f"doc{k}.json"
+        path.write_text(json.dumps(content), encoding="utf-8")
+        with pytest.raises(ConstructionError) as err:
+            load(path)
+        assert str(err.value).startswith(f"{path}: ") and match in str(err.value)
+    step["metric"]["pairs"][0].update(i=0.0, j=1.0)  # integral numbers are indices
+    assert space_from_doc(step).n == 2
+
+
+def test_family_net_indices_must_be_integral(tmp_path):
+    fam = gen_no_cauchy_family(4)
+    register_nets(fam, 0.5, 0.1)
+    save_family(fam, tmp_path / "fam")
+    path = tmp_path / "fam" / "family.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    rows = manifest["nets"][0]["indices"]
+    for bad, match in (([0.5, 1.5], "index 0.5 is not an integer"), ([0, "1"], "could not convert '1'"),
+                       ([False, 1], "could not convert False")):
+        nets = [{**manifest["nets"][0], "indices": [bad, *rows[1:]]}]
+        path.write_text(json.dumps({**manifest, "nets": nets}), encoding="utf-8")
+        with pytest.raises(ConstructionError) as err:
+            load_family(tmp_path / "fam")
+        assert str(err.value).startswith(f"{path}: nets: field 'indices': ") and match in str(err.value)
+    for value in ("0.5", True):
+        nets = [{**manifest["nets"][0], "t": value}]
+        path.write_text(json.dumps({**manifest, "nets": nets}), encoding="utf-8")
+        with pytest.raises(ConstructionError, match="field 't': could not convert"):
+            load_family(tmp_path / "fam")

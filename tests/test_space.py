@@ -14,6 +14,7 @@ from fuzzygh import (
     Stationary,
     Step,
     TNorm,
+    UnionMetric,
     check_axioms,
     diameter_fn,
     is_isometric,
@@ -22,6 +23,7 @@ from fuzzygh import (
     make_step_space,
     t_diameter,
     validate_distance_matrix,
+    validate_union,
 )
 from fuzzygh import space as space_module
 from fuzzygh.space import certification_grid, pair_indices
@@ -244,6 +246,41 @@ def test_isometry_of_points_closer_than_the_tolerance(product):
     assert is_isometric(a, b) == is_isometric_loop(a, b) == (1, 2, 0)
 
 
+def _mixed_space(m, norm, name, perm=None):
+    """Standard, stationary and step pairs cycling over the pairs of the
+    distances m, read through the permutation perm of the points."""
+    n = len(m)
+    perm = np.arange(n) if perm is None else perm
+    kinds = {}
+    for k, (i, j) in enumerate(itertools.combinations(range(n), 2)):
+        d = float(m[i, j])
+        kinds[(i, j)] = kinds[(j, i)] = (Standard(d), Stationary(1.0 / (1.0 + d)),
+                                         Step((0.5, 2.0), (0.0, 2.0 / (2.0 + d), 4.0 / (4.0 + d))))[k % 3]
+    pairs = tuple(kinds[(int(perm[i]), int(perm[j]))] for i, j in itertools.combinations(range(n), 2))
+    return FuzzySpace(name, tuple(f"{name}{i}" for i in range(n)), norm, pairs)
+
+
+def test_isometry_on_repeated_slices_matches_the_backtracking(rng, product):
+    """Step, stationary and mixed permuted copies, compared on the slices that
+    change only; a copy that differs on one later run of slices alone is no match."""
+    for n in (2, 4, 6):
+        m = random_metric(rng, n, 1.0, 2.0)
+        perm = rng.permutation(n)
+        pairs = [(_mixed_space(m, product, "a"), _mixed_space(m, product, "b", perm))]
+        for rep in ("stationary", "step"):
+            pairs.append((_iso_space(m, product, rep, "a"), _iso_space(m[np.ix_(perm, perm)], product, rep, "b")))
+        for a, b in pairs:
+            found = is_isometric(a, b)
+            assert found is not None and found == is_isometric_loop(a, b)
+        a = _iso_space(m, product, "step", "a")
+        # the last pair moves only on (0.5, 2], the middle of three runs of a,
+        # or only on (1, 2], where a's slices repeat and b's alone change
+        (lo, hi), (v0, v1, v2) = a.pairs[-1].breakpoints, a.pairs[-1].values
+        for moved in (Step((lo, hi), (v0, v1 + 1e-6, v2)), Step((lo, 1.0, hi), (v0, v1, v1 + 1e-6, v2))):
+            b = FuzzySpace("b", a.labels, product, (*a.pairs[:-1], moved))
+            assert is_isometric(a, b) is None and is_isometric_loop(a, b) is None
+
+
 @pytest.mark.parametrize("block", [1, 300])
 def test_isometry_in_row_blocks_matches_the_backtracking(monkeypatch, product, block):
     # blocks of one row, and of two rows with a shorter last block at n = 5
@@ -339,21 +376,27 @@ def test_na1_residual_equals_loop_oracle_exactly(rng, norm):
             assert report.witness == witness
 
 
-def test_witness_in_last_block_matches_first_loop_witness(rng, product):
-    # 20 points on the default grid span several blocks of whole t-slices;
-    # (a, b) and (b, c) jump to 1 only past t = 2000, so every violation sits
-    # at the largest grid point, in the last block
+def test_witness_in_last_block_matches_first_loop_witness(rng, monkeypatch, product):
+    # 20 points on the default grid; (a, b) and (b, c) jump to 1 only past
+    # t = 2000, so every violation sits at the largest grid point, and three
+    # more pairs rise at 0.1, 10 and 100, so the scan sees five distinct slices;
+    # a buffer of one slice puts each in its own t-block, the violation in the last
     n, a, b, c = 20, 3, 11, 16
+    monkeypatch.setattr(space_module, "_BLOCK", n ** 3)
     v = random_safe_stationary_values(rng, n)
     steps = {}
     for i in range(n):
         for j in range(i + 1, n):
             if (i, j) in ((a, b), (b, c)):
                 steps[(i, j)] = Step((2000.0,), (v[i, j], 1.0))
+            elif (i, j) in ((0, 1), (4, 5), (6, 7)):
+                steps[(i, j)] = Step((10.0 ** (i // 2 - 1),), (v[i, j], 0.8))
             else:
                 steps[(i, j)] = Step((), (v[i, j],))
     sp = make_step_space([f"p{i}" for i in range(n)], steps, product)
+    scanned = _count_scanned_slices(monkeypatch)
     report = check_axioms(sp)
+    assert scanned == [5]
     assert n ** 3 * len(report.grid) > space_module._BLOCK
     assert not report.na1
     worst, witness = na1_first_witness(sp, product, report.grid)
@@ -373,6 +416,70 @@ def test_every_blocking_level_finds_the_first_worst_triple(rng, monkeypatch, nor
         worst, witness = na1_first_witness(sp, norm, report.grid)
         assert report.na1_residual == worst
         assert report.witness == (None if report.na1 else witness)
+
+
+# ---------------------------------------------------------------------------
+# a slice equal to the one before is scanned once
+
+
+def _count_scanned_slices(monkeypatch) -> list[int]:
+    """The number of slices of each triangle scan, recorded as they happen."""
+    scanned = []
+    kernel = space_module.triangle_residual
+
+    def counting(V, norm):
+        scanned.append(V.shape[0])
+        return kernel(V, norm)
+
+    monkeypatch.setattr(space_module, "triangle_residual", counting)
+    return scanned
+
+
+def _run_space(norm, low, high, early=()):
+    """Six points 0.7 apart where (0, 1) and (1, 2) rise to 1 past t = low and
+    (0, 2) only past t = high, so the triangle fails exactly on (low, high];
+    the pairs among points 3-5 rise within [0.7, 0.8] at the ``early`` scales."""
+    rise = Step(early, tuple(np.linspace(0.7, 0.8, len(early) + 1)))
+    steps = {(i, j): rise if i >= 3 else Stationary(0.7) for i in range(6) for j in range(i + 1, 6)}
+    steps[(0, 1)] = steps[(1, 2)] = Step((low,), (0.7, 1.0))
+    steps[(0, 2)] = Step((high,), (0.7, 1.0))
+    return make_step_space([f"p{i}" for i in range(6)], steps, norm)
+
+
+@pytest.mark.parametrize("block", [1, 7, 40, 300, 1 << 18])
+@pytest.mark.parametrize("norm", NORMS, ids=lambda nm: nm.kind)
+def test_step_spaces_find_the_first_worst_triple(rng, monkeypatch, norm, block):
+    """Step spaces and a Standard + step union against the loop oracle at every
+    blocking level: a violation over a run of grid points has the run's first
+    point as its scale, also when earlier runs hold none."""
+    monkeypatch.setattr(space_module, "_BLOCK", block)
+    for low, high, early in ((1.0, 10.0, ()), (100.0, 500.0, (0.01, 0.1, 1.0))):
+        sp = _run_space(norm, low, high, early)
+        report = check_axioms(sp)
+        worst, witness = na1_first_witness(sp, norm, report.grid)
+        assert (report.na1_residual, report.witness) == (worst, witness)
+        assert witness[3] == min(t for t in report.grid if t > low)
+    m = random_metric(rng, 4, 1.0, 2.0)
+    step = _iso_space(m, norm, "step", "s")
+    cross = tuple(tuple(Stationary(0.1 * (p + q + 1)) for q in range(4)) for p in range(3))
+    union = UnionMetric(make_random_standard(rng, 3, norm), step, cross)
+    grid = GridSpec.log(1e-1, 1e1, 5)
+    for sp, report in ((step, check_axioms(step)), (union.as_space(), validate_union(union, grid))):
+        worst, witness = na1_first_witness(sp, norm, report.grid)
+        assert report.na1_residual == worst
+        assert report.witness == (None if report.na1 else witness)
+
+
+def test_triangle_scan_visits_each_distinct_slice_once(rng, monkeypatch, product):
+    stationary = make_random_stationary(rng, 5, product)
+    step = _iso_space(random_metric(rng, 5, 1.0, 2.0), product, "step", "s")
+    standard = make_random_standard(rng, 5, product)
+    cross = tuple(tuple(Stationary(0.2) for _ in range(5)) for _ in range(5))
+    union = UnionMetric(standard, step, cross)
+    scanned = _count_scanned_slices(monkeypatch)
+    reports = [check_axioms(stationary), check_axioms(step), check_axioms(standard), validate_union(union)]
+    assert len(step.breakpoints()) == 2
+    assert scanned == [1, 3, len(reports[2].grid), len(reports[3].grid)]
 
 
 def test_check_axioms_memory_is_bounded(rng, product):
