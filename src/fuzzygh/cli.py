@@ -37,8 +37,8 @@ from .sequences import (
     verify_no_cauchy,
 )
 from .space import check_axioms, t_diameter
-from .tnorm import TNorm, tn_check_axioms, tn_has_tn1, tn_leq, unit_grid, unit_grid_pairs
-from .util import TOL
+from .tnorm import KINDS, TNorm, tn_check_axioms, tn_has_tn1, tn_leq, unit_grid, unit_grid_pairs
+from .util import TOL, require_positive
 from .valuefn import ZERO
 
 
@@ -81,15 +81,22 @@ def _params(args, **extra) -> dict:
     return out
 
 
+def _axiom_grid(text: Optional[str]) -> Sequence[float]:
+    if not text:
+        return unit_grid(0.25)
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise DomainError(f"--axiom-grid must be comma-separated numbers, got {text!r}") from None
+
+
 def _cmd_tnorm(args) -> int:
-    norm = fio.tnorm_from_str(args.kind)
-    axiom_grid = [float(v) for v in args.axiom_grid.split(",")] if args.axiom_grid else list(
-        unit_grid(0.25)
-    )
-    report = tn_check_axioms(norm, axiom_grid)
-    holds, witness = tn_has_tn1(norm, unit_grid_pairs(args.tn1_step), tol=args.tol)
+    norm = TNorm(args.kind)
+    tn1_samples = unit_grid_pairs(args.tn1_step)
+    report = tn_check_axioms(norm, _axiom_grid(args.axiom_grid))
+    holds, witness = tn_has_tn1(norm, tn1_samples, tol=args.tol)
     orderings = {}
-    for other_kind in ("minimum", "product", "lukasiewicz"):
+    for other_kind in KINDS:
         if other_kind != args.kind:
             other = TNorm(other_kind)
             orderings[f"leq_{other_kind}"] = tn_leq(norm, other, unit_grid_pairs(0.05))
@@ -167,6 +174,8 @@ def _floor_fn(args, left, right, grid):
 
 
 def _cmd_glue(args) -> int:
+    if args.t is not None:
+        require_positive(args.t, "t")
     left = fio.load_space(args.left)
     right = fio.load_space(args.right)
     grid = _grid(args)
@@ -180,7 +189,7 @@ def _cmd_glue(args) -> int:
     doc = {
         "union": fio.union_to_doc(union),
         "axioms": report.as_dict(),
-        "hausdorff_at": {str(s): union_hausdorff(union, s) for s in (args.t,) if s},
+        "hausdorff_at": {str(s): union_hausdorff(union, s) for s in (args.t,) if s is not None},
         "params": _params(args),
     }
     _emit(doc, args, f"glue: union valid={report.passed}")
@@ -327,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("tnorm", help="t-norm property report")
-    p.add_argument("--kind", required=True, choices=("minimum", "product", "lukasiewicz"))
+    p.add_argument("--kind", required=True, choices=KINDS)
     p.add_argument("--axiom-grid", type=str, default=None)
     p.add_argument("--tn1-step", type=float, default=0.01)
     _add_common(p, grid=False)

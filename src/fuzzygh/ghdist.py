@@ -12,7 +12,8 @@ that meets every row and column, the least closed cross matrix is the max-T
 closure cl_W(a) = max_{w in W} T(k(w, a), gamma) (Zadeh, Inf. Sci. 3, 1971),
 and it is feasible iff every pair of cells in W is: cells (p, q), (p', q')
 allow gamma up to min(max_damping(B, A), max_damping(A, B)) in the values
-A = M_X(p, p', t), B = M_Y(q, q', t) (``TNorm.max_damping``).  At one scale
+A = M_X(p, p', t), B = M_Y(q, q', t) (``TNorm.max_damping``, a closed form
+for each of the three norms).  At one scale
 -log M (product) and 1 - M (minimum, Lukasiewicz) are classical (pseudo)metrics,
 and this is the classical GH problem, min over relations of dis R (Burago,
 Burago & Ivanov, Thm 7.3.25), solved as a bottleneck covering problem
@@ -99,15 +100,15 @@ def gh_fuzzy_lower_bound(
     Strategies: the zero-floor constant gluing (always valid), the
     min-diameter-envelope constant gluing, and the witness-relation gluing
     through the optimal relation of ``gh_fuzzy_upper_bound``.  Beyond
-    ``MAX_CROSS_VARIABLES`` cross variables or under a user-defined norm the
-    upper bound does not apply, and only the two constant gluings run.
+    ``MAX_CROSS_VARIABLES`` cross variables the upper bound does not apply,
+    and only the two constant gluings run.
     """
     require_positive(t, "t")
     if x.norm.kind != y.norm.kind:
         raise DomainError("both spaces must share the t-norm kind")
     try:
         relation: Optional[tuple] = gh_fuzzy_upper_bound(x, y, t, tol).relation
-    except (SizeLimitError, DomainError):
+    except SizeLimitError:
         relation = None
     return _lower_bound(x, y, t, relation, grid, tol)
 
@@ -185,7 +186,7 @@ def gh_fuzzy_upper_bound(
     It is the largest gamma for which a relation W meeting every row and column
     has g(w, w') >= gamma on all its pairs: bisection over the distinct thresholds,
     each step a covering-clique search.  Refuses more than ``MAX_CROSS_VARIABLES``
-    cross variables, and user-defined norms.
+    cross variables.
     """
     require_positive(t, "t")
     if x.norm.kind != y.norm.kind:

@@ -575,7 +575,7 @@ def glue_via_relation(
     then the limits at infinity capped by the last point's values), and 0 at
     and below a splice s0 halfway between t and the grid point below it.  Lower
     triangle instances hold for any closure, upper ones by the choice of gamma,
-    which is nondecreasing.  Built-in norms only (``TNorm.max_damping``).
+    which is nondecreasing (``TNorm.max_damping``).
     """
     if x.norm.kind != y.norm.kind:
         raise DomainError("both spaces must share the t-norm kind")
@@ -612,7 +612,7 @@ def mutual_eps_domination(a: float, b: float, k: float, eps: float, norm) -> boo
     require_open_unit(eps, "eps")
     if not (0.0 < k < min(a, b) < 1.0):
         raise DomainError("need 0 < k < min(a, b) < 1")
-    if norm.has_tn1_known() is not True:
+    if not norm.has_tn1_known():
         raise DomainError(f"t-norm {norm.kind!r} lacks the required damping property")
     ok_a, ok_b = _mutual_bounds(a, b, 1.0 - eps, norm)
     return bool(ok_a and ok_b)

@@ -22,22 +22,8 @@ from .space import (
     make_stationary_space,
     make_step_space,
 )
-from .tnorm import BUILTIN_KINDS, TNorm
+from .tnorm import TNorm
 from .valuefn import Standard, Stationary, Step, ValueFn, is_stationary, is_steplike
-
-
-def tnorm_to_str(norm: TNorm) -> str:
-    if norm.kind not in BUILTIN_KINDS:
-        raise ConstructionError(f"t-norm kind {norm.kind!r} is not serializable")
-    return norm.kind
-
-
-def tnorm_from_str(text: str) -> TNorm:
-    if text not in BUILTIN_KINDS:
-        raise ConstructionError(
-            f"unknown t-norm {text!r}; expected one of {', '.join(BUILTIN_KINDS)}"
-        )
-    return TNorm(text)
 
 
 def valuefn_to_doc(f: ValueFn) -> dict:
@@ -76,7 +62,7 @@ def space_to_doc(space: FuzzySpace) -> dict:
     doc: dict = {
         "name": space.name,
         "points": list(space.labels),
-        "tnorm": tnorm_to_str(space.norm),
+        "tnorm": space.norm.kind,
     }
     n = space.n
     if all(isinstance(f, Standard) for f in pairs) and n > 1:
@@ -139,7 +125,7 @@ def _step(doc: dict, where: str) -> Step:
 def space_from_doc(doc: dict) -> FuzzySpace:
     where = f"space {doc.get('name', '?')!r}" if isinstance(doc, dict) else "space"
     labels = _require(doc, "points", where, lambda points: [str(l) for l in points])
-    norm = tnorm_from_str(_require(doc, "tnorm", where))
+    norm = TNorm(_require(doc, "tnorm", where))
     metric = _require(doc, "metric", where)
     kind = _require(metric, "kind", where)
     name = str(doc.get("name", ""))

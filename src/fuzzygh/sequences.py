@@ -168,8 +168,8 @@ _RATIO_SCALES = 32
 
 
 def default_ratio_grid(family: SequenceFamily, t: float) -> tuple[float, ...]:
-    """Scales above t where the ratio condition is checked: a log sweep of
-    (t, 100t] merged with every step breakpoint above t and a tail point."""
+    """Scales s > t where the ratio condition is checked: a log sweep of
+    (t, 100t] merged with every step breakpoint past t and a tail point."""
     vals = set(np.logspace(math.log10(t), math.log10(100.0 * t), _RATIO_SCALES + 1)[1:])
     bps = [b for sp in family.spaces for b in sp.breakpoints() if b > t]
     vals.update(bps)
@@ -214,7 +214,7 @@ def check_ratio_condition(
     vals_t = np.array([_net_block(sp, net, t) for sp, net in zip(family.spaces, nets)])
     if np.any(vals_t <= tol):
         raise DomainError("zero net similarity at t; the diameter floor must be violated")
-    # (count, size, size, S) net similarities at the scales above t
+    # (count, size, size, S) net similarities at the scales s > t
     ts = np.asarray(s_vals, dtype=float)
     vals_s = np.array([slices_at(sp, ts)[:, net][:, :, net] for sp, net in zip(family.spaces, nets)])
     vals_s = vals_s.transpose(0, 2, 3, 1)
@@ -223,8 +223,10 @@ def check_ratio_condition(
     # in turn, so memory stays O(count * size^2 * S)
     den_t = norm.array(vals_t, one_minus)
     den_s = norm.array(vals_s, one_minus)
-    zero_t = den_t <= tol
-    zero_s = den_s <= tol
+    # with two spaces or more every denominator is a divisor below; each is
+    # nondecreasing in s, so none vanishes at s > t unless it does at t
+    if count > 1 and (den_t <= tol).any():
+        raise DomainError("zero damped denominator at t")
     is_product = norm.kind == "product"
     product_passed: Optional[bool] = True if is_product else None
     worst = math.inf
@@ -234,15 +236,6 @@ def check_ratio_condition(
             a_t, a_s = vals_t[n], vals_s[n]
             active = vals_s - a_s > tol
             active[n] = False
-            # the first (m, i, j) in loop order whose damped denominator vanishes
-            # at t, or at an active scale above t, decides which error is raised
-            zero = zero_t | (active & zero_s).any(axis=3)
-            zero[n] = False
-            if zero.any():
-                first = np.unravel_index(np.argmax(zero), zero.shape)
-                if zero_t[first]:
-                    raise DomainError("zero damped denominator at t")
-                raise DomainError("zero damped denominator above t")
             margin = a_s / den_s - (a_t / den_t)[..., None]
             if active.any():
                 worst = min(worst, float(margin[active].min()))
@@ -442,7 +435,7 @@ def check_stationary_hypotheses(
     """
     require_unit(eps, "eps")
     failures: list[str] = []
-    if family.norm.has_tn1_known() is not True:
+    if not family.norm.has_tn1_known():
         failures.append(f"t-norm {family.norm.kind!r} lacks the damping property")
     for n, sp in enumerate(family.spaces):
         if not all(is_stationary(f) for f in sp.pairs):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConstructionError, DomainError, SizeLimitError
 from .grids import GridSpec
-from .tnorm import TNorm, tn_check_axioms
+from .tnorm import TNorm
 from .util import TOL, Report, require_positive
 from .valuefn import (
     ONE,
@@ -184,16 +184,6 @@ def certification_grid(
 # constructors
 
 
-def _validate_norm(norm: TNorm) -> TNorm:
-    if not norm.is_builtin:
-        report = tn_check_axioms(norm, [0.0, 0.25, 0.5, 0.75, 1.0])
-        if not report.passed:
-            raise ConstructionError(
-                f"custom t-norm {norm.kind!r} fails the axiom check: {report.as_dict()}"
-            )
-    return norm
-
-
 def validate_distance_matrix(distances, tol: float = 1e-9) -> np.ndarray:
     """Check finiteness, symmetry, zero diagonal, positivity and the triangle inequality."""
     d = np.asarray(distances, dtype=float)
@@ -245,7 +235,7 @@ def make_standard_space(
         for i in range(len(labels))
         for j in range(i + 1, len(labels))
     )
-    return FuzzySpace(name, labels, _validate_norm(norm), pairs)
+    return FuzzySpace(name, labels, norm, pairs)
 
 
 def make_stationary_space(
@@ -271,7 +261,7 @@ def make_stationary_space(
                     f"off-diagonal value for ({labels[i]}, {labels[j]}) must lie in [0, 1), got {c}"
                 )
             pairs.append(Stationary(c))
-    return FuzzySpace(name, labels, _validate_norm(norm), tuple(pairs))
+    return FuzzySpace(name, labels, norm, tuple(pairs))
 
 
 def make_step_space(
@@ -299,7 +289,7 @@ def make_step_space(
             if (i, j) not in entries:
                 raise ConstructionError(f"missing entry for pair ({i}, {j})")
             pairs.append(entries[(i, j)])
-    return FuzzySpace(name, labels, _validate_norm(norm), tuple(pairs))
+    return FuzzySpace(name, labels, norm, tuple(pairs))
 
 
 # ---------------------------------------------------------------------------

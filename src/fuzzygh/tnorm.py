@@ -1,21 +1,22 @@
 """Continuous t-norms and verification of the algebraic properties used downstream.
 
-The three built-in norms (minimum, product, Lukasiewicz) have exact closed
-forms; user-defined norms are accepted through :func:`TNorm.custom` but must
-pass :func:`tn_check_axioms` before being used elsewhere.
+A :class:`TNorm` is one of the three norms the library serves (minimum,
+product, Lukasiewicz), each with an exact closed form.  The checks below
+(axioms, (TN1), pointwise order) work on a sampled grid of [0, 1].
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConstructionError, DomainError
+from .errors import ConstructionError, DomainError, SizeLimitError
 from .util import TOL, Report, require_unit
 
-BUILTIN_KINDS = ("minimum", "product", "lukasiewicz")
+KINDS = ("minimum", "product", "lukasiewicz")
 
 
 @dataclass(frozen=True)
@@ -23,14 +24,12 @@ class TNorm:
     """A continuous t-norm: commutative, associative, monotone, with identity 1."""
 
     kind: str
-    fn: Optional[Callable[[float, float], float]] = None
 
     def __post_init__(self):
-        if self.kind in BUILTIN_KINDS:
-            if self.fn is not None:
-                raise ConstructionError("built-in norms do not take a custom function")
-        elif self.fn is None:
-            raise ConstructionError(f"unknown t-norm kind {self.kind!r}")
+        if self.kind not in KINDS:
+            raise ConstructionError(
+                f"unknown t-norm {self.kind!r}; expected one of {', '.join(KINDS)}"
+            )
 
     @classmethod
     def minimum(cls) -> "TNorm":
@@ -44,17 +43,6 @@ class TNorm:
     def lukasiewicz(cls) -> "TNorm":
         return cls("lukasiewicz")
 
-    @classmethod
-    def custom(cls, name: str, fn: Callable[[float, float], float]) -> "TNorm":
-        """Extension point; callers must run tn_check_axioms before further use."""
-        if name in BUILTIN_KINDS:
-            raise ConstructionError(f"{name!r} shadows a built-in norm")
-        return cls(name, fn)
-
-    @property
-    def is_builtin(self) -> bool:
-        return self.kind in BUILTIN_KINDS
-
     def __call__(self, a: float, b: float) -> float:
         """Scalar evaluation without domain checks (hot path)."""
         k = self.kind
@@ -62,51 +50,37 @@ class TNorm:
             return a * b
         if k == "minimum":
             return a if a <= b else b
-        if k == "lukasiewicz":
-            s = a + b - 1.0
-            return s if s > 0.0 else 0.0
-        return self.fn(a, b)  # type: ignore[misc]
+        s = a + b - 1.0
+        return s if s > 0.0 else 0.0
 
     def array(self, a, b, out=None):
         """Vectorized evaluation on numpy arrays (broadcasting allowed), written
-        into ``out`` when given (in place for the built-in norms)."""
+        into ``out`` when given."""
         k = self.kind
         if k == "product":
             return np.multiply(a, b, out=out)
         if k == "minimum":
             return np.minimum(a, b, out=out)
-        if k == "lukasiewicz":
-            return np.maximum(np.subtract(np.add(a, b, out=out), 1.0, out=out), 0.0, out=out)
-        vals = np.vectorize(self.fn, otypes=[float])(a, b)
-        if out is None:
-            return vals
-        out[...] = vals
-        return out
+        return np.maximum(np.subtract(np.add(a, b, out=out), 1.0, out=out), 0.0, out=out)
 
     def max_damping(self, kk, cap):
-        """Elementwise largest gamma in [0, 1] with T(kk, T(gamma, gamma)) <= cap:
-        the closed form of each built-in norm; DomainError for the others."""
+        """Elementwise largest gamma in [0, 1] with T(kk, T(gamma, gamma)) <= cap,
+        in the closed form of the norm."""
         k = self.kind
         if k == "product":
             with np.errstate(divide="ignore", invalid="ignore"):
                 return np.sqrt(np.fmin(1.0, cap / kk))
         if k == "minimum":
             return np.where(kk <= cap, 1.0, cap)
-        if k == "lukasiewicz":
-            return np.minimum(1.0, (cap + 2.0 - kk) / 2.0)
-        raise DomainError(f"closed-form damping needs a built-in norm, got {k!r}")
+        return np.minimum(1.0, (cap + 2.0 - kk) / 2.0)
 
-    def has_tn1_known(self) -> Optional[bool]:
-        """Whether ``a - a*b >= a*(1-b)`` holds, when known algebraically.
+    def has_tn1_known(self) -> bool:
+        """Whether ``a - a*b >= a*(1-b)`` holds for all a, b in [0, 1].
 
         Product satisfies it with equality, Lukasiewicz by case analysis,
-        minimum fails (witness a=b=1/2).  Custom norms return None.
+        minimum fails (witness a=b=1/2).
         """
-        if self.kind in ("product", "lukasiewicz"):
-            return True
-        if self.kind == "minimum":
-            return False
-        return None
+        return self.kind != "minimum"
 
 
 @dataclass(frozen=True)
@@ -138,10 +112,19 @@ def tn_eval(norm: TNorm, a: float, b: float) -> float:
     return float(norm(a, b))
 
 
+#: the finest sample step: ``unit_grid_pairs`` builds (1/step + 1)^2 pairs
+MIN_GRID_STEP = 1e-3
+
+
 def unit_grid(step: float = 0.01) -> tuple[float, ...]:
-    """Evenly spaced samples of [0, 1] including both endpoints."""
-    n = int(round(1.0 / step))
-    return tuple(min(1.0, i * step) for i in range(n + 1))
+    """Samples of [0, 1] at ``step`` apart, from exactly 0.0 to exactly 1.0; a
+    step that does not divide 1 leaves a shorter last interval."""
+    if not 0.0 < step <= 1.0:
+        raise DomainError(f"sample step must lie in (0, 1], got {step!r}")
+    if step < MIN_GRID_STEP:
+        raise SizeLimitError(f"sample step {step!r} is finer than the limit {MIN_GRID_STEP}")
+    n = math.ceil(1.0 / step - 1e-9)
+    return tuple(i * step for i in range(n)) + (1.0,)
 
 
 def unit_grid_pairs(step: float = 0.01) -> list[tuple[float, float]]:

@@ -97,6 +97,32 @@ def test_tnorm_verb(capsys):
     assert doc["tn1"]["holds"] is False
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--tn1-step", "0"),
+        ("--tn1-step", "nan"),
+        ("--tn1-step", "-1"),
+        ("--tn1-step", "2"),
+        ("--tn1-step", "1e-9"),
+        ("--axiom-grid", "a"),
+        ("--axiom-grid", ","),
+        ("--axiom-grid", "0,2"),
+    ],
+    ids=" ".join,
+)
+def test_tnorm_bad_samples_exit_two(capsys, flags):
+    assert main(["tnorm", "--kind", "product", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_tnorm_axiom_grid_error_names_the_flag(capsys):
+    assert main(["tnorm", "--kind", "product", "--axiom-grid", "0.5,x"]) == 2
+    assert capsys.readouterr().err == "error: --axiom-grid must be comma-separated numbers, got '0.5,x'\n"
+
+
 def test_net_and_cover(capsys, half):
     code, doc = run(capsys, "net", "--space", half, "--t", "0.5", "--eps", "0.1")
     assert code == 0
@@ -118,6 +144,17 @@ def test_glue_envelope(capsys, half):
     code, doc = run(capsys, "glue", "--left", half, "--right", half, "--floor-envelope", "--t", "1.0")
     assert code == 0
     assert doc["axioms"]["passed"]
+
+
+@pytest.mark.parametrize("t", ["0", "-1", "nan", "inf"])
+def test_glue_bad_t_exits_two_before_gluing(capsys, half, monkeypatch, t):
+    def never(*args, **kwargs):
+        raise AssertionError("glued with a bad --t")
+
+    monkeypatch.setattr(cli, "glue_constant", never)
+    assert main(["glue", "--left", half, "--right", half, "--floor-zero", "--t", t]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: t must be positive and finite, got {float(t)!r}\n"
 
 
 @pytest.mark.parametrize("verb", ["glue", "mdelta"])

@@ -7,7 +7,6 @@ import pytest
 from fuzzygh import (
     ConstructionError,
     DistanceMatrix,
-    DomainError,
     HypothesisError,
     SizeLimitError,
     Step,
@@ -94,15 +93,6 @@ def test_upper_bound_size_refusal(rng, product):
     y = make_random_stationary(rng, 6, product)
     with pytest.raises(SizeLimitError):
         gh_fuzzy_upper_bound(x, y, 1.0)  # 42 cross variables > 36
-
-
-def test_upper_bound_custom_norm_domain():
-    norm = TNorm.custom("scaled-product", lambda a, b: a * b)
-    x = make_stationary_space(["a", "b"], [[1, 0.5], [0.5, 1]], norm)
-    with pytest.raises(DomainError):
-        gh_fuzzy_upper_bound(x, x, 1.0)
-    # the lower bound then runs the constant gluings alone
-    assert gh_fuzzy_lower_bound(x, x, 1.0).method == "constant-envelope"
 
 
 def test_bounds_symmetry(rng, product):
@@ -255,7 +245,7 @@ def test_lower_bound_dominates_the_strategy_loop(kind):
 
 @pytest.mark.parametrize("kind", ["product", "minimum", "lukasiewicz"])
 def test_lower_bound_matches_unscreened_loop(kind):
-    # without a relation (beyond the upper bound's limit, or a custom norm)
+    # without a relation (beyond the upper bound's limit)
     # only the two constant gluings run: the strategy loop with no eps
     for x, y, t in _pairs(kind):
         _same_result(ghdist._lower_bound(x, y, t, None, None, TOL), lower_bound_loop(x, y, t, ()))

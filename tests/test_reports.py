@@ -24,7 +24,7 @@ from fuzzygh.sequences import (
     verify_no_cauchy,
 )
 from fuzzygh.space import check_axioms
-from fuzzygh.tnorm import tn_check_axioms
+from fuzzygh.tnorm import TNormAxiomReport, tn_check_axioms
 from fuzzygh.util import Report
 from fuzzygh.valuefn import Stationary
 
@@ -58,7 +58,7 @@ def _reports(rng):
         ("axioms-pass", check_axioms(line3)),
         ("axioms-fail", check_axioms(bent)),
         ("tnorm-builtin", tn_check_axioms(TNorm.product(), UNIT)),
-        ("tnorm-custom", tn_check_axioms(TNorm.custom("drastic-ish", lambda a, b: a * b * b), UNIT)),
+        ("tnorm-fail", TNormAxiomReport(0.0, 0.125, 0.0, 0.25, 0.0)),
         ("net-exact", find_net(line4, 1.0, 0.4)),
         ("net-greedy", find_net(line4, 1.0, 0.4, exact_limit=2)),
         ("upper", gh_fuzzy_upper_bound(line3, bent, 1.0)),
@@ -102,7 +102,7 @@ def test_reports_cover_every_case(rng):
         "NoCauchyReport",
     }
     assert reports["axioms-pass"].passed and not reports["axioms-fail"].passed
-    assert reports["tnorm-builtin"].passed and not reports["tnorm-custom"].passed
+    assert reports["tnorm-builtin"].passed and not reports["tnorm-fail"].passed
     assert reports["net-exact"].minimal and not reports["net-greedy"].minimal
     assert len(reports["floor-many"].violations) > 20
     assert len(reports["ratio-many"].witnesses) > 20

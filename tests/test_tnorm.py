@@ -1,9 +1,23 @@
+import json
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fuzzygh import DomainError, TNorm, tn_check_axioms, tn_eval, tn_has_tn1, tn_leq
-from fuzzygh.tnorm import unit_grid, unit_grid_pairs
+from fuzzygh import (
+    ConstructionError,
+    DomainError,
+    SizeLimitError,
+    TNorm,
+    tn_check_axioms,
+    tn_eval,
+    tn_has_tn1,
+    tn_leq,
+)
+from fuzzygh.cli import main
+from fuzzygh.tnorm import MIN_GRID_STEP, unit_grid, unit_grid_pairs
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -90,7 +104,7 @@ def test_array_matches_scalar(a, b):
 
 @pytest.mark.parametrize(
     "norm",
-    [TNorm.minimum(), TNorm.product(), TNorm.lukasiewicz(), TNorm.custom("plain-product", lambda a, b: a * b)],
+    [TNorm.minimum(), TNorm.product(), TNorm.lukasiewicz()],
     ids=lambda norm: norm.kind,
 )
 def test_array_into_a_buffer_matches_a_fresh_array(norm):
@@ -102,7 +116,39 @@ def test_array_into_a_buffer_matches_a_fresh_array(norm):
     assert buf.tobytes() == fresh.tobytes()
 
 
-def test_custom_norm_extension_point():
-    norm = TNorm.custom("drastic-ish", lambda a, b: a * b * b)
-    report = tn_check_axioms(norm, list(unit_grid(0.25)))
-    assert not report.passed  # not associative/commutative: must be rejected downstream
+def test_only_the_three_norms_exist(tmp_path, capsys):
+    message = "unknown t-norm 'drastic'; expected one of minimum, product, lukasiewicz"
+    with pytest.raises(ConstructionError, match=message):
+        TNorm("drastic")
+    with pytest.raises(TypeError):
+        TNorm("product", lambda a, b: a * b)
+    doc = tmp_path / "space.json"
+    doc.write_text(json.dumps({"name": "s", "points": ["a"], "tnorm": "drastic",
+                               "metric": {"kind": "stationary", "values": [[1.0]]}}), encoding="utf-8")
+    assert main(["check", "--space", str(doc)]) == 2
+    assert capsys.readouterr().err == f"error: {doc}: {message}\n"
+
+
+@pytest.mark.parametrize("step", [0.01, 0.05, 0.25, 0.3, 1 / 3, 0.7, 1.0, MIN_GRID_STEP])
+def test_unit_grid_spans_both_endpoints(step):
+    grid = unit_grid(step)
+    assert grid[0] == 0.0 and grid[-1] == 1.0
+    gaps = np.diff(grid)
+    assert (gaps > 0).all() and gaps.max() <= step * (1 + 1e-9)
+    assert len(grid) == math.ceil(round(1 / step, 9)) + 1
+
+
+def test_unit_grid_refuses_a_bad_step():
+    for step in (0.0, -1.0, 2.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="sample step"):
+            unit_grid_pairs(step)
+    # refused before any sample exists: (1/step + 1)^2 pairs would not fit
+    tracemalloc.start()
+    try:
+        for step in (MIN_GRID_STEP / 2, 1e-12, 5e-324):
+            with pytest.raises(SizeLimitError):
+                unit_grid_pairs(step)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
