@@ -6,8 +6,9 @@
 `is_isometric` on permuted standard and step copies of 10-50 points under the
 product norm.  Each entry records the wall time (the minimum over the
 repeats), the `tracemalloc` peak of one more call, n, the size of the
-certification grid and the number of t-slices the call scans, that is the
-grid points whose slice differs from the one before (`space.fresh_slices`).
+certification grid and the number of t-slices the call reads: the first grid
+point and each one just after a breakpoint, or every point once an entry is
+`Standard` (`space.fresh_slices`).
 The results go to a JSON file, BENCH_axioms.json by default:
 
     PYTHONPATH=src python3 scripts/run_axioms_curve.py --max-n 320 --repeats 3
@@ -72,8 +73,7 @@ def step_pairs(d):
 
 def scanned_slices(*spaces):
     g = certification_grid(None, *spaces)
-    vals = [sp.grid_values(g) for sp in spaces]
-    return len(g), len(fresh_slices(*(v[1:] - v[:-1] for v in vals)))
+    return len(g), len(fresh_slices(g, *spaces))
 
 
 def measure(call, repeats):

@@ -392,27 +392,12 @@ def _step_cross(points: Sequence[float], samples: np.ndarray) -> tuple[tuple[Val
 # the matched-net gluing
 
 
-def _cross_points(
-    x: FuzzySpace,
-    y: FuzzySpace,
-    floor: ValueFn,
-    grid: GridSpec,
-    splice: float,
-    t: float,
-) -> list[float]:
-    exact = x.all_steplike() and y.all_steplike() and is_steplike(floor)
-    pts: set[float] = set(x.breakpoints()) | set(y.breakpoints()) | set(floor.breakpoints)
-    pts.add(t)
-    if splice > 0.0:
-        pts.add(splice)
-    if not exact:
-        pts.update(grid.values)
-        # a far sample where every analytic entry has converged within ~1e-13,
-        # so the frozen step tail stays inside the certification tolerance
-        max_d = standard_scale((*x.pairs, *y.pairs, floor))
-        far = max(1e16, max_d * 1e14, t * 10.0, max(pts, default=1.0) * 2.0)
-        pts.add(far)
-    return sorted(p for p in pts if p > 0.0)
+def _far_point(x: FuzzySpace, y: FuzzySpace, floor: ValueFn, grid: GridSpec, t: float) -> float:
+    """A far sample beyond ``grid`` where every analytic entry has converged
+    within ~1e-13, so the frozen step tail stays inside the certification
+    tolerance."""
+    max_d = standard_scale((*x.pairs, *y.pairs, floor))
+    return max(1e16, max_d * 1e14, t * 10.0, grid.values[-1] * 2.0)
 
 
 def _check_mutual_bounds(
@@ -504,7 +489,7 @@ def glue_via_nets(
 
     _check_mutual_bounds(x, y, nets, g, tol)
     splice = t - delta
-    points = _cross_points(x, y, floor, g, splice, t)
+    points = [*g.values, _far_point(x, y, floor, g, t)]
     cross = _net_cross(x, y, nets, floor, splice, points)
     u = _validated(UnionMetric(x, y, cross), g, tol, "matched-net")
     h = union_hausdorff(u, t)

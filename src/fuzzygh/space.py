@@ -142,19 +142,22 @@ def slices_at(space: FuzzySpace, ts: np.ndarray) -> np.ndarray:
     return out
 
 
-def fresh_slices(*steps: np.ndarray) -> np.ndarray:
-    """Indices of the grid points whose slice differs from the one before.
+def fresh_slices(g: GridSpec, *spaces: FuzzySpace) -> np.ndarray:
+    """Indices of the points of ``g`` whose slices may differ from the one before.
 
-    Each of ``steps`` is the (T - 1, n, n) difference ``V[1:] - V[:-1]`` of a
-    (T, n, n) value array; point s + 1 is new when any of them is nonzero at s,
-    and the first point always is.  Finite floats differ exactly when their
-    difference is nonzero, so every point left out repeats, bit for bit, the
-    slices of the last point kept before it.
+    ``g`` holds every breakpoint of the spaces (``certification_grid``).  When
+    every entry is a ``Step``, these are the first point and the point just
+    after each breakpoint: a canonical step changes value only across a
+    breakpoint, so every point left out repeats, bit for bit, the slices of
+    the point before it.  Otherwise they are every point.
     """
-    changed = np.zeros(len(steps[0]), dtype=bool)
-    for step in steps:
-        changed |= step.any(axis=(1, 2))
-    return np.flatnonzero(np.concatenate(([True], changed)))
+    if not all(sp.all_steplike() for sp in spaces):
+        return np.arange(len(g))
+    fresh = np.zeros(len(g) + 1, dtype=bool)
+    fresh[0] = True
+    for sp in spaces:
+        fresh[np.searchsorted(g.values, sp.breakpoints(), side="right")] = True
+    return np.flatnonzero(fresh[:-1])
 
 
 def certification_grid(
@@ -244,12 +247,15 @@ def make_stationary_space(
     norm: TNorm,
     name: str = "",
 ) -> FuzzySpace:
-    """Space with t-independent pair values; the triangle axiom is *not* checked here."""
+    """Space with t-independent pair values and a unit diagonal; the triangle
+    axiom is *not* checked here."""
     labels = tuple(labels)
     v = np.asarray(values, dtype=float)
     n = len(labels)
     if v.shape != (n, n):
         raise ConstructionError("values matrix shape does not match labels")
+    if not np.all(np.abs(np.diag(v) - 1.0) <= TOL):
+        raise ConstructionError("values matrix must have a unit diagonal")
     if np.any(np.abs(v - v.T) > TOL):
         raise ConstructionError("values matrix must be symmetric")
     pairs = []
@@ -373,23 +379,21 @@ def check_axioms(space: FuzzySpace, grid: Optional[GridSpec] = None, tol: float 
     """Verify the fuzzy-metric axioms on the grid merged with all breakpoints.
 
     Vanishing at zero, symmetry, left continuity and separation hold
-    structurally; monotonicity is re-checked numerically between consecutive
-    grid points; the pointwise triangle inequality is checked over all
-    ordered triples at every grid t whose slice differs from the one before
-    (``fresh_slices``).  A skipped slice repeats a scanned one bit for bit,
-    so the residual and its first witness are those of the full scan, and the
-    witness scale is the first grid point of its run.  For piecewise-constant
-    spaces the merged grid makes the triangle check exact, otherwise it is
-    grid-certified.
+    structurally.  Only the grid points whose slice may differ from the one
+    before are read (``fresh_slices``): monotonicity is re-checked numerically
+    between consecutive ones, and the pointwise triangle inequality over all
+    ordered triples at each.  A skipped slice repeats a read one bit for bit,
+    so its step is zero, the residual and its first witness are those of the
+    full scan, and the witness scale is the first grid point of its run.  For
+    piecewise-constant spaces the merged grid makes the triangle check exact,
+    otherwise it is grid-certified.
     """
     g = certification_grid(grid, space)
-    V = space.grid_values(g)
-    steps = V[1:] - V[:-1]
+    fresh = fresh_slices(g, space)
+    V = slices_at(space, g.array()[fresh])
     # monotonicity: structural for each representation, re-checked numerically
-    na2 = bool(np.all(steps >= -tol))
-    fresh = fresh_slices(steps)
-    del steps  # never held together with the gathered slices: the peak stays V plus one copy
-    worst, (tpos, i, j, k) = triangle_residual(V[fresh] if len(fresh) < len(V) else V, space.norm)
+    na2 = bool(np.all(V[1:] - V[:-1] >= -tol))
+    worst, (tpos, i, j, k) = triangle_residual(V, space.norm)
     na1 = worst >= -tol
     witness = None if na1 else (i, j, k, float(g.values[fresh[tpos]]))
     return AxiomReport(
@@ -483,7 +487,7 @@ def is_isometric(
 
     The comparison grid merges both spaces' breakpoints, so piecewise-constant
     spaces are compared exactly; analytic entries are grid-certified.  Only
-    the grid points where the slice of either space changes are compared
+    the grid points where the slice of either space may change are compared
     (``fresh_slices``); the others repeat a compared pair of slices.  Cells
     (i, p) and (j, q) are compatible when M_a(i, j) and M_b(p, q) agree within
     tol on the grid and the cells share a row exactly when they share a
@@ -498,8 +502,8 @@ def is_isometric(
         return None
     g = certification_grid(grid, a, b)
     n = a.n
-    va, vb = a.grid_values(g), b.grid_values(g)
-    fresh = fresh_slices(va[1:] - va[:-1], vb[1:] - vb[:-1])
+    ts = g.array()[fresh_slices(g, a, b)]
+    va, vb = slices_at(a, ts), slices_at(b, ts)
     same = np.eye(n, dtype=bool)
     ok = np.empty((n, n, n, n), dtype=bool)  # [i, p, j, q]
     step = max(1, _BLOCK // n ** 3)
@@ -508,8 +512,8 @@ def is_isometric(
         blk = ok[i0 : i0 + step]
         np.equal(same[i0 : i0 + step, None, :, None], same[None, :, None, :], out=blk)
         gap = buf[: blk.size].reshape(blk.shape)
-        for s in fresh:
-            np.subtract(va[s, i0 : i0 + step, None, :, None], vb[s, None, :, None, :], out=gap)
+        for sa, sb in zip(va, vb):
+            np.subtract(sa[i0 : i0 + step, None, :, None], sb[None, :, None, :], out=gap)
             blk &= np.abs(gap, out=gap) <= tol
     found, _ = _covering_clique(ok.reshape(n * n, n * n), n, n, _CLIQUE_NODE_BUDGET)
     return None if found is None else tuple(w % n for w in range(n * n) if found >> w & 1)

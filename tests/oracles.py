@@ -798,6 +798,18 @@ def classical_gh_loop(dx, dy) -> float:
     return best / 2.0
 
 
+def fresh_slices_loop(g, *spaces) -> list[int]:
+    """The grid points whose slice, in any of the spaces, differs from the one
+    at the point before, read off the full (T, n, n) value grids; the first
+    point always counts."""
+    grids = [sp.grid_values(g) for sp in spaces]
+    fresh = [0]
+    for s in range(1, len(g)):
+        if any(np.any(V[s] - V[s - 1] != 0.0) for V in grids):
+            fresh.append(s)
+    return fresh
+
+
 def is_isometric_loop(a, b, grid=None, tol: float = 1e-12):
     """is_isometric by backtracking over permutations in lexicographic order."""
     from fuzzygh.errors import DomainError

@@ -405,6 +405,12 @@ BAD_VALUE_DOCS = {
         "metric": {"kind": "standard", "distances": [[0, "x"], ["x", 0]]},
     },
     "string_floor.json": {"kind": "standard", "d": "x"},
+    "off_diagonal.json": {
+        "name": "s",
+        "points": ["a", "b"],
+        "tnorm": "product",
+        "metric": {"kind": "stationary", "values": [[0.3, 0.5], [0.5, 0.0]]},
+    },
 }
 
 
@@ -415,8 +421,9 @@ BAD_VALUE_DOCS = {
         (["bridge", "--metrics", "{doc}", "--bound", "1"], "int_metrics.json", "field 'metrics'"),
         (["check", "--space", "{doc}"], "string_distance.json", "field 'distances'"),
         (["glue", "--left", "{half}", "--right", "{half}", "--floor", "{doc}"], "string_floor.json", "field 'd'"),
+        (["check", "--space", "{doc}"], "off_diagonal.json", "unit diagonal"),
     ],
-    ids=["no-metrics", "int-metrics", "string-distance", "string-floor"],
+    ids=["no-metrics", "int-metrics", "string-distance", "string-floor", "stationary-diagonal"],
 )
 def test_document_values_of_the_wrong_type_exit_two(capsys, tmp_path, half, argv, name, field):
     # a KeyError, TypeError or ValueError from a document's values is a

@@ -30,7 +30,7 @@ from fuzzygh import (
     validate_union,
 )
 
-from fuzzygh.gluing import _check_mutual_bounds, _cross_points, _net_cross
+from fuzzygh.gluing import _check_mutual_bounds, _far_point, _net_cross
 from fuzzygh.space import certification_grid
 
 from conftest import make_random_standard, make_random_stationary
@@ -354,7 +354,7 @@ def test_net_cross_matches_closures(rng, norm):
     for kinds in KIND_PAIRS:
         for eps in (0.2, 0.5):
             x, y, nets, floor, g = glue_inputs(rng, norm, kinds, eps)
-            points = _cross_points(x, y, floor, g, splice, t)
+            points = [*g.values, _far_point(x, y, floor, g, t)]
             got = cross_outcome(_net_cross, x, y, nets, floor, splice, points)
             assert got == cross_outcome(net_cross_closures, x, y, nets, floor, splice, points)
             built += isinstance(got, str)
@@ -440,7 +440,7 @@ def test_glue_via_nets_cross_matches_closures(rng, norm, kind):
     floor = floor_envelope(x, x)
     u = glue_via_nets(x, x, nets, delta, floor)
     g = certification_grid(None, x, x, extra=(t, t - delta, *floor.breakpoints))
-    points = _cross_points(x, x, floor, g, t - delta, t)
+    points = [*g.values, _far_point(x, x, floor, g, t)]
     assert repr(u.cross) == repr(net_cross_closures(x, x, nets, floor, t - delta, points))
 
 

@@ -26,12 +26,13 @@ from fuzzygh import (
     validate_union,
 )
 from fuzzygh import space as space_module
-from fuzzygh.space import certification_grid, pair_indices
+from fuzzygh.space import certification_grid, fresh_slices, pair_indices
 from fuzzygh.valuefn import values
 
 from conftest import make_random_standard, make_random_stationary
 from oracles import (
     first_triangle_violation,
+    fresh_slices_loop,
     is_isometric_loop,
     na1_first_witness,
     na1_worst_residual,
@@ -67,6 +68,14 @@ def test_stationary_constructor(product):
         assert sp.value(0, 1, t) == 0.5
     with pytest.raises(ConstructionError):
         make_stationary_space(["a", "b"], [[1, 1.0], [1.0, 1]], product)
+    # M(x, x, t) = 1 for t > 0: a diagonal off 1 is refused, as a nonzero
+    # diagonal is for distances
+    for diagonal in ((0.3, 0.0), (1.0, 1.0 - 1e-9), (1.0, float("nan"))):
+        v = np.array([[0.0, 0.5], [0.5, 0.0]])
+        np.fill_diagonal(v, diagonal)
+        with pytest.raises(ConstructionError, match="unit diagonal"):
+            make_stationary_space(["a", "b"], v, product)
+    assert make_stationary_space(["a", "b"], [[1 - 1e-13, 0.5], [0.5, 1]], product).pairs == sp.pairs
 
 
 def test_step_constructor_rejects_decreasing(product):
@@ -481,6 +490,48 @@ def test_triangle_scan_visits_each_distinct_slice_once(rng, monkeypatch, product
     assert len(step.breakpoints()) == 2
     assert scanned == [1, 3, len(reports[2].grid), len(reports[3].grid)]
 
+    # the breakpoint rule against the value-difference loop it replaced: equal
+    # when every entry is a step, with breakpoints off the grid, below it and
+    # beyond it; a superset once a Standard entry is present
+    moved = Step((1e-4, 1.0, 5e3), (0.1, 0.2, 0.25, 0.3))
+    step_cross = tuple(tuple((moved, Stationary(0.2), Step((0.7,), (0.0, 0.3)))[(p + q) % 3]
+                             for q in range(5)) for p in range(5))
+    step_union = UnionMetric(step, _iso_space(random_metric(rng, 5, 1.0, 2.0), product, "step", "t"),
+                             step_cross).as_space()
+    for grid in (None, GridSpec.log(1e-2, 1e2, 11)):
+        for spaces in ((stationary,), (step,), (step_union,), (step, stationary), (stationary, step_union)):
+            g = certification_grid(grid, *spaces)
+            assert fresh_slices(g, *spaces).tolist() == fresh_slices_loop(g, *spaces)
+        for spaces in ((standard,), (union.as_space(),), (step, standard)):
+            g = certification_grid(grid, *spaces)
+            assert set(fresh_slices_loop(g, *spaces)) <= set(fresh_slices(g, *spaces).tolist())
+    # strictly so where t/(t + d) rounds to 1 at every scale
+    near = make_standard_space(["a", "b"], [[0.0, 1e-12], [1e-12, 0.0]], product)
+    g = GridSpec.log(1e5, 1e8, 8)
+    assert fresh_slices_loop(g, near) == [0] and fresh_slices(g, near).tolist() == list(range(8))
+
+    # is_isometric reads only the fresh slices and answers as the full grid does
+    read = []
+    slices_at = space_module.slices_at
+
+    def counting(sp, ts):
+        read.append(len(ts))
+        return slices_at(sp, ts)
+
+    monkeypatch.setattr(space_module, "slices_at", counting)
+    outcomes = set()
+    for rep in ("step", "standard"):
+        for shift in (0.0, 1e-10):
+            m = random_metric(rng, 5, 1.0, 2.0)
+            a, b = _iso_space(m, product, rep, "a"), _iso_space(_moved_copy(rng, m, shift), product, rep, "b")
+            read.clear()
+            found = is_isometric(a, b)
+            fresh = 3 if rep == "step" else len(certification_grid(None, a, b))
+            assert read == [fresh, fresh]
+            assert found == is_isometric_loop(a, b)
+            outcomes.add(found is None)
+    assert outcomes == {True, False}
+
 
 def test_check_axioms_memory_is_bounded(rng, product):
     sp = make_random_standard(rng, 100, product)
@@ -493,6 +544,23 @@ def test_check_axioms_memory_is_bounded(rng, product):
     assert report.passed
     # the (T, n, n, n) residual alone would take 64 * 100**3 * 8 bytes = 512 MB
     assert peak < 32 * 2 ** 20
+
+
+def test_check_axioms_reads_only_the_fresh_slices_in_memory(rng, product):
+    """One slice of a 320-point stationary space and three of a 120-point step
+    space; the full grids of 64 and 67 slices and their differences would take
+    100 MB and 15 MB."""
+    stationary = make_random_stationary(rng, 320, product)
+    step = _iso_space(random_metric(rng, 120, 1.0, 2.0), product, "step", "s")
+    for sp in (stationary, step):
+        tracemalloc.start()
+        try:
+            report = check_axioms(sp)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 8 * 2 ** 20, peak
 
 
 def test_grid_values_of_mixed_representations_match_per_pair(rng, product):
