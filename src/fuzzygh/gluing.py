@@ -26,19 +26,10 @@ from .space import (
     certification_grid,
     check_axioms,
     pair_indices,
-    slices_at,
     t_diameters,
 )
 from .util import TOL, gt_strict, require_open_unit, require_positive, require_unit
-from .valuefn import (
-    ONE,
-    Step,
-    ValueFn,
-    is_steplike,
-    standard_scale,
-    values,
-    vf_min,
-)
+from .valuefn import ONE, Step, ValueFn, is_steplike, values, vf_min
 
 
 @dataclass(frozen=True)
@@ -128,14 +119,8 @@ def floor_envelope(x: FuzzySpace, y: FuzzySpace, grid: Optional[GridSpec] = None
     return vf_min(fns, grid=g.values)
 
 
-def _check_floor(
-    x: FuzzySpace,
-    y: FuzzySpace,
-    c: ValueFn,
-    grid: GridSpec,
-    tol: float,
-) -> None:
-    bound = np.minimum(t_diameters(x, grid), t_diameters(y, grid))
+def _check_floor(bound: np.ndarray, c: ValueFn, grid: GridSpec, tol: float) -> None:
+    """(1): c stays below ``bound``, the smaller t-diameter at each point of ``grid``."""
     floor = values([c], grid.array())[:, 0]
     bad = floor > bound + tol
     if bad.any():
@@ -162,7 +147,7 @@ def glue_constant(
     if x.norm.kind != y.norm.kind:
         raise DomainError("both spaces must share the t-norm kind")
     g = certification_grid(grid, x, y, extra=c.breakpoints)
-    _check_floor(x, y, c, g, tol)
+    _check_floor(np.minimum(t_diameters(x, g), t_diameters(y, g)), c, g, tol)
     cross = tuple(tuple(c for _ in range(y.n)) for _ in range(x.n))
     return _validated(UnionMetric(x, y, cross), g, tol, "constant")
 
@@ -374,12 +359,13 @@ def _closure(mx: np.ndarray, my: np.ndarray, relation, norm) -> np.ndarray:
     return best
 
 
-def _right_limits(space: FuzzySpace, s: float) -> np.ndarray:
-    """(n, n) values just right of s, diagonal 1; at s = inf, the limits."""
-    out = np.ones((space.n, space.n))
+def _samples(space: FuzzySpace, g: GridSpec) -> np.ndarray:
+    """(T + 1, n, n) slices at the T points of ``g``, then the limits at
+    infinity, diagonal 1: what both closure gluings read of a space."""
+    limits = np.ones((1, space.n, space.n))
     i, j = pair_indices(space.n)
-    out[i, j] = out[j, i] = [f.right_limit(s) for f in space.pairs]
-    return out
+    limits[0, i, j] = limits[0, j, i] = [f.right_limit(math.inf) for f in space.pairs]
+    return np.concatenate([space.grid_values(g), limits])
 
 
 def _step_cross(points: Sequence[float], samples: np.ndarray) -> tuple[tuple[ValueFn, ...], ...]:
@@ -392,29 +378,23 @@ def _step_cross(points: Sequence[float], samples: np.ndarray) -> tuple[tuple[Val
 # the matched-net gluing
 
 
-def _far_point(x: FuzzySpace, y: FuzzySpace, floor: ValueFn, grid: GridSpec, t: float) -> float:
-    """A far sample beyond ``grid`` where every analytic entry has converged
-    within ~1e-13, so the frozen step tail stays inside the certification
-    tolerance."""
-    max_d = standard_scale((*x.pairs, *y.pairs, floor))
-    return max(1e16, max_d * 1e14, t * 10.0, grid.values[-1] * 2.0)
-
-
 def _check_mutual_bounds(
-    x: FuzzySpace,
-    y: FuzzySpace,
+    mx: np.ndarray,
+    my: np.ndarray,
     nets: MatchedNets,
     grid: GridSpec,
+    norm,
     tol: float,
 ) -> None:
     """(a)/(b): the single-factor mutual bounds between matched net entries at
-    every grid scale >= t; the first failure in (i, j, s) order is raised."""
+    every point >= t of ``grid``, read from the ``_samples`` of both spaces;
+    the first failure in (i, j, s) order is raised."""
     first = bisect.bisect_left(grid.values, nets.t)
     left, right = np.asarray(nets.left), np.asarray(nets.right)
     # (size, size, S) net similarities at the grid scales >= t
-    a = x.grid_values(grid)[first:, left[:, None], left].transpose(1, 2, 0)
-    b = y.grid_values(grid)[first:, right[:, None], right].transpose(1, 2, 0)
-    ok_a, ok_b = _mutual_bounds(a, b, 1.0 - nets.eps, x.norm, tol)
+    a = mx[first:-1, left[:, None], left].transpose(1, 2, 0)
+    b = my[first:-1, right[:, None], right].transpose(1, 2, 0)
+    ok_a, ok_b = _mutual_bounds(a, b, 1.0 - nets.eps, norm, tol)
     fail = ~(ok_a & ok_b)
     if fail.any():
         i, j, k = np.unravel_index(np.argmax(fail), fail.shape)
@@ -423,33 +403,29 @@ def _check_mutual_bounds(
 
 
 def _net_cross(
-    x: FuzzySpace,
-    y: FuzzySpace,
+    mx: np.ndarray,
+    my: np.ndarray,
     nets: MatchedNets,
     floor: ValueFn,
     splice: float,
-    points: Sequence[float],
+    grid: GridSpec,
+    norm,
 ) -> tuple[tuple[ValueFn, ...], ...]:
-    """Cross matrix of the matched-net gluing, exact at every point of ``points``.
+    """Cross matrix of the matched-net gluing from the ``_samples`` of both
+    spaces, exact at every point of ``grid``.
 
     At s <= splice every entry is floor*floor*(1-eps); above it, entry (p, q)
     is the max-T closure through the pairs (left_i, right_i), damped by
     (1-eps).  After the last point (>= t > splice) it is the closure of the
-    right limits there.
+    limits at infinity.
     """
-    norm = x.norm
     one_minus = 1.0 - nets.eps
-    pts = [float(p) for p in points]
-    s = np.asarray(pts)
-    mx, my = (
-        np.concatenate([slices_at(sp, s), _right_limits(sp, pts[-1])[None]]) for sp in (x, y)
-    )
     vals = norm.array(_closure(mx, my, zip(nets.left, nets.right), norm), one_minus)
-    low = bisect.bisect_right(pts, splice)
+    low = bisect.bisect_right(grid.values, splice)
     if low:
-        c = values([floor], s[:low])[:, 0]
+        c = values([floor], grid.array()[:low])[:, 0]
         vals[:low] = norm.array(norm.array(c, c), one_minus)[:, None, None]
-    return _step_cross(pts, vals)
+    return _step_cross(grid.values, vals)
 
 
 def glue_via_nets(
@@ -480,17 +456,17 @@ def glue_via_nets(
     if not 0.0 < delta <= t:
         raise DomainError(f"delta must lie in (0, t], got {delta!r}")
     g = certification_grid(grid, x, y, extra=(t, t - delta, *floor.breakpoints))
+    mx, my = _samples(x, g), _samples(y, g)
 
-    _check_floor(x, y, floor, g, tol)
+    _check_floor(np.minimum(mx[:-1].min(axis=(1, 2)), my[:-1].min(axis=(1, 2))), floor, g, tol)
     if not nets.left_net_eps:
         raise HypothesisError("(2)", detail="left side is not a (t, eps)-net")
     if not nets.right_net_eps:
         raise HypothesisError("(2)", detail="right side is not a (t, eps)-net")
 
-    _check_mutual_bounds(x, y, nets, g, tol)
-    splice = t - delta
-    points = [*g.values, _far_point(x, y, floor, g, t)]
-    cross = _net_cross(x, y, nets, floor, splice, points)
+    _check_mutual_bounds(mx, my, nets, g, x.norm, tol)
+    cross = _net_cross(mx, my, nets, floor, t - delta, g, x.norm)
+    del mx, my  # the union check below sets the peak
     u = _validated(UnionMetric(x, y, cross), g, tol, "matched-net")
     h = union_hausdorff(u, t)
     threshold = x.norm(1.0 - eps, 1.0 - eps)
@@ -571,7 +547,7 @@ def glue_via_relation(
     below = [p for p in g.values if p < t]
     s0 = (below[-1] + t) / 2.0 if below else t / 2.0
     g = g.merged((s0,))
-    mx, my = (np.concatenate([sp.grid_values(g), _right_limits(sp, math.inf)[None]]) for sp in (x, y))
+    mx, my = _samples(x, g), _samples(y, g)
     closure = _closure(mx, my, relation, x.norm)
     caps = (np.concatenate([m[:-1], m[-2:-1]]) for m in (mx, my))
     gamma = np.minimum.accumulate(_damping(closure, *caps, x.norm)[::-1])[::-1]

@@ -391,9 +391,16 @@ def check_axioms(space: FuzzySpace, grid: Optional[GridSpec] = None, tol: float 
     g = certification_grid(grid, space)
     fresh = fresh_slices(g, space)
     V = slices_at(space, g.array()[fresh])
-    # monotonicity: structural for each representation, re-checked numerically
-    na2 = bool(np.all(V[1:] - V[:-1] >= -tol))
     worst, (tpos, i, j, k) = triangle_residual(V, space.norm)
+    # monotonicity: structural for each representation, re-checked numerically
+    # between consecutive slices, in blocks through one buffer of at most
+    # _BLOCK floats (one slice once a slice exceeds it), once the scan's is freed
+    blk = max(1, _BLOCK // space.n ** 2)
+    buf = np.empty((min(blk, len(V) - 1), space.n, space.n))
+    na2 = True
+    for s0 in range(0, len(V) - 1, blk):
+        w = V[s0 : s0 + blk + 1]
+        na2 &= bool((np.subtract(w[1:], w[:-1], out=buf[: len(w) - 1]) >= -tol).all())
     na1 = worst >= -tol
     witness = None if na1 else (i, j, k, float(g.values[fresh[tpos]]))
     return AxiomReport(

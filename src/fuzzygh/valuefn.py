@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import compress
 from math import inf
 from operator import lt, ne
-from typing import ClassVar, Iterable, Sequence, Union
+from typing import ClassVar, Sequence, Union
 
 import numpy as np
 
@@ -154,11 +154,6 @@ def values(fns: Sequence[ValueFn], ts: np.ndarray) -> np.ndarray:
         table = np.array([fns[idx].values for idx in group])
         vals[:, group] = table[:, pos].T
     return vals
-
-
-def standard_scale(fns: Iterable[ValueFn]) -> float:
-    """Largest distance d among the ``Standard`` functions of fns, 1 if none."""
-    return max((f.d for f in fns if isinstance(f, Standard)), default=1.0)
 
 
 def vf_min(fns: Sequence[ValueFn], grid: Sequence[float] = ()) -> ValueFn:

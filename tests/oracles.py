@@ -249,7 +249,8 @@ def mutual_bounds_loop(x, y, nets, s_check, tol: float = 1e-12):
 
 
 def net_cross_closures(x, y, nets, floor, splice: float, points):
-    """Cross matrix of glue_via_nets: two closures per entry, materialized point by point."""
+    """Cross matrix of glue_via_nets: two closures per entry, materialized point
+    by point, then the closure of the limits at infinity after the last point."""
     from fuzzygh.valuefn import Stationary, Step
 
     norm = x.norm
@@ -269,18 +270,11 @@ def net_cross_closures(x, y, nets, floor, splice: float, points):
                 best = max(norm(fx.eval(s), fy.eval(s)) for fx, fy in zip(fxs, fys))
                 return norm(best, one_minus)
 
-            def after(s, fxs=fxs, fys=fys):
-                if s < splice:
-                    c = floor.right_limit(s)
-                    return norm(norm(c, c), one_minus)
-                best = max(
-                    norm(fx.right_limit(s), fy.right_limit(s)) for fx, fy in zip(fxs, fys)
-                )
-                return norm(best, one_minus)
-
-            # the value at each point, then after the last; a breakpoint is
+            tail = max(norm(fx.right_limit(math.inf), fy.right_limit(math.inf))
+                       for fx, fy in zip(fxs, fys))
+            # the value at each point, then at infinity; a breakpoint is
             # kept where the value changes
-            vals = [float(at(p)) for p in pts] + [float(after(pts[-1]))]
+            vals = [float(at(p)) for p in pts] + [float(norm(tail, one_minus))]
             keep = [k for k in range(len(pts)) if vals[k + 1] != vals[k]]
             if keep:
                 step = Step(tuple(pts[k] for k in keep), (vals[0], *(vals[k + 1] for k in keep)))

@@ -368,6 +368,9 @@ def test_closed_stdout_exits_quietly(unbuffered):
         ["glue", "--left", "{half}", "--right", "{half}", "--floor", "{no_values}"],
         ["pigeonhole", "--family", "{list_family}", "--t", "1.0", "--eps", "0.1"],
         ["check", "--space", "{std3}", "--out", "{directory}"],
+        ["net", "--space", "{std3}", "--t", "1.0", "--eps", "0.5", "--exact-limit", "16"],
+        ["cover", "--space", "{std3}", "--eps", "0.5", "--t", "1.0", "--exact-limit", "-1"],
+        ["bridge", "--metrics", "{metrics}", "--bound", "3", "--exact-limit", "16"],
     ],
     ids=" ".join,
 )
@@ -379,6 +382,7 @@ def test_malformed_input_exits_two(capsys, tmp_path, std3, half, argv):
     (tmp_path / "no_values.json").write_text(no_values, encoding="utf-8")
     (tmp_path / "fam").mkdir()
     (tmp_path / "fam" / "family.json").write_text('["space_000.json"]', encoding="utf-8")
+    (tmp_path / "metrics.json").write_text('{"metrics": [[[0, 1], [1, 0]]]}', encoding="utf-8")
     paths = {
         "std3": std3,
         "half": half,
@@ -387,6 +391,7 @@ def test_malformed_input_exits_two(capsys, tmp_path, std3, half, argv):
         "directory": str(tmp_path),
         "no_values": str(tmp_path / "no_values.json"),
         "list_family": str(tmp_path / "fam"),
+        "metrics": str(tmp_path / "metrics.json"),
     }
     assert main([arg.format(**paths) for arg in argv]) == 2
     captured = capsys.readouterr()

@@ -1,7 +1,10 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzzygh import (
+    DomainError,
+    SizeLimitError,
     TNorm,
     cover_number,
     find_net,
@@ -77,6 +80,16 @@ def test_greedy_at_least_exact(rng, product):
         assert not greedy.minimal
         assert greedy.verify(sp)
         assert len(greedy.indices) >= len(exact.indices)
+
+
+def test_exact_limit_is_refused_outside_its_range_before_any_search(rng, product):
+    # exact_limit=24 on 24 points would enumerate up to 2^24 subsets
+    for n, limit, error in ((4, -1, DomainError), (4, 16, SizeLimitError), (24, 24, SizeLimitError)):
+        sp = make_random_standard(rng, n, product)
+        with pytest.raises(error):
+            find_net(sp, 1.0, 0.5, exact_limit=limit)
+        with pytest.raises(error):
+            metric_cover_number(random_metric(rng, n), 0.5, limit)
 
 
 @settings(max_examples=30, deadline=None)

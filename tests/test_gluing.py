@@ -1,8 +1,11 @@
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fuzzygh.gluing
+import fuzzygh.space
 from fuzzygh import (
     ConstructionError,
     UnionMetric,
@@ -30,7 +33,7 @@ from fuzzygh import (
     validate_union,
 )
 
-from fuzzygh.gluing import _check_mutual_bounds, _far_point, _net_cross
+from fuzzygh.gluing import _check_mutual_bounds, _net_cross, _samples
 from fuzzygh.space import certification_grid
 
 from conftest import make_random_standard, make_random_stationary
@@ -349,20 +352,25 @@ def glue_inputs(rng, norm, kinds, eps, t=1.0, delta=0.5):
 
 @pytest.mark.parametrize("norm", NORMS, ids=lambda nm: nm.kind)
 def test_net_cross_matches_closures(rng, norm):
-    t, splice = 1.0, 0.5
-    built = inside = far = 0
+    t = 1.0
+    built = fill = no_fill = tail_moves = tail_stays = 0
     for kinds in KIND_PAIRS:
         for eps in (0.2, 0.5):
-            x, y, nets, floor, g = glue_inputs(rng, norm, kinds, eps)
-            points = [*g.values, _far_point(x, y, floor, g, t)]
-            got = cross_outcome(_net_cross, x, y, nets, floor, splice, points)
-            assert got == cross_outcome(net_cross_closures, x, y, nets, floor, splice, points)
-            built += isinstance(got, str)
-            inside += points[0] < splice
-            far += points[-1] >= 1e16
+            for delta in (0.5, t):
+                x, y, nets, floor, g = glue_inputs(rng, norm, kinds, eps, t, delta)
+                mx, my = _samples(x, g), _samples(y, g)
+                got = cross_outcome(_net_cross, mx, my, nets, floor, t - delta, g, norm)
+                assert got == cross_outcome(net_cross_closures, x, y, nets, floor, t - delta, g.values)
+                built += isinstance(got, str)
+                fill += t - delta >= g.values[0]
+                no_fill += t - delta < g.values[0]
+                # the row of limits at infinity against the row at the last grid point
+                stays = all(np.array_equal(m[-1], m[-2]) for m in (mx, my))
+                tail_stays += stays
+                tail_moves += not stays
     assert built > 0
-    assert inside > 0  # a splice strictly inside the merged points
-    assert far > 0  # the far tail sample of analytic entries
+    assert fill > 0 and no_fill > 0  # a splice inside the grid, and none (delta = t)
+    assert tail_moves > 0 and tail_stays > 0  # standard entries, and steps
 
 
 @pytest.mark.parametrize("norm", NORMS, ids=lambda nm: nm.kind)
@@ -371,13 +379,14 @@ def test_mutual_bounds_scan_matches_loop(rng, norm):
     for kinds in KIND_PAIRS * 3:
         for eps in (0.1, 0.4, 0.8):
             x, y, nets, _, g = glue_inputs(rng, norm, kinds, eps)
+            mx, my = _samples(x, g), _samples(y, g)
             expected = mutual_bounds_loop(x, y, nets, [s for s in g.values if s >= nets.t])
             seen.add(expected and expected[0])
             if expected is None:
-                _check_mutual_bounds(x, y, nets, g, 1e-12)
+                _check_mutual_bounds(mx, my, nets, g, norm, 1e-12)
                 continue
             with pytest.raises(HypothesisError) as err:
-                _check_mutual_bounds(x, y, nets, g, 1e-12)
+                _check_mutual_bounds(mx, my, nets, g, norm, 1e-12)
             assert (err.value.which, err.value.where) == expected
             assert str(err.value) == str(HypothesisError(*expected))
     assert seen == {None, "(a)", "(b)"}
@@ -440,13 +449,29 @@ def test_glue_via_nets_cross_matches_closures(rng, norm, kind):
     floor = floor_envelope(x, x)
     u = glue_via_nets(x, x, nets, delta, floor)
     g = certification_grid(None, x, x, extra=(t, t - delta, *floor.breakpoints))
-    points = [*g.values, _far_point(x, x, floor, g, t)]
-    assert repr(u.cross) == repr(net_cross_closures(x, x, nets, floor, t - delta, points))
+    assert repr(u.cross) == repr(net_cross_closures(x, x, nets, floor, t - delta, g.values))
+
+
+def test_glue_via_nets_samples_each_space_once(rng, product, monkeypatch):
+    """The floor check, the (a)/(b) check and the cross all read one sample of
+    each space: ``values`` sees each space's pairs once per call."""
+    d = random_metric(rng, 4, lo=0.2, hi=6.0)
+    x = make_standard_space([f"p{i}" for i in range(4)], d, product)
+    y = make_standard_space([f"q{i}" for i in range(4)], d * 1.05, product)
+    nets = match_nets(x, y, 1.0, 0.9, range(4), range(4))
+    floor = floor_envelope(x, y)
+    seen = []
+    for module in (fuzzygh.space, fuzzygh.gluing):
+        real = module.values
+        monkeypatch.setattr(module, "values", lambda fns, ts, real=real: seen.append(fns) or real(fns, ts))
+    glue_via_nets(x, y, nets, 0.5, floor)
+    assert sum(fns is x.pairs for fns in seen) == 1
+    assert sum(fns is y.pairs for fns in seen) == 1
 
 
 def test_glue_via_nets_memory_cap(rng, product):
     # two 60-point spaces, 20-point matched nets, about 69 merged points: the
-    # whole call peaks at 29.0 MiB under tracemalloc, most of it the 120-point
+    # whole call peaks at 21.0 MiB under tracemalloc, most of it the 120-point
     # union check, while an (n_x, n_y, size, S) tensor would take 40 MB on its own
     d = random_metric(rng, 60, lo=0.2, hi=6.0)
     x = make_standard_space([f"p{i}" for i in range(60)], d, product)

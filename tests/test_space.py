@@ -533,17 +533,39 @@ def test_triangle_scan_visits_each_distinct_slice_once(rng, monkeypatch, product
     assert outcomes == {True, False}
 
 
+@pytest.mark.parametrize("block", [9, 18, 1 << 18])
+def test_monotonicity_check_sees_a_drop_in_any_block(monkeypatch, product, block):
+    # 3 points: blocks of one and of two consecutive pairs of slices, and one
+    # block of all 63; a drop before the second, third or last of 64 slices
+    sp = make_standard_space(["a", "b", "c"], [[0, 1, 2], [1, 0, 1], [2, 1, 0]], product)
+    assert check_axioms(sp).na2
+    monkeypatch.setattr(space_module, "_BLOCK", block)
+    real = space_module.slices_at
+
+    def dropped(space, ts, pos):
+        V = real(space, ts)
+        V[pos:, 0, 1] = V[pos:, 1, 0] = V[pos:, 0, 1] - 0.5
+        return V
+
+    for pos in (1, 2, 63):
+        monkeypatch.setattr(space_module, "slices_at", lambda space, ts, pos=pos: dropped(space, ts, pos))
+        assert not check_axioms(sp).na2
+
+
 def test_check_axioms_memory_is_bounded(rng, product):
-    sp = make_random_standard(rng, 100, product)
-    tracemalloc.start()
-    try:
-        report = check_axioms(sp)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert report.passed
-    # the (T, n, n, n) residual alone would take 64 * 100**3 * 8 bytes = 512 MB
-    assert peak < 32 * 2 ** 20
+    # at 100 points the (T, n, n, n) residual alone would take 64 * 100**3 * 8
+    # bytes = 512 MB; at 160 points the 64 slices take 12.5 MiB, and their
+    # difference across the whole grid would add 12.3 MiB more
+    for n, cap in ((100, 32), (160, 24)):
+        sp = make_random_standard(rng, n, product)
+        tracemalloc.start()
+        try:
+            report = check_axioms(sp)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < cap * 2 ** 20, (n, peak)
 
 
 def test_check_axioms_reads_only_the_fresh_slices_in_memory(rng, product):
