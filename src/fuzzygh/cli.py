@@ -15,7 +15,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import io as fio
-from .covering import cover_number, find_net
+from .covering import check_exact_limit, cover_number, find_net
 from .errors import (
     ConstructionError,
     DomainError,
@@ -262,6 +262,8 @@ def _cmd_cover(args) -> int:
 
 
 def _cmd_pigeonhole(args) -> int:
+    # refused also when the family's nets are registered and no search runs
+    check_exact_limit(args.exact_limit)
     family = fio.load_family(args.family)
     if args.floor:
         family.floor = fio.load_valuefn(args.floor)

@@ -60,15 +60,20 @@ def _witnesses(cov: np.ndarray, net: Sequence[int]) -> tuple[int, ...]:
     return tuple(cols[np.argmax(cov[:, cols], axis=1)].tolist())
 
 
-def _min_cover(cov: np.ndarray, exact_limit: int) -> tuple[tuple[int, ...], bool]:
-    """(cover, minimal) of a boolean coverage matrix ``cov[x, y]``: the
-    lexicographically least minimum cover up to ``exact_limit`` points, a
-    greedy one beyond.  ``exact_limit`` lies in 0..DEFAULT_EXACT_LIMIT: the
+def check_exact_limit(exact_limit: int) -> None:
+    """Refuse an ``exact_limit`` outside 0..DEFAULT_EXACT_LIMIT: the
     exhaustive search has no budget beyond 2^15 subsets."""
     if exact_limit < 0:
         raise DomainError(f"exact_limit must be >= 0, got {exact_limit!r}")
     if exact_limit > DEFAULT_EXACT_LIMIT:
         raise SizeLimitError(f"exact_limit must be <= {DEFAULT_EXACT_LIMIT}, got {exact_limit!r}")
+
+
+def _min_cover(cov: np.ndarray, exact_limit: int) -> tuple[tuple[int, ...], bool]:
+    """(cover, minimal) of a boolean coverage matrix ``cov[x, y]``: the
+    lexicographically least minimum cover up to ``exact_limit`` points, a
+    greedy one beyond (``check_exact_limit``)."""
+    check_exact_limit(exact_limit)
     n = len(cov)
     if n <= exact_limit:
         for k in range(1, n + 1):

@@ -27,6 +27,7 @@ from .space import (
     check_axioms,
     pair_indices,
     t_diameters,
+    write_slices,
 )
 from .util import TOL, gt_strict, require_open_unit, require_positive, require_unit
 from .valuefn import ONE, Step, ValueFn, is_steplike, values, vf_min
@@ -361,11 +362,13 @@ def _closure(mx: np.ndarray, my: np.ndarray, relation, norm) -> np.ndarray:
 
 def _samples(space: FuzzySpace, g: GridSpec) -> np.ndarray:
     """(T + 1, n, n) slices at the T points of ``g``, then the limits at
-    infinity, diagonal 1: what both closure gluings read of a space."""
-    limits = np.ones((1, space.n, space.n))
+    infinity, diagonal 1: what both closure gluings read of a space, written
+    into one array."""
+    out = np.ones((len(g) + 1, space.n, space.n))
+    write_slices(space, g.array(), out[:-1])
     i, j = pair_indices(space.n)
-    limits[0, i, j] = limits[0, j, i] = [f.right_limit(math.inf) for f in space.pairs]
-    return np.concatenate([space.grid_values(g), limits])
+    out[-1, i, j] = out[-1, j, i] = [f.right_limit(math.inf) for f in space.pairs]
+    return out
 
 
 def _step_cross(points: Sequence[float], samples: np.ndarray) -> tuple[tuple[ValueFn, ...], ...]:

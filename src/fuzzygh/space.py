@@ -132,14 +132,23 @@ def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def slices_at(space: FuzzySpace, ts: np.ndarray) -> np.ndarray:
-    """(T, n, n) array of M(., ., s) at the positive scales ts, diagonal 1."""
-    vals = values(space.pairs, ts)
-    n = space.n
-    out = np.ones((len(ts), n, n))
-    rows, cols = pair_indices(n)
-    out[:, rows, cols] = vals
-    out[:, cols, rows] = vals
+    """(T, n, n) array of M(., ., s) at the positive scales ts, diagonal 1: the
+    transposed view of one (n, n, T) array, in which t runs fastest."""
+    out = np.ones((space.n, space.n, len(ts))).transpose(2, 0, 1)
+    write_slices(space, ts, out)
     return out
+
+
+def write_slices(space: FuzzySpace, ts: np.ndarray, out: np.ndarray) -> None:
+    """Write M(., ., s) at the positive scales ts into the off-diagonal
+    entries of the (T, n, n) array ``out``, symmetric bit for bit.  The pair
+    values are computed in blocks of at most ``_BLOCK / 4`` floats, each with
+    its temporaries, so the memory beyond ``out`` is fixed."""
+    rows, cols = pair_indices(space.n)
+    step = max(1, _BLOCK // 4 // max(1, len(ts)))
+    for p0 in range(0, len(rows), step):
+        r, c = rows[p0 : p0 + step], cols[p0 : p0 + step]
+        out[:, r, c] = out[:, c, r] = values(space.pairs[p0 : p0 + step], ts)
 
 
 def fresh_slices(g: GridSpec, *spaces: FuzzySpace) -> np.ndarray:
@@ -333,46 +342,109 @@ class AxiomReport(Report):
         return {("grid_size" if k == "grid" else k): (len(v) if k == "grid" else v) for k, v in doc}
 
 
-def triangle_residual(V: np.ndarray, norm: TNorm) -> tuple[float, tuple[int, int, int, int]]:
-    """Worst residual M(i,k,t) - T(M(i,j,t), M(j,k,t)) of a (T, n, n) value
-    array, with its first position (tpos, i, j, k) in C order.
+#: the inner operation of each norm's max-T product: T(a, b) = g(inner(a, b))
+#: with g the identity, except under Lukasiewicz, where g(x) = max(x - 1, 0)
+_INNER = {"product": np.multiply, "minimum": np.minimum, "lukasiewicz": np.add}
 
-    The (T, n, n, n) residual is never materialised: it is scanned in blocks
-    of whole t-slices, or of rows i within one slice, or of rows j within one
-    (t, i) when a single slice exceeds the buffer.  Each block is written into
-    one buffer of at most ``_BLOCK`` floats (``n`` floats once n > _BLOCK) and
-    scanned by a single argmin, so the memory beyond V itself is fixed.
-    Blocks follow C order and only a strictly smaller minimum replaces the
-    running one, so the position is the first argmin of the full residual.
+
+def _row_blocks(n: int, T: int) -> list[tuple[int, int, int]]:
+    """(i0, i1, jb): the blocks of rows i of the triangle scan, and the rows j
+    per chunk.  A block reads the columns k >= i0; each chunk of
+    (i1 - i0) * jb * (n - i0) * T floats fits ``_BLOCK``, or is one row j
+    of (n - i0) * T floats once that exceeds it."""
+    blocks, i0 = [], 0
+    while i0 < n:
+        row = n * (n - i0) * T
+        i1 = min(n, i0 + max(1, _BLOCK // row))
+        blocks.append((i0, i1, n if row <= _BLOCK else max(1, _BLOCK // ((n - i0) * T))))
+        i0 = i1
+    return blocks
+
+
+def _buffer(blocks: list[tuple[int, int, int]], n: int, T: int) -> np.ndarray:
+    """One buffer for the largest chunk of the blocks."""
+    return np.empty(max((i1 - i0) * jb * (n - i0) * T for i0, i1, jb in blocks))
+
+
+def _block_residual(W: np.ndarray, norm: TNorm, i0: int, i1: int, jb: int, buf: np.ndarray) -> np.ndarray:
+    """(i1 - i0, n - i0, T) minimum over j of the residual at (i, k >= i0, t)
+    of the (n, n, T) value array W, as V(i, k) - g(max_j inner(V(i, j), V(j, k))).
+
+    Rounding is monotone, so this equals the minimum over j of the residual
+    computed term by term, bit for bit.  The rows j go through ``buf`` in
+    chunks of ``jb`` that feed a running maximum.
     """
-    T, n, _ = V.shape
-    if n ** 3 <= _BLOCK:
-        tb, ib, jb = max(1, _BLOCK // n ** 3), n, n
-    elif n * n <= _BLOCK:
-        tb, ib, jb = 1, _BLOCK // (n * n), n
-    else:
-        tb, ib, jb = 1, 1, max(1, _BLOCK // n)
-    buf = np.empty(min(T, tb) * min(n, ib) * min(n, jb) * n)
-    worst, first = np.inf, None
-    for t0 in range(0, T, tb):
-        t1 = min(t0 + tb, T)
-        for i0 in range(0, n, ib):
-            i1 = min(i0 + ib, n)
-            for j0 in range(0, n, jb):
-                j1 = min(j0 + jb, n)
-                a = V[t0:t1, i0:i1, j0:j1, None]  # M(i, j)
-                b = V[t0:t1, None, j0:j1, :]  # M(j, k)
-                shape = (t1 - t0, i1 - i0, j1 - j0, n)
-                blk = buf[: (t1 - t0) * (i1 - i0) * (j1 - j0) * n].reshape(shape)
-                norm.array(a, b, out=blk)
-                np.subtract(V[t0:t1, i0:i1, None, :], blk, out=blk)
-                pos = int(blk.argmin())
-                value = float(blk.flat[pos])
-                if first is None or value < worst:
-                    worst, first = value, (t0, i0, j0, shape, pos)
-    t0, i0, j0, shape, pos = first
-    dt, di, dj, k = np.unravel_index(pos, shape)
-    return worst, (t0 + int(dt), i0 + int(di), j0 + int(dj), int(k))
+    n, _, T = W.shape
+    inner = _INNER[norm.kind]
+    best = None
+    for j0 in range(0, n, jb):
+        j1 = min(j0 + jb, n)
+        blk = buf[: (i1 - i0) * (j1 - j0) * (n - i0) * T].reshape(i1 - i0, j1 - j0, n - i0, T)
+        inner(W[i0:i1, j0:j1, None, :], W[None, j0:j1, i0:, :], out=blk)
+        if best is None:
+            best = blk.max(axis=1)
+        else:
+            np.maximum(best, blk.max(axis=1), out=best)
+    if norm.kind == "lukasiewicz":
+        np.maximum(np.subtract(best, 1.0, out=best), 0.0, out=best)
+    return np.subtract(W[i0:i1, i0:], best, out=best)
+
+
+def triangle_residual(V: np.ndarray, norm: TNorm) -> tuple[float, list[tuple[int, int, int]]]:
+    """Worst residual M(i,k,t) - T(M(i,j,t), M(j,k,t)) of a (T, n, n) value
+    array, and the row blocks that reach it, for ``triangle_witness``.
+
+    One max-T product per block of rows i: each element of the (T, n, n, n)
+    residual is one write and one max-reduce, never materialised.  V is
+    symmetric and the norm commutative, so the residual at (i, j, k) is the
+    one at (k, j, i): the rows i <= k reach every value, and a block of rows
+    from i0 reads the columns k >= i0 only.  The scan runs over the
+    transposed (n, n, T) array, contiguous for the output of ``slices_at``,
+    so t runs innermost.  The buffer holds at most ``_BLOCK`` floats
+    (one (n, T) row once that exceeds it).
+    """
+    W = V.transpose(1, 2, 0)
+    n, _, T = W.shape
+    blocks = _row_blocks(n, T)
+    buf = _buffer(blocks, n, T)
+    worst, rows = np.inf, []
+    for block in blocks:
+        value = float(_block_residual(W, norm, *block, buf).min())
+        if value < worst:
+            worst, rows = value, [block]
+        elif value == worst:
+            rows.append(block)
+    return worst, rows
+
+
+def triangle_witness(
+    V: np.ndarray, norm: TNorm, worst: float, rows: list[tuple[int, int, int]]
+) -> tuple[int, int, int, int]:
+    """First position (tpos, i, j, k), in C order, of ``worst`` in the
+    residual of V, from the row blocks ``triangle_residual`` found to reach it.
+
+    The first position has i <= k (its mirror (k, j, i) would come earlier),
+    so the block of its row i reads its column k: the first (t, i) with a hit
+    over those blocks is its (t, i).  Then the first (j, k) of that one row
+    and slice, in chunks of rows j of at most ``_BLOCK`` floats.
+    """
+    W = V.transpose(1, 2, 0)
+    n, _, T = W.shape
+    buf = _buffer(rows, n, T)
+    first = (T, n)
+    for i0, i1, jb in rows:
+        hit = (_block_residual(W, norm, i0, i1, jb, buf) == worst).any(axis=1)
+        t, di = np.unravel_index(int(np.argmax(hit.T)), (T, i1 - i0))
+        first = min(first, (int(t), i0 + int(di)))
+    t, i = first
+    step = max(1, _BLOCK // n)
+    for j0 in range(0, n, step):
+        r = W[i, :, t] - norm.array(W[i, j0 : j0 + step, t, None], W[j0 : j0 + step, :, t])
+        pos = np.flatnonzero(r == worst)
+        if pos.size:
+            dj, k = divmod(int(pos[0]), n)
+            return t, i, j0 + dj, k
+    raise AssertionError("the worst residual lies in its row")
 
 
 def check_axioms(space: FuzzySpace, grid: Optional[GridSpec] = None, tol: float = TOL) -> AxiomReport:
@@ -391,18 +463,23 @@ def check_axioms(space: FuzzySpace, grid: Optional[GridSpec] = None, tol: float 
     g = certification_grid(grid, space)
     fresh = fresh_slices(g, space)
     V = slices_at(space, g.array()[fresh])
-    worst, (tpos, i, j, k) = triangle_residual(V, space.norm)
+    worst, rows = triangle_residual(V, space.norm)
     # monotonicity: structural for each representation, re-checked numerically
-    # between consecutive slices, in blocks through one buffer of at most
-    # _BLOCK floats (one slice once a slice exceeds it), once the scan's is freed
-    blk = max(1, _BLOCK // space.n ** 2)
-    buf = np.empty((min(blk, len(V) - 1), space.n, space.n))
+    # between consecutive slices, in blocks of rows i through one buffer of at
+    # most _BLOCK floats (one row once a row exceeds it), once the scan's is freed
+    W = V.transpose(1, 2, 0)
+    n, T = space.n, len(V)
+    blk = max(1, _BLOCK // (n * T))
+    buf = np.empty((min(blk, n), n, T - 1))
     na2 = True
-    for s0 in range(0, len(V) - 1, blk):
-        w = V[s0 : s0 + blk + 1]
-        na2 &= bool((np.subtract(w[1:], w[:-1], out=buf[: len(w) - 1]) >= -tol).all())
+    for i0 in range(0, n, blk):
+        w = W[i0 : i0 + blk]
+        na2 &= bool((np.subtract(w[..., 1:], w[..., :-1], out=buf[: len(w)]) >= -tol).all())
     na1 = worst >= -tol
-    witness = None if na1 else (i, j, k, float(g.values[fresh[tpos]]))
+    witness = None
+    if not na1:
+        tpos, i, j, k = triangle_witness(V, space.norm, worst, rows)
+        witness = (i, j, k, float(g.values[fresh[tpos]]))
     return AxiomReport(
         km1=True,
         km2=True,
@@ -510,7 +587,8 @@ def is_isometric(
     g = certification_grid(grid, a, b)
     n = a.n
     ts = g.array()[fresh_slices(g, a, b)]
-    va, vb = slices_at(a, ts), slices_at(b, ts)
+    # contiguous slices: the gaps below step through them one t at a time
+    va, vb = (np.ascontiguousarray(slices_at(sp, ts)) for sp in (a, b))
     same = np.eye(n, dtype=bool)
     ok = np.empty((n, n, n, n), dtype=bool)  # [i, p, j, q]
     step = max(1, _BLOCK // n ** 3)

@@ -10,7 +10,7 @@ from fuzzygh import TNorm, make_standard_space, make_stationary_space
 from fuzzygh import cli
 from fuzzygh.cli import main
 from fuzzygh.io import save_family, save_space
-from fuzzygh.sequences import SequenceFamily
+from fuzzygh.sequences import SequenceFamily, register_nets
 from fuzzygh.valuefn import Step
 
 
@@ -324,6 +324,29 @@ def test_pigeonhole_reports_a_zero_floor_in_full(capsys, tmp_path):
     assert doc["floor"]["positive"] is False
     zero_rows = [row for row in doc["floor"]["violations"] if row[0] == -1]
     assert zero_rows and all(row[2] == 0.0 and row[3] is None for row in zero_rows)
+
+
+@pytest.mark.parametrize("limit", ["16", "-1"])
+def test_pigeonhole_checks_the_exact_limit_with_registered_nets(capsys, tmp_path, limit):
+    # the nets are registered, so no search reads the limit; it is refused
+    # all the same, with the error of the net search
+    line = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+    spaces = tuple(
+        make_standard_space(["a", "b", "c"], [[k * d for d in row] for row in line], TNorm.product())
+        for k in (1, 2, 3)
+    )
+    family = SequenceFamily(spaces, floor=Step((), (0.1,)))
+    register_nets(family, 1.0, 0.1)
+    save_family(family, tmp_path / "fam")
+    fam = str(tmp_path / "fam")
+    base = ["pigeonhole", "--family", fam, "--t", "1.0", "--eps", "0.1", "--no-certify"]
+    assert main(base) in (0, 1)
+    capsys.readouterr()
+    assert main([*base, "--exact-limit", limit]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "exact_limit must be" in errors[0]
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])

@@ -469,6 +469,24 @@ def test_glue_via_nets_samples_each_space_once(rng, product, monkeypatch):
     assert sum(fns is y.pairs for fns in seen) == 1
 
 
+def test_samples_fill_one_array(rng, product):
+    """A 200-point Standard space on the default grid: 65 slices of 19.8 MiB.
+    Written in place they peak at 21.8 MiB under tracemalloc; the slices
+    copied into a (T + 1, n, n) array one row longer took 40.0 MiB."""
+    sp = make_random_standard(rng, 200, product)
+    g = certification_grid(None, sp)
+    tracemalloc.start()
+    try:
+        samples = _samples(sp, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 26 * 2**20, peak
+    assert samples.shape == (len(g) + 1, 200, 200)
+    assert samples[:-1].tobytes() == sp.grid_values(g).tobytes()
+    assert samples[-1].tobytes() == np.ones((200, 200)).tobytes()
+
+
 def test_glue_via_nets_memory_cap(rng, product):
     # two 60-point spaces, 20-point matched nets, about 69 merged points: the
     # whole call peaks at 21.0 MiB under tracemalloc, most of it the 120-point

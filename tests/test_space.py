@@ -368,6 +368,17 @@ def _tied_stationary(rng, n, norm):
     return make_stationary_space([f"p{i}" for i in range(n)], v, norm)
 
 
+def _two_runs_space(norm):
+    """Six points 0.7 apart where the triangle (0, 1, 2) fails on (10, 100]
+    and (3, 4, 5) on (1, 100], both by 0.7 - T(1, 1): the worst value ties
+    across rows 0 and 3, and its first scale is in row 3."""
+    steps = {(i, j): Stationary(0.7) for i in range(6) for j in range(i + 1, 6)}
+    for (a, b, c), low in (((0, 1, 2), 10.0), ((3, 4, 5), 1.0)):
+        steps[(a, b)] = steps[(b, c)] = Step((low,), (0.7, 1.0))
+        steps[(a, c)] = Step((100.0,), (0.7, 1.0))
+    return make_step_space([f"p{i}" for i in range(6)], steps, norm)
+
+
 @pytest.mark.parametrize("norm", NORMS, ids=lambda nm: nm.kind)
 def test_na1_residual_equals_loop_oracle_exactly(rng, norm):
     grid = GridSpec.log(1e-2, 1e2, 7)
@@ -414,17 +425,25 @@ def test_witness_in_last_block_matches_first_loop_witness(rng, monkeypatch, prod
     assert witness[3] == report.grid[-1]
 
 
-@pytest.mark.parametrize("block", [1, 7, 40, 300, 1 << 18])
+@pytest.mark.parametrize("block", [1, 7, 40, 300, "n2T", 1 << 18])
 @pytest.mark.parametrize("norm", NORMS, ids=lambda nm: nm.kind)
 def test_every_blocking_level_finds_the_first_worst_triple(rng, monkeypatch, norm, block):
-    # block sizes below n, n^2 and n^3 exercise the j-, i- and t-blocked scans
-    monkeypatch.setattr(space_module, "_BLOCK", block)
+    """Tied, random and step spaces, one with a worst value tied across rows,
+    against the loop oracle at every buffer size: below one row i the rows j
+    go in chunks, and n^2 T floats hold the first row exactly."""
     grid = GridSpec.log(1e-1, 1e1, 3)
-    for sp in (_tied_stationary(rng, 6, norm), make_random_standard(rng, 5, norm)):
+    spaces = (_tied_stationary(rng, 6, norm), make_random_standard(rng, 5, norm),
+              _run_space(norm, 1.0, 10.0), _two_runs_space(norm))
+    chunked = False
+    for sp in spaces:
+        T = len(fresh_slices(certification_grid(grid, sp), sp))
+        monkeypatch.setattr(space_module, "_BLOCK", sp.n ** 2 * T if block == "n2T" else block)
+        chunked |= any(jb < sp.n for *_, jb in space_module._row_blocks(sp.n, T))
         report = check_axioms(sp, grid)
         worst, witness = na1_first_witness(sp, norm, report.grid)
         assert report.na1_residual == worst
         assert report.witness == (None if report.na1 else witness)
+    assert chunked == (block in (1, 7, 40))
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +550,60 @@ def test_triangle_scan_visits_each_distinct_slice_once(rng, monkeypatch, product
             assert found == is_isometric_loop(a, b)
             outcomes.add(found is None)
     assert outcomes == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# the max-T kernel: rows i <= k, t innermost, the witness located on failure
+
+
+def test_a_worst_value_tied_across_row_blocks_takes_the_first_scale(monkeypatch, product):
+    # blocks of rows [0, 2), [2, 5) and [5, 6): row 0 reaches the worst value
+    # first in scan order, row 3 at the earlier scale
+    sp = _two_runs_space(product)
+    monkeypatch.setattr(space_module, "_BLOCK", 300)
+    g = certification_grid(None, sp)
+    V = space_module.slices_at(sp, g.array()[fresh_slices(g, sp)])
+    worst, rows = space_module.triangle_residual(V, product)
+    assert rows == [(0, 2, 6), (2, 5, 6)]
+    report = check_axioms(sp)
+    assert report.na1_residual == worst == 0.7 - 1.0
+    assert report.witness == (3, 4, 5, min(t for t in report.grid if t > 1.0))
+    assert report.witness == na1_first_witness(sp, product, report.grid)[1]
+
+
+@pytest.mark.parametrize("norm", NORMS, ids=lambda nm: nm.kind)
+def test_a_failing_union_of_standard_and_step_spaces_matches_the_loop_oracle(rng, monkeypatch, norm):
+    # 20 Standard and 20 step points, every cross value 0.9: at the scales
+    # where the Standard values are small the union fails; blocks of one
+    # row, of chunks of rows j and of 20 rows
+    left = make_random_standard(rng, 20, norm)
+    right = _iso_space(random_metric(rng, 20, 1.0, 2.0), norm, "step", "s")
+    union = UnionMetric(left, right, tuple(tuple(Stationary(0.9) for _ in range(20)) for _ in range(20)))
+    grid = GridSpec.log(1e-1, 1e1, 5)
+    sp = union.as_space()
+    expected = None
+    for block in (40 * 40 * len(fresh_slices(certification_grid(grid, sp), sp)), 300, 1 << 18):
+        monkeypatch.setattr(space_module, "_BLOCK", block)
+        report = validate_union(union, grid)
+        assert not report.na1
+        if expected is None:
+            expected = na1_first_witness(sp, norm, report.grid)
+        assert (report.na1_residual, report.witness) == expected
+
+
+def test_a_passing_check_runs_no_location_pass(rng, monkeypatch, product):
+    located = []
+    locate = space_module.triangle_witness
+    monkeypatch.setattr(space_module, "triangle_witness", lambda *args: located.append(args[2]) or locate(*args))
+    # Lukasiewicz rounds 1 + M - 1 off M: the worst residual is below 0,
+    # within the tolerance
+    luk = make_random_standard(rng, 8, TNorm.lukasiewicz())
+    for sp in (make_random_standard(rng, 8, product), luk, make_random_stationary(rng, 8, product)):
+        assert check_axioms(sp).passed
+    assert check_axioms(luk).na1_residual < 0.0
+    assert located == []
+    report = check_axioms(_two_runs_space(product))
+    assert not report.na1 and located == [report.na1_residual]
 
 
 @pytest.mark.parametrize("block", [9, 18, 1 << 18])
