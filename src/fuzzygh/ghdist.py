@@ -31,9 +31,11 @@ import numpy as np
 from .errors import ConstructionError, DomainError, HypothesisError, SizeLimitError
 from .gluing import (
     UnionMetric,
+    _constant_union,
+    _relation_union,
+    _validated,
     floor_envelope,
     glue_constant,
-    glue_via_relation,
     union_hausdorff,
 )
 from .grids import GridSpec
@@ -97,11 +99,13 @@ def gh_fuzzy_lower_bound(
 ) -> LowerBoundResult:
     """Best Hausdorff value over the admissible gluings the library builds.
 
-    Strategies: the zero-floor constant gluing (always valid), the
-    min-diameter-envelope constant gluing, and the witness-relation gluing
-    through the optimal relation of ``gh_fuzzy_upper_bound``.  Beyond
+    Strategies: the zero-floor constant gluing (always valid when X and Y
+    are), the min-diameter-envelope constant gluing, and the witness-relation
+    gluing through the optimal relation of ``gh_fuzzy_upper_bound``.  Beyond
     ``MAX_CROSS_VARIABLES`` cross variables the upper bound does not apply,
-    and only the two constant gluings run.
+    and only the two constant gluings run.  The candidates are validated at
+    ``tol`` in the order of their values at t until one passes; the ones
+    below it are never validated.
     """
     require_positive(t, "t")
     if x.norm.kind != y.norm.kind:
@@ -116,20 +120,38 @@ def gh_fuzzy_lower_bound(
 def _lower_bound(
     x: FuzzySpace, y: FuzzySpace, t: float, relation: Optional[tuple], grid, tol: float
 ) -> LowerBoundResult:
-    """The first best of the constant gluings and, given a relation, the relation gluing."""
-    found = [(glue_constant(x, y, ZERO, grid), "constant-zero")]
+    """The first best of the constant gluings and, given a relation, the relation gluing.
+
+    The envelope and relation unions are built unvalidated and ranked by their
+    Hausdorff value at t, the envelope first at a tie; they are validated in
+    that order and the first that passes is returned.  One whose build or
+    validation fails is skipped.  The zero gluing comes last and is built only
+    when no candidate of positive value passes: its value is 0, so it wins
+    only then, and its union passes iff X and Y pass on its grid, which every
+    other candidate's grid contains.  So it is the one gluing that raises
+    when X or Y fails its axiom check.
+    """
+    found = []
     try:
-        found.append((glue_constant(x, y, floor_envelope(x, y, grid), grid), "constant-envelope"))
+        envelope = floor_envelope(x, y, grid)
+        found.append((*_constant_union(x, y, envelope, grid, tol), "constant-envelope"))
     except (ConstructionError, HypothesisError):
         pass  # degenerate floors (single-point unions) fall back to other strategies
     if relation is not None:
         try:
-            found.append((glue_via_relation(x, y, t, relation, grid, tol), "witness-relation"))
+            found.append((*_relation_union(x, y, t, relation, grid), "witness-relation"))
         except ConstructionError:
             pass
-    values = [union_hausdorff(u, t) for u, _ in found]
-    k = values.index(max(values))
-    return LowerBoundResult(t, values[k], *found[k])
+    ranked = sorted(((union_hausdorff(u, t), u, g, m) for u, g, m in found), key=lambda c: -c[0])
+    for value, u, g, method in ranked:
+        if value <= 0.0:
+            break
+        try:
+            return LowerBoundResult(t, value, _validated(u, g, tol, method), method)
+        except ConstructionError:
+            pass
+    zero = glue_constant(x, y, ZERO, grid, tol)
+    return LowerBoundResult(t, union_hausdorff(zero, t), zero, "constant-zero")
 
 
 # ---------------------------------------------------------------------------

@@ -145,12 +145,19 @@ def glue_constant(
     Requires c(s) <= min of both t-diameters at every certification-grid point
     (exact on step breakpoints).  The output re-certifies the union axioms.
     """
+    return _validated(*_constant_union(x, y, c, grid, tol), tol, "constant")
+
+
+def _constant_union(
+    x: FuzzySpace, y: FuzzySpace, c: ValueFn, grid: Optional[GridSpec], tol: float
+) -> tuple[UnionMetric, GridSpec]:
+    """``glue_constant``'s union and certification grid, not yet validated."""
     if x.norm.kind != y.norm.kind:
         raise DomainError("both spaces must share the t-norm kind")
     g = certification_grid(grid, x, y, extra=c.breakpoints)
     _check_floor(np.minimum(t_diameters(x, g), t_diameters(y, g)), c, g, tol)
     cross = tuple(tuple(c for _ in range(y.n)) for _ in range(x.n))
-    return _validated(UnionMetric(x, y, cross), g, tol, "constant")
+    return UnionMetric(x, y, cross), g
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +548,17 @@ def glue_via_relation(
     triangle instances hold for any closure, upper ones by the choice of gamma,
     which is nondecreasing (``TNorm.max_damping``).
     """
+    return _validated(*_relation_union(x, y, t, relation, grid), tol, "witness-relation")
+
+
+def _relation_union(
+    x: FuzzySpace,
+    y: FuzzySpace,
+    t: float,
+    relation: Sequence[tuple[int, int]],
+    grid: Optional[GridSpec],
+) -> tuple[UnionMetric, GridSpec]:
+    """``glue_via_relation``'s union and certification grid, not yet validated."""
     if x.norm.kind != y.norm.kind:
         raise DomainError("both spaces must share the t-norm kind")
     require_positive(t, "t")
@@ -556,7 +574,7 @@ def glue_via_relation(
     gamma = np.minimum.accumulate(_damping(closure, *caps, x.norm)[::-1])[::-1]
     gamma[: g.values.index(s0) + 1] = 0.0
     cross = _step_cross(g.values, x.norm.array(closure, gamma[:, None, None]))
-    return _validated(UnionMetric(x, y, cross), g, tol, "witness-relation")
+    return UnionMetric(x, y, cross), g
 
 
 # ---------------------------------------------------------------------------

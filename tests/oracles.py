@@ -479,6 +479,32 @@ def lower_bound_loop(x, y, t: float, eps_schedule=(0.5, 0.3, 0.2, 0.1, 0.05, 0.0
     return best_value, best_witness, best_method
 
 
+def eager_lower_bound_loop(x, y, t: float, relation, grid=None, tol: float = 1e-12):
+    """The lower bound's strategies, each built and validated in full: the zero
+    gluing, the envelope gluing and, given a relation, the relation gluing, in
+    that order; the first of the largest Hausdorff values wins.
+
+    Returns (value, witness, method).
+    """
+    from fuzzygh.errors import ConstructionError, HypothesisError
+    from fuzzygh.gluing import floor_envelope, glue_constant, glue_via_relation, union_hausdorff
+    from fuzzygh.valuefn import ZERO
+
+    found = [(glue_constant(x, y, ZERO, grid, tol), "constant-zero")]
+    try:
+        found.append((glue_constant(x, y, floor_envelope(x, y, grid), grid, tol), "constant-envelope"))
+    except (ConstructionError, HypothesisError):
+        pass
+    if relation is not None:
+        try:
+            found.append((glue_via_relation(x, y, t, relation, grid, tol), "witness-relation"))
+        except ConstructionError:
+            pass
+    values = [union_hausdorff(u, t) for u, _ in found]
+    k = values.index(max(values))
+    return values[k], found[k][0], found[k][1]
+
+
 # ---------------------------------------------------------------------------
 # the single-scale relaxation behind the upper bound
 

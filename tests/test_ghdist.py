@@ -8,9 +8,13 @@ from fuzzygh import (
     ConstructionError,
     DistanceMatrix,
     HypothesisError,
+    ONE,
     SizeLimitError,
     Step,
+    Standard,
     TNorm,
+    UnionMetric,
+    ZERO,
     attempt_net_gluing,
     classical_gh_diameter_bound,
     classical_gh_exact,
@@ -23,13 +27,14 @@ from fuzzygh import (
     make_stationary_space,
     make_step_space,
     glue_constant,
+    check_axioms,
     union_hausdorff,
     validate_union,
 )
 from fuzzygh import ghdist, gluing
 from fuzzygh.grids import GridSpec
 from fuzzygh.sequences import gen_no_cauchy_family
-from fuzzygh.space import certification_grid
+from fuzzygh.space import FuzzySpace, certification_grid
 from fuzzygh.util import TOL
 
 from conftest import make_random_standard, make_random_stationary
@@ -37,6 +42,7 @@ from oracles import (
     bounds_hold_at_t,
     classical_gh_loop,
     closure_loop,
+    eager_lower_bound_loop,
     instance_damping_loop,
     lower_bound_loop,
     na1_first_witness,
@@ -253,6 +259,121 @@ def test_lower_bound_matches_unscreened_loop(kind):
     x = _build(_draw(rng, 7, kind, "stationary"), TNorm(kind), "stationary", "x")
     y = _build(_draw(rng, 6, kind, "stationary"), TNorm(kind), "stationary", "y")
     _same_result(gh_fuzzy_lower_bound(x, y, 1.0), lower_bound_loop(x, y, 1.0, ()))
+
+
+@pytest.mark.parametrize("kind", ["product", "minimum", "lukasiewicz"])
+def test_lower_bound_matches_the_eager_loop(monkeypatch, kind):
+    # validating in value order returns what building and validating every
+    # gluing and keeping the first best returns, also where the top-ranked
+    # gluing fails its check (the envelope of two single points) and at a
+    # tolerance other than the default
+    calls = {"validate_union": 0}
+    _count_everywhere(monkeypatch, gluing.validate_union, calls)
+    passed_over = 0
+    for x, y, t in _pairs(kind) + _upper_pairs(kind):
+        relation = gh_fuzzy_upper_bound(x, y, t).relation
+        for tol in (TOL, 1e-6):
+            calls["validate_union"] = 0
+            res = ghdist._lower_bound(x, y, t, relation, None, tol)
+            passed_over += calls["validate_union"] > 1
+            _same_result(res, eager_lower_bound_loop(x, y, t, relation, tol=tol))
+    assert passed_over > 0
+
+
+def test_a_top_gluing_that_passes_is_the_only_one_validated(monkeypatch, two_point_half, two_point_third):
+    calls = {"validate_union": 0}
+    _count_everywhere(monkeypatch, gluing.validate_union, calls)
+
+    def validations(x, y, t, relation, method):
+        calls["validate_union"] = 0
+        assert ghdist._lower_bound(x, y, t, relation, None, TOL).method == method
+        return calls["validate_union"]
+
+    # the relation gluing (sqrt(2/3)) above the envelope (1/3)
+    relation = gh_fuzzy_upper_bound(two_point_half, two_point_third, 0.5).relation
+    assert validations(two_point_half, two_point_third, 0.5, relation, "witness-relation") == 1
+    # the envelope alone, as beyond the upper bound's limit
+    x, y, t = _pairs("product")[8]  # a drawn 2x3 stationary pair
+    assert validations(x, y, t, None, "constant-envelope") == 1
+    # the zero gluing alone, when the envelope cannot be built
+
+    def failing(x, y, grid=None):
+        raise HypothesisError("floor", detail="no envelope")
+
+    monkeypatch.setattr(ghdist, "floor_envelope", failing)
+    assert validations(x, y, t, None, "constant-zero") == 1
+
+
+def test_an_envelope_of_value_zero_is_never_validated(monkeypatch, product):
+    # every pair of x reads 0 up to 2, so the envelope's value at t = 1 is 0:
+    # it ties with the zero gluing, which wins, and is the one validated
+    x = make_step_space(["a", "b"], {(0, 1): Step((2.0,), (0.0, 0.5))}, product)
+    y = make_stationary_space(["p", "q"], [[1, 0.6], [0.6, 1]], product)
+    assert union_hausdorff(glue_constant(x, y, floor_envelope(x, y)), 1.0) == 0.0
+    calls = {"validate_union": 0}
+    _count_everywhere(monkeypatch, gluing.validate_union, calls)
+    res = ghdist._lower_bound(x, y, 1.0, None, None, TOL)
+    assert calls == {"validate_union": 1}
+    _same_result(res, eager_lower_bound_loop(x, y, 1.0, None))
+    assert res.method == "constant-zero"
+
+
+def test_a_relation_gluing_that_fails_validation_gives_way(monkeypatch):
+    # a relation union with every cross value 1 ranks first and fails the
+    # union check; the envelope or the zero gluing is returned, as without
+    # a relation
+    build = ghdist._relation_union
+
+    def merged(x, y, t, relation, grid):
+        u, g = build(x, y, t, relation, grid)
+        return UnionMetric(x, y, tuple(tuple(ONE for _ in row) for row in u.cross)), g
+
+    monkeypatch.setattr(ghdist, "_relation_union", merged)
+    methods = set()
+    for kind in ("product", "minimum", "lukasiewicz"):
+        for x, y, t in _pairs(kind):
+            relation = gh_fuzzy_upper_bound(x, y, t).relation
+            res = ghdist._lower_bound(x, y, t, relation, None, TOL)
+            _same_result(res, eager_lower_bound_loop(x, y, t, None))
+            methods.add(res.method)
+    assert methods == {"constant-envelope", "constant-zero"}
+
+
+def test_an_invalid_space_raises_the_zero_gluing_error(monkeypatch, product):
+    # d(a, c) = 2.01 > d(a, b) + d(b, c): the product triangle fails for
+    # t > 100, so every candidate fails on its grid and the zero gluing,
+    # built last, raises its own error
+    x = FuzzySpace("x", ("a", "b", "c"), product, (Standard(1.0), Standard(2.01), Standard(1.0)))
+    y = make_standard_space(["p", "q"], [[0, 1], [1, 0]], product)
+    with pytest.raises(ConstructionError, match="constant gluing fails") as zero:
+        glue_constant(x, y, ZERO)
+    calls = {"validate_union": 0}
+    _count_everywhere(monkeypatch, gluing.validate_union, calls)
+    with pytest.raises(ConstructionError) as lower:
+        gh_fuzzy_lower_bound(x, y, 1.0)
+    assert str(lower.value) == str(zero.value)
+    assert calls == {"validate_union": 3}  # the envelope, the relation, then zero
+
+
+def test_lower_bound_validates_every_gluing_at_its_tol(monkeypatch, product):
+    # 0.64 - 1e-7 < 0.8 * 0.8 breaks the product triangle by 1e-7: the space
+    # passes at tol 1e-6, and so does each gluing the lower bound builds
+    v = 0.64 - 1e-7
+    x = make_stationary_space(["a", "b", "c"], [[1, 0.8, 0.8], [0.8, 1, v], [0.8, v, 1]], product)
+    assert check_axioms(x, tol=1e-6).passed
+    assert not check_axioms(x).passed
+    res = gh_fuzzy_lower_bound(x, x, 1.0, tol=1e-6)
+    assert res.method == "witness-relation"
+    assert validate_union(res.witness, tol=1e-6).passed
+    assert ghdist._lower_bound(x, x, 1.0, None, None, 1e-6).method == "constant-envelope"
+    with pytest.raises(ConstructionError, match="constant gluing fails"):
+        gh_fuzzy_lower_bound(x, x, 1.0)
+
+    def failing(x, y, grid=None):
+        raise HypothesisError("floor", detail="no envelope")
+
+    monkeypatch.setattr(ghdist, "floor_envelope", failing)
+    assert ghdist._lower_bound(x, x, 1.0, None, None, 1e-6).method == "constant-zero"
 
 
 def test_isometric_copies_and_single_points_reach_one():

@@ -454,7 +454,9 @@ def test_glue_via_nets_cross_matches_closures(rng, norm, kind):
 
 def test_glue_via_nets_samples_each_space_once(rng, product, monkeypatch):
     """The floor check, the (a)/(b) check and the cross all read one sample of
-    each space: ``values`` sees each space's pairs once per call."""
+    each space: ``values`` sees each pair of each space once for them and once
+    in the union axiom check, also when ``write_slices`` gives each pair a
+    block of its own."""
     d = random_metric(rng, 4, lo=0.2, hi=6.0)
     x = make_standard_space([f"p{i}" for i in range(4)], d, product)
     y = make_standard_space([f"q{i}" for i in range(4)], d * 1.05, product)
@@ -464,9 +466,14 @@ def test_glue_via_nets_samples_each_space_once(rng, product, monkeypatch):
     for module in (fuzzygh.space, fuzzygh.gluing):
         real = module.values
         monkeypatch.setattr(module, "values", lambda fns, ts, real=real: seen.append(fns) or real(fns, ts))
-    glue_via_nets(x, y, nets, 0.5, floor)
-    assert sum(fns is x.pairs for fns in seen) == 1
-    assert sum(fns is y.pairs for fns in seen) == 1
+    for block in (fuzzygh.space._BLOCK, 1):
+        monkeypatch.setattr(fuzzygh.space, "_BLOCK", block)
+        seen.clear()
+        glue_via_nets(x, y, nets, 0.5, floor)
+        # count the pair objects sampled, not the tuples that carry them: the
+        # floor may equal a pair in value, so equality would count it too
+        sampled = [f for fns in seen for f in fns]
+        assert [sum(f is p for f in sampled) for p in x.pairs + y.pairs] == [2] * 12
 
 
 def test_samples_fill_one_array(rng, product):
