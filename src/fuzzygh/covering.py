@@ -9,7 +9,9 @@ cover.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import or_
 from typing import Sequence
 
 import numpy as np
@@ -72,13 +74,19 @@ def check_exact_limit(exact_limit: int) -> None:
 def _min_cover(cov: np.ndarray, exact_limit: int) -> tuple[tuple[int, ...], bool]:
     """(cover, minimal) of a boolean coverage matrix ``cov[x, y]``: the
     lexicographically least minimum cover up to ``exact_limit`` points, a
-    greedy one beyond (``check_exact_limit``)."""
+    greedy one beyond (``check_exact_limit``).
+
+    The exact search holds each column y as an int whose bit x is cov[x, y]:
+    a subset covers when the OR of its columns has all n bits set.
+    """
     check_exact_limit(exact_limit)
     n = len(cov)
     if n <= exact_limit:
+        cols = [int.from_bytes(c.tobytes(), "little") for c in np.packbits(cov.T, axis=1, bitorder="little")]
+        full = (1 << n) - 1
         for k in range(1, n + 1):
-            for subset in combinations(range(n), k):
-                if cov[:, subset].any(axis=1).all():
+            for subset, masks in zip(combinations(range(n), k), combinations(cols, k)):
+                if reduce(or_, masks) == full:
                     return subset, True
         # every point covers itself, so this is unreachable
         raise AssertionError("self-coverage guarantees a cover")

@@ -4,7 +4,8 @@ The constructions are the constant gluing (every cross similarity equals a
 shared floor function below both t-diameters), the matched-net gluing (cross
 similarities routed through paired nets, spliced at a persistence width below
 the working scale) and the max-T closure through a witness relation.  Every
-returned union re-certifies the full axiom suite on its certification grid.
+returned union passes the full axiom suite on its certification grid
+(``validate_union``).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,8 +25,11 @@ from .hausdorff import hausdorff_block
 from .space import (
     AxiomReport,
     FuzzySpace,
+    axiom_report,
+    breakpoint_grid,
     certification_grid,
     check_axioms,
+    fresh_after,
     pair_indices,
     t_diameters,
     write_slices,
@@ -85,13 +90,52 @@ class UnionMetric:
 
 
 def validate_union(u: UnionMetric, grid: Optional[GridSpec] = None, tol: float = TOL) -> AxiomReport:
-    """Full axiom check over all points of the union on the certification grid."""
-    return check_axioms(u.as_space(), grid, tol=tol)
+    """Full axiom check over all points of the union on the certification grid:
+    ``check_axioms(u.as_space(), grid)``.
+
+    A closure gluing's union checked on the grid its cross was sampled on
+    (``_closure_union``) reads the cross block from those samples; every other
+    union goes through ``as_space``.  Both give the same report.
+    """
+    built = u.__dict__.get("_built_from")
+    if built is None or built[0] != grid or not (built[1][0] < 1.0).all():
+        # a cross entry that never drops below 1 is refused by as_space
+        return check_axioms(u.as_space(), grid, tol=tol)
+    return _closure_report(u, *built, tol)
+
+
+def _closure_report(u: UnionMetric, g: GridSpec, samples: np.ndarray, tol: float) -> AxiomReport:
+    """``check_axioms(u.as_space(), g)`` for the union of a closure gluing
+    whose cross entries hold the (S+1, n_x, n_y) ``samples`` on ``g``.
+
+    The cross breakpoints are the points of ``g`` after which some sample
+    changes; with the sides' breakpoints they give the union's certification
+    grid and fresh points.  The side blocks are the sides' slices, the cross
+    block the samples at the interval of each point.
+    """
+    x, y = u.left, u.right
+    changes = (samples[1:] != samples[:-1]).any(axis=(1, 2)).tolist()
+    bps = sorted({*x.breakpoints(), *y.breakpoints(), *compress(g.values, changes)})
+    ug = breakpoint_grid(g, bps)
+    fresh = fresh_after(ug, bps) if x.all_steplike() and y.all_steplike() else np.arange(len(ug))
+    ts = ug.array()[fresh]
+    nx, n = x.n, x.n + y.n
+    V = np.ones((n, n, len(ts))).transpose(2, 0, 1)
+    write_slices(x, ts, V[:, :nx, :nx])
+    write_slices(y, ts, V[:, nx:, nx:])
+    V[:, :nx, nx:] = cross = samples[np.searchsorted(g.values, ts, side="left")]
+    V[:, nx:, :nx] = cross.transpose(0, 2, 1)
+    return axiom_report(V, ug, fresh, x.norm, tol)
 
 
 def _validated(u: UnionMetric, grid: GridSpec, tol: float, what: str) -> UnionMetric:
-    """``u`` once it passes the full union axiom check; ConstructionError otherwise."""
+    """``u`` once it passes the full union axiom check; ConstructionError otherwise.
+
+    The samples a closure gluing's union carries are dropped after the
+    check, the one read they serve, so a union returned holds none.
+    """
     report = validate_union(u, grid, tol=tol)
+    u.__dict__.pop("_built_from", None)
     if not report.passed:
         raise ConstructionError(f"{what} gluing fails the union axiom check: {report.as_dict()}")
     return u
@@ -380,8 +424,43 @@ def _samples(space: FuzzySpace, g: GridSpec) -> np.ndarray:
 
 def _step_cross(points: Sequence[float], samples: np.ndarray) -> tuple[tuple[ValueFn, ...], ...]:
     """Cross matrix of steps from (S+1, n_x, n_y) samples: entry (p, q) holds
-    samples[k, p, q] on (points[k-1], points[k]], then samples[S, p, q]."""
-    return tuple(tuple(Step(points, v) for v in row) for row in samples.transpose(1, 2, 0).tolist())
+    samples[k, p, q] on (points[k-1], points[k]], then samples[S, p, q].
+
+    ``points`` are the values of a grid.  Samples within [0, 1] and
+    nondecreasing along s are checked once for the whole array, and each
+    canonical step keeps the points after which its samples change.  Any
+    other array goes through ``Step`` entry by entry, which raises.
+    """
+    points = tuple(map(float, points))
+    rows = samples.transpose(1, 2, 0)
+    if not (
+        len(samples) == len(points) + 1
+        and (samples[0] >= 0.0).all()
+        and (samples[-1] <= 1.0).all()
+        and (samples[1:] >= samples[:-1]).all()
+    ):
+        return tuple(tuple(Step(points, v) for v in row) for row in rows.tolist())
+    # an entry whose samples all differ keeps every point, as the one tuple
+    # they share; any other keeps the points after which its samples change
+    change = rows[..., 1:] != rows[..., :-1]
+    return tuple(
+        tuple(
+            Step._canonical(points, tuple(v))
+            if all(k)
+            else Step._canonical(tuple(compress(points, k)), (v[0], *compress(v[1:], k)))
+            for v, k in zip(vrow, krow)
+        )
+        for vrow, krow in zip(rows.tolist(), change.tolist())
+    )
+
+
+def _closure_union(x: FuzzySpace, y: FuzzySpace, g: GridSpec, samples: np.ndarray) -> UnionMetric:
+    """The union with the cross of steps of the (S+1, n_x, n_y) ``samples``
+    on ``g`` (``_step_cross``).  It carries ``(g, samples)``, outside its
+    fields, for ``validate_union`` on ``g`` until ``_validated`` drops them."""
+    u = UnionMetric(x, y, _step_cross(g.values, samples))
+    object.__setattr__(u, "_built_from", (g, samples))
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +499,9 @@ def _net_cross(
     splice: float,
     grid: GridSpec,
     norm,
-) -> tuple[tuple[ValueFn, ...], ...]:
-    """Cross matrix of the matched-net gluing from the ``_samples`` of both
-    spaces, exact at every point of ``grid``.
+) -> np.ndarray:
+    """(S+1, n_x, n_y) cross samples of the matched-net gluing on ``grid``
+    (``_step_cross``), from the ``_samples`` of both spaces.
 
     At s <= splice every entry is floor*floor*(1-eps); above it, entry (p, q)
     is the max-T closure through the pairs (left_i, right_i), damped by
@@ -435,7 +514,7 @@ def _net_cross(
     if low:
         c = values([floor], grid.array()[:low])[:, 0]
         vals[:low] = norm.array(norm.array(c, c), one_minus)[:, None, None]
-    return _step_cross(grid.values, vals)
+    return vals
 
 
 def glue_via_nets(
@@ -455,9 +534,10 @@ def glue_via_nets(
 
     Hypotheses verified before construction: (1) the floor stays below both
     t-diameters; (2) both sides are (t, eps)-nets; (a)/(b) the single-factor
-    mutual bounds hold at every certification-grid scale >= t.  The output is
-    re-certified against the full union axiom suite and must beat
-    (1-eps)*(1-eps) in Hausdorff value at t.
+    mutual bounds hold at every certification-grid scale >= t.  The output
+    passes the full union axiom suite (``validate_union``, from the cross
+    samples it was built from) and must beat (1-eps)*(1-eps) in Hausdorff
+    value at t.
     """
     if x.norm.kind != y.norm.kind:
         raise DomainError("both spaces must share the t-norm kind")
@@ -475,9 +555,9 @@ def glue_via_nets(
         raise HypothesisError("(2)", detail="right side is not a (t, eps)-net")
 
     _check_mutual_bounds(mx, my, nets, g, x.norm, tol)
-    cross = _net_cross(mx, my, nets, floor, t - delta, g, x.norm)
+    u = _closure_union(x, y, g, _net_cross(mx, my, nets, floor, t - delta, g, x.norm))
     del mx, my  # the union check below sets the peak
-    u = _validated(UnionMetric(x, y, cross), g, tol, "matched-net")
+    u = _validated(u, g, tol, "matched-net")
     h = union_hausdorff(u, t)
     threshold = x.norm(1.0 - eps, 1.0 - eps)
     if not gt_strict(h, threshold, tol):
@@ -546,7 +626,9 @@ def glue_via_relation(
     then the limits at infinity capped by the last point's values), and 0 at
     and below a splice s0 halfway between t and the grid point below it.  Lower
     triangle instances hold for any closure, upper ones by the choice of gamma,
-    which is nondecreasing (``TNorm.max_damping``).
+    which is nondecreasing (``TNorm.max_damping``).  The output passes the
+    full union axiom suite (``validate_union``, from the cross samples it was
+    built from).
     """
     return _validated(*_relation_union(x, y, t, relation, grid), tol, "witness-relation")
 
@@ -573,8 +655,7 @@ def _relation_union(
     caps = (np.concatenate([m[:-1], m[-2:-1]]) for m in (mx, my))
     gamma = np.minimum.accumulate(_damping(closure, *caps, x.norm)[::-1])[::-1]
     gamma[: g.values.index(s0) + 1] = 0.0
-    cross = _step_cross(g.values, x.norm.array(closure, gamma[:, None, None]))
-    return UnionMetric(x, y, cross), g
+    return _closure_union(x, y, g, x.norm.array(closure, gamma[:, None, None])), g
 
 
 # ---------------------------------------------------------------------------

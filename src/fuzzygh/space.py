@@ -156,16 +156,20 @@ def fresh_slices(g: GridSpec, *spaces: FuzzySpace) -> np.ndarray:
 
     ``g`` holds every breakpoint of the spaces (``certification_grid``).  When
     every entry is a ``Step``, these are the first point and the point just
-    after each breakpoint: a canonical step changes value only across a
-    breakpoint, so every point left out repeats, bit for bit, the slices of
-    the point before it.  Otherwise they are every point.
+    after each breakpoint (``fresh_after``).  Otherwise they are every point.
     """
     if not all(sp.all_steplike() for sp in spaces):
         return np.arange(len(g))
+    return fresh_after(g, [b for sp in spaces for b in sp.breakpoints()])
+
+
+def fresh_after(g: GridSpec, breakpoints: Sequence[float]) -> np.ndarray:
+    """The first point of ``g`` and the point just after each breakpoint: a
+    canonical step changes value only across a breakpoint, so every point
+    left out repeats, bit for bit, the slices of the point before it."""
     fresh = np.zeros(len(g) + 1, dtype=bool)
     fresh[0] = True
-    for sp in spaces:
-        fresh[np.searchsorted(g.values, sp.breakpoints(), side="right")] = True
+    fresh[np.searchsorted(g.values, breakpoints, side="right")] = True
     return np.flatnonzero(fresh[:-1])
 
 
@@ -181,14 +185,15 @@ def certification_grid(
     breakpoint pins the tail values.
     """
     g = grid if grid is not None else GridSpec.default()
-    merge: list[float] = list(extra)
-    bps: list[float] = []
-    for sp in spaces:
-        bps.extend(sp.breakpoints())
-    if bps:
-        top = max(bps)
-        merge.extend(bps)
-        merge.append(top * 1.5 + 1.0)
+    return breakpoint_grid(g, [b for sp in spaces for b in sp.breakpoints()], extra)
+
+
+def breakpoint_grid(g: GridSpec, breakpoints: Sequence[float], extra: Sequence[float] = ()) -> GridSpec:
+    """``g`` merged with ``extra``, the breakpoints and, past the largest
+    one, the tail point 1.5 * top + 1."""
+    merge = [*extra, *breakpoints]
+    if breakpoints:
+        merge.append(max(breakpoints) * 1.5 + 1.0)
     return g.merged(merge)
 
 
@@ -452,23 +457,30 @@ def check_axioms(space: FuzzySpace, grid: Optional[GridSpec] = None, tol: float 
 
     Vanishing at zero, symmetry, left continuity and separation hold
     structurally.  Only the grid points whose slice may differ from the one
-    before are read (``fresh_slices``): monotonicity is re-checked numerically
-    between consecutive ones, and the pointwise triangle inequality over all
-    ordered triples at each.  A skipped slice repeats a read one bit for bit,
-    so its step is zero, the residual and its first witness are those of the
-    full scan, and the witness scale is the first grid point of its run.  For
+    before are read (``fresh_slices``), and ``axiom_report`` scans them.  For
     piecewise-constant spaces the merged grid makes the triangle check exact,
     otherwise it is grid-certified.
     """
     g = certification_grid(grid, space)
     fresh = fresh_slices(g, space)
-    V = slices_at(space, g.array()[fresh])
-    worst, rows = triangle_residual(V, space.norm)
+    return axiom_report(slices_at(space, g.array()[fresh]), g, fresh, space.norm, tol)
+
+
+def axiom_report(V: np.ndarray, g: GridSpec, fresh: np.ndarray, norm: TNorm, tol: float) -> AxiomReport:
+    """The axiom report of the (F, n, n) slices V at the points ``fresh`` of ``g``.
+
+    Monotonicity is re-checked numerically between consecutive slices, and
+    the pointwise triangle inequality over all ordered triples at each.  A
+    point left out of ``fresh`` repeats a read slice one bit for bit, so its
+    step is zero, the residual and its first witness are those of the full
+    scan, and the witness scale is the first grid point of its run.
+    """
+    worst, rows = triangle_residual(V, norm)
     # monotonicity: structural for each representation, re-checked numerically
     # between consecutive slices, in blocks of rows i through one buffer of at
     # most _BLOCK floats (one row once a row exceeds it), once the scan's is freed
     W = V.transpose(1, 2, 0)
-    n, T = space.n, len(V)
+    T, n, _ = V.shape
     blk = max(1, _BLOCK // (n * T))
     buf = np.empty((min(blk, n), n, T - 1))
     na2 = True
@@ -478,7 +490,7 @@ def check_axioms(space: FuzzySpace, grid: Optional[GridSpec] = None, tol: float 
     na1 = worst >= -tol
     witness = None
     if not na1:
-        tpos, i, j, k = triangle_witness(V, space.norm, worst, rows)
+        tpos, i, j, k = triangle_witness(V, norm, worst, rows)
         witness = (i, j, k, float(g.values[fresh[tpos]]))
     return AxiomReport(
         km1=True,

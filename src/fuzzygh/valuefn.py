@@ -63,6 +63,16 @@ class Step:
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "values", vals)
 
+    @classmethod
+    def _canonical(cls, breakpoints: tuple[float, ...], values: tuple[float, ...]) -> "Step":
+        """The step of parts already in canonical form, not checked again:
+        float breakpoints strictly increasing in (0, inf) and one more float
+        value, rising strictly within [0, 1]."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "breakpoints", breakpoints)
+        object.__setattr__(f, "values", values)
+        return f
+
     def eval(self, t: float) -> float:
         if t < 0.0:
             raise DomainError(f"t must be nonnegative, got {t!r}")

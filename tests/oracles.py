@@ -756,6 +756,29 @@ def find_net_loop(space, t: float, eps: float, exact_limit: int = 15, tol: float
     return net_t, witnesses(net_t), False
 
 
+def min_cover_numpy(cov: np.ndarray, exact_limit: int) -> tuple[tuple[int, ...], bool]:
+    """``covering._min_cover`` with each subset tested by a numpy fancy index:
+    the lexicographically least minimum cover up to ``exact_limit`` points,
+    the greedy one beyond."""
+    n = len(cov)
+    if n <= exact_limit:
+        for k in range(1, n + 1):
+            for subset in combinations(range(n), k):
+                if cov[:, subset].any(axis=1).all():
+                    return subset, True
+        raise AssertionError("self-coverage guarantees a cover")
+    uncovered = np.ones(n, dtype=bool)
+    net: list[int] = []
+    while uncovered.any():
+        gains = cov[uncovered].sum(axis=0)
+        best = int(np.argmax(gains))
+        if gains[best] == 0:
+            raise AssertionError("self-coverage guarantees progress")
+        net.append(best)
+        uncovered &= ~cov[:, best]
+    return tuple(sorted(net)), False
+
+
 def metric_cover_number_search(distances, radius: float, exact_limit: int = 15,
                                tol: float = 1e-12) -> int:
     """metric_cover_number with its own exact and greedy searches."""

@@ -12,11 +12,11 @@ from fuzzygh import (
     make_stationary_space,
     uniform_cover_bound,
 )
-from fuzzygh.covering import metric_cover_number
+from fuzzygh.covering import _min_cover, metric_cover_number
 
 from conftest import make_random_standard
 from oracles import metric_cover_number as metric_cover_oracle
-from oracles import minimal_net_size, random_metric
+from oracles import min_cover_numpy, minimal_net_size, random_metric
 
 
 def test_two_point_half_requires_both_points(two_point_half):
@@ -130,3 +130,19 @@ def test_uniform_cover_bound_examples(product):
     assert uniform_cover_bound(isolated, 0.05, 1.0) == 5
     singles = [make_standard_space(["a"], [[0]], product) for _ in range(3)]
     assert uniform_cover_bound(singles, 0.5, 1.0) == 1
+
+
+def test_bitset_cover_search_matches_the_subset_index():
+    rng = np.random.default_rng(7)
+    sizes = set()
+    for _ in range(600):
+        n = int(rng.integers(1, 16))
+        upper = np.triu(rng.uniform(size=(n, n)) < rng.uniform(0.05, 0.7), 1)
+        cov = upper | upper.T | np.eye(n, dtype=bool)
+        for limit in (0, 15):
+            got = _min_cover(cov, limit)
+            assert got == min_cover_numpy(cov, limit)
+            sizes.add((got[1], len(got[0])))
+    # exact and greedy covers, from one point to more than half of 15
+    assert {m for m, _ in sizes} == {True, False}
+    assert max(k for m, k in sizes if m) > 7

@@ -1,4 +1,6 @@
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from fuzzygh import (
     ConstructionError,
     UnionMetric,
     DomainError,
+    FuzzySpace,
+    GridSpec,
     HypothesisError,
     Standard,
     Stationary,
@@ -17,6 +21,7 @@ from fuzzygh import (
     TNorm,
     ZERO,
     attempt_net_gluing,
+    check_axioms,
     extract_matched_nets,
     floor_envelope,
     glue_constant,
@@ -33,7 +38,15 @@ from fuzzygh import (
     validate_union,
 )
 
-from fuzzygh.gluing import _check_mutual_bounds, _net_cross, _samples
+from fuzzygh.gluing import (
+    _check_mutual_bounds,
+    _closure_union,
+    _net_cross,
+    _relation_union,
+    _samples,
+    _step_cross,
+)
+from fuzzygh.io import load_space, union_from_doc, union_to_doc
 from fuzzygh.space import certification_grid
 
 from conftest import make_random_standard, make_random_stationary
@@ -359,7 +372,8 @@ def test_net_cross_matches_closures(rng, norm):
             for delta in (0.5, t):
                 x, y, nets, floor, g = glue_inputs(rng, norm, kinds, eps, t, delta)
                 mx, my = _samples(x, g), _samples(y, g)
-                got = cross_outcome(_net_cross, mx, my, nets, floor, t - delta, g, norm)
+                samples = _net_cross(mx, my, nets, floor, t - delta, g, norm)
+                got = cross_outcome(_step_cross, g.values, samples)
                 assert got == cross_outcome(net_cross_closures, x, y, nets, floor, t - delta, g.values)
                 built += isinstance(got, str)
                 fill += t - delta >= g.values[0]
@@ -523,3 +537,178 @@ def test_relation_gluing_takes_any_relation_of_cells(two_point_half, two_point_t
     assert union_hausdorff(u, 1.0) < union_hausdorff(
         glue_via_relation(two_point_half, two_point_third, 1.0, ((0, 0), (1, 1))), 1.0
     )
+
+
+# ---------------------------------------------------------------------------
+# the cross of steps read off whole sample arrays, and the unions validated
+# from the samples they were built from
+
+
+def per_entry_cross(points, samples):
+    """The cross of ``_step_cross`` with one ``Step`` constructor per entry."""
+    return tuple(tuple(Step(points, v) for v in row) for row in samples.transpose(1, 2, 0).tolist())
+
+
+def monotone_samples(rng, S, nx, ny):
+    """(S+1, nx, ny) samples nondecreasing along s, drawn from a few levels so
+    that entries hold plateaus and ties, with some entries constant."""
+    levels = np.array([0.0, 0.2, 0.5, 0.5, 0.8, 1.0])
+    samples = np.sort(rng.choice(levels, size=(S + 1, nx, ny)), axis=0)
+    flat = rng.uniform(size=(nx, ny)) < 0.3
+    samples[:, flat] = samples[:1, flat]
+    return samples
+
+
+def test_step_cross_builds_the_steps_of_the_constructor(rng):
+    seen_constant = seen_tie = 0
+    for S in (1, 2, 5, 40):
+        points = tuple(np.sort(rng.choice(np.logspace(-2, 2, 60), size=S, replace=False)).tolist())
+        for nx, ny in ((1, 1), (2, 3), (4, 4)):
+            samples = monotone_samples(rng, S, nx, ny)
+            got, want = _step_cross(points, samples), per_entry_cross(points, samples)
+            assert got == want
+            for row, wrow in zip(got, want):
+                for f, w in zip(row, wrow):
+                    assert (f.breakpoints, f.values) == (w.breakpoints, w.values)
+                    assert repr(f) == repr(w)
+                    seen_constant += not f.breakpoints
+                    seen_tie += len(f.values) < S + 1
+    assert seen_constant > 0 and seen_tie > 0
+
+
+def test_step_cross_refuses_what_the_constructor_refuses(rng):
+    points = (0.5, 1.0, 2.0)
+    base = monotone_samples(rng, 3, 2, 3)
+    bad = []
+    for value in (1.5, -0.1, np.nan):
+        for k in (0, 2, 3):
+            s = base.copy()
+            s[k, 1, 2] = value
+            bad.append(s)
+    s = base.copy()
+    s[:, 0, 1] = (0.1, 0.6, 0.4, 0.9)  # decreasing once
+    bad.append(s)
+    messages = set()
+    for samples in bad:
+        with pytest.raises(ConstructionError) as fast:
+            _step_cross(points, samples)
+        with pytest.raises(ConstructionError) as slow:
+            per_entry_cross(points, samples)
+        assert str(fast.value) == str(slow.value)
+        messages.add(str(fast.value) == "step values must be nondecreasing")
+    assert messages == {True, False}  # decreasing, and out of range
+
+
+def _count_object_checks(monkeypatch):
+    calls = {"check_axioms": 0}
+    inner = fuzzygh.gluing.check_axioms
+
+    def counted(*args, **kwargs):
+        calls["check_axioms"] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(fuzzygh.gluing, "check_axioms", counted)
+    return calls
+
+
+FIXTURES = Path(__file__).parent / "golden" / "fixtures"
+
+
+def closure_unions(rng, grid):
+    """(union, grid) of matched-net and relation unions built on ``grid``,
+    unvalidated, from the golden fixtures of each norm and from seeded pairs
+    with standard, step and stationary sides."""
+    pairs = []
+    by_norm = {}
+    for path in sorted(FIXTURES.glob("*.json")):
+        doc = json.loads(path.read_text())
+        if "points" in doc and len(doc["points"]) > 1:
+            sp = load_space(path)
+            by_norm.setdefault(sp.norm.kind, []).append(sp)
+    for spaces in by_norm.values():
+        pairs += [(x, y) for x in spaces for y in spaces]
+    for norm in NORMS:
+        for kinds in KIND_PAIRS + (("stationary", "step"), ("step", "standard")):
+            pairs.append((random_space(rng, kinds[0], norm, 3, (0.64, 0.8)), random_space(rng, kinds[1], norm, 4)))
+    for x, y in pairs:
+        relation = tuple((p, int(rng.integers(y.n))) for p in range(x.n))
+        yield _relation_union(x, y, 1.0, relation, grid)
+        size = min(x.n, y.n)
+        nets = match_nets(x, y, 1.0, 0.3, range(size), rng.permutation(y.n)[:size])
+        floor = Stationary(0.2) if rng.uniform() < 0.5 else floor_envelope(x, y, grid)
+        g = certification_grid(grid, x, y, extra=(1.0, 0.5, *floor.breakpoints))
+        try:
+            yield _closure_union(x, y, g, _net_cross(_samples(x, g), _samples(y, g), nets, floor, 0.5, g, x.norm)), g
+        except ConstructionError:
+            pass  # a floor above the detours: the cross decreases
+
+
+@pytest.mark.parametrize("grid", (None, GridSpec.parse("log:1e-2:1e2:17")), ids=("default", "log17"))
+def test_closure_unions_validate_from_their_samples(monkeypatch, rng, grid):
+    calls = _count_object_checks(monkeypatch)
+    kinds = set()
+    failed = 0
+    for u, g in closure_unions(rng, grid):
+        calls["check_axioms"] = 0
+        report = validate_union(u, g)
+        assert calls["check_axioms"] == 0  # read from the samples
+        expected = check_axioms(u.as_space(), g)
+        assert report == expected and repr(report) == repr(expected)
+        failed += not report.passed
+        kinds.add((u.left.norm.kind, u.left.all_steplike() and u.right.all_steplike()))
+    assert len(kinds) == 6  # each norm, with and without a standard side
+    assert failed > 0  # random stationary values break the triangle
+
+
+def test_a_failing_closure_union_reports_its_witness(monkeypatch, rng, product):
+    # d(a, c) = 2.01 > d(a, b) + d(b, c): the left side fails for t > 100
+    x = FuzzySpace("x", ("a", "b", "c"), product, (Standard(1.0), Standard(2.01), Standard(1.0)))
+    y = make_standard_space(["p", "q"], [[0, 1], [1, 0]], product)
+    bad_side = _relation_union(x, y, 1.0, ((0, 0), (2, 1)), None)
+    g = certification_grid(None, y)
+    # random nondecreasing cross samples break the triangle through the cross
+    bad_cross = (_closure_union(y, y, g, np.sort(rng.uniform(0.1, 0.9, size=(len(g) + 1, 2, 2)), axis=0)), g)
+    calls = _count_object_checks(monkeypatch)
+    for u, grid in (bad_side, bad_cross):
+        report = validate_union(u, grid)
+        assert calls["check_axioms"] == 0
+        assert not report.passed and report.witness is not None and report.na1_residual < 0.0
+        assert report == check_axioms(u.as_space(), grid)
+    # both sides pass, so the worst triple meets both
+    i, j, k, _ = validate_union(*bad_cross).witness
+    assert min(i, j, k) < 2 <= max(i, j, k)
+
+
+def test_a_union_without_its_samples_takes_the_object_path(monkeypatch, rng):
+    calls = _count_object_checks(monkeypatch)
+    other = GridSpec.parse("log:1e-1:1e1:9")
+    seen = returned = 0
+    for u, g in closure_unions(rng, None):
+        plain = UnionMetric(u.left, u.right, u.cross)
+        # the samples are kept outside the fields: equality, repr and documents ignore them
+        assert plain == u and repr(plain) == repr(u)
+        assert union_to_doc(plain) == union_to_doc(u)
+        for union, grid in ((plain, g), (union_from_doc(union_to_doc(u)), g), (u, other), (u, None)):
+            calls["check_axioms"] = 0
+            assert validate_union(union, grid) == check_axioms(u.as_space(), grid)
+            assert calls["check_axioms"] == 1  # through as_space
+            seen += 1
+        # the gluings drop the samples once they have validated the union
+        calls["check_axioms"] = 0
+        if fuzzygh.gluing.validate_union(u, g).passed:
+            fuzzygh.gluing._validated(u, g, 1e-12, "closure")
+            validate_union(u, g)
+            assert calls["check_axioms"] == 1
+            returned += 1
+    assert seen > 0 and returned > 0
+
+
+def test_a_closure_cross_that_never_drops_below_one_is_refused_as_by_as_space(two_point_half, two_point_third):
+    x, y = two_point_half, two_point_third
+    g = certification_grid(None, x, y)
+    u = _closure_union(x, y, g, np.ones((len(g) + 1, x.n, y.n)))
+    with pytest.raises(ConstructionError) as refused:
+        validate_union(u, g)
+    with pytest.raises(ConstructionError) as expected:
+        u.as_space()
+    assert str(refused.value) == str(expected.value)
