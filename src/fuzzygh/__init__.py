@@ -66,7 +66,6 @@ from .space import (
     AxiomReport,
     FuzzySpace,
     check_axioms,
-    diameter_fn,
     is_isometric,
     make_standard_space,
     make_stationary_space,

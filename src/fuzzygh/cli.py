@@ -15,7 +15,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import io as fio
-from .covering import check_exact_limit, cover_number, find_net
+from .covering import cover_number, find_net
 from .errors import (
     ConstructionError,
     DomainError,
@@ -242,7 +242,7 @@ def _cmd_gh_bounds(args) -> int:
 
 def _cmd_net(args) -> int:
     space = fio.load_space(args.space)
-    cert = find_net(space, args.t, args.eps, exact_limit=args.exact_limit, tol=args.tol)
+    cert = find_net(space, args.t, args.eps, tol=args.tol)
     doc = {"space": space.name, "net": cert.as_dict(), "params": _params(args)}
     _emit(doc, args, f"net: size {len(cert.indices)} (minimal={cert.minimal})")
     return 0
@@ -250,7 +250,7 @@ def _cmd_net(args) -> int:
 
 def _cmd_cover(args) -> int:
     space = fio.load_space(args.space)
-    number, cert = cover_number(space, args.eps, args.t, exact_limit=args.exact_limit, tol=args.tol)
+    number, cert = cover_number(space, args.eps, args.t, tol=args.tol)
     doc = {
         "space": space.name,
         "cover_number": number,
@@ -262,8 +262,6 @@ def _cmd_cover(args) -> int:
 
 
 def _cmd_pigeonhole(args) -> int:
-    # refused also when the family's nets are registered and no search runs
-    check_exact_limit(args.exact_limit)
     family = fio.load_family(args.family)
     if args.floor:
         family.floor = fio.load_valuefn(args.floor)
@@ -271,7 +269,7 @@ def _cmd_pigeonhole(args) -> int:
         raise DomainError("family has no floor; pass --floor")
     key = (float(args.t), float(args.eps))
     if key not in family.nets:
-        register_nets(family, args.t, args.eps, exact_limit=args.exact_limit, tol=args.tol)
+        register_nets(family, args.t, args.eps, tol=args.tol)
     floor_report = check_diameter_floor(family, _grid(args), tol=args.tol)
     ratio_report = check_ratio_condition(family, args.t, args.eps, tol=args.tol)
     table, group = pigeonhole_subsequence(family, args.t, args.eps)
@@ -305,7 +303,6 @@ def _cmd_bridge(args) -> int:
         t=args.t,
         eps=args.eps,
         grid=_grid(args),
-        exact_limit=args.exact_limit,
         tol=args.tol,
     )
     doc = {"report": report.as_dict(), "params": _params(args, bound=args.bound)}
@@ -394,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--exact-limit", type=int, default=15)
     _add_common(p, grid=False)
     p.set_defaults(fn=_cmd_net)
 
@@ -402,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--exact-limit", type=int, default=15)
     _add_common(p, grid=False)
     p.set_defaults(fn=_cmd_cover)
 
@@ -411,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--floor", type=str, default=None)
-    p.add_argument("--exact-limit", type=int, default=15)
     p.add_argument("--no-certify", action="store_true")
     _add_common(p)
     p.set_defaults(fn=_cmd_pigeonhole)
@@ -421,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=float, required=True, help="uniform diameter bound")
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--exact-limit", type=int, default=15)
     _add_common(p)
     p.set_defaults(fn=_cmd_bridge)
 

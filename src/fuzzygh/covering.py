@@ -9,18 +9,13 @@ cover.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from itertools import combinations
-from operator import or_
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, SizeLimitError
-from .space import FuzzySpace
+from .space import _CLIQUE_NODE_BUDGET, FuzzySpace
 from .util import TOL, Report, require_open_unit, require_positive
-
-DEFAULT_EXACT_LIMIT = 15
 
 
 @dataclass(frozen=True)
@@ -62,36 +57,63 @@ def _witnesses(cov: np.ndarray, net: Sequence[int]) -> tuple[int, ...]:
     return tuple(cols[np.argmax(cov[:, cols], axis=1)].tolist())
 
 
-def check_exact_limit(exact_limit: int) -> None:
-    """Refuse an ``exact_limit`` outside 0..DEFAULT_EXACT_LIMIT: the
-    exhaustive search has no budget beyond 2^15 subsets."""
-    if exact_limit < 0:
-        raise DomainError(f"exact_limit must be >= 0, got {exact_limit!r}")
-    if exact_limit > DEFAULT_EXACT_LIMIT:
-        raise SizeLimitError(f"exact_limit must be <= {DEFAULT_EXACT_LIMIT}, got {exact_limit!r}")
+def _least_cover(cols: list[int], n: int) -> tuple[int, ...]:
+    """The lexicographically least minimum cover of the n points by the column
+    bitsets ``cols``; ``SizeLimitError`` past ``_CLIQUE_NODE_BUDGET`` nodes.
+
+    Deepens the size k and extends each prefix in ``combinations`` order, so
+    the first cover found is the least.  A column is tried only while it and
+    the later ones can still cover every point (``suffix``), and a prefix is
+    extended only while its slots left times the largest ball can hold the
+    points it leaves uncovered.
+    """
+    full = (1 << n) - 1
+    suffix = [0] * (n + 1)  # suffix[i]: the OR of the columns i..n-1
+    for i in range(n - 1, -1, -1):
+        suffix[i] = suffix[i + 1] | cols[i]
+    ball = max(c.bit_count() for c in cols)
+    nodes = 0
+    for k in range(-(-n // ball), n + 1):  # fewer than n / ball balls hold no cover
+        path: list[int] = []
+        covers = [0]  # covers[d]: the OR of the first d columns of the path
+        i = 0
+        while True:
+            slots = k - len(path)
+            if i <= n - slots and covers[-1] | suffix[i] == full:
+                nodes += 1
+                if nodes > _CLIQUE_NODE_BUDGET:
+                    raise SizeLimitError("cover search exceeded its node budget")
+                c = covers[-1] | cols[i]
+                if c == full:
+                    return (*path, i)
+                if (full ^ c).bit_count() <= (slots - 1) * ball:
+                    path.append(i)
+                    covers.append(c)
+                i += 1
+            elif path:
+                i = path.pop() + 1
+                covers.pop()
+            else:
+                break
+    # every point covers itself, so this is unreachable
+    raise AssertionError("self-coverage guarantees a cover")
 
 
-def _min_cover(cov: np.ndarray, exact_limit: int) -> tuple[tuple[int, ...], bool]:
+def _min_cover(cov: np.ndarray) -> tuple[tuple[int, ...], bool]:
     """(cover, minimal) of a boolean coverage matrix ``cov[x, y]``: the
-    lexicographically least minimum cover up to ``exact_limit`` points, a
-    greedy one beyond (``check_exact_limit``).
+    lexicographically least minimum cover, or a greedy one once the exact
+    search passes its node budget.
 
     The exact search holds each column y as an int whose bit x is cov[x, y]:
     a subset covers when the OR of its columns has all n bits set.
     """
-    check_exact_limit(exact_limit)
-    n = len(cov)
-    if n <= exact_limit:
-        cols = [int.from_bytes(c.tobytes(), "little") for c in np.packbits(cov.T, axis=1, bitorder="little")]
-        full = (1 << n) - 1
-        for k in range(1, n + 1):
-            for subset, masks in zip(combinations(range(n), k), combinations(cols, k)):
-                if reduce(or_, masks) == full:
-                    return subset, True
-        # every point covers itself, so this is unreachable
-        raise AssertionError("self-coverage guarantees a cover")
+    cols = [int.from_bytes(c.tobytes(), "little") for c in np.packbits(cov.T, axis=1, bitorder="little")]
+    try:
+        return _least_cover(cols, len(cov)), True
+    except SizeLimitError:
+        pass
     # greedy set cover: repeatedly take the point covering most uncovered points
-    uncovered = np.ones(n, dtype=bool)
+    uncovered = np.ones(len(cov), dtype=bool)
     net: list[int] = []
     while uncovered.any():
         gains = cov[uncovered].sum(axis=0)
@@ -107,18 +129,16 @@ def find_net(
     space: FuzzySpace,
     t: float,
     eps: float,
-    exact_limit: int = DEFAULT_EXACT_LIMIT,
     tol: float = TOL,
 ) -> NetCertificate:
-    """Minimum-cardinality net when n <= exact_limit, else a greedy cover.
-
-    The exact search enumerates subsets by increasing size in lexicographic
-    order, so the certificate is the lexicographically least minimal net.
-    """
+    """The lexicographically least minimum-cardinality net, or a greedy cover
+    (``minimal`` false) once the exact search passes its node budget."""
     require_positive(t, "t")
     require_open_unit(eps, "eps")
     cov = coverage(space.at(t), 1.0 - eps, tol)
-    net, minimal = _min_cover(cov, exact_limit)
+    if not cov.diagonal().all():
+        raise DomainError(f"eps = {eps!r} must exceed tol = {tol!r}: no ball holds its own centre")
+    net, minimal = _min_cover(cov)
     return NetCertificate(t, eps, net, _witnesses(cov, net), minimal)
 
 
@@ -126,14 +146,13 @@ def cover_number(
     space: FuzzySpace,
     eps: float,
     t: float,
-    exact_limit: int = DEFAULT_EXACT_LIMIT,
     tol: float = TOL,
 ) -> tuple[int, NetCertificate]:
     """Minimum number of balls B(c, eps, t) covering the space, with certificate.
 
     Argument order is (eps, t): the ball parameter first, then the scale.
     """
-    cert = find_net(space, t, eps, exact_limit=exact_limit, tol=tol)
+    cert = find_net(space, t, eps, tol=tol)
     return len(cert.indices), cert
 
 
@@ -141,18 +160,16 @@ def uniform_cover_bound(
     spaces: Sequence[FuzzySpace],
     eps: float,
     t: float,
-    exact_limit: int = DEFAULT_EXACT_LIMIT,
 ) -> int:
     """Smallest uniform bound on the cover numbers of a finite family."""
     if not spaces:
         raise DomainError("family must be nonempty")
-    return max(cover_number(sp, eps, t, exact_limit=exact_limit)[0] for sp in spaces)
+    return max(cover_number(sp, eps, t)[0] for sp in spaces)
 
 
 def metric_cover_number(
     distances,
     radius: float,
-    exact_limit: int = DEFAULT_EXACT_LIMIT,
     tol: float = TOL,
 ) -> int:
     """Classical covering number with strict open balls {y : d(c, y) < radius}."""
@@ -160,4 +177,4 @@ def metric_cover_number(
     require_positive(radius, "radius")
     cov = d < radius - tol
     np.fill_diagonal(cov, True)
-    return len(_min_cover(cov, exact_limit)[0])
+    return len(_min_cover(cov)[0])

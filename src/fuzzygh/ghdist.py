@@ -41,7 +41,7 @@ from .gluing import (
 from .grids import GridSpec
 from .space import _CLIQUE_NODE_BUDGET, FuzzySpace, _covering_clique, validate_distance_matrix
 from .util import TOL, Report, require_positive
-from .valuefn import ZERO
+from .valuefn import ONE, ZERO
 
 MAX_CROSS_VARIABLES = 36
 
@@ -134,9 +134,11 @@ def _lower_bound(
     found = []
     try:
         envelope = floor_envelope(x, y, grid)
-        found.append((*_constant_union(x, y, envelope, grid, tol), "constant-envelope"))
+        # ONE: neither space has a pair, and no union takes a cross that never drops below 1
+        if envelope != ONE:
+            found.append((*_constant_union(x, y, envelope, grid, tol), "constant-envelope"))
     except (ConstructionError, HypothesisError):
-        pass  # degenerate floors (single-point unions) fall back to other strategies
+        pass  # a floor the union cannot take falls back to the other strategies
     if relation is not None:
         try:
             found.append((*_relation_union(x, y, t, relation, grid), "witness-relation"))

@@ -71,7 +71,6 @@ def register_nets(
     t: float,
     eps: float,
     indices: Optional[Sequence[Sequence[int]]] = None,
-    exact_limit: int = 15,
     tol: float = TOL,
 ) -> int:
     """Register per-space (t, eps)-nets of a common length and return it.
@@ -84,7 +83,7 @@ def register_nets(
     require_positive(t, "t")
     require_unit(eps, "eps")
     if indices is None:
-        raw = [find_net(sp, t, eps, exact_limit=exact_limit, tol=tol).indices for sp in family.spaces]
+        raw = [find_net(sp, t, eps, tol=tol).indices for sp in family.spaces]
     else:
         raw = [tuple(int(i) for i in idx) for idx in indices]
         if len(raw) != len(family.spaces):
@@ -423,7 +422,6 @@ class StationaryReport(Report):
 def check_stationary_hypotheses(
     family: SequenceFamily,
     eps: float,
-    exact_limit: int = 15,
     tol: float = TOL,
 ) -> StationaryReport:
     """Verify the stationary-family hypotheses and run the extraction pipeline.
@@ -448,7 +446,7 @@ def check_stationary_hypotheses(
 
     # each net is found once: its size gives the uniform cover bound and
     # register_nets re-verifies it
-    nets = [find_net(sp, 1.0, eps, exact_limit=exact_limit, tol=tol).indices for sp in family.spaces]
+    nets = [find_net(sp, 1.0, eps, tol=tol).indices for sp in family.spaces]
     cover_bound = max(len(net) for net in nets)
     pipeline = SequenceFamily(family.spaces, floor=Stationary(best_c))
     register_nets(pipeline, 1.0, eps, indices=nets, tol=tol)
@@ -487,7 +485,6 @@ def standard_bridge_check(
     t: float = 1.0,
     eps: float = 0.1,
     grid: Optional[GridSpec] = None,
-    exact_limit: int = 15,
     tol: float = TOL,
 ) -> tuple[BridgeReport, SequenceFamily]:
     """Build the product-norm standard family of the given metrics and verify
@@ -515,14 +512,14 @@ def standard_bridge_check(
     floor_report = check_diameter_floor(family, grid, tol=tol)
 
     radius = eps * t / (1.0 - eps)
-    classical_rows = [metric_cover_number(m.as_array(), radius, exact_limit) for m in mats]
+    classical_rows = [metric_cover_number(m.as_array(), radius) for m in mats]
     n_bound = max(classical_rows)
     cover_rows = []
     nets = []
     translation_ok = True
     bound_ok = True
     for k, (sp, classical) in enumerate(zip(spaces, classical_rows)):
-        fuzzy, cert = cover_number(sp, eps, t, exact_limit=exact_limit, tol=tol)
+        fuzzy, cert = cover_number(sp, eps, t, tol=tol)
         nets.append(cert.indices)
         cover_rows.append((k, fuzzy, classical, n_bound))
         if fuzzy != classical:

@@ -26,12 +26,11 @@ from .valuefn import (
     attains_below_one,
     is_steplike,
     values,
-    vf_min,
 )
 
 #: floats in the block buffer of the O(n^3) triangle scans (2 MiB of float64)
 _BLOCK = 1 << 18
-#: backtracking nodes one relation search may visit
+#: backtracking nodes one relation or cover search may visit
 _CLIQUE_NODE_BUDGET = 1_000_000
 
 
@@ -515,18 +514,6 @@ def t_diameter(space: FuzzySpace, t: float) -> float:
 def t_diameters(space: FuzzySpace, grid: GridSpec) -> np.ndarray:
     """t_diameter at every grid point, one array min over the pair values."""
     return values(space.pairs, grid.array()).min(axis=1, initial=1.0)
-
-
-def diameter_fn(space: FuzzySpace, grid: Optional[GridSpec] = None) -> ValueFn:
-    """The map s -> t_diameter(space, s) as a value function.
-
-    Exact for all-Standard and all-steplike spaces; otherwise the step lower
-    envelope on the certification grid (sound from below).
-    """
-    if space.n == 1:
-        return ONE
-    g = certification_grid(grid, space)
-    return vf_min(list(space.pairs), grid=g.values)
 
 
 # ---------------------------------------------------------------------------

@@ -419,7 +419,7 @@ def bounds_hold_at_t(mx, my, left, right, norm, eps: float, tol: float = 1e-12) 
 
 
 def lower_bound_loop(x, y, t: float, eps_schedule=(0.5, 0.3, 0.2, 0.1, 0.05, 0.01), grid=None,
-                     exact_limit: int = 15, tol: float = 1e-12):
+                     tol: float = 1e-12):
     """The matched-net lower bound: the constant gluings, then for each eps a
     gluing over every alignment of minimal nets (and of the full point sets when
     the spaces are isometric), with the floor rebuilt per attempt.
@@ -458,8 +458,8 @@ def lower_bound_loop(x, y, t: float, eps_schedule=(0.5, 0.3, 0.2, 0.1, 0.05, 0.0
         candidates = []
         if iso is not None:
             candidates.append((tuple(range(x.n)), iso))
-        net_x = find_net(x, t, eps, exact_limit=exact_limit).indices
-        net_y = find_net(y, t, eps, exact_limit=exact_limit).indices
+        net_x = find_net(x, t, eps).indices
+        net_y = find_net(y, t, eps).indices
         size = max(len(net_x), len(net_y))
         left = net_x + (net_x[0],) * (size - len(net_x))
         right = net_y + (net_y[0],) * (size - len(net_y))

@@ -10,7 +10,7 @@ from fuzzygh import TNorm, make_standard_space, make_stationary_space
 from fuzzygh import cli
 from fuzzygh.cli import main
 from fuzzygh.io import save_family, save_space
-from fuzzygh.sequences import SequenceFamily, register_nets
+from fuzzygh.sequences import SequenceFamily
 from fuzzygh.valuefn import Step
 
 
@@ -326,29 +326,6 @@ def test_pigeonhole_reports_a_zero_floor_in_full(capsys, tmp_path):
     assert zero_rows and all(row[2] == 0.0 and row[3] is None for row in zero_rows)
 
 
-@pytest.mark.parametrize("limit", ["16", "-1"])
-def test_pigeonhole_checks_the_exact_limit_with_registered_nets(capsys, tmp_path, limit):
-    # the nets are registered, so no search reads the limit; it is refused
-    # all the same, with the error of the net search
-    line = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
-    spaces = tuple(
-        make_standard_space(["a", "b", "c"], [[k * d for d in row] for row in line], TNorm.product())
-        for k in (1, 2, 3)
-    )
-    family = SequenceFamily(spaces, floor=Step((), (0.1,)))
-    register_nets(family, 1.0, 0.1)
-    save_family(family, tmp_path / "fam")
-    fam = str(tmp_path / "fam")
-    base = ["pigeonhole", "--family", fam, "--t", "1.0", "--eps", "0.1", "--no-certify"]
-    assert main(base) in (0, 1)
-    capsys.readouterr()
-    assert main([*base, "--exact-limit", limit]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    errors = [line for line in captured.err.splitlines() if "error:" in line]
-    assert len(errors) == 1 and "exact_limit must be" in errors[0]
-
-
 @pytest.mark.parametrize("unbuffered", [False, True])
 def test_closed_stdout_exits_quietly(unbuffered):
     # the reader closes the pipe before the report is written (the child is
@@ -391,9 +368,6 @@ def test_closed_stdout_exits_quietly(unbuffered):
         ["glue", "--left", "{half}", "--right", "{half}", "--floor", "{no_values}"],
         ["pigeonhole", "--family", "{list_family}", "--t", "1.0", "--eps", "0.1"],
         ["check", "--space", "{std3}", "--out", "{directory}"],
-        ["net", "--space", "{std3}", "--t", "1.0", "--eps", "0.5", "--exact-limit", "16"],
-        ["cover", "--space", "{std3}", "--eps", "0.5", "--t", "1.0", "--exact-limit", "-1"],
-        ["bridge", "--metrics", "{metrics}", "--bound", "3", "--exact-limit", "16"],
     ],
     ids=" ".join,
 )
@@ -405,7 +379,6 @@ def test_malformed_input_exits_two(capsys, tmp_path, std3, half, argv):
     (tmp_path / "no_values.json").write_text(no_values, encoding="utf-8")
     (tmp_path / "fam").mkdir()
     (tmp_path / "fam" / "family.json").write_text('["space_000.json"]', encoding="utf-8")
-    (tmp_path / "metrics.json").write_text('{"metrics": [[[0, 1], [1, 0]]]}', encoding="utf-8")
     paths = {
         "std3": std3,
         "half": half,
@@ -414,7 +387,6 @@ def test_malformed_input_exits_two(capsys, tmp_path, std3, half, argv):
         "directory": str(tmp_path),
         "no_values": str(tmp_path / "no_values.json"),
         "list_family": str(tmp_path / "fam"),
-        "metrics": str(tmp_path / "metrics.json"),
     }
     assert main([arg.format(**paths) for arg in argv]) == 2
     captured = capsys.readouterr()

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from fuzzygh import (
     DomainError,
-    SizeLimitError,
     TNorm,
     cover_number,
     find_net,
@@ -12,7 +11,8 @@ from fuzzygh import (
     make_stationary_space,
     uniform_cover_bound,
 )
-from fuzzygh.covering import _min_cover, metric_cover_number
+from fuzzygh import covering
+from fuzzygh.covering import _min_cover, coverage, metric_cover_number
 
 from conftest import make_random_standard
 from oracles import metric_cover_number as metric_cover_oracle
@@ -44,6 +44,13 @@ def test_line_with_boundary_similarities(line4):
     assert cert.minimal
 
 
+def test_eps_within_tol_of_zero_is_refused(line4):
+    # no ball would hold its own centre, so no cover exists
+    with pytest.raises(DomainError, match="no ball holds its own centre"):
+        find_net(line4, 1.0, 1e-13)
+    assert find_net(line4, 1.0, 1e-13, tol=0.0).indices == (0, 1, 2, 3)
+
+
 def test_eps_near_one_gives_singleton(line4):
     number, _ = cover_number(line4, 0.999, 1.0)
     assert number == 1
@@ -71,25 +78,17 @@ def test_exact_matches_independent_search(rng, product):
         assert len(cert.indices) == minimal_net_size(sp, t, eps)
 
 
-def test_greedy_at_least_exact(rng, product):
+def test_greedy_at_least_exact(rng, product, monkeypatch):
     for _ in range(10):
         n = int(rng.integers(2, 8))
         sp = make_random_standard(rng, n, product)
         exact = find_net(sp, 1.0, 0.4)
-        greedy = find_net(sp, 1.0, 0.4, exact_limit=0)
-        assert not greedy.minimal
+        with monkeypatch.context() as patch:
+            patch.setattr(covering, "_CLIQUE_NODE_BUDGET", 0)
+            greedy = find_net(sp, 1.0, 0.4)
+        assert exact.minimal and not greedy.minimal
         assert greedy.verify(sp)
         assert len(greedy.indices) >= len(exact.indices)
-
-
-def test_exact_limit_is_refused_outside_its_range_before_any_search(rng, product):
-    # exact_limit=24 on 24 points would enumerate up to 2^24 subsets
-    for n, limit, error in ((4, -1, DomainError), (4, 16, SizeLimitError), (24, 24, SizeLimitError)):
-        sp = make_random_standard(rng, n, product)
-        with pytest.raises(error):
-            find_net(sp, 1.0, 0.5, exact_limit=limit)
-        with pytest.raises(error):
-            metric_cover_number(random_metric(rng, n), 0.5, limit)
 
 
 @settings(max_examples=30, deadline=None)
@@ -132,17 +131,46 @@ def test_uniform_cover_bound_examples(product):
     assert uniform_cover_bound(singles, 0.5, 1.0) == 1
 
 
-def test_bitset_cover_search_matches_the_subset_index():
-    rng = np.random.default_rng(7)
-    sizes = set()
-    for _ in range(600):
-        n = int(rng.integers(1, 16))
+def _coverage_matrices(rng, count, sizes):
+    """Symmetric coverage matrices with the diagonal set, sparse to dense."""
+    for _ in range(count):
+        n = int(rng.integers(*sizes))
         upper = np.triu(rng.uniform(size=(n, n)) < rng.uniform(0.05, 0.7), 1)
-        cov = upper | upper.T | np.eye(n, dtype=bool)
-        for limit in (0, 15):
-            got = _min_cover(cov, limit)
-            assert got == min_cover_numpy(cov, limit)
-            sizes.add((got[1], len(got[0])))
-    # exact and greedy covers, from one point to more than half of 15
-    assert {m for m, _ in sizes} == {True, False}
-    assert max(k for m, k in sizes if m) > 7
+        yield upper | upper.T | np.eye(n, dtype=bool)
+
+
+def test_bitset_cover_search_matches_the_subset_index():
+    sizes = set()
+    for cov in _coverage_matrices(np.random.default_rng(7), 600, (1, 16)):
+        got = _min_cover(cov)
+        assert got == min_cover_numpy(cov, 15)
+        sizes.add(len(got[0]))
+    # from one point to more than half of 15
+    assert min(sizes) == 1 and max(sizes) > 7
+
+
+def test_nets_past_fifteen_points_are_minimal_where_greedy_is_not(product):
+    # 20 points drawn in the unit square; balls of radius 0.25 at t = 1
+    points = np.random.default_rng(8).uniform(size=(20, 2))
+    d = np.linalg.norm(points[:, None] - points[None], axis=2)
+    sp = make_standard_space([f"p{i}" for i in range(20)], d, product)
+    cert = find_net(sp, 1.0, 0.2)
+    cov = coverage(sp.at(1.0), 0.8)
+    assert cert.minimal and cert.verify(sp)
+    assert cert.indices == min_cover_numpy(cov, 20)[0]
+    assert len(cert.indices) == 4 < len(min_cover_numpy(cov, 0)[0]) == 5
+
+
+def test_past_the_node_budget_the_cover_is_greedy(monkeypatch):
+    rng = np.random.default_rng(11)
+    monkeypatch.setattr(covering, "_CLIQUE_NODE_BUDGET", 0)
+    for cov in _coverage_matrices(rng, 200, (1, 16)):
+        assert _min_cover(cov) == min_cover_numpy(cov, 0)
+    # a budget that cuts some searches short: those give the greedy cover, not a partial one
+    monkeypatch.setattr(covering, "_CLIQUE_NODE_BUDGET", 100)
+    minimal = set()
+    for cov in _coverage_matrices(rng, 200, (10, 16)):
+        got = _min_cover(cov)
+        assert got == min_cover_numpy(cov, 15 if got[1] else 0)
+        minimal.add(got[1])
+    assert minimal == {True, False}

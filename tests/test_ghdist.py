@@ -265,18 +265,19 @@ def test_lower_bound_matches_unscreened_loop(kind):
 def test_lower_bound_matches_the_eager_loop(monkeypatch, kind):
     # validating in value order returns what building and validating every
     # gluing and keeping the first best returns, also where the top-ranked
-    # gluing fails its check (the envelope of two single points) and at a
-    # tolerance other than the default
+    # gluing fails its check (the relation gluing of some Standard pairs on a
+    # 16-point grid) and at a tolerance other than the default
     calls = {"validate_union": 0}
     _count_everywhere(monkeypatch, gluing.validate_union, calls)
     passed_over = 0
+    coarse = GridSpec.log(1e-3, 1e4, 16)
     for x, y, t in _pairs(kind) + _upper_pairs(kind):
         relation = gh_fuzzy_upper_bound(x, y, t).relation
-        for tol in (TOL, 1e-6):
+        for grid, tol in ((None, TOL), (None, 1e-6), (coarse, TOL)):
             calls["validate_union"] = 0
-            res = ghdist._lower_bound(x, y, t, relation, None, tol)
+            res = ghdist._lower_bound(x, y, t, relation, grid, tol)
             passed_over += calls["validate_union"] > 1
-            _same_result(res, eager_lower_bound_loop(x, y, t, relation, tol=tol))
+            _same_result(res, eager_lower_bound_loop(x, y, t, relation, grid, tol))
     assert passed_over > 0
 
 
@@ -292,6 +293,10 @@ def test_a_top_gluing_that_passes_is_the_only_one_validated(monkeypatch, two_poi
     # the relation gluing (sqrt(2/3)) above the envelope (1/3)
     relation = gh_fuzzy_upper_bound(two_point_half, two_point_third, 0.5).relation
     assert validations(two_point_half, two_point_third, 0.5, relation, "witness-relation") == 1
+    # two single points: their envelope is ONE and not ranked, so the relation gluing alone is validated
+    one = make_standard_space(["a"], [[0]], TNorm.product())
+    relation = gh_fuzzy_upper_bound(one, one, 1.0).relation
+    assert validations(one, one, 1.0, relation, "witness-relation") == 1
     # the envelope alone, as beyond the upper bound's limit
     x, y, t = _pairs("product")[8]  # a drawn 2x3 stationary pair
     assert validations(x, y, t, None, "constant-envelope") == 1

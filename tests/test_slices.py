@@ -22,8 +22,10 @@ from fuzzygh import (
     point_to_set,
     union_hausdorff,
 )
+from fuzzygh import covering
 from fuzzygh.covering import coverage, is_net
 from fuzzygh.hausdorff import hausdorff_block
+from fuzzygh.space import _CLIQUE_NODE_BUDGET
 
 from oracles import (
     find_net_loop,
@@ -85,11 +87,13 @@ def test_slice_matches_per_cell_values():
     assert one.at(0.0) == slice_loop(one, 0.0) == [[0.0]]
 
 
-def test_nets_match_per_cell_search():
+def test_nets_match_per_cell_search(monkeypatch):
     for sp, t in _cases():
         for eps in EPS:
-            for limit in (15, 0):  # the exact search, then the greedy one
-                cert = find_net(sp, t, eps, exact_limit=limit)
+            # the exact search, then the greedy one past a node budget of 0
+            for budget, limit in ((_CLIQUE_NODE_BUDGET, 15), (0, 0)):
+                monkeypatch.setattr(covering, "_CLIQUE_NODE_BUDGET", budget)
+                cert = find_net(sp, t, eps)
                 assert (cert.indices, cert.coverage, cert.minimal) == find_net_loop(
                     sp, t, eps, exact_limit=limit
                 )
@@ -112,14 +116,15 @@ def test_net_predicate_and_hausdorff_match_loops():
             assert point_to_set(sp, x, b, t) == max(sp.value(x, y, t) for y in b)
 
 
-def test_values_within_tol_of_the_threshold_do_not_cover():
+def test_values_within_tol_of_the_threshold_do_not_cover(monkeypatch):
     # 1 - 0.2 == 0.8: one tie, one value within tol above it, one beyond tol
     v = [[1.0, 0.8, 0.8 + 5e-13], [0.8, 1.0, 0.8 + 3e-12], [0.8 + 5e-13, 0.8 + 3e-12, 1.0]]
     sp = make_stationary_space(["a", "b", "c"], v, TNorm.product())
     expected = [[True, False, False], [False, True, True], [False, True, True]]
     assert coverage(sp.at(1.0), 1.0 - 0.2).tolist() == expected
-    for limit in (15, 0):
-        cert = find_net(sp, 1.0, 0.2, exact_limit=limit)
+    for budget, limit in ((_CLIQUE_NODE_BUDGET, 15), (0, 0)):
+        monkeypatch.setattr(covering, "_CLIQUE_NODE_BUDGET", budget)
+        cert = find_net(sp, 1.0, 0.2)
         assert cert.indices == find_net_loop(sp, 1.0, 0.2, exact_limit=limit)[0] == (0, 1)
     assert not is_net(sp.at(1.0), (2,), 0.8) and not is_net_loop(sp, (2,), 1.0, 0.8)
     assert hausdorff_conditions(sp, (0,), (1, 2), 1.0, 0.2) == hausdorff_conditions_loop(
@@ -136,15 +141,14 @@ def test_one_point_space():
         assert hausdorff_conditions(sp, (0,), (0,), 1.0, 0.1) == (True, [])
 
 
-def test_metric_cover_number_matches_its_own_search():
+def test_metric_cover_number_matches_its_own_search(monkeypatch):
     rng = np.random.default_rng(4)
     for n in (1, 2, 5, 9, 12):
         d = random_metric(rng, n, 0.1, 5.0)
         for radius in (0.5, 1.5, 3.0):
-            for limit in (15, 0):
-                assert metric_cover_number(d, radius, limit) == metric_cover_number_search(
-                    d, radius, limit
-                )
+            for budget, limit in ((_CLIQUE_NODE_BUDGET, 15), (0, 0)):
+                monkeypatch.setattr(covering, "_CLIQUE_NODE_BUDGET", budget)
+                assert metric_cover_number(d, radius) == metric_cover_number_search(d, radius, limit)
 
 
 def _metric(rng, n, kind):

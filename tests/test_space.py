@@ -16,7 +16,6 @@ from fuzzygh import (
     TNorm,
     UnionMetric,
     check_axioms,
-    diameter_fn,
     is_isometric,
     make_standard_space,
     make_stationary_space,
@@ -149,13 +148,6 @@ def test_t_diameter_stationary_scale_free(two_point_half):
 def test_t_diameter_domain(two_point_half):
     with pytest.raises(DomainError):
         t_diameter(two_point_half, 0.0)
-
-
-def test_diameter_fn_matches_pointwise(rng, product):
-    sp = make_random_standard(rng, 4, product)
-    f = diameter_fn(sp)
-    for t in (0.2, 1.0, 9.0):
-        assert f.eval(t) == pytest.approx(t_diameter(sp, t), abs=1e-12)
 
 
 def test_isometry_self_and_relabeling(two_point_half, two_point_third, product):
