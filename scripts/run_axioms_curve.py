@@ -2,13 +2,16 @@
 """Scaling curves of the triangle check and the isometry test over n.
 
 `check_axioms` runs on standard, step and stationary spaces of n = 20, 40,
-80, 160 and 320 points under the product and Lukasiewicz norms, and
-`is_isometric` on permuted standard and step copies of 10-50 points under the
-product norm.  Each entry records the wall time (the minimum over the
-repeats), the `tracemalloc` peak of one more call, n, the size of the
-certification grid and the number of t-slices the call reads: the first grid
-point and each one just after a breakpoint, or every point once an entry is
-`Standard` (`space.fresh_slices`).
+80, 160 and 320 points under the product and Lukasiewicz norms,
+`glue_constant` (and so `validate_union`) on two standard or two step spaces
+of n = 10-160 points each under the same norms, with the larger diameter's
+value function as the floor, and `is_isometric` on permuted standard and step
+copies of 10-50 points under the product norm.  Each entry records the wall
+time (the minimum over the repeats), the `tracemalloc` peak of one more call,
+n (per side for `glue_constant`), the size of the certification grid and the
+number of t-slices the call reads: the first grid point and each one just
+after a breakpoint, or every point once an entry is `Standard`
+(`space.scan_points`).
 The results go to a JSON file, BENCH_axioms.json by default:
 
     PYTHONPATH=src python3 scripts/run_axioms_curve.py --max-n 320 --repeats 3
@@ -27,15 +30,18 @@ from fuzzygh import (
     FuzzySpace,
     Step,
     TNorm,
+    Standard,
     check_axioms,
+    glue_constant,
     is_isometric,
     make_standard_space,
     make_stationary_space,
     make_step_space,
 )
-from fuzzygh.space import certification_grid, fresh_slices
+from fuzzygh.space import scan_points
 
 CHECK_SIZES = (20, 40, 80, 160, 320)
+GLUE_SIZES = (10, 20, 40, 80, 160)
 ISOMETRY_SIZES = (10, 20, 30, 40, 50)
 #: breakpoints of the step spaces: eight distinct slices on the default grid
 STEP_BREAKS = tuple(float(b) for b in np.logspace(-1.0, 1.0, 7))
@@ -47,33 +53,37 @@ def random_metric(rng, n):
     return d * (5.0 / d.max()) + 0.05 * (1.0 - np.eye(n))
 
 
-def make_space(rng, n, norm, rep, name="p"):
+def make_space(rng, n, norm, rep, name="p", d=None):
+    """A space of n points; a standard or step one is built on the distances
+    ``d``, drawn when None."""
     labels = [f"{name}{i}" for i in range(n)]
     if rep == "stationary":
         v = rng.uniform(0.64, 0.8, size=(n, n))  # NA1 holds for both norms
         v = np.minimum(v, v.T)
         np.fill_diagonal(v, 1.0)
         return make_stationary_space(labels, v, norm)
-    d = random_metric(rng, n)
+    d = random_metric(rng, n) if d is None else d
     if rep == "standard":
         return make_standard_space(labels, d, norm)
     return make_step_space(labels, step_pairs(d), norm)
 
 
-def step_pairs(d):
-    """Per-pair steps equal to t/(t+d) sampled at the right end of each interval."""
+def step_of(d):
+    """The step equal to t/(t+d) sampled at the right end of each interval."""
     samples = np.asarray(STEP_BREAKS + (2.0 * STEP_BREAKS[-1],))
+    return Step(STEP_BREAKS, tuple(float(v) for v in samples / (samples + d)))
+
+
+def step_pairs(d):
+    """Per-pair steps of ``step_of``."""
     n = len(d)
-    return {
-        (i, j): Step(STEP_BREAKS, tuple(float(v) for v in samples / (samples + d[i, j])))
-        for i in range(n)
-        for j in range(i + 1, n)
-    }
+    return {(i, j): step_of(d[i, j]) for i in range(n) for j in range(i + 1, n)}
 
 
 def scanned_slices(*spaces):
-    g = certification_grid(None, *spaces)
-    return len(g), len(fresh_slices(g, *spaces))
+    bps = [b for sp in spaces for b in sp.breakpoints()]
+    g, fresh, _ = scan_points(None, bps, all(sp.all_steplike() for sp in spaces))
+    return len(g), len(fresh)
 
 
 def measure(call, repeats):
@@ -111,6 +121,21 @@ def main() -> int:
                 entries.append({"op": "check_axioms", "rep": rep, "norm": kind, "n": n,
                                 "grid_size": grid_size, "scanned_slices": scanned,
                                 "wall_s": wall, "peak_mb": peak, "passed": report.passed})
+                print(json.dumps(entries[-1]), flush=True)
+    for n in (n for n in GLUE_SIZES if n <= args.max_n):
+        for rep in ("standard", "step"):
+            for kind in ("product", "lukasiewicz"):
+                dx, dy = random_metric(rng, n), random_metric(rng, n)
+                x, y = (make_space(rng, n, TNorm(kind), rep, name, d) for name, d in (("x", dx), ("y", dy)))
+                # the larger diameter's value function lies below both t-diameters
+                top = float(max(dx.max(), dy.max()))
+                floor = Standard(top) if rep == "standard" else step_of(top)
+                wall, peak, union = measure(lambda: glue_constant(x, y, floor), args.repeats)
+                grid_size, scanned = scanned_slices(union.as_space())
+                # glue_constant returns only a union that passes its check
+                entries.append({"op": "glue_constant", "rep": rep, "norm": kind, "n": n,
+                                "grid_size": grid_size, "scanned_slices": scanned,
+                                "wall_s": wall, "peak_mb": peak, "passed": True})
                 print(json.dumps(entries[-1]), flush=True)
     norm = TNorm.product()
     for n in (n for n in ISOMETRY_SIZES if n <= args.max_n):

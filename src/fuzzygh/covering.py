@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, SizeLimitError
-from .space import _CLIQUE_NODE_BUDGET, FuzzySpace
+from .space import _CLIQUE_NODE_BUDGET, DistanceMatrix, FuzzySpace, check_distance_entries
 from .util import TOL, Report, require_open_unit, require_positive
 
 
@@ -172,8 +172,15 @@ def metric_cover_number(
     radius: float,
     tol: float = TOL,
 ) -> int:
-    """Classical covering number with strict open balls {y : d(c, y) < radius}."""
-    d = np.asarray(distances, dtype=float)
+    """Classical covering number with strict open balls {y : d(c, y) < radius}.
+
+    ``distances`` is a ``DistanceMatrix``, validated when it was built, or a
+    matrix checked as ``validate_distance_matrix`` checks it, except for the
+    triangle inequality (``check_distance_entries``)."""
+    if isinstance(distances, DistanceMatrix):
+        d = distances.as_array()
+    else:
+        d = check_distance_entries(distances)
     require_positive(radius, "radius")
     cov = d < radius - tol
     np.fill_diagonal(cov, True)

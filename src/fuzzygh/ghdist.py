@@ -39,34 +39,11 @@ from .gluing import (
     union_hausdorff,
 )
 from .grids import GridSpec
-from .space import _CLIQUE_NODE_BUDGET, FuzzySpace, _covering_clique, validate_distance_matrix
+from .space import _CLIQUE_NODE_BUDGET, DistanceMatrix, FuzzySpace, _covering_clique
 from .util import TOL, Report, require_positive
 from .valuefn import ONE, ZERO
 
 MAX_CROSS_VARIABLES = 36
-
-
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """A validated finite metric: symmetric, zero diagonal, triangle inequality."""
-
-    entries: tuple[tuple[float, ...], ...]
-
-    @classmethod
-    def from_array(cls, distances) -> "DistanceMatrix":
-        d = validate_distance_matrix(distances)
-        return cls(tuple(tuple(float(v) for v in row) for row in d))
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    @property
-    def diameter(self) -> float:
-        return max(map(max, self.entries))
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.entries)
 
 
 def _coerce_metric(d) -> DistanceMatrix:

@@ -13,7 +13,8 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
+from operator import attrgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,16 +27,15 @@ from .space import (
     AxiomReport,
     FuzzySpace,
     axiom_report,
-    breakpoint_grid,
     certification_grid,
-    check_axioms,
-    fresh_after,
     pair_indices,
+    scan_points,
     t_diameters,
+    write_pairs,
     write_slices,
 )
 from .util import TOL, gt_strict, require_open_unit, require_positive, require_unit
-from .valuefn import ONE, Step, ValueFn, is_steplike, values, vf_min
+from .valuefn import ONE, Step, ValueFn, attains_below_one, is_steplike, values, vf_min
 
 
 @dataclass(frozen=True)
@@ -90,42 +90,51 @@ class UnionMetric:
 
 
 def validate_union(u: UnionMetric, grid: Optional[GridSpec] = None, tol: float = TOL) -> AxiomReport:
-    """Full axiom check over all points of the union on the certification grid:
-    ``check_axioms(u.as_space(), grid)``.
+    """Full axiom check over all points of the union on the certification
+    grid: the report of ``check_axioms(u.as_space(), grid)``, built from the
+    union's blocks.
 
-    A closure gluing's union checked on the grid its cross was sampled on
-    (``_closure_union``) reads the cross block from those samples; every other
-    union goes through ``as_space``.  Both give the same report.
-    """
-    built = u.__dict__.get("_built_from")
-    if built is None or built[0] != grid or not (built[1][0] < 1.0).all():
-        # a cross entry that never drops below 1 is refused by as_space
-        return check_axioms(u.as_space(), grid, tol=tol)
-    return _closure_report(u, *built, tol)
-
-
-def _closure_report(u: UnionMetric, g: GridSpec, samples: np.ndarray, tol: float) -> AxiomReport:
-    """``check_axioms(u.as_space(), g)`` for the union of a closure gluing
-    whose cross entries hold the (S+1, n_x, n_y) ``samples`` on ``g``.
-
-    The cross breakpoints are the points of ``g`` after which some sample
-    changes; with the sides' breakpoints they give the union's certification
-    grid and fresh points.  The side blocks are the sides' slices, the cross
-    block the samples at the interval of each point.
+    The side blocks are the sides' slices.  The cross block is read from the
+    samples a closure gluing's union carries, on the grid they were taken on
+    (``_closure_union``), or else from the cross entries, each distinct entry
+    once; its breakpoints are the points after which some sample changes,
+    or the entries' own.  A cross entry that never drops below 1 is refused
+    with ``as_space``'s error.  A cross block constant in each slice, as a
+    constant gluing's, is checked in closed form (``axiom_report``).
     """
     x, y = u.left, u.right
-    changes = (samples[1:] != samples[:-1]).any(axis=(1, 2)).tolist()
-    bps = sorted({*x.breakpoints(), *y.breakpoints(), *compress(g.values, changes)})
-    ug = breakpoint_grid(g, bps)
-    fresh = fresh_after(ug, bps) if x.all_steplike() and y.all_steplike() else np.arange(len(ug))
-    ts = ug.array()[fresh]
+    built = u.__dict__.get("_built_from")
+    samples = built[1] if built is not None and built[0] == grid else None
+    if samples is not None:
+        fns, separated = (), bool((samples[0] < 1.0).all())
+        changes = compress(grid.values, (samples[1:] != samples[:-1]).any(axis=(1, 2)).tolist())
+    else:
+        fns, changes = [*chain.from_iterable(u.cross)], ()
+        if len(set(map(id, fns))) == 1:
+            fns = fns[:1]  # one entry, as a constant gluing holds: read once
+        separated = all(map(attains_below_one, fns))
+    if not separated:
+        u.as_space()  # raises its error for the first such entry
+    sides = (*x.pairs, *y.pairs)
+    entries = (*sides, *fns)
+    bps = sorted({*chain.from_iterable(map(attrgetter("breakpoints"), entries)), *changes})
+    ug, fresh, ts = scan_points(grid, bps, all(map(is_steplike, entries)))
     nx, n = x.n, x.n + y.n
     V = np.ones((n, n, len(ts))).transpose(2, 0, 1)
-    write_slices(x, ts, V[:, :nx, :nx])
-    write_slices(y, ts, V[:, nx:, nx:])
-    V[:, :nx, nx:] = cross = samples[np.searchsorted(g.values, ts, side="left")]
+    # the pairs i < j on one side, in row order: x's pairs, then y's
+    i = np.arange(n)
+    left = i < nx
+    write_pairs(sides, *np.nonzero((i[:, None] < i) & (left[:, None] == left)), ts, V)
+    if samples is not None:
+        cross = samples[np.searchsorted(grid.array(), ts, side="left")]
+    else:
+        cross = values(fns, ts).reshape(len(ts), -1, y.n if len(fns) > 1 else 1)
+    V[:, :nx, nx:] = cross
     V[:, nx:, :nx] = cross.transpose(0, 2, 1)
-    return axiom_report(V, ug, fresh, x.norm, tol)
+    # a cross that holds one value in each slice, bit for bit, is checked in closed form
+    bits = cross.view(np.int64)
+    constant = cross[0].size == 1 or (bits == bits[:, :1, :1]).all()
+    return axiom_report(V, ug, fresh, x.norm, tol, (nx, cross[:, 0, 0]) if constant else None)
 
 
 def _validated(u: UnionMetric, grid: GridSpec, tol: float, what: str) -> UnionMetric:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -64,17 +65,22 @@ class GridSpec:
         return cls.explicit(values)
 
     def merged(self, extra: Iterable[float]) -> "GridSpec":
-        """New grid containing the extra positive values (zero/negatives ignored)."""
-        pool = set(self.values)
-        added = False
-        for v in extra:
-            v = float(v)
-            if v > 0.0 and v not in pool:
-                pool.add(v)
-                added = True
-        if not added:
+        """New grid containing the extra positive values (zero/negatives ignored).
+
+        Each new value is inserted at its place among the sorted ones, and
+        only the new values are checked: the others already passed."""
+        values = list(self.values)
+        for v in sorted({v for v in map(float, extra) if v > 0.0}):
+            i = bisect.bisect_left(values, v)
+            if i == len(values) or values[i] != v:
+                if v == math.inf:
+                    raise DomainError("grid values must be finite")
+                values.insert(i, v)
+        if len(values) == len(self.values):
             return self
-        return GridSpec(tuple(sorted(pool)))
+        g = object.__new__(GridSpec)
+        object.__setattr__(g, "values", tuple(values))
+        return g
 
     def array(self) -> np.ndarray:
         return np.asarray(self.values)

@@ -512,7 +512,7 @@ def standard_bridge_check(
     floor_report = check_diameter_floor(family, grid, tol=tol)
 
     radius = eps * t / (1.0 - eps)
-    classical_rows = [metric_cover_number(m.as_array(), radius) for m in mats]
+    classical_rows = [metric_cover_number(m, radius) for m in mats]
     n_bound = max(classical_rows)
     cover_rows = []
     nets = []

@@ -9,6 +9,8 @@ self-identity axioms into the representation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -105,10 +107,10 @@ class FuzzySpace:
         return slices_at(self, grid.array())
 
     def breakpoints(self) -> tuple[float, ...]:
-        return tuple(sorted(set().union(*(f.breakpoints for f in self.pairs))))
+        return tuple(sorted(set(chain.from_iterable(map(attrgetter("breakpoints"), self.pairs)))))
 
     def all_steplike(self) -> bool:
-        return all(is_steplike(f) for f in self.pairs)
+        return all(map(is_steplike, self.pairs))
 
     def check_index(self, *indices: int) -> None:
         """Raise ``DomainError`` for the first index outside 0..n-1."""
@@ -140,35 +142,29 @@ def slices_at(space: FuzzySpace, ts: np.ndarray) -> np.ndarray:
 
 def write_slices(space: FuzzySpace, ts: np.ndarray, out: np.ndarray) -> None:
     """Write M(., ., s) at the positive scales ts into the off-diagonal
-    entries of the (T, n, n) array ``out``, symmetric bit for bit.  The pair
-    values are computed in blocks of at most ``_BLOCK / 4`` floats, each with
-    its temporaries, so the memory beyond ``out`` is fixed."""
-    rows, cols = pair_indices(space.n)
+    entries of the (T, n, n) array ``out``, symmetric bit for bit."""
+    write_pairs(space.pairs, *pair_indices(space.n), ts, out)
+
+
+def write_pairs(pairs: Sequence[ValueFn], rows: np.ndarray, cols: np.ndarray, ts: np.ndarray, out: np.ndarray) -> None:
+    """Write the values of ``pairs`` at the positive scales ts into the
+    entries (rows[p], cols[p]) and (cols[p], rows[p]) of the (T, n, n) array
+    ``out``.  The values are computed in blocks of at most ``_BLOCK / 4``
+    floats, each with its temporaries, so the memory beyond ``out`` is fixed."""
     step = max(1, _BLOCK // 4 // max(1, len(ts)))
     for p0 in range(0, len(rows), step):
         r, c = rows[p0 : p0 + step], cols[p0 : p0 + step]
-        out[:, r, c] = out[:, c, r] = values(space.pairs[p0 : p0 + step], ts)
+        out[:, r, c] = out[:, c, r] = values(pairs[p0 : p0 + step], ts)
 
 
-def fresh_slices(g: GridSpec, *spaces: FuzzySpace) -> np.ndarray:
-    """Indices of the points of ``g`` whose slices may differ from the one before.
-
-    ``g`` holds every breakpoint of the spaces (``certification_grid``).  When
-    every entry is a ``Step``, these are the first point and the point just
-    after each breakpoint (``fresh_after``).  Otherwise they are every point.
-    """
-    if not all(sp.all_steplike() for sp in spaces):
-        return np.arange(len(g))
-    return fresh_after(g, [b for sp in spaces for b in sp.breakpoints()])
-
-
-def fresh_after(g: GridSpec, breakpoints: Sequence[float]) -> np.ndarray:
-    """The first point of ``g`` and the point just after each breakpoint: a
-    canonical step changes value only across a breakpoint, so every point
-    left out repeats, bit for bit, the slices of the point before it."""
-    fresh = np.zeros(len(g) + 1, dtype=bool)
+def fresh_after(points: np.ndarray, breakpoints: Sequence[float]) -> np.ndarray:
+    """The first of the grid ``points`` and the point just after each
+    breakpoint: a canonical step changes value only across a breakpoint, so
+    every point left out repeats, bit for bit, the slices of the point
+    before it."""
+    fresh = np.zeros(len(points) + 1, dtype=bool)
     fresh[0] = True
-    fresh[np.searchsorted(g.values, breakpoints, side="right")] = True
+    fresh[np.searchsorted(points, breakpoints, side="right")] = True
     return np.flatnonzero(fresh[:-1])
 
 
@@ -196,12 +192,29 @@ def breakpoint_grid(g: GridSpec, breakpoints: Sequence[float], extra: Sequence[f
     return g.merged(merge)
 
 
+def scan_points(
+    grid: Optional[GridSpec], breakpoints: Sequence[float], steplike: bool
+) -> tuple[GridSpec, np.ndarray, np.ndarray]:
+    """(g, fresh, ts): the certification grid of entries with these
+    breakpoints (the default grid when ``grid`` is None, merged by
+    ``breakpoint_grid``), the indices of the points an axiom check reads
+    (``fresh_after`` the breakpoints when every entry is a step, every point
+    otherwise) and their scales.  One walk over the entries gives both
+    arguments."""
+    g = breakpoint_grid(grid if grid is not None else GridSpec.default(), breakpoints)
+    points = g.array()
+    fresh = fresh_after(points, breakpoints) if steplike else np.arange(len(points))
+    return g, fresh, points[fresh]
+
+
 # ---------------------------------------------------------------------------
 # constructors
 
 
-def validate_distance_matrix(distances, tol: float = 1e-9) -> np.ndarray:
-    """Check finiteness, symmetry, zero diagonal, positivity and the triangle inequality."""
+def check_distance_entries(distances, tol: float = 1e-9) -> np.ndarray:
+    """``validate_distance_matrix`` without the O(n^3) triangle inequality:
+    a square, finite, symmetric matrix with a zero diagonal and positive
+    distances between distinct points, as a float array."""
     d = np.asarray(distances, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ConstructionError("distance matrix must be square")
@@ -219,6 +232,13 @@ def validate_distance_matrix(distances, tol: float = 1e-9) -> np.ndarray:
         if upper.any():
             i, j = divmod(int(np.argmax(upper)), n)
             raise ConstructionError(f"distance between points {i} and {j} must be positive")
+    return d
+
+
+def validate_distance_matrix(distances, tol: float = 1e-9) -> np.ndarray:
+    """Check finiteness, symmetry, zero diagonal, positivity and the triangle inequality."""
+    d = check_distance_entries(distances, tol)
+    n = d.shape[0]
     # d[i, k] > d[i, j] + d[j, k] + tol over blocks of rows i; the first
     # violation in C order is the first triple of the loop over (i, j, k)
     step = max(1, _BLOCK // max(1, n * n))
@@ -233,6 +253,35 @@ def validate_distance_matrix(distances, tol: float = 1e-9) -> np.ndarray:
                 f"{d[i, k]} > {d[i, j]} + {d[j, k]}"
             )
     return d
+
+
+@dataclass(frozen=True)
+class DistanceMatrix:
+    """A validated finite metric: symmetric, zero diagonal, triangle inequality.
+
+    Every instance passes ``validate_distance_matrix`` when it is built, so
+    the functions that take one do not check it again."""
+
+    entries: tuple[tuple[float, ...], ...]
+
+    def __post_init__(self):
+        d = validate_distance_matrix(self.entries)
+        object.__setattr__(self, "entries", tuple(tuple(float(v) for v in row) for row in d))
+
+    @classmethod
+    def from_array(cls, distances) -> "DistanceMatrix":
+        return cls(distances)
+
+    @property
+    def n(self) -> int:
+        return len(self.entries)
+
+    @property
+    def diameter(self) -> float:
+        return max(map(max, self.entries))
+
+    def as_array(self) -> np.ndarray:
+        return np.asarray(self.entries)
 
 
 def make_standard_space(
@@ -351,6 +400,13 @@ class AxiomReport(Report):
 _INNER = {"product": np.multiply, "minimum": np.minimum, "lukasiewicz": np.add}
 
 
+def _outer(x: np.ndarray, norm: TNorm) -> np.ndarray:
+    """g(x), in place: T(a, b) = g(inner(a, b)) (see ``_INNER``)."""
+    if norm.kind == "lukasiewicz":
+        np.maximum(np.subtract(x, 1.0, out=x), 0.0, out=x)
+    return x
+
+
 def _row_blocks(n: int, T: int) -> list[tuple[int, int, int]]:
     """(i0, i1, jb): the blocks of rows i of the triangle scan, and the rows j
     per chunk.  A block reads the columns k >= i0; each chunk of
@@ -370,13 +426,17 @@ def _buffer(blocks: list[tuple[int, int, int]], n: int, T: int) -> np.ndarray:
     return np.empty(max((i1 - i0) * jb * (n - i0) * T for i0, i1, jb in blocks))
 
 
-def _block_residual(W: np.ndarray, norm: TNorm, i0: int, i1: int, jb: int, buf: np.ndarray) -> np.ndarray:
+def _block_residual(
+    W: np.ndarray, norm: TNorm, i0: int, i1: int, jb: int, buf: np.ndarray, fold: Optional[np.ndarray] = None
+) -> np.ndarray:
     """(i1 - i0, n - i0, T) minimum over j of the residual at (i, k >= i0, t)
     of the (n, n, T) value array W, as V(i, k) - g(max_j inner(V(i, j), V(j, k))).
 
     Rounding is monotone, so this equals the minimum over j of the residual
     computed term by term, bit for bit.  The rows j go through ``buf`` in
-    chunks of ``jb`` that feed a running maximum.
+    chunks of ``jb`` that feed a running maximum.  A (T,) array ``fold``
+    joins that maximum: inner(c_t, c_t), the term of the points j of another
+    block whose every value with the points of W is c_t.
     """
     n, _, T = W.shape
     inner = _INNER[norm.kind]
@@ -389,12 +449,14 @@ def _block_residual(W: np.ndarray, norm: TNorm, i0: int, i1: int, jb: int, buf: 
             best = blk.max(axis=1)
         else:
             np.maximum(best, blk.max(axis=1), out=best)
-    if norm.kind == "lukasiewicz":
-        np.maximum(np.subtract(best, 1.0, out=best), 0.0, out=best)
-    return np.subtract(W[i0:i1, i0:], best, out=best)
+    if fold is not None:
+        np.maximum(best, fold, out=best)
+    return np.subtract(W[i0:i1, i0:], _outer(best, norm), out=best)
 
 
-def triangle_residual(V: np.ndarray, norm: TNorm) -> tuple[float, list[tuple[int, int, int]]]:
+def triangle_residual(
+    V: np.ndarray, norm: TNorm, fold: Optional[np.ndarray] = None
+) -> tuple[float, list[tuple[int, int, int]]]:
     """Worst residual M(i,k,t) - T(M(i,j,t), M(j,k,t)) of a (T, n, n) value
     array, and the row blocks that reach it, for ``triangle_witness``.
 
@@ -405,7 +467,8 @@ def triangle_residual(V: np.ndarray, norm: TNorm) -> tuple[float, list[tuple[int
     from i0 reads the columns k >= i0 only.  The scan runs over the
     transposed (n, n, T) array, contiguous for the output of ``slices_at``,
     so t runs innermost.  The buffer holds at most ``_BLOCK`` floats
-    (one (n, T) row once that exceeds it).
+    (one (n, T) row once that exceeds it).  ``fold`` is passed to each
+    block (``_block_residual``).
     """
     W = V.transpose(1, 2, 0)
     n, _, T = W.shape
@@ -413,7 +476,7 @@ def triangle_residual(V: np.ndarray, norm: TNorm) -> tuple[float, list[tuple[int
     buf = _buffer(blocks, n, T)
     worst, rows = np.inf, []
     for block in blocks:
-        value = float(_block_residual(W, norm, *block, buf).min())
+        value = float(_block_residual(W, norm, *block, buf, fold).min())
         if value < worst:
             worst, rows = value, [block]
         elif value == worst:
@@ -456,16 +519,22 @@ def check_axioms(space: FuzzySpace, grid: Optional[GridSpec] = None, tol: float 
 
     Vanishing at zero, symmetry, left continuity and separation hold
     structurally.  Only the grid points whose slice may differ from the one
-    before are read (``fresh_slices``), and ``axiom_report`` scans them.  For
+    before are read (``scan_points``), and ``axiom_report`` scans them.  For
     piecewise-constant spaces the merged grid makes the triangle check exact,
     otherwise it is grid-certified.
     """
-    g = certification_grid(grid, space)
-    fresh = fresh_slices(g, space)
-    return axiom_report(slices_at(space, g.array()[fresh]), g, fresh, space.norm, tol)
+    g, fresh, ts = scan_points(grid, space.breakpoints(), space.all_steplike())
+    return axiom_report(slices_at(space, ts), g, fresh, space.norm, tol)
 
 
-def axiom_report(V: np.ndarray, g: GridSpec, fresh: np.ndarray, norm: TNorm, tol: float) -> AxiomReport:
+def axiom_report(
+    V: np.ndarray,
+    g: GridSpec,
+    fresh: np.ndarray,
+    norm: TNorm,
+    tol: float,
+    glued: Optional[tuple[int, np.ndarray]] = None,
+) -> AxiomReport:
     """The axiom report of the (F, n, n) slices V at the points ``fresh`` of ``g``.
 
     Monotonicity is re-checked numerically between consecutive slices, and
@@ -473,8 +542,15 @@ def axiom_report(V: np.ndarray, g: GridSpec, fresh: np.ndarray, norm: TNorm, tol
     point left out of ``fresh`` repeats a read slice one bit for bit, so its
     step is zero, the residual and its first witness are those of the full
     scan, and the witness scale is the first grid point of its run.
+
+    ``glued`` = (n_x, c) marks V as a union of the points before and after
+    n_x whose every cross value in slice t is c[t]: its residual is taken
+    from the side blocks (``_glued_residual``), and only a union that fails
+    is scanned whole, for its first witness.
     """
-    worst, rows = triangle_residual(V, norm)
+    worst = None if glued is None else _glued_residual(V, *glued, norm)
+    if worst is None or worst < -tol:
+        worst, rows = triangle_residual(V, norm)
     # monotonicity: structural for each representation, re-checked numerically
     # between consecutive slices, in blocks of rows i through one buffer of at
     # most _BLOCK floats (one row once a row exceeds it), once the scan's is freed
@@ -503,6 +579,28 @@ def axiom_report(V: np.ndarray, g: GridSpec, fresh: np.ndarray, norm: TNorm, tol
         grid=g.values,
         tol=tol,
     )
+
+
+def _glued_residual(V: np.ndarray, nx: int, c: np.ndarray, norm: TNorm) -> float:
+    """The worst triangle residual of the (F, n, n) union V of the points
+    before and after ``nx`` whose every cross value in slice t is c[t].
+
+    Only the two side blocks are scanned, each with T(c_t, c_t), the term of
+    every j across, folded into its maximum over j.  A triple whose i and k
+    lie across takes the closed form c_t - g(inner(1, c_t)): the diagonal is
+    1, every value lies in [0, 1], and correctly rounded ``*``, ``+`` and
+    ``min`` are monotone, so no j beats j = i.  Equal to the worst residual
+    of ``triangle_residual(V)``, bit for bit.
+    """
+    inner = _INNER[norm.kind]
+    fold = inner(c, c)
+    # a side of one point holds only the triple (i, i, i), whose residual
+    # 1 - g(inner(1, 1)) is 0
+    worst = min(
+        triangle_residual(side, norm, fold)[0] if side.shape[1] > 1 else 0.0
+        for side in (V[:, :nx, :nx], V[:, nx:, nx:])
+    )
+    return min(worst, float((c - _outer(inner(1.0, c), norm)).min()))
 
 
 def t_diameter(space: FuzzySpace, t: float) -> float:
@@ -571,7 +669,7 @@ def is_isometric(
     The comparison grid merges both spaces' breakpoints, so piecewise-constant
     spaces are compared exactly; analytic entries are grid-certified.  Only
     the grid points where the slice of either space may change are compared
-    (``fresh_slices``); the others repeat a compared pair of slices.  Cells
+    (``scan_points``); the others repeat a compared pair of slices.  Cells
     (i, p) and (j, q) are compatible when M_a(i, j) and M_b(p, q) agree within
     tol on the grid and the cells share a row exactly when they share a
     column, so a relation search over them finds a permutation.  Holds
@@ -583,9 +681,8 @@ def is_isometric(
         raise DomainError("isometry testing requires the same t-norm kind")
     if a.n != b.n:
         return None
-    g = certification_grid(grid, a, b)
+    _, _, ts = scan_points(grid, [*a.breakpoints(), *b.breakpoints()], a.all_steplike() and b.all_steplike())
     n = a.n
-    ts = g.array()[fresh_slices(g, a, b)]
     # contiguous slices: the gaps below step through them one t at a time
     va, vb = (np.ascontiguousarray(slices_at(sp, ts)) for sp in (a, b))
     same = np.eye(n, dtype=bool)

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzzygh import (
+    ConstructionError,
+    DistanceMatrix,
     DomainError,
     TNorm,
     cover_number,
@@ -10,6 +12,7 @@ from fuzzygh import (
     make_standard_space,
     make_stationary_space,
     uniform_cover_bound,
+    validate_distance_matrix,
 )
 from fuzzygh import covering
 from fuzzygh.covering import _min_cover, coverage, metric_cover_number
@@ -67,6 +70,46 @@ def test_cover_matches_metric_oracle(rng, product):
         fuzzy, _ = cover_number(sp, eps, t)
         assert fuzzy == metric_cover_oracle(d, radius)
         assert fuzzy == metric_cover_number(d, radius)
+        assert fuzzy == metric_cover_number(DistanceMatrix.from_array(d), radius)
+
+
+@pytest.mark.parametrize(
+    "distances, message",
+    [
+        ([[0.0, 1.0]], "must be square"),
+        ([[0.0, np.nan], [np.nan, 0.0]], "must be finite"),
+        ([[0.0, 5.0], [0.1, 0.0]], "must be symmetric"),
+        ([[1.0, 2.0], [2.0, 0.0]], "zero diagonal"),
+        ([[0.0, 0.0], [0.0, 0.0]], "points 0 and 1 must be positive"),
+    ],
+    ids=["not-square", "nan", "asymmetric", "diagonal", "zero-distance"],
+)
+def test_metric_cover_number_refuses_what_validate_distance_matrix_refuses(distances, message):
+    with pytest.raises(ConstructionError, match=message) as refused:
+        metric_cover_number(distances, 1.0)
+    with pytest.raises(ConstructionError) as expected:
+        validate_distance_matrix(distances)
+    assert str(refused.value) == str(expected.value)
+
+
+def test_a_distance_matrix_is_validated_however_it_is_built():
+    # metric_cover_number takes a DistanceMatrix without checking it again
+    for distances in ([[0.0, 5.0], [0.1, 0.0]], ((0.0, 5.0), (0.1, 0.0))):
+        with pytest.raises(ConstructionError, match="must be symmetric"):
+            DistanceMatrix(distances)
+        with pytest.raises(ConstructionError, match="must be symmetric"):
+            DistanceMatrix.from_array(distances)
+    m = DistanceMatrix(((0, 1), (1, 0)))
+    assert m == DistanceMatrix.from_array(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert m.entries == ((0.0, 1.0), (1.0, 0.0)) and all(type(v) is float for row in m.entries for v in row)
+
+
+def test_metric_cover_number_does_not_check_the_triangle_inequality():
+    # 0 and 2 are 3 apart, 1 is 1 from both: not a metric, still a cover count
+    d = [[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]]
+    with pytest.raises(ConstructionError, match="triangle inequality"):
+        validate_distance_matrix(d)
+    assert metric_cover_number(d, 1.5) == 1
 
 
 def test_exact_matches_independent_search(rng, product):

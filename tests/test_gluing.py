@@ -600,14 +600,15 @@ def test_step_cross_refuses_what_the_constructor_refuses(rng):
 
 
 def _count_object_checks(monkeypatch):
-    calls = {"check_axioms": 0}
-    inner = fuzzygh.gluing.check_axioms
+    """Count the unions rebuilt as one space (``UnionMetric.as_space``)."""
+    calls = {"as_space": 0}
+    inner = UnionMetric.as_space
 
     def counted(*args, **kwargs):
-        calls["check_axioms"] += 1
+        calls["as_space"] += 1
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(fuzzygh.gluing, "check_axioms", counted)
+    monkeypatch.setattr(UnionMetric, "as_space", counted)
     return calls
 
 
@@ -649,9 +650,9 @@ def test_closure_unions_validate_from_their_samples(monkeypatch, rng, grid):
     kinds = set()
     failed = 0
     for u, g in closure_unions(rng, grid):
-        calls["check_axioms"] = 0
+        calls["as_space"] = 0
         report = validate_union(u, g)
-        assert calls["check_axioms"] == 0  # read from the samples
+        assert calls["as_space"] == 0  # read from the samples
         expected = check_axioms(u.as_space(), g)
         assert report == expected and repr(report) == repr(expected)
         failed += not report.passed
@@ -670,8 +671,9 @@ def test_a_failing_closure_union_reports_its_witness(monkeypatch, rng, product):
     bad_cross = (_closure_union(y, y, g, np.sort(rng.uniform(0.1, 0.9, size=(len(g) + 1, 2, 2)), axis=0)), g)
     calls = _count_object_checks(monkeypatch)
     for u, grid in (bad_side, bad_cross):
+        calls["as_space"] = 0
         report = validate_union(u, grid)
-        assert calls["check_axioms"] == 0
+        assert calls["as_space"] == 0
         assert not report.passed and report.witness is not None and report.na1_residual < 0.0
         assert report == check_axioms(u.as_space(), grid)
     # both sides pass, so the worst triple meets both
@@ -679,7 +681,7 @@ def test_a_failing_closure_union_reports_its_witness(monkeypatch, rng, product):
     assert min(i, j, k) < 2 <= max(i, j, k)
 
 
-def test_a_union_without_its_samples_takes_the_object_path(monkeypatch, rng):
+def test_a_union_without_its_samples_is_read_from_its_entries(monkeypatch, rng):
     calls = _count_object_checks(monkeypatch)
     other = GridSpec.parse("log:1e-1:1e1:9")
     seen = returned = 0
@@ -689,16 +691,18 @@ def test_a_union_without_its_samples_takes_the_object_path(monkeypatch, rng):
         assert plain == u and repr(plain) == repr(u)
         assert union_to_doc(plain) == union_to_doc(u)
         for union, grid in ((plain, g), (union_from_doc(union_to_doc(u)), g), (u, other), (u, None)):
-            calls["check_axioms"] = 0
-            assert validate_union(union, grid) == check_axioms(u.as_space(), grid)
-            assert calls["check_axioms"] == 1  # through as_space
+            calls["as_space"] = 0
+            report = validate_union(union, grid)
+            assert calls["as_space"] == 0  # read from the entries
+            assert report == check_axioms(u.as_space(), grid)
             seen += 1
         # the gluings drop the samples once they have validated the union
-        calls["check_axioms"] = 0
         if fuzzygh.gluing.validate_union(u, g).passed:
             fuzzygh.gluing._validated(u, g, 1e-12, "closure")
-            validate_union(u, g)
-            assert calls["check_axioms"] == 1
+            assert "_built_from" not in u.__dict__
+            calls["as_space"] = 0
+            assert validate_union(u, g) == check_axioms(u.as_space(), g)
+            assert calls["as_space"] == 1  # the test's own
             returned += 1
     assert seen > 0 and returned > 0
 
@@ -712,3 +716,99 @@ def test_a_closure_cross_that_never_drops_below_one_is_refused_as_by_as_space(tw
     with pytest.raises(ConstructionError) as expected:
         u.as_space()
     assert str(refused.value) == str(expected.value)
+
+
+# ---------------------------------------------------------------------------
+# every union is validated from its blocks, as check_axioms on the union as one space
+
+
+def union_outcome(u, grid):
+    """(validate_union's report or error, check_axioms's on ``u.as_space()``)."""
+    got = cross_outcome(validate_union, u, grid)
+    try:
+        expected = repr(check_axioms(u.as_space(), grid))
+    except ConstructionError as exc:
+        expected = type(exc).__name__, str(exc)
+    return got, expected
+
+
+def assert_same_report(u, grid):
+    """validate_union's report, equal by ``==`` and ``repr`` to check_axioms's
+    on ``u.as_space()`` (witness and ``na1_residual`` included)."""
+    report = validate_union(u, grid)
+    expected = check_axioms(u.as_space(), grid)
+    assert report == expected and repr(report) == repr(expected)
+    return report
+
+
+# a floor whose breakpoint lies past every breakpoint of random_space's steps,
+# so the union's tail point lies past the sides'
+TAIL_FLOOR = Step((50.0,), (0.0, 0.1))
+
+
+@pytest.mark.parametrize("norm", NORMS, ids=lambda nm: nm.kind)
+def test_constant_unions_validate_as_one_space(rng, norm):
+    """Constant gluings (``ZERO``, the envelope, a ``Standard`` floor, a floor
+    past the sides' breakpoints) and a constant cross above the sides' values,
+    on standard, step and stationary sides of 1-4 points that pass or fail."""
+    seen = set()
+    for kinds in KIND_PAIRS + (("stationary", "step"),):
+        for nx, ny in ((1, 1), (1, 3), (3, 1), (3, 4)):
+            band = ((0.64, 0.8), (0.3, 0.95))[int(rng.integers(2))]
+            x, y = random_space(rng, kinds[0], norm, nx, band), random_space(rng, kinds[1], norm, ny, band)
+            unions = []
+            floors = {"zero": ZERO, "envelope": floor_envelope(x, y), "standard": Standard(50.0), "tail": TAIL_FLOOR}
+            for label, c in floors.items():
+                try:
+                    unions.append((label, *fuzzygh.gluing._constant_union(x, y, c, None, 1e-12)))
+                except HypothesisError:
+                    pass  # the floor rises above a t-diameter
+            # above any floor: the sides fail through the cross
+            high = tuple(tuple(Stationary(0.9) for _ in range(ny)) for _ in range(nx))
+            unions.append(("above", UnionMetric(x, y, high), None))
+            for label, u, g in unions:
+                got, expected = union_outcome(u, g)
+                assert got == expected
+                if isinstance(got, str):
+                    seen.add((label, assert_same_report(u, g).passed))
+                else:
+                    seen.add((label, got[0]))  # the envelope of two single points is ONE
+    assert {label for label, _ in seen} == {"zero", "envelope", "standard", "tail", "above"}
+    assert {passed for _, passed in seen} == {True, False, "ConstructionError"}
+    assert ("above", False) in seen
+
+
+@pytest.mark.parametrize("norm", NORMS, ids=lambda nm: nm.kind)
+def test_a_closure_cross_constant_in_each_slice_validates_as_one_space(rng, norm):
+    """Closure unions whose cross holds one value per slice, read from their
+    samples, rebuilt without them and loaded from a document."""
+    grid = GridSpec.parse("log:1e-2:1e2:17")
+    for kinds in KIND_PAIRS:
+        for nx, ny in ((1, 1), (1, 3), (3, 2)):
+            band = ((0.64, 0.8), (0.3, 0.95))[int(rng.integers(2))]
+            x, y = random_space(rng, kinds[0], norm, nx, band), random_space(rng, kinds[1], norm, ny, band)
+            g = certification_grid(grid, x, y)
+            levels = np.sort(rng.uniform(0.0, 0.7, size=len(g) + 1))
+            u = _closure_union(x, y, g, np.broadcast_to(levels[:, None, None], (len(g) + 1, nx, ny)).copy())
+            for union in (UnionMetric(x, y, u.cross), union_from_doc(union_to_doc(u)), u):
+                assert_same_report(union, g)
+
+
+def test_large_constant_unions_validate_as_one_space(rng):
+    """40 + 40 standard points on the 64 default scales: the side scans take
+    several row blocks, and the failing unions' whole scans chunks of rows j."""
+    x, y = (make_random_standard(rng, 40, TNorm.product(), name) for name in "xy")
+    d = random_metric(rng, 40)
+    d[3, 30] = d[30, 3] = 3.0 * d.max()  # the triangle fails on y
+    bent = FuzzySpace("bent", y.labels, y.norm, tuple(Standard(d[i, j]) for i in range(40) for j in range(i + 1, 40)))
+    high = tuple(tuple(Stationary(0.9) for _ in range(40)) for _ in range(40))
+    reports = [
+        assert_same_report(glue_constant(x, y, ZERO), None),
+        assert_same_report(glue_constant(x, y, floor_envelope(x, y)), None),
+        assert_same_report(UnionMetric(x, y, high), None),
+        assert_same_report(fuzzygh.gluing._constant_union(x, bent, ZERO, None, 1e-12)[0], None),
+    ]
+    assert [r.passed for r in reports] == [True, True, False, False]
+    assert len(reports[0].grid) == 64
+    i, j, k, _ = reports[3].witness
+    assert min(i, j, k) >= 40  # the bent side's own triple

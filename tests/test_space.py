@@ -25,7 +25,7 @@ from fuzzygh import (
     validate_union,
 )
 from fuzzygh import space as space_module
-from fuzzygh.space import certification_grid, fresh_slices, pair_indices
+from fuzzygh.space import certification_grid, pair_indices, scan_points
 from fuzzygh.valuefn import values
 
 from conftest import make_random_standard, make_random_stationary
@@ -428,7 +428,7 @@ def test_every_blocking_level_finds_the_first_worst_triple(rng, monkeypatch, nor
               _run_space(norm, 1.0, 10.0), _two_runs_space(norm))
     chunked = False
     for sp in spaces:
-        T = len(fresh_slices(certification_grid(grid, sp), sp))
+        T = len(fresh_slices(grid, sp)[1])
         monkeypatch.setattr(space_module, "_BLOCK", sp.n ** 2 * T if block == "n2T" else block)
         chunked |= any(jb < sp.n for *_, jb in space_module._row_blocks(sp.n, T))
         report = check_axioms(sp, grid)
@@ -442,14 +442,23 @@ def test_every_blocking_level_finds_the_first_worst_triple(rng, monkeypatch, nor
 # a slice equal to the one before is scanned once
 
 
+def fresh_slices(grid, *spaces):
+    """(g, fresh): the certification grid of the spaces and the indices of the
+    points an axiom check reads on it (``scan_points``)."""
+    bps = [b for sp in spaces for b in sp.breakpoints()]
+    g, fresh, _ = scan_points(grid, bps, all(sp.all_steplike() for sp in spaces))
+    assert g == certification_grid(grid, *spaces)
+    return g, fresh
+
+
 def _count_scanned_slices(monkeypatch) -> list[int]:
     """The number of slices of each triangle scan, recorded as they happen."""
     scanned = []
     kernel = space_module.triangle_residual
 
-    def counting(V, norm):
+    def counting(V, norm, *cross):
         scanned.append(V.shape[0])
-        return kernel(V, norm)
+        return kernel(V, norm, *cross)
 
     monkeypatch.setattr(space_module, "triangle_residual", counting)
     return scanned
@@ -499,7 +508,11 @@ def test_triangle_scan_visits_each_distinct_slice_once(rng, monkeypatch, product
     scanned = _count_scanned_slices(monkeypatch)
     reports = [check_axioms(stationary), check_axioms(step), check_axioms(standard), validate_union(union)]
     assert len(step.breakpoints()) == 2
-    assert scanned == [1, 3, len(reports[2].grid), len(reports[3].grid)]
+    # the union's cross is constant: its two side blocks are scanned, then,
+    # since the cross rises above the standard side's diameter, the whole
+    # union for the witness
+    assert not reports[3].passed
+    assert scanned == [1, 3, len(reports[2].grid), *[len(reports[3].grid)] * 3]
 
     # the breakpoint rule against the value-difference loop it replaced: equal
     # when every entry is a step, with breakpoints off the grid, below it and
@@ -511,15 +524,15 @@ def test_triangle_scan_visits_each_distinct_slice_once(rng, monkeypatch, product
                              step_cross).as_space()
     for grid in (None, GridSpec.log(1e-2, 1e2, 11)):
         for spaces in ((stationary,), (step,), (step_union,), (step, stationary), (stationary, step_union)):
-            g = certification_grid(grid, *spaces)
-            assert fresh_slices(g, *spaces).tolist() == fresh_slices_loop(g, *spaces)
+            g, fresh = fresh_slices(grid, *spaces)
+            assert fresh.tolist() == fresh_slices_loop(g, *spaces)
         for spaces in ((standard,), (union.as_space(),), (step, standard)):
-            g = certification_grid(grid, *spaces)
-            assert set(fresh_slices_loop(g, *spaces)) <= set(fresh_slices(g, *spaces).tolist())
+            g, fresh = fresh_slices(grid, *spaces)
+            assert set(fresh_slices_loop(g, *spaces)) <= set(fresh.tolist())
     # strictly so where t/(t + d) rounds to 1 at every scale
     near = make_standard_space(["a", "b"], [[0.0, 1e-12], [1e-12, 0.0]], product)
     g = GridSpec.log(1e5, 1e8, 8)
-    assert fresh_slices_loop(g, near) == [0] and fresh_slices(g, near).tolist() == list(range(8))
+    assert fresh_slices_loop(g, near) == [0] and fresh_slices(g, near)[1].tolist() == list(range(8))
 
     # is_isometric reads only the fresh slices and answers as the full grid does
     read = []
@@ -553,8 +566,8 @@ def test_a_worst_value_tied_across_row_blocks_takes_the_first_scale(monkeypatch,
     # first in scan order, row 3 at the earlier scale
     sp = _two_runs_space(product)
     monkeypatch.setattr(space_module, "_BLOCK", 300)
-    g = certification_grid(None, sp)
-    V = space_module.slices_at(sp, g.array()[fresh_slices(g, sp)])
+    g, fresh = fresh_slices(None, sp)
+    V = space_module.slices_at(sp, g.array()[fresh])
     worst, rows = space_module.triangle_residual(V, product)
     assert rows == [(0, 2, 6), (2, 5, 6)]
     report = check_axioms(sp)
@@ -574,7 +587,7 @@ def test_a_failing_union_of_standard_and_step_spaces_matches_the_loop_oracle(rng
     grid = GridSpec.log(1e-1, 1e1, 5)
     sp = union.as_space()
     expected = None
-    for block in (40 * 40 * len(fresh_slices(certification_grid(grid, sp), sp)), 300, 1 << 18):
+    for block in (40 * 40 * len(fresh_slices(grid, sp)[1]), 300, 1 << 18):
         monkeypatch.setattr(space_module, "_BLOCK", block)
         report = validate_union(union, grid)
         assert not report.na1
