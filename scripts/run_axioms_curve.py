@@ -7,11 +7,13 @@
 of n = 10-160 points each under the same norms, with the larger diameter's
 value function as the floor, and `is_isometric` on permuted standard and step
 copies of 10-50 points under the product norm.  Each entry records the wall
-time (the minimum over the repeats), the `tracemalloc` peak of one more call,
-n (per side for `glue_constant`), the size of the certification grid and the
-number of t-slices the call reads: the first grid point and each one just
-after a breakpoint, or every point once an entry is `Standard`
-(`space.scan_points`).
+time (the minimum over the repeats), the time to construct the spaces the
+call reads (`construct_s`, the minimum over the repeats of building each
+from its drawn distances, values or pair objects, summed over the spaces),
+the `tracemalloc` peak of one more call, n (per side for `glue_constant`),
+the size of the certification grid and the number of t-slices the call
+reads: the first grid point and each one just after a breakpoint, or every
+point once an entry is `Standard` (`space.scan_points`).
 The results go to a JSON file, BENCH_axioms.json by default:
 
     PYTHONPATH=src python3 scripts/run_axioms_curve.py --max-n 320 --repeats 3
@@ -53,19 +55,21 @@ def random_metric(rng, n):
     return d * (5.0 / d.max()) + 0.05 * (1.0 - np.eye(n))
 
 
-def make_space(rng, n, norm, rep, name="p", d=None):
-    """A space of n points; a standard or step one is built on the distances
-    ``d``, drawn when None."""
+def space_builder(rng, n, norm, rep, name="p", d=None):
+    """A call without arguments that builds a space of n points from inputs
+    drawn here; a standard or step one is built on the distances ``d``,
+    drawn when None."""
     labels = [f"{name}{i}" for i in range(n)]
     if rep == "stationary":
         v = rng.uniform(0.64, 0.8, size=(n, n))  # NA1 holds for both norms
         v = np.minimum(v, v.T)
         np.fill_diagonal(v, 1.0)
-        return make_stationary_space(labels, v, norm)
+        return lambda: make_stationary_space(labels, v, norm)
     d = random_metric(rng, n) if d is None else d
     if rep == "standard":
-        return make_standard_space(labels, d, norm)
-    return make_step_space(labels, step_pairs(d), norm)
+        return lambda: make_standard_space(labels, d, norm)
+    pairs = step_pairs(d)
+    return lambda: make_step_space(labels, pairs, norm)
 
 
 def step_of(d):
@@ -86,13 +90,19 @@ def scanned_slices(*spaces):
     return len(g), len(fresh)
 
 
-def measure(call, repeats):
-    """(minimum wall time in s over the repeats, tracemalloc peak in MB, result)."""
+def best_time(call, repeats):
+    """(minimum wall time in s over the repeats, result)."""
     best = np.inf
     for _ in range(repeats):
         start = time.perf_counter()
         result = call()
         best = min(best, time.perf_counter() - start)
+    return best, result
+
+
+def measure(call, repeats):
+    """(minimum wall time in s over the repeats, tracemalloc peak in MB, result)."""
+    best, result = best_time(call, repeats)
     tracemalloc.start()
     try:
         call()
@@ -115,18 +125,21 @@ def main() -> int:
     for n in (n for n in CHECK_SIZES if n <= args.max_n):
         for rep in ("standard", "step", "stationary"):
             for kind in ("product", "lukasiewicz"):
-                space = make_space(rng, n, TNorm(kind), rep)
+                construct, space = best_time(space_builder(rng, n, TNorm(kind), rep), args.repeats)
                 wall, peak, report = measure(lambda: check_axioms(space), args.repeats)
                 grid_size, scanned = scanned_slices(space)
                 entries.append({"op": "check_axioms", "rep": rep, "norm": kind, "n": n,
-                                "grid_size": grid_size, "scanned_slices": scanned,
-                                "wall_s": wall, "peak_mb": peak, "passed": report.passed})
+                                "grid_size": grid_size, "scanned_slices": scanned, "wall_s": wall,
+                                "construct_s": construct, "peak_mb": peak, "passed": report.passed})
                 print(json.dumps(entries[-1]), flush=True)
     for n in (n for n in GLUE_SIZES if n <= args.max_n):
         for rep in ("standard", "step"):
             for kind in ("product", "lukasiewicz"):
                 dx, dy = random_metric(rng, n), random_metric(rng, n)
-                x, y = (make_space(rng, n, TNorm(kind), rep, name, d) for name, d in (("x", dx), ("y", dy)))
+                (cx, x), (cy, y) = (
+                    best_time(space_builder(rng, n, TNorm(kind), rep, name, d), args.repeats)
+                    for name, d in (("x", dx), ("y", dy))
+                )
                 # the larger diameter's value function lies below both t-diameters
                 top = float(max(dx.max(), dy.max()))
                 floor = Standard(top) if rep == "standard" else step_of(top)
@@ -134,22 +147,22 @@ def main() -> int:
                 grid_size, scanned = scanned_slices(union.as_space())
                 # glue_constant returns only a union that passes its check
                 entries.append({"op": "glue_constant", "rep": rep, "norm": kind, "n": n,
-                                "grid_size": grid_size, "scanned_slices": scanned,
-                                "wall_s": wall, "peak_mb": peak, "passed": True})
+                                "grid_size": grid_size, "scanned_slices": scanned, "wall_s": wall,
+                                "construct_s": cx + cy, "peak_mb": peak, "passed": True})
                 print(json.dumps(entries[-1]), flush=True)
     norm = TNorm.product()
     for n in (n for n in ISOMETRY_SIZES if n <= args.max_n):
         for rep in ("standard", "step"):
-            a = make_space(rng, n, norm, rep, "a")
+            ca, a = best_time(space_builder(rng, n, norm, rep, "a"), args.repeats)
             perm = rng.permutation(n)
             pairs = tuple(a.entry(int(perm[i]), int(perm[j])) for i in range(n) for j in range(i + 1, n))
-            b = FuzzySpace("b", tuple(f"b{i}" for i in range(n)), norm, pairs)
+            cb, b = best_time(lambda: FuzzySpace("b", tuple(f"b{i}" for i in range(n)), norm, pairs), args.repeats)
             wall, peak, found = measure(lambda: is_isometric(a, b), args.repeats)
             grid_size, scanned = scanned_slices(a, b)
             inverse = tuple(int(k) for k in np.argsort(perm))
             entries.append({"op": "is_isometric", "rep": rep, "norm": "product", "n": n,
-                            "grid_size": grid_size, "scanned_slices": scanned,
-                            "wall_s": wall, "peak_mb": peak, "passed": found == inverse})
+                            "grid_size": grid_size, "scanned_slices": scanned, "wall_s": wall,
+                            "construct_s": ca + cb, "peak_mb": peak, "passed": found == inverse})
             print(json.dumps(entries[-1]), flush=True)
 
     doc = {

@@ -11,10 +11,8 @@ returned union passes the full axiom suite on its certification grid
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
 from itertools import chain, compress
-from operator import attrgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,11 +29,10 @@ from .space import (
     pair_indices,
     scan_points,
     t_diameters,
-    write_pairs,
     write_slices,
 )
 from .util import TOL, gt_strict, require_open_unit, require_positive, require_unit
-from .valuefn import ONE, Step, ValueFn, attains_below_one, is_steplike, values, vf_min
+from .valuefn import ONE, PairTable, Step, ValueFn, is_steplike, values, vf_min
 
 
 @dataclass(frozen=True)
@@ -94,41 +91,39 @@ def validate_union(u: UnionMetric, grid: Optional[GridSpec] = None, tol: float =
     grid: the report of ``check_axioms(u.as_space(), grid)``, built from the
     union's blocks.
 
-    The side blocks are the sides' slices.  The cross block is read from the
-    samples a closure gluing's union carries, on the grid they were taken on
-    (``_closure_union``), or else from the cross entries, each distinct entry
-    once; its breakpoints are the points after which some sample changes,
-    or the entries' own.  A cross entry that never drops below 1 is refused
-    with ``as_space``'s error.  A cross block constant in each slice, as a
-    constant gluing's, is checked in closed form (``axiom_report``).
+    The side blocks are written from the sides' own tables.  The cross block
+    is read from the samples a closure gluing's union carries, on the grid
+    they were taken on (``_closure_union``), or else from the ``PairTable``
+    of the cross entries, each distinct entry once; its breakpoints are the
+    points after which some sample changes, or the entries' own.  A cross
+    entry that never drops below 1 is refused with ``as_space``'s error.  A
+    cross block constant in each slice, as a constant gluing's, is checked
+    in closed form (``axiom_report``).
     """
     x, y = u.left, u.right
     built = u.__dict__.get("_built_from")
     samples = built[1] if built is not None and built[0] == grid else None
     if samples is not None:
-        fns, separated = (), bool((samples[0] < 1.0).all())
+        table, separated, steplike = None, bool((samples[0] < 1.0).all()), True
         changes = compress(grid.values, (samples[1:] != samples[:-1]).any(axis=(1, 2)).tolist())
     else:
-        fns, changes = [*chain.from_iterable(u.cross)], ()
+        fns = [*chain.from_iterable(u.cross)]
         if len(set(map(id, fns))) == 1:
             fns = fns[:1]  # one entry, as a constant gluing holds: read once
-        separated = all(map(attains_below_one, fns))
+        table = PairTable(fns)
+        separated, steplike, changes = table.inseparable is None, table.steplike, table.breakpoints
     if not separated:
         u.as_space()  # raises its error for the first such entry
-    sides = (*x.pairs, *y.pairs)
-    entries = (*sides, *fns)
-    bps = sorted({*chain.from_iterable(map(attrgetter("breakpoints"), entries)), *changes})
-    ug, fresh, ts = scan_points(grid, bps, all(map(is_steplike, entries)))
+    bps = sorted({*x.breakpoints(), *y.breakpoints(), *changes})
+    ug, fresh, ts = scan_points(grid, bps, x.all_steplike() and y.all_steplike() and steplike)
     nx, n = x.n, x.n + y.n
     V = np.ones((n, n, len(ts))).transpose(2, 0, 1)
-    # the pairs i < j on one side, in row order: x's pairs, then y's
-    i = np.arange(n)
-    left = i < nx
-    write_pairs(sides, *np.nonzero((i[:, None] < i) & (left[:, None] == left)), ts, V)
-    if samples is not None:
+    write_slices(x, ts, V[:, :nx, :nx])
+    write_slices(y, ts, V[:, nx:, nx:])
+    if table is None:
         cross = samples[np.searchsorted(grid.array(), ts, side="left")]
     else:
-        cross = values(fns, ts).reshape(len(ts), -1, y.n if len(fns) > 1 else 1)
+        cross = table.values(ts).reshape(len(ts), -1, y.n if table.size > 1 else 1)
     V[:, :nx, nx:] = cross
     V[:, nx:, :nx] = cross.transpose(0, 2, 1)
     # a cross that holds one value in each slice, bit for bit, is checked in closed form
@@ -209,8 +204,7 @@ def _constant_union(
         raise DomainError("both spaces must share the t-norm kind")
     g = certification_grid(grid, x, y, extra=c.breakpoints)
     _check_floor(np.minimum(t_diameters(x, g), t_diameters(y, g)), c, g, tol)
-    cross = tuple(tuple(c for _ in range(y.n)) for _ in range(x.n))
-    return UnionMetric(x, y, cross), g
+    return UnionMetric(x, y, ((c,) * y.n,) * x.n), g
 
 
 # ---------------------------------------------------------------------------
@@ -423,11 +417,13 @@ def _closure(mx: np.ndarray, my: np.ndarray, relation, norm) -> np.ndarray:
 def _samples(space: FuzzySpace, g: GridSpec) -> np.ndarray:
     """(T + 1, n, n) slices at the T points of ``g``, then the limits at
     infinity, diagonal 1: what both closure gluings read of a space, written
-    into one array."""
+    into one array.  The limit of a ``Standard`` entry is 1, that of a step
+    the last column of its table."""
     out = np.ones((len(g) + 1, space.n, space.n))
     write_slices(space, g.array(), out[:-1])
     i, j = pair_indices(space.n)
-    out[-1, i, j] = out[-1, j, i] = [f.right_limit(math.inf) for f in space.pairs]
+    for _, idx, table in space._table.steps:
+        out[-1, i[idx], j[idx]] = out[-1, j[idx], i[idx]] = table[:, -1]
     return out
 
 

@@ -503,9 +503,7 @@ def standard_bridge_check(
     if not mats:
         raise DomainError("at least one metric required")
     spaces = tuple(
-        make_standard_space(
-            [f"p{i}" for i in range(m.n)], m.as_array(), TNorm.product(), name=f"X{k + 1}"
-        )
+        make_standard_space([f"p{i}" for i in range(m.n)], m, TNorm.product(), name=f"X{k + 1}")
         for k, m in enumerate(mats)
     )
     family = SequenceFamily(spaces, floor=Standard(bound))

@@ -9,8 +9,6 @@ self-identity axioms into the representation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from operator import attrgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -19,16 +17,7 @@ from .errors import ConstructionError, DomainError, SizeLimitError
 from .grids import GridSpec
 from .tnorm import TNorm
 from .util import TOL, Report, require_positive
-from .valuefn import (
-    ONE,
-    Standard,
-    Stationary,
-    Step,
-    ValueFn,
-    attains_below_one,
-    is_steplike,
-    values,
-)
+from .valuefn import ONE, PairTable, Standard, Stationary, Step, ValueFn
 
 #: floats in the block buffer of the O(n^3) triangle scans (2 MiB of float64)
 _BLOCK = 1 << 18
@@ -41,6 +30,9 @@ class FuzzySpace:
     """Finite point set with a t-norm and per-pair value functions.
 
     ``pairs`` lists the off-diagonal entries in lexicographic (i < j) order.
+    Their ``PairTable`` is built once, at construction, and kept outside the
+    fields: equality, ``repr``, pickles and ``dataclasses.replace`` ignore
+    it, and every evaluation over the whole space reads it.
     """
 
     name: str
@@ -56,13 +48,18 @@ class FuzzySpace:
             raise ConstructionError("point labels must be unique")
         if len(self.pairs) != n * (n - 1) // 2:
             raise ConstructionError("wrong number of off-diagonal entries")
-        for idx, f in enumerate(self.pairs):
-            if not attains_below_one(f):
-                i, j = (int(k[idx]) for k in pair_indices(n))
-                raise ConstructionError(
-                    f"pair ({self.labels[i]}, {self.labels[j]}) never drops below 1; "
-                    "distinct points must be separated"
-                )
+        table = PairTable(self.pairs)
+        if table.inseparable is not None:
+            i, j = (int(k[table.inseparable]) for k in pair_indices(n))
+            raise ConstructionError(
+                f"pair ({self.labels[i]}, {self.labels[j]}) never drops below 1; "
+                "distinct points must be separated"
+            )
+        object.__setattr__(self, "_table", table)
+
+    def __reduce__(self):
+        # pickled by its fields: the table is built again when loaded
+        return type(self), (self.name, self.labels, self.norm, self.pairs)
 
     @property
     def n(self) -> int:
@@ -107,10 +104,10 @@ class FuzzySpace:
         return slices_at(self, grid.array())
 
     def breakpoints(self) -> tuple[float, ...]:
-        return tuple(sorted(set(chain.from_iterable(map(attrgetter("breakpoints"), self.pairs)))))
+        return self._table.breakpoints
 
     def all_steplike(self) -> bool:
-        return all(map(is_steplike, self.pairs))
+        return self._table.steplike
 
     def check_index(self, *indices: int) -> None:
         """Raise ``DomainError`` for the first index outside 0..n-1."""
@@ -142,19 +139,14 @@ def slices_at(space: FuzzySpace, ts: np.ndarray) -> np.ndarray:
 
 def write_slices(space: FuzzySpace, ts: np.ndarray, out: np.ndarray) -> None:
     """Write M(., ., s) at the positive scales ts into the off-diagonal
-    entries of the (T, n, n) array ``out``, symmetric bit for bit."""
-    write_pairs(space.pairs, *pair_indices(space.n), ts, out)
-
-
-def write_pairs(pairs: Sequence[ValueFn], rows: np.ndarray, cols: np.ndarray, ts: np.ndarray, out: np.ndarray) -> None:
-    """Write the values of ``pairs`` at the positive scales ts into the
-    entries (rows[p], cols[p]) and (cols[p], rows[p]) of the (T, n, n) array
-    ``out``.  The values are computed in blocks of at most ``_BLOCK / 4``
-    floats, each with its temporaries, so the memory beyond ``out`` is fixed."""
-    step = max(1, _BLOCK // 4 // max(1, len(ts)))
-    for p0 in range(0, len(rows), step):
-        r, c = rows[p0 : p0 + step], cols[p0 : p0 + step]
-        out[:, r, c] = out[:, c, r] = values(pairs[p0 : p0 + step], ts)
+    entries of the (T, n, n) array ``out``, symmetric bit for bit, from the
+    space's ``PairTable``.  The values are computed in blocks of at most
+    ``_BLOCK / 4`` floats, each with its temporaries, so the memory beyond
+    ``out`` is fixed."""
+    rows, cols = pair_indices(space.n)
+    for idx, block in space._table.blocks(ts, max(1, _BLOCK // 4 // max(1, len(ts)))):
+        r, c = rows[idx], cols[idx]
+        out[:, r, c] = out[:, c, r] = block
 
 
 def fresh_after(points: np.ndarray, breakpoints: Sequence[float]) -> np.ndarray:
@@ -221,9 +213,9 @@ def check_distance_entries(distances, tol: float = 1e-9) -> np.ndarray:
     if not np.isfinite(d).all():
         raise ConstructionError("distance matrix entries must be finite")
     n = d.shape[0]
-    if np.any(np.abs(np.diag(d)) > tol):
+    if (np.abs(d.diagonal()) > tol).any():
         raise ConstructionError("distance matrix must have zero diagonal")
-    if np.any(np.abs(d - d.T) > tol):
+    if (np.abs(d - d.T) > tol).any():
         raise ConstructionError("distance matrix must be symmetric")
     bad = ~(d > 0.0)
     np.fill_diagonal(bad, False)
@@ -290,17 +282,14 @@ def make_standard_space(
     norm: TNorm,
     name: str = "",
 ) -> FuzzySpace:
-    """Space with pair values t/(t+d) induced by a classical metric."""
+    """Space with pair values t/(t+d) induced by a classical metric: a
+    ``DistanceMatrix``, not checked again, or a matrix that
+    ``validate_distance_matrix`` checks."""
     labels = tuple(labels)
-    d = validate_distance_matrix(distances)
+    d = distances.as_array() if isinstance(distances, DistanceMatrix) else validate_distance_matrix(distances)
     if d.shape[0] != len(labels):
         raise ConstructionError("label count does not match the distance matrix")
-    pairs = tuple(
-        Standard(float(d[i, j]))
-        for i in range(len(labels))
-        for j in range(i + 1, len(labels))
-    )
-    return FuzzySpace(name, labels, norm, pairs)
+    return FuzzySpace(name, labels, norm, tuple(map(Standard, d[pair_indices(len(labels))].tolist())))
 
 
 def make_stationary_space(
@@ -605,13 +594,13 @@ def _glued_residual(V: np.ndarray, nx: int, c: np.ndarray, norm: TNorm) -> float
 
 def t_diameter(space: FuzzySpace, t: float) -> float:
     """Minimum pair value at scale t; 1 for a single point."""
-    require_positive(t, "t")
-    return min((f.eval(t) for f in space.pairs), default=1.0)
+    return float(space._table.minimum(np.array([require_positive(t, "t")]))[0])
 
 
 def t_diameters(space: FuzzySpace, grid: GridSpec) -> np.ndarray:
-    """t_diameter at every grid point, one array min over the pair values."""
-    return values(space.pairs, grid.array()).min(axis=1, initial=1.0)
+    """t_diameter at every grid point, in closed form on the space's
+    ``PairTable`` (``PairTable.minimum``)."""
+    return space._table.minimum(grid.array())
 
 
 # ---------------------------------------------------------------------------
@@ -689,12 +678,14 @@ def is_isometric(
     ok = np.empty((n, n, n, n), dtype=bool)  # [i, p, j, q]
     step = max(1, _BLOCK // n ** 3)
     buf = np.empty(min(n, step) * n ** 3)
+    agree = np.empty(len(buf), dtype=bool)
     for i0 in range(0, n, step):
         blk = ok[i0 : i0 + step]
         np.equal(same[i0 : i0 + step, None, :, None], same[None, :, None, :], out=blk)
         gap = buf[: blk.size].reshape(blk.shape)
+        within = agree[: blk.size].reshape(blk.shape)
         for sa, sb in zip(va, vb):
             np.subtract(sa[i0 : i0 + step, None, :, None], sb[None, :, None, :], out=gap)
-            blk &= np.abs(gap, out=gap) <= tol
+            blk &= np.less_equal(np.abs(gap, out=gap), tol, out=within)
     found, _ = _covering_clique(ok.reshape(n * n, n * n), n, n, _CLIQUE_NODE_BUDGET)
     return None if found is None else tuple(w % n for w in range(n * n) if found >> w & 1)

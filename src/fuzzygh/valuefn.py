@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from math import inf
-from operator import lt, ne
+from operator import attrgetter, lt, ne
 from typing import ClassVar, Sequence, Union
 
 import numpy as np
@@ -138,32 +138,97 @@ def is_stationary(f: ValueFn) -> bool:
     return isinstance(f, Step) and not f.breakpoints
 
 
-def attains_below_one(f: ValueFn) -> bool:
-    """Whether f(t) < 1 for some t > 0 (the separation axiom for off-diagonal pairs)."""
-    return f.right_limit(0.0) < 1.0
+class PairTable:
+    """A list of P value functions grouped by representation: the indices of
+    its ``Standard`` entries with one vector of their distances, and per
+    breakpoint tuple the indices of its steps with one (m, K + 1) table of
+    their values, whose last column holds their limits at infinity.  A
+    ``FuzzySpace`` builds the table of its pairs once, at construction;
+    ``values`` builds one for any list.
+
+    Derived from the groups when built: ``breakpoints``, sorted; whether
+    every entry is a step (``steplike``); and ``inseparable``, the index of
+    the first entry that never drops below 1, or None.
+    """
+
+    __slots__ = ("size", "standard", "distances", "steps", "breakpoints", "steplike", "inseparable")
+
+    def __init__(self, fns: Sequence[ValueFn]):
+        self.size = size = len(fns)
+        keys = [None if f.__class__ is Standard else f.breakpoints for f in fns]
+        if size and keys.count(keys[0]) == size:
+            groups = {keys[0]: (np.arange(size), fns)}
+        else:
+            found: dict = {}
+            for idx, key in enumerate(keys):
+                found.setdefault(key, []).append(idx)
+            groups = {key: (np.array(idx), [fns[i] for i in idx]) for key, idx in found.items()}
+        # Standard(d) never drops below 1 iff d = 0, a step iff its first value is 1
+        bad = []
+        standard = groups.pop(None, None)
+        if standard is None:
+            self.standard, self.distances = _NO_INDICES, _NO_VALUES
+        else:
+            idx, members = standard
+            d = list(map(_distance, members))
+            if min(d) <= 0.0:
+                bad.append(idx[d.index(0.0)])
+            self.standard, self.distances = idx, np.array(d)
+        steps = []
+        for key, (idx, members) in groups.items():
+            flat = list(chain.from_iterable(map(_step_values, members)))
+            firsts = flat[:: len(key) + 1]
+            if max(firsts) >= 1.0:
+                bad.append(idx[firsts.index(1.0)])
+            steps.append((key, idx, np.fromiter(flat, float, len(flat)).reshape(len(idx), -1)))
+        #: (breakpoints, indices, table) per breakpoint tuple
+        self.steps = tuple(steps)
+        self.breakpoints = tuple(sorted(set().union(*groups))) if len(groups) > 1 else next(iter(groups), ())
+        self.steplike = standard is None
+        self.inseparable = int(min(bad)) if bad else None
+
+    def blocks(self, ts: np.ndarray, step: int):
+        """(indices, (T, m) values) at the positive scales ts of at most
+        ``step`` entries at a time, one array expression per group; the
+        scalar ``eval`` covers t = 0."""
+        col = ts[:, None]
+        for lo in range(0, len(self.standard), step):
+            yield self.standard[lo : lo + step], col / (col + self.distances[lo : lo + step])
+        for bps, idx, table in self.steps:
+            pos = np.searchsorted(bps, ts, side="left")
+            for lo in range(0, len(idx), step):
+                yield idx[lo : lo + step], table[lo : lo + step, pos].T
+
+    def values(self, ts: np.ndarray) -> np.ndarray:
+        """(T, P) array of the entries at the positive scales ts."""
+        out = np.empty((len(ts), self.size))
+        for idx, block in self.blocks(ts, max(1, self.size)):
+            out[:, idx] = block
+        return out
+
+    def minimum(self, ts: np.ndarray) -> np.ndarray:
+        """(T,) minimum over the entries at the positive scales ts, 1 for
+        none: t / (t + max d) on the ``Standard`` entries, since correctly
+        rounded ``+`` and ``/`` are monotone, and on each step table the
+        minimum over its rows, read at ts.  Equal to the minimum of
+        ``values(ts)``, bit for bit."""
+        out = np.ones(len(ts))
+        if len(self.distances):
+            np.minimum(out, ts / (ts + self.distances.max()), out=out)
+        for bps, _, table in self.steps:
+            np.minimum(out, table.min(axis=0)[np.searchsorted(bps, ts, side="left")], out=out)
+        return out
+
+
+_distance = attrgetter("d")
+_step_values = attrgetter("values")
+_NO_INDICES, _NO_VALUES = np.empty(0, dtype=np.intp), np.empty(0)
 
 
 def values(fns: Sequence[ValueFn], ts: np.ndarray) -> np.ndarray:
-    """(T, P) array of fns[p] at the positive scales ts, one array expression
-    per representation; the scalar ``eval`` covers t = 0."""
-    vals = np.empty((len(ts), len(fns)))
-    standard: list[int] = []
-    steps: dict[tuple[float, ...], list[int]] = {}
-    for idx, f in enumerate(fns):
-        if isinstance(f, Standard):
-            standard.append(idx)
-        elif not f.breakpoints:
-            vals[:, idx] = f.values[0]
-        else:
-            steps.setdefault(f.breakpoints, []).append(idx)
-    if standard:
-        d = np.array([fns[idx].d for idx in standard])
-        vals[:, standard] = ts[:, None] / (ts[:, None] + d)
-    for bps, group in steps.items():
-        pos = np.searchsorted(bps, ts, side="left")
-        table = np.array([fns[idx].values for idx in group])
-        vals[:, group] = table[:, pos].T
-    return vals
+    """(T, P) array of fns[p] at the positive scales ts, from the
+    ``PairTable`` of fns built on the fly; the scalar ``eval`` covers t = 0."""
+    return PairTable(fns).values(ts)
 
 
 def vf_min(fns: Sequence[ValueFn], grid: Sequence[float] = ()) -> ValueFn:

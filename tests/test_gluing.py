@@ -48,6 +48,7 @@ from fuzzygh.gluing import (
 )
 from fuzzygh.io import load_space, union_from_doc, union_to_doc
 from fuzzygh.space import certification_grid
+from fuzzygh.valuefn import PairTable
 
 from conftest import make_random_standard, make_random_stationary
 from oracles import (
@@ -468,26 +469,33 @@ def test_glue_via_nets_cross_matches_closures(rng, norm, kind):
 
 def test_glue_via_nets_samples_each_space_once(rng, product, monkeypatch):
     """The floor check, the (a)/(b) check and the cross all read one sample of
-    each space: ``values`` sees each pair of each space once for them and once
-    in the union axiom check, also when ``write_slices`` gives each pair a
-    block of its own."""
+    each space: the ``PairTable`` of each space is read once for them and once
+    in the union axiom check, and each read evaluates each pair once, also
+    when ``write_slices`` gives each pair a block of its own."""
     d = random_metric(rng, 4, lo=0.2, hi=6.0)
     x = make_standard_space([f"p{i}" for i in range(4)], d, product)
     y = make_standard_space([f"q{i}" for i in range(4)], d * 1.05, product)
     nets = match_nets(x, y, 1.0, 0.9, range(4), range(4))
     floor = floor_envelope(x, y)
-    seen = []
-    for module in (fuzzygh.space, fuzzygh.gluing):
-        real = module.values
-        monkeypatch.setattr(module, "values", lambda fns, ts, real=real: seen.append(fns) or real(fns, ts))
+    reads, sampled = [], []
+    real = PairTable.blocks
+
+    def blocks(table, ts, step):
+        reads.append(table)
+        for idx, block in real(table, ts, step):
+            sampled.append((table, idx))
+            yield idx, block
+
+    monkeypatch.setattr(PairTable, "blocks", blocks)
     for block in (fuzzygh.space._BLOCK, 1):
         monkeypatch.setattr(fuzzygh.space, "_BLOCK", block)
-        seen.clear()
+        reads.clear()
+        sampled.clear()
         glue_via_nets(x, y, nets, 0.5, floor)
-        # count the pair objects sampled, not the tuples that carry them: the
-        # floor may equal a pair in value, so equality would count it too
-        sampled = [f for fns in seen for f in fns]
-        assert [sum(f is p for f in sampled) for p in x.pairs + y.pairs] == [2] * 12
+        for sp in (x, y):
+            assert sum(table is sp._table for table in reads) == 2
+            seen = np.concatenate([idx for table, idx in sampled if table is sp._table])
+            assert np.bincount(seen).tolist() == [2] * len(sp.pairs)
 
 
 def test_samples_fill_one_array(rng, product):

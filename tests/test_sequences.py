@@ -5,8 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import fuzzygh.space
 from fuzzygh import (
     ConstructionError,
+    DistanceMatrix,
     DomainError,
     SequenceFamily,
     Standard,
@@ -278,6 +280,23 @@ def test_bridge_growing_diameters_fail_exactly_the_floor():
 def test_bridge_single_matrix_trivially_passes(rng):
     report, _ = standard_bridge_check([random_metric(rng, 3)], 12.0)
     assert report.passed
+
+
+def test_bridge_validates_each_matrix_once(rng, monkeypatch):
+    """A matrix is validated when its ``DistanceMatrix`` is built, and its
+    standard space is built from that without a second check, however the
+    matrices come in; the spaces equal those built from the arrays."""
+    calls = []
+    real = fuzzygh.space.validate_distance_matrix
+    monkeypatch.setattr(fuzzygh.space, "validate_distance_matrix", lambda d, *a: calls.append(1) or real(d, *a))
+    arrays = [random_metric(rng, int(rng.integers(2, 6)), lo=0.3, hi=4.5) for _ in range(5)]
+    for metrics in (arrays, [DistanceMatrix.from_array(m) for m in arrays]):
+        calls.clear()
+        report, family = standard_bridge_check(metrics, 5.0, t=1.0, eps=0.1)
+        assert len(calls) == (len(arrays) if metrics is arrays else 0)
+        assert report.passed
+        for sp, m in zip(family.spaces, arrays):
+            assert sp == make_standard_space(sp.labels, m, TNorm.product(), name=sp.name)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -25,7 +28,7 @@ from fuzzygh import (
     validate_union,
 )
 from fuzzygh import space as space_module
-from fuzzygh.space import certification_grid, pair_indices, scan_points
+from fuzzygh.space import certification_grid, pair_indices, scan_points, slices_at, t_diameters
 from fuzzygh.valuefn import values
 
 from conftest import make_random_standard, make_random_stationary
@@ -720,3 +723,112 @@ def test_unseparated_pair_is_named():
             pairs[idx] = bad
             with pytest.raises(ConstructionError, match=f"pair \\(p{i}, p{j}\\) never drops below 1"):
                 FuzzySpace("x", labels, TNorm.product(), tuple(pairs))
+
+
+def test_first_unseparated_pair_is_named_across_representations():
+    labels = ("p0", "p1", "p2", "p3")
+    fill = (Standard(1.0), Stationary(0.5), Step((1.0,), (0.2, 0.5)), Step((2.0,), (0.1, 0.4)))
+    bads = (Standard(0.0), Stationary(1.0))
+    for a, b in itertools.combinations(range(6), 2):
+        for bad_a, bad_b in itertools.product(bads, repeat=2):
+            pairs = [fill[idx % 4] for idx in range(6)]
+            pairs[a], pairs[b] = bad_a, bad_b
+            i, j = (int(k[a]) for k in pair_indices(4))
+            with pytest.raises(ConstructionError, match=f"pair \\(p{i}, p{j}\\) never drops below 1"):
+                FuzzySpace("x", labels, TNorm.product(), tuple(pairs))
+
+
+def _table_spaces(rng, product):
+    """Standard, stationary and mixed spaces, steps on one shared breakpoint
+    tuple, on two and on distinct ones, and 1-point spaces of each kind."""
+    n = 7
+    labels = tuple(f"p{i}" for i in range(n))
+    d = random_metric(rng, n)
+    shared = (0.5, 1.0, 4.0)
+    samples = np.array(shared + (8.0,))
+    spaces = [
+        make_standard_space(labels, d, product),
+        make_stationary_space(labels, random_safe_stationary_values(rng, n), product),
+        make_step_space(
+            labels,
+            {(i, j): Step(shared, tuple(samples / (samples + d[i, j]))) for i, j in itertools.combinations(range(n), 2)},
+            product,
+        ),
+        make_step_space(
+            labels,
+            {
+                (i, j): Step((0.1 * (k + 1), 3.0 + k), tuple(sorted(rng.uniform(0.0, 0.9, size=3))))
+                for k, (i, j) in enumerate(itertools.combinations(range(n), 2))
+            },
+            product,
+        ),
+    ]
+    two = {
+        (i, j): Step(shared, tuple(samples / (samples + d[i, j]))) if k % 2 else Step((2.0,), (0.25, 0.5))
+        for k, (i, j) in enumerate(itertools.combinations(range(n), 2))
+    }
+    spaces.append(make_step_space(labels, two, product))
+    mixed = []
+    for idx in range(n * (n - 1) // 2):
+        kind = idx % 5
+        if kind == 0:
+            mixed.append(Standard(float(rng.uniform(0.1, 5.0))))
+        elif kind == 1:
+            mixed.append(Stationary(float(rng.uniform(0.0, 0.9))))
+        elif kind == 2:
+            mixed.append(Step(shared, tuple(sorted(rng.uniform(0.0, 0.9, size=4)))))
+        elif kind == 3:
+            mixed.append(Step((2.0,), (float(rng.uniform(0.0, 0.5)), 1.0)))
+        else:
+            mixed.append(Step((0.01 * idx, 7.0 + idx), tuple(sorted(rng.uniform(0.0, 0.9, size=3)))))
+    spaces.append(FuzzySpace("mix", labels, product, tuple(mixed)))
+    spaces += [
+        make_standard_space(["a"], [[0.0]], product),
+        make_stationary_space(["a"], [[1.0]], product),
+        make_step_space(["a"], {}, product),
+    ]
+    return spaces
+
+
+@pytest.mark.parametrize("block", (None, 1, 37))
+def test_pair_tables_read_as_the_per_pair_loop(rng, product, monkeypatch, block):
+    """slices_at, t_diameters, breakpoints() and all_steplike() equal a loop
+    of ``eval`` over the pairs, bit for bit: at the breakpoints themselves,
+    between them, near 1e-300 and near 1e300, in blocks of any size."""
+    if block is not None:
+        monkeypatch.setattr(space_module, "_BLOCK", block)
+    tiny = [5e-324, 1e-300, np.nextafter(1e-300, 1.0)]
+    huge = [np.nextafter(1e300, 0.0), 1e300, 1e305]
+    for sp in _table_spaces(rng, product):
+        bps = sorted({b for f in sp.pairs for b in f.breakpoints})
+        assert sp.breakpoints() == tuple(bps)
+        assert sp.all_steplike() == all(isinstance(f, Step) for f in sp.pairs)
+        between = [b * 1.001 for b in bps] + [0.3, 1.0, 2.5, 50.0]
+        ts = np.array(sorted({*tiny, *bps, *[np.nextafter(b, 0.0) for b in bps], *between, *huge}))
+        expected = np.ones((len(ts), sp.n, sp.n))
+        for i, j in itertools.combinations(range(sp.n), 2):
+            f = sp.entry(i, j)
+            expected[:, i, j] = expected[:, j, i] = [f.eval(float(t)) for t in ts]
+        assert slices_at(sp, ts).tobytes() == expected.tobytes()
+        diameters = [min((f.eval(float(t)) for f in sp.pairs), default=1.0) for t in ts]
+        assert t_diameters(sp, GridSpec(tuple(map(float, ts)))).tobytes() == np.array(diameters).tobytes()
+        assert [t_diameter(sp, float(t)) for t in ts] == diameters
+        i, j = pair_indices(sp.n)
+        assert values(sp.pairs, ts).tobytes() == expected[:, i, j].tobytes()
+
+
+def test_the_pair_table_stays_outside_the_fields(rng, product):
+    """Equality, repr, pickles and dataclasses.replace ignore the table: a
+    loaded or replaced space builds its own, which reads the same."""
+    ts = np.array([0.3, 1.0, 4.0, 9.0])
+    for sp in _table_spaces(rng, product):
+        assert "_table" not in repr(sp) and "_table" not in {f.name for f in dataclasses.fields(sp)}
+        loaded = pickle.loads(pickle.dumps(sp))
+        assert b"PairTable" not in pickle.dumps(sp)
+        replaced = dataclasses.replace(sp, name="other")
+        for other in (loaded, replaced, copy.deepcopy(sp)):
+            assert other._table is not sp._table
+            assert slices_at(other, ts).tobytes() == slices_at(sp, ts).tobytes()
+            assert other.breakpoints() == sp.breakpoints() and other.all_steplike() == sp.all_steplike()
+        assert loaded == sp and repr(loaded) == repr(sp)
+        assert replaced != sp and dataclasses.replace(replaced, name=sp.name) == sp
