@@ -11,9 +11,12 @@ time (the minimum over the repeats), the time to construct the spaces the
 call reads (`construct_s`, the minimum over the repeats of building each
 from its drawn distances, values or pair objects, summed over the spaces),
 the `tracemalloc` peak of one more call, n (per side for `glue_constant`),
-the size of the certification grid and the number of t-slices the call
+the size of the certification grid, the number of t-slices the call
 reads: the first grid point and each one just after a breakpoint, or every
-point once an entry is `Standard` (`space.scan_points`).
+point once an entry is `Standard` (`space.scan_points`), and whether one
+more call of `check_axioms` or `glue_constant` decided its triangle
+residual from the distances alone, without the dense scan
+(`space.triangle_residual`); `certified` is null for `is_isometric`.
 The results go to a JSON file, BENCH_axioms.json by default:
 
     PYTHONPATH=src python3 scripts/run_axioms_curve.py --max-n 320 --repeats 3
@@ -40,6 +43,7 @@ from fuzzygh import (
     make_stationary_space,
     make_step_space,
 )
+from fuzzygh import space as space_module
 from fuzzygh.space import scan_points
 
 CHECK_SIZES = (20, 40, 80, 160, 320)
@@ -112,6 +116,23 @@ def measure(call, repeats):
     return best, peak / 1e6, result
 
 
+def certified(call):
+    """Whether one more call runs no dense triangle scan."""
+    scans = []
+    scan = space_module.triangle_residual
+
+    def counting(*args):
+        scans.append(1)
+        return scan(*args)
+
+    space_module.triangle_residual = counting
+    try:
+        call()
+    finally:
+        space_module.triangle_residual = scan
+    return not scans
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--max-n", type=int, default=max(CHECK_SIZES))
@@ -130,7 +151,8 @@ def main() -> int:
                 grid_size, scanned = scanned_slices(space)
                 entries.append({"op": "check_axioms", "rep": rep, "norm": kind, "n": n,
                                 "grid_size": grid_size, "scanned_slices": scanned, "wall_s": wall,
-                                "construct_s": construct, "peak_mb": peak, "passed": report.passed})
+                                "construct_s": construct, "peak_mb": peak, "passed": report.passed,
+                                "certified": certified(lambda: check_axioms(space))})
                 print(json.dumps(entries[-1]), flush=True)
     for n in (n for n in GLUE_SIZES if n <= args.max_n):
         for rep in ("standard", "step"):
@@ -148,7 +170,8 @@ def main() -> int:
                 # glue_constant returns only a union that passes its check
                 entries.append({"op": "glue_constant", "rep": rep, "norm": kind, "n": n,
                                 "grid_size": grid_size, "scanned_slices": scanned, "wall_s": wall,
-                                "construct_s": cx + cy, "peak_mb": peak, "passed": True})
+                                "construct_s": cx + cy, "peak_mb": peak, "passed": True,
+                                "certified": certified(lambda: glue_constant(x, y, floor))})
                 print(json.dumps(entries[-1]), flush=True)
     norm = TNorm.product()
     for n in (n for n in ISOMETRY_SIZES if n <= args.max_n):
@@ -162,7 +185,8 @@ def main() -> int:
             inverse = tuple(int(k) for k in np.argsort(perm))
             entries.append({"op": "is_isometric", "rep": rep, "norm": "product", "n": n,
                             "grid_size": grid_size, "scanned_slices": scanned, "wall_s": wall,
-                            "construct_s": ca + cb, "peak_mb": peak, "passed": found == inverse})
+                            "construct_s": ca + cb, "peak_mb": peak, "passed": found == inverse,
+                            "certified": None})
             print(json.dumps(entries[-1]), flush=True)
 
     doc = {

@@ -26,6 +26,7 @@ from .space import (
     FuzzySpace,
     axiom_report,
     certification_grid,
+    glued_residual,
     pair_indices,
     scan_points,
     t_diameters,
@@ -98,7 +99,7 @@ def validate_union(u: UnionMetric, grid: Optional[GridSpec] = None, tol: float =
     points after which some sample changes, or the entries' own.  A cross
     entry that never drops below 1 is refused with ``as_space``'s error.  A
     cross block constant in each slice, as a constant gluing's, is checked
-    in closed form (``axiom_report``).
+    in closed form from the side blocks (``glued_residual``).
     """
     x, y = u.left, u.right
     built = u.__dict__.get("_built_from")
@@ -129,7 +130,8 @@ def validate_union(u: UnionMetric, grid: Optional[GridSpec] = None, tol: float =
     # a cross that holds one value in each slice, bit for bit, is checked in closed form
     bits = cross.view(np.int64)
     constant = cross[0].size == 1 or (bits == bits[:, :1, :1]).all()
-    return axiom_report(V, ug, fresh, x.norm, tol, (nx, cross[:, 0, 0]) if constant else None)
+    worst = glued_residual(V, x, y, cross[:, 0, 0], ts) if constant else None
+    return axiom_report(V, ug, fresh, x.norm, tol, worst)
 
 
 def _validated(u: UnionMetric, grid: GridSpec, tol: float, what: str) -> UnionMetric:

@@ -17,10 +17,11 @@ from .errors import ConstructionError, DomainError, SizeLimitError
 from .grids import GridSpec
 from .tnorm import TNorm
 from .util import TOL, Report, require_positive
-from .valuefn import ONE, PairTable, Standard, Stationary, Step, ValueFn
+from .valuefn import ONE, PairTable, Standard, Step, ValueFn
 
-#: floats in the block buffer of the O(n^3) triangle scans (2 MiB of float64)
-_BLOCK = 1 << 18
+#: floats in the block buffer of the O(n^3) triangle scans (512 KiB of
+#: float64, within a core's L2 cache)
+_BLOCK = 1 << 16
 #: backtracking nodes one relation or cover search may visit
 _CLIQUE_NODE_BUDGET = 1_000_000
 
@@ -309,16 +310,16 @@ def make_stationary_space(
         raise ConstructionError("values matrix must have a unit diagonal")
     if np.any(np.abs(v - v.T) > TOL):
         raise ConstructionError("values matrix must be symmetric")
-    pairs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = float(v[i, j])
-            if not 0.0 <= c < 1.0:
-                raise ConstructionError(
-                    f"off-diagonal value for ({labels[i]}, {labels[j]}) must lie in [0, 1), got {c}"
-                )
-            pairs.append(Stationary(c))
-    return FuzzySpace(name, labels, norm, tuple(pairs))
+    upper = v[np.arange(n)[:, None] < np.arange(n)]  # the pairs i < j in order
+    # a NaN makes min or max NaN, which fails the comparison too
+    if upper.size and not (upper.min() >= 0.0 and upper.max() < 1.0):
+        k = int(np.argmax(~((upper >= 0.0) & (upper < 1.0))))
+        i, j = (int(idx[k]) for idx in pair_indices(n))
+        raise ConstructionError(
+            f"off-diagonal value for ({labels[i]}, {labels[j]}) must lie in [0, 1), got {float(upper[k])}"
+        )
+    # each value is in [0, 1): one value, the canonical form of a step
+    return FuzzySpace(name, labels, norm, tuple(Step._canonical((), (c,)) for c in upper.tolist()))
 
 
 def make_step_space(
@@ -503,17 +504,111 @@ def triangle_witness(
     raise AssertionError("the worst residual lies in its row")
 
 
+#: the unit roundoff of float64
+_U = 2.0 ** -53
+#: the fewest points of a block decided from its distances: with fewer than
+#: 3 no j lies outside {i, k}, and on 4-5 points the dense scan of the 64
+#: default slices costs about as much as the certificate's dozen array
+#: calls, or less (with a fold, or under Lukasiewicz); from 6 points the
+#: certificate wins under both norms (``timeit`` on 3-10 point blocks)
+_CERTIFY_MIN = 6
+
+
+def _dominated(dist: np.ndarray, n: int, ts: np.ndarray, kind: str) -> bool:
+    """Whether, at every scale of the sorted ts, every term j outside {i, k}
+    of the max-T product of t/(t + d) computes to at most the term j = i, for
+    the n points whose pair distances, in ``FuzzySpace.pairs`` order, are
+    ``dist``: a floating-point filter (Shewchuk, Discrete Comput. Geom. 18,
+    1997) on the distances alone.
+
+    Minimum: max(a, b) >= c for a, b, c = d_ij, d_jk, d_ik; exact, since
+    rounding is monotone.  Product and Lukasiewicz: the computed a + b is at
+    least c for every triple, so the slack s = a + b - c exceeds -e_s with
+    e_s = 12u d_max, and the real gap, (t s + ab) / ((t + a)(t + b)) = 1 - AB/C
+    under product and (s t^2 + 2ab t + abc) / ((t + a)(t + b)(t + c)) =
+    1 + C - A - B under Lukasiewicz, is at least 64u at the largest scale,
+    where its lower bound is least.  That dwarfs the at most 7u (product)
+    and 9u (Lukasiewicz) rounding error of the values and one operation.
+    Under product the values stay at least 2^-500, so products stay normal.
+    The O(n^3) pass goes in blocks of rows of at most ``_BLOCK`` floats (one
+    row once a row exceeds it).
+    """
+    lo, hi = float(dist.min()), float(dist.max())
+    t_lo, t_hi = float(ts[0]), float(ts[-1])
+    e_s, top = 12.0 * _U * hi, t_hi + hi
+    if kind == "product" and not (
+        t_lo / (t_lo + hi) >= 2.0 ** -500 and (lo * lo - t_hi * e_s) / (top * top) >= 64.0 * _U
+    ):
+        return False
+    if kind == "lukasiewicz" and not (lo * lo * lo - e_s * t_hi * t_hi) / (top * top * top) >= 64.0 * _U:
+        return False
+    d = np.zeros((n, n))
+    rows, cols = pair_indices(n)
+    d[rows, cols] = d[cols, rows] = dist
+    inner = np.maximum if kind == "minimum" else np.add
+    step = max(1, _BLOCK // (n * n))
+    buf = np.empty(min(step, n) * n * n)
+    for i0 in range(0, n, step):
+        # (i, j, k) and (k, j, i) give the same bits: the columns k >= i0 suffice
+        block = d[i0 : i0 + step, i0:]
+        lhs = buf[: len(block) * n * (n - i0)].reshape(len(block), n, n - i0)
+        if (inner(d[i0 : i0 + step, :, None], d[:, i0:], out=lhs) < block[:, None, :]).any():
+            return False
+    return True
+
+
+def _certified_residual(
+    V: np.ndarray, space: FuzzySpace, ts: np.ndarray, fold: Optional[np.ndarray] = None
+) -> Optional[float]:
+    """The worst residual of ``triangle_residual(V, space.norm, fold)``, bit
+    for bit, for the (F, n, n) slices V of ``space`` at the scales ts, when
+    every entry is ``Standard`` and the distances certify that the terms j
+    outside {i, k} are dominated (``_dominated``); None otherwise, and for a
+    space of fewer than ``_CERTIFY_MIN`` points.
+
+    The maximum over j is then the term j = i (j = k gives its bits), joined
+    by ``fold``, so the residual at (t, i, k) is
+    V(i, k) - g(max(inner(1, V(i, k)), fold_t)): O(n^2 F) work, in blocks of
+    rows of at most ``_BLOCK`` floats (one row once a row exceeds it), after
+    the O(n^3) pass on the distances.  Under product and minimum
+    inner(1, c) is c, so without a fold every residual is c - c = 0."""
+    table, kind = space._table, space.norm.kind
+    if space.n < _CERTIFY_MIN or len(table.standard) < table.size:
+        return None
+    if not _dominated(table.distances, space.n, ts, kind):
+        return None
+    if fold is None and kind != "lukasiewicz":
+        return 0.0
+    W = V.transpose(1, 2, 0)
+    n, _, T = W.shape
+    inner = _INNER[kind]
+    step = max(1, _BLOCK // (n * T))
+    buf = np.empty((min(step, n), n, T))
+    worst = np.inf
+    for i0 in range(0, n, step):
+        w = W[i0 : i0 + step]
+        best = inner(1.0, w, out=buf[: len(w)])
+        if fold is not None:
+            np.maximum(best, fold, out=best)
+        worst = min(worst, float(np.subtract(w, _outer(best, space.norm), out=best).min()))
+    return worst
+
+
 def check_axioms(space: FuzzySpace, grid: Optional[GridSpec] = None, tol: float = TOL) -> AxiomReport:
     """Verify the fuzzy-metric axioms on the grid merged with all breakpoints.
 
     Vanishing at zero, symmetry, left continuity and separation hold
     structurally.  Only the grid points whose slice may differ from the one
-    before are read (``scan_points``), and ``axiom_report`` scans them.  For
+    before are read (``scan_points``), and ``axiom_report`` checks them.
+    The triangle residual of a space of ``Standard`` entries is decided
+    from its distances when they certify it (``_certified_residual``);
+    otherwise, and for a witness, the slices are scanned.  For
     piecewise-constant spaces the merged grid makes the triangle check exact,
     otherwise it is grid-certified.
     """
     g, fresh, ts = scan_points(grid, space.breakpoints(), space.all_steplike())
-    return axiom_report(slices_at(space, ts), g, fresh, space.norm, tol)
+    V = slices_at(space, ts)
+    return axiom_report(V, g, fresh, space.norm, tol, _certified_residual(V, space, ts))
 
 
 def axiom_report(
@@ -522,7 +617,7 @@ def axiom_report(
     fresh: np.ndarray,
     norm: TNorm,
     tol: float,
-    glued: Optional[tuple[int, np.ndarray]] = None,
+    worst: Optional[float] = None,
 ) -> AxiomReport:
     """The axiom report of the (F, n, n) slices V at the points ``fresh`` of ``g``.
 
@@ -532,12 +627,10 @@ def axiom_report(
     step is zero, the residual and its first witness are those of the full
     scan, and the witness scale is the first grid point of its run.
 
-    ``glued`` = (n_x, c) marks V as a union of the points before and after
-    n_x whose every cross value in slice t is c[t]: its residual is taken
-    from the side blocks (``_glued_residual``), and only a union that fails
-    is scanned whole, for its first witness.
+    ``worst`` is the worst triangle residual when the caller has it from
+    the blocks of V (``_certified_residual``, ``glued_residual``): V is
+    scanned whole only when it is None or below -tol, for the first witness.
     """
-    worst = None if glued is None else _glued_residual(V, *glued, norm)
     if worst is None or worst < -tol:
         worst, rows = triangle_residual(V, norm)
     # monotonicity: structural for each representation, re-checked numerically
@@ -570,25 +663,32 @@ def axiom_report(
     )
 
 
-def _glued_residual(V: np.ndarray, nx: int, c: np.ndarray, norm: TNorm) -> float:
-    """The worst triangle residual of the (F, n, n) union V of the points
-    before and after ``nx`` whose every cross value in slice t is c[t].
+def glued_residual(V: np.ndarray, x: FuzzySpace, y: FuzzySpace, c: np.ndarray, ts: np.ndarray) -> float:
+    """The worst triangle residual of the (F, n, n) slices V at the scales
+    ts of a union of x and y whose every cross value in slice t is c[t].
 
-    Only the two side blocks are scanned, each with T(c_t, c_t), the term of
-    every j across, folded into its maximum over j.  A triple whose i and k
-    lie across takes the closed form c_t - g(inner(1, c_t)): the diagonal is
-    1, every value lies in [0, 1], and correctly rounded ``*``, ``+`` and
-    ``min`` are monotone, so no j beats j = i.  Equal to the worst residual
-    of ``triangle_residual(V)``, bit for bit.
+    Only the two side blocks are checked, each with T(c_t, c_t), the term of
+    every j across, folded into its maximum over j: from its distances when
+    they certify it (``_certified_residual``), by a scan otherwise.  A
+    triple whose i and k lie across takes the closed form
+    c_t - g(inner(1, c_t)): the diagonal is 1, every value lies in [0, 1],
+    and correctly rounded ``*``, ``+`` and ``min`` are monotone, so no j
+    beats j = i.  Equal to the worst residual of ``triangle_residual(V)``,
+    bit for bit.
     """
+    norm, nx = x.norm, x.n
     inner = _INNER[norm.kind]
     fold = inner(c, c)
-    # a side of one point holds only the triple (i, i, i), whose residual
-    # 1 - g(inner(1, 1)) is 0
-    worst = min(
-        triangle_residual(side, norm, fold)[0] if side.shape[1] > 1 else 0.0
-        for side in (V[:, :nx, :nx], V[:, nx:, nx:])
-    )
+
+    def side_residual(sp: FuzzySpace, side: np.ndarray) -> float:
+        # a side of one point holds only the triple (i, i, i), whose
+        # residual 1 - g(inner(1, 1)) is 0
+        if sp.n == 1:
+            return 0.0
+        worst = _certified_residual(side, sp, ts, fold)
+        return triangle_residual(side, norm, fold)[0] if worst is None else worst
+
+    worst = min(side_residual(x, V[:, :nx, :nx]), side_residual(y, V[:, nx:, nx:]))
     return min(worst, float((c - _outer(inner(1.0, c), norm)).min()))
 
 

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import itertools
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -78,6 +79,21 @@ def test_stationary_constructor(product):
         with pytest.raises(ConstructionError, match="unit diagonal"):
             make_stationary_space(["a", "b"], v, product)
     assert make_stationary_space(["a", "b"], [[1 - 1e-13, 0.5], [0.5, 1]], product).pairs == sp.pairs
+    # the pairs of the per-pair loop, and its error for the first pair out of
+    # [0, 1) in lexicographic order, NaN included
+    rng = np.random.default_rng(3)
+    v = random_safe_stationary_values(rng, 6)
+    labels = [f"p{i}" for i in range(6)]
+    loop = tuple(Stationary(float(v[i, j])) for i in range(6) for j in range(i + 1, 6))
+    assert make_stationary_space(labels, v, product).pairs == loop
+    cases = (((1, 4), (2, 3), r"\(p1, p4\) .* got nan"), ((3, 4), (0, 5), r"\(p0, p5\) .* got -0.25"))
+    for nan_at, low_at, expected in cases:
+        bad = v.copy()
+        bad[nan_at] = bad[nan_at[::-1]] = float("nan")
+        bad[low_at] = bad[low_at[::-1]] = -0.25
+        with pytest.raises(ConstructionError, match=r"must lie in \[0, 1\)") as err:
+            make_stationary_space(labels, bad, product)
+        assert re.search(expected, str(err.value))
 
 
 def test_step_constructor_rejects_decreasing(product):
@@ -505,17 +521,18 @@ def test_step_spaces_find_the_first_worst_triple(rng, monkeypatch, norm, block):
 def test_triangle_scan_visits_each_distinct_slice_once(rng, monkeypatch, product):
     stationary = make_random_stationary(rng, 5, product)
     step = _iso_space(random_metric(rng, 5, 1.0, 2.0), product, "step", "s")
-    standard = make_random_standard(rng, 5, product)
-    cross = tuple(tuple(Stationary(0.2) for _ in range(5)) for _ in range(5))
+    standard = make_random_standard(rng, 6, product)
+    cross = tuple(tuple(Stationary(0.2) for _ in range(5)) for _ in range(6))
     union = UnionMetric(standard, step, cross)
     scanned = _count_scanned_slices(monkeypatch)
     reports = [check_axioms(stationary), check_axioms(step), check_axioms(standard), validate_union(union)]
     assert len(step.breakpoints()) == 2
-    # the union's cross is constant: its two side blocks are scanned, then,
-    # since the cross rises above the standard side's diameter, the whole
-    # union for the witness
-    assert not reports[3].passed
-    assert scanned == [1, 3, len(reports[2].grid), *[len(reports[3].grid)] * 3]
+    # the standard space is decided from its distances and scans no slice;
+    # the union's cross is constant: its standard side is decided from its
+    # distances and its step side scanned, then, since the cross rises
+    # above the standard side's diameter, the whole union for the witness
+    assert reports[2].passed and not reports[3].passed
+    assert scanned == [1, 3, *[len(reports[3].grid)] * 2]
 
     # the breakpoint rule against the value-difference loop it replaced: equal
     # when every entry is a step, with breakpoints off the grid, below it and
@@ -631,6 +648,131 @@ def test_monotonicity_check_sees_a_drop_in_any_block(monkeypatch, product, block
     for pos in (1, 2, 63):
         monkeypatch.setattr(space_module, "slices_at", lambda space, ts, pos=pos: dropped(space, ts, pos))
         assert not check_axioms(sp).na2
+
+
+# ---------------------------------------------------------------------------
+# Standard blocks decided from their distances, against the dense scan
+
+
+def _certified_and_dense(monkeypatch, run):
+    """(report with every block of 3 or more points offered to the distance
+    certificate, report of the dense scan alone, the certificate's outcomes)."""
+    outcomes = []
+    dominated = space_module._dominated
+
+    def recording(*args):
+        outcomes.append(dominated(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(space_module, "_dominated", recording)
+    monkeypatch.setattr(space_module, "_CERTIFY_MIN", 3)
+    certified = run()
+    monkeypatch.setattr(space_module, "_CERTIFY_MIN", 10 ** 9)
+    dense = run()
+    return certified, dense, outcomes
+
+
+def _assert_same_report(certified, dense):
+    assert certified == dense
+    assert repr(certified) == repr(dense)
+    assert certified.na1_residual.hex() == dense.na1_residual.hex()
+
+
+def _ultrametric(n, scale):
+    """Points of a binary tree: d(i, j) grows with the highest bit of i ^ j."""
+    d = np.array([[float((i ^ j).bit_length()) for j in range(n)] for i in range(n)])
+    return scale * d
+
+
+def test_certified_standard_checks_equal_the_dense_scan(monkeypatch):
+    rng = np.random.default_rng(41)
+    held = []
+    for norm in NORMS:
+        # collinear: slack exactly 0; at 1e-9 and 1e-3 a product or a sum of
+        # values rounds past the term j = i, which the certificate must see
+        line = np.abs(np.subtract.outer(np.arange(7.0), np.arange(7.0)))
+        metrics = [line, 1e-9 * line, 1e-3 * line, _ultrametric(9, 0.5), 1e-9 * random_metric(rng, 6),
+                   1e9 * random_metric(rng, 6)]
+        metrics += [random_metric(rng, n, lo, 10 * lo) for n, lo in ((3, 1e-3), (12, 0.1), (29, 100.0))]
+        for d in metrics:
+            sp = make_standard_space([f"p{i}" for i in range(len(d))], d, norm)
+            for grid, tol in ((None, 1e-12), (GridSpec.log(1e-3, 1e6, 40), 1e-12), (None, 0.0)):
+                certified, dense, outcomes = _certified_and_dense(monkeypatch, lambda: check_axioms(sp, grid, tol))
+                _assert_same_report(certified, dense)
+                held += outcomes
+    # most certify, and the tiny scale, and the ultrametric's rivals under
+    # the other norms and the random metrics under minimum, fall back
+    assert held.count(True) > 30 and held.count(False) > 10
+    # Lukasiewicz rounds 1 + c - 1 off c, so a certified residual can lie
+    # below 0: with tol = 0 it fails, and the witness comes from the scan
+    luk = make_standard_space([f"p{i}" for i in range(8)], random_metric(rng, 8), TNorm.lukasiewicz())
+    certified, dense, outcomes = _certified_and_dense(monkeypatch, lambda: check_axioms(luk, None, 0.0))
+    assert outcomes == [True] and not certified.na1 and certified.witness is not None
+    _assert_same_report(certified, dense)
+    # the (1, 2.0001, 1) triangle fails the classical inequality and so the
+    # certificate; the scan of the default grid still passes it (its
+    # residual turns negative only past t = 1e4)
+    bent = FuzzySpace("bent", ("a", "b", "c"), TNorm.product(), (Standard(1.0), Standard(2.0001), Standard(1.0)))
+    certified, dense, outcomes = _certified_and_dense(monkeypatch, lambda: check_axioms(bent))
+    assert outcomes == [False] and certified.passed
+    _assert_same_report(certified, dense)
+
+
+@pytest.mark.parametrize("norm", NORMS, ids=lambda nm: nm.kind)
+def test_certified_glued_sides_equal_the_dense_scan(monkeypatch, norm):
+    """Constant gluings of Standard sides: each side takes the fold T(c, c)
+    into its maximum over j, and a floor above a side's values fails."""
+    rng = np.random.default_rng(43)
+    held = []
+    for nx, ny in ((3, 7), (8, 8), (1, 12)):
+        dx = _ultrametric(nx, 1.0) if norm.kind == "minimum" else random_metric(rng, nx)
+        dy = _ultrametric(ny, 2.0) if norm.kind == "minimum" else random_metric(rng, ny)
+        x = make_standard_space([f"x{i}" for i in range(nx)], dx, norm)
+        y = make_standard_space([f"y{i}" for i in range(ny)], dy, norm)
+        for floor in (Standard(float(max(dx.max(), dy.max()))), Stationary(0.3)):
+            union = UnionMetric(x, y, tuple(tuple(floor for _ in range(ny)) for _ in range(nx)))
+            for grid in (None, GridSpec.log(1e-3, 1e6, 40)):
+                certified, dense, outcomes = _certified_and_dense(monkeypatch, lambda: validate_union(union, grid))
+                _assert_same_report(certified, dense)
+                held += outcomes
+    assert held.count(True) >= 8
+
+
+@pytest.mark.parametrize("block", [1, 40, 1 << 16])
+def test_the_slack_pass_sees_every_triple(monkeypatch, block):
+    """The filter's O(n^3) pass reads the columns k >= i of each block of
+    rows: against the loop over all ordered triples, on near-metrics with
+    one pair stretched, at scales where its closed-form bounds hold."""
+    monkeypatch.setattr(space_module, "_BLOCK", block)
+    rng = np.random.default_rng(47)
+    ts = np.array([0.5, 1.0])
+    outcomes = set()
+    for _ in range(60):
+        n = int(rng.integers(3, 9))
+        d = rng.uniform(1.0, 2.0, (n, n))
+        i, k = rng.choice(n, size=2, replace=False)
+        d[i, k] = rng.uniform(1.0, 4.0)
+        d = np.minimum(d, d.T)
+        np.fill_diagonal(d, 0.0)
+        dist = d[pair_indices(n)]
+        triples = list(itertools.product(range(n), repeat=3))
+        for kind, inner in (("product", np.add), ("lukasiewicz", np.add), ("minimum", np.maximum)):
+            expected = all(inner(d[a, b], d[b, c]) >= d[a, c] for a, b, c in triples)
+            assert space_module._dominated(dist, n, ts, kind) == expected
+            outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def test_a_certified_check_scans_no_slice(rng, monkeypatch, product):
+    scanned = _count_scanned_slices(monkeypatch)
+    d = random_metric(rng, 40)
+    labels = [f"p{i}" for i in range(40)]
+    assert check_axioms(make_standard_space(labels, d, product)).passed
+    assert scanned == []
+    # at d = 1e-9 the gap the certificate needs is below the rounding error
+    # at t = 1e3: undecided, so its 64 slices are scanned
+    report = check_axioms(make_standard_space(labels, 1e-9 * d, product))
+    assert report.passed and scanned == [64]
 
 
 def test_check_axioms_memory_is_bounded(rng, product):
