@@ -13,10 +13,13 @@ from its drawn distances, values or pair objects, summed over the spaces),
 the `tracemalloc` peak of one more call, n (per side for `glue_constant`),
 the size of the certification grid, the number of t-slices the call
 reads: the first grid point and each one just after a breakpoint, or every
-point once an entry is `Standard` (`space.scan_points`), and whether one
-more call of `check_axioms` or `glue_constant` decided its triangle
+point once an entry is `Standard` (`space.scan_points`), and, from one more
+call, whether `check_axioms` or `glue_constant` decided its triangle
 residual from the distances alone, without the dense scan
-(`space.triangle_residual`); `certified` is null for `is_isometric`.
+(`space.triangle_residual`; `certified` is null for `is_isometric`), and
+how many slice blocks it wrote (`slice_writes`, the `space.write_slices`
+calls: a check writes its slice tensor with one, a union with one per
+side, and a certified check or gluing writes none).
 The results go to a JSON file, BENCH_axioms.json by default:
 
     PYTHONPATH=src python3 scripts/run_axioms_curve.py --max-n 320 --repeats 3
@@ -43,6 +46,7 @@ from fuzzygh import (
     make_stationary_space,
     make_step_space,
 )
+from fuzzygh import gluing as gluing_module
 from fuzzygh import space as space_module
 from fuzzygh.space import scan_points
 
@@ -116,21 +120,20 @@ def measure(call, repeats):
     return best, peak / 1e6, result
 
 
-def certified(call):
-    """Whether one more call runs no dense triangle scan."""
-    scans = []
-    scan = space_module.triangle_residual
-
-    def counting(*args):
-        scans.append(1)
-        return scan(*args)
-
-    space_module.triangle_residual = counting
+def counts(call):
+    """(whether one more call runs no dense triangle scan, the number of
+    slice blocks it writes)."""
+    seen = []
+    patched = [(space_module, "triangle_residual"), (space_module, "write_slices"), (gluing_module, "write_slices")]
+    reals = [getattr(module, name) for module, name in patched]
+    for (module, name), real in zip(patched, reals):
+        setattr(module, name, lambda *args, real=real, name=name: seen.append(name) or real(*args))
     try:
         call()
     finally:
-        space_module.triangle_residual = scan
-    return not scans
+        for (module, name), real in zip(patched, reals):
+            setattr(module, name, real)
+    return "triangle_residual" not in seen, seen.count("write_slices")
 
 
 def main() -> int:
@@ -149,10 +152,11 @@ def main() -> int:
                 construct, space = best_time(space_builder(rng, n, TNorm(kind), rep), args.repeats)
                 wall, peak, report = measure(lambda: check_axioms(space), args.repeats)
                 grid_size, scanned = scanned_slices(space)
+                certified, writes = counts(lambda: check_axioms(space))
                 entries.append({"op": "check_axioms", "rep": rep, "norm": kind, "n": n,
                                 "grid_size": grid_size, "scanned_slices": scanned, "wall_s": wall,
                                 "construct_s": construct, "peak_mb": peak, "passed": report.passed,
-                                "certified": certified(lambda: check_axioms(space))})
+                                "certified": certified, "slice_writes": writes})
                 print(json.dumps(entries[-1]), flush=True)
     for n in (n for n in GLUE_SIZES if n <= args.max_n):
         for rep in ("standard", "step"):
@@ -167,11 +171,12 @@ def main() -> int:
                 floor = Standard(top) if rep == "standard" else step_of(top)
                 wall, peak, union = measure(lambda: glue_constant(x, y, floor), args.repeats)
                 grid_size, scanned = scanned_slices(union.as_space())
+                certified, writes = counts(lambda: glue_constant(x, y, floor))
                 # glue_constant returns only a union that passes its check
                 entries.append({"op": "glue_constant", "rep": rep, "norm": kind, "n": n,
                                 "grid_size": grid_size, "scanned_slices": scanned, "wall_s": wall,
                                 "construct_s": cx + cy, "peak_mb": peak, "passed": True,
-                                "certified": certified(lambda: glue_constant(x, y, floor))})
+                                "certified": certified, "slice_writes": writes})
                 print(json.dumps(entries[-1]), flush=True)
     norm = TNorm.product()
     for n in (n for n in ISOMETRY_SIZES if n <= args.max_n):
@@ -186,7 +191,7 @@ def main() -> int:
             entries.append({"op": "is_isometric", "rep": rep, "norm": "product", "n": n,
                             "grid_size": grid_size, "scanned_slices": scanned, "wall_s": wall,
                             "construct_s": ca + cb, "peak_mb": peak, "passed": found == inverse,
-                            "certified": None})
+                            "certified": None, "slice_writes": counts(lambda: is_isometric(a, b))[1]})
             print(json.dumps(entries[-1]), flush=True)
 
     doc = {

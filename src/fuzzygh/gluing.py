@@ -26,6 +26,7 @@ from .space import (
     FuzzySpace,
     axiom_report,
     certification_grid,
+    certified_check,
     glued_residual,
     pair_indices,
     scan_points,
@@ -99,7 +100,11 @@ def validate_union(u: UnionMetric, grid: Optional[GridSpec] = None, tol: float =
     points after which some sample changes, or the entries' own.  A cross
     entry that never drops below 1 is refused with ``as_space``'s error.  A
     cross block constant in each slice, as a constant gluing's, is checked
-    in closed form from the side blocks (``glued_residual``).
+    in closed form from the side blocks (``glued_residual``).  When each
+    side either holds one point or passes the distance certificate
+    (``certified_check``), and one side does, the sides are streamed from
+    their tables and no slice tensor is built; otherwise, and for the
+    witness of a residual below -tol, the union's slices are.
     """
     x, y = u.left, u.right
     built = u.__dict__.get("_built_from")
@@ -117,20 +122,29 @@ def validate_union(u: UnionMetric, grid: Optional[GridSpec] = None, tol: float =
         u.as_space()  # raises its error for the first such entry
     bps = sorted({*x.breakpoints(), *y.breakpoints(), *changes})
     ug, fresh, ts = scan_points(grid, bps, x.all_steplike() and y.all_steplike() and steplike)
-    nx, n = x.n, x.n + y.n
-    V = np.ones((n, n, len(ts))).transpose(2, 0, 1)
-    write_slices(x, ts, V[:, :nx, :nx])
-    write_slices(y, ts, V[:, nx:, nx:])
     if table is None:
         cross = samples[np.searchsorted(grid.array(), ts, side="left")]
     else:
         cross = table.values(ts).reshape(len(ts), -1, y.n if table.size > 1 else 1)
-    V[:, :nx, nx:] = cross
-    V[:, nx:, :nx] = cross.transpose(0, 2, 1)
     # a cross that holds one value in each slice, bit for bit, is checked in closed form
     bits = cross.view(np.int64)
     constant = cross[0].size == 1 or (bits == bits[:, :1, :1]).all()
-    worst = glued_residual(V, x, y, cross[:, 0, 0], ts) if constant else None
+    if constant:
+        c = cross[:, 0, 0]
+        sides = [certified_check(sp, ts, tol, c) for sp in (x, y)]
+        # certified sides and sides of one point are read without slices
+        if sides != [None, None] and all(s is not None or sp.n == 1 for s, sp in zip(sides, (x, y))):
+            worst = glued_residual(None, x, y, c, sides)
+            if worst >= -tol:
+                monotone = all(s[1] for s in sides if s) and bool((c[1:] - c[:-1] >= -tol).all())
+                return AxiomReport.of(ug, tol, worst, monotone)
+    nx, n = x.n, x.n + y.n
+    V = np.ones((n, n, len(ts))).transpose(2, 0, 1)
+    write_slices(x, ts, V[:, :nx, :nx])
+    write_slices(y, ts, V[:, nx:, nx:])
+    V[:, :nx, nx:] = cross
+    V[:, nx:, :nx] = cross.transpose(0, 2, 1)
+    worst = glued_residual(V, x, y, c, sides) if constant else None
     return axiom_report(V, ug, fresh, x.norm, tol, worst)
 
 

@@ -380,6 +380,12 @@ class AxiomReport(Report):
     def passed(self) -> bool:
         return self.km1 and self.km2 and self.km3 and self.km5 and self.na1 and self.na2
 
+    @classmethod
+    def of(cls, g: GridSpec, tol: float, worst: float, na2: bool, witness=None) -> "AxiomReport":
+        """The report of a check on ``g`` with this worst residual, monotonicity and witness."""
+        return cls(km1=True, km2=True, km3=True, km5=True, na1=worst >= -tol, na2=na2,
+                   na1_residual=worst, witness=witness, grid=g.values, tol=tol)
+
     def as_dict(self) -> dict:
         doc = super().as_dict().items()
         return {("grid_size" if k == "grid" else k): (len(v) if k == "grid" else v) for k, v in doc}
@@ -531,7 +537,8 @@ def _dominated(dist: np.ndarray, n: int, ts: np.ndarray, kind: str) -> bool:
     and 9u (Lukasiewicz) rounding error of the values and one operation.
     Under product the values stay at least 2^-500, so products stay normal.
     The O(n^3) pass goes in blocks of rows of at most ``_BLOCK`` floats (one
-    row once a row exceeds it).
+    row once a row exceeds it), the minimum over j of each (i, k) read off
+    the contiguous rows i and k.
     """
     lo, hi = float(dist.min()), float(dist.max())
     t_lo, t_hi = float(ts[0]), float(ts[-1])
@@ -549,49 +556,51 @@ def _dominated(dist: np.ndarray, n: int, ts: np.ndarray, kind: str) -> bool:
     step = max(1, _BLOCK // (n * n))
     buf = np.empty(min(step, n) * n * n)
     for i0 in range(0, n, step):
-        # (i, j, k) and (k, j, i) give the same bits: the columns k >= i0 suffice
-        block = d[i0 : i0 + step, i0:]
-        lhs = buf[: len(block) * n * (n - i0)].reshape(len(block), n, n - i0)
-        if (inner(d[i0 : i0 + step, :, None], d[:, i0:], out=lhs) < block[:, None, :]).any():
+        # (i, j, k) and (k, j, i) give the same bits: the columns k >= i0
+        # suffice; d is symmetric, so the terms j run along the rows i and k
+        rows = d[i0 : i0 + step]
+        lhs = buf[: len(rows) * (n - i0) * n].reshape(len(rows), n - i0, n)
+        if (inner(rows[:, None, :], d[None, i0:], out=lhs).min(axis=2) < rows[:, i0:]).any():
             return False
     return True
 
 
-def _certified_residual(
-    V: np.ndarray, space: FuzzySpace, ts: np.ndarray, fold: Optional[np.ndarray] = None
-) -> Optional[float]:
-    """The worst residual of ``triangle_residual(V, space.norm, fold)``, bit
-    for bit, for the (F, n, n) slices V of ``space`` at the scales ts, when
-    every entry is ``Standard`` and the distances certify that the terms j
-    outside {i, k} are dominated (``_dominated``); None otherwise, and for a
-    space of fewer than ``_CERTIFY_MIN`` points.
+def certified_check(
+    space: FuzzySpace, ts: np.ndarray, tol: float, cross: Optional[np.ndarray] = None
+) -> Optional[tuple[float, bool]]:
+    """(worst triangle residual, whether every pair value is nondecreasing
+    within tol) of ``space`` at the scales ts, from one streamed pass over
+    its ``PairTable``, when every entry is ``Standard`` and the distances
+    certify that the terms j outside {i, k} are dominated (``_dominated``);
+    None otherwise, and for a space of fewer than ``_CERTIFY_MIN`` points.
 
-    The maximum over j is then the term j = i (j = k gives its bits), joined
-    by ``fold``, so the residual at (t, i, k) is
-    V(i, k) - g(max(inner(1, V(i, k)), fold_t)): O(n^2 F) work, in blocks of
-    rows of at most ``_BLOCK`` floats (one row once a row exceeds it), after
-    the O(n^3) pass on the distances.  Under product and minimum
-    inner(1, c) is c, so without a fold every residual is c - c = 0."""
+    Given ``cross``, the space is a side of a union whose every cross value
+    in slice t is cross[t], and fold_t = inner(cross_t, cross_t), the term of
+    every j across, joins the maximum over j.  That maximum is then the term
+    j = i (j = k gives its bits), so the residual at (t, i, k) is
+    v - g(max(inner(1, v), fold_t)) for v = M(i, k, t): bit for bit the
+    worst of ``triangle_residual`` on the slices.  Under product and minimum
+    without a cross it is v - v = 0.  On the diagonal v = 1 at every scale:
+    the residual is 0, as is each step.  Each block holds at most
+    ``_BLOCK`` values (one pair's once the scales exceed it), so the memory
+    beyond the distances is fixed.
+    """
     table, kind = space._table, space.norm.kind
     if space.n < _CERTIFY_MIN or len(table.standard) < table.size:
         return None
     if not _dominated(table.distances, space.n, ts, kind):
         return None
-    if fold is None and kind != "lukasiewicz":
-        return 0.0
-    W = V.transpose(1, 2, 0)
-    n, _, T = W.shape
     inner = _INNER[kind]
-    step = max(1, _BLOCK // (n * T))
-    buf = np.empty((min(step, n), n, T))
-    worst = np.inf
-    for i0 in range(0, n, step):
-        w = W[i0 : i0 + step]
-        best = inner(1.0, w, out=buf[: len(w)])
-        if fold is not None:
-            np.maximum(best, fold, out=best)
-        worst = min(worst, float(np.subtract(w, _outer(best, space.norm), out=best).min()))
-    return worst
+    fold = None if cross is None else inner(cross, cross)[:, None]
+    worst, monotone = 0.0, len(ts) < 2 or tol >= 0.0
+    for _, P in table.blocks(ts, max(1, _BLOCK // len(ts))):
+        monotone = monotone and bool((P[1:] - P[:-1] >= -tol).all())
+        if fold is not None or kind == "lukasiewicz":
+            best = inner(1.0, P)
+            if fold is not None:
+                np.maximum(best, fold, out=best)
+            worst = min(worst, float(np.subtract(P, _outer(best, space.norm), out=best).min()))
+    return worst, monotone
 
 
 def check_axioms(space: FuzzySpace, grid: Optional[GridSpec] = None, tol: float = TOL) -> AxiomReport:
@@ -599,16 +608,18 @@ def check_axioms(space: FuzzySpace, grid: Optional[GridSpec] = None, tol: float 
 
     Vanishing at zero, symmetry, left continuity and separation hold
     structurally.  Only the grid points whose slice may differ from the one
-    before are read (``scan_points``), and ``axiom_report`` checks them.
-    The triangle residual of a space of ``Standard`` entries is decided
-    from its distances when they certify it (``_certified_residual``);
-    otherwise, and for a witness, the slices are scanned.  For
-    piecewise-constant spaces the merged grid makes the triangle check exact,
-    otherwise it is grid-certified.
+    before are read (``scan_points``).  A space of ``Standard`` entries whose
+    distances certify it is checked in one streamed pass over its pair
+    values (``certified_check``), with no slice tensor; otherwise, and for
+    the witness of a residual below -tol, ``axiom_report`` checks its
+    slices.  For piecewise-constant spaces the merged grid makes the
+    triangle check exact, otherwise it is grid-certified.
     """
     g, fresh, ts = scan_points(grid, space.breakpoints(), space.all_steplike())
-    V = slices_at(space, ts)
-    return axiom_report(V, g, fresh, space.norm, tol, _certified_residual(V, space, ts))
+    streamed = certified_check(space, ts, tol)
+    if streamed is not None and streamed[0] >= -tol:
+        return AxiomReport.of(g, tol, *streamed)
+    return axiom_report(slices_at(space, ts), g, fresh, space.norm, tol)
 
 
 def axiom_report(
@@ -628,8 +639,10 @@ def axiom_report(
     scan, and the witness scale is the first grid point of its run.
 
     ``worst`` is the worst triangle residual when the caller has it from
-    the blocks of V (``_certified_residual``, ``glued_residual``): V is
-    scanned whole only when it is None or below -tol, for the first witness.
+    the blocks of V (``glued_residual``): V is scanned whole only when it
+    is None or below -tol, for the first witness.  ``check_axioms`` and
+    ``validate_union`` build V and call this only when the streamed pass
+    (``certified_check``) does not decide the report.
     """
     if worst is None or worst < -tol:
         worst, rows = triangle_residual(V, norm)
@@ -644,51 +657,39 @@ def axiom_report(
     for i0 in range(0, n, blk):
         w = W[i0 : i0 + blk]
         na2 &= bool((np.subtract(w[..., 1:], w[..., :-1], out=buf[: len(w)]) >= -tol).all())
-    na1 = worst >= -tol
     witness = None
-    if not na1:
+    if not worst >= -tol:
         tpos, i, j, k = triangle_witness(V, norm, worst, rows)
         witness = (i, j, k, float(g.values[fresh[tpos]]))
-    return AxiomReport(
-        km1=True,
-        km2=True,
-        km3=True,
-        km5=True,
-        na1=na1,
-        na2=na2,
-        na1_residual=worst,
-        witness=witness,
-        grid=g.values,
-        tol=tol,
-    )
+    return AxiomReport.of(g, tol, worst, na2, witness)
 
 
-def glued_residual(V: np.ndarray, x: FuzzySpace, y: FuzzySpace, c: np.ndarray, ts: np.ndarray) -> float:
-    """The worst triangle residual of the (F, n, n) slices V at the scales
-    ts of a union of x and y whose every cross value in slice t is c[t].
+def glued_residual(
+    V: Optional[np.ndarray], x: FuzzySpace, y: FuzzySpace, c: np.ndarray, sides: Sequence[Optional[tuple[float, bool]]]
+) -> float:
+    """The worst triangle residual of the (F, n, n) slices V of a union of
+    x and y whose every cross value in slice t is c[t], or of the union's
+    blocks alone when V is None and ``sides`` holds both.
 
     Only the two side blocks are checked, each with T(c_t, c_t), the term of
-    every j across, folded into its maximum over j: from its distances when
-    they certify it (``_certified_residual``), by a scan otherwise.  A
-    triple whose i and k lie across takes the closed form
-    c_t - g(inner(1, c_t)): the diagonal is 1, every value lies in [0, 1],
-    and correctly rounded ``*``, ``+`` and ``min`` are monotone, so no j
-    beats j = i.  Equal to the worst residual of ``triangle_residual(V)``,
-    bit for bit.
+    every j across, folded into its maximum over j: a side's ``sides`` entry
+    is its ``certified_check`` with c, or None to scan its block of V.  A
+    side of one point holds only the triple (i, i, i), whose residual
+    1 - g(inner(1, 1)) is 0.  A triple whose i and k lie across takes the
+    closed form c_t - g(inner(1, c_t)): the diagonal is 1, every value lies
+    in [0, 1], and correctly rounded ``*``, ``+`` and ``min`` are monotone,
+    so no j beats j = i.  Equal to the worst residual of
+    ``triangle_residual(V)``, bit for bit.
     """
     norm, nx = x.norm, x.n
     inner = _INNER[norm.kind]
-    fold = inner(c, c)
 
-    def side_residual(sp: FuzzySpace, side: np.ndarray) -> float:
-        # a side of one point holds only the triple (i, i, i), whose
-        # residual 1 - g(inner(1, 1)) is 0
-        if sp.n == 1:
-            return 0.0
-        worst = _certified_residual(side, sp, ts, fold)
-        return triangle_residual(side, norm, fold)[0] if worst is None else worst
+    def side_residual(sp: FuzzySpace, block: slice, checked: Optional[tuple[float, bool]]) -> float:
+        if checked is not None:
+            return checked[0]
+        return 0.0 if sp.n == 1 else triangle_residual(V[:, block, block], norm, inner(c, c))[0]
 
-    worst = min(side_residual(x, V[:, :nx, :nx]), side_residual(y, V[:, nx:, nx:]))
+    worst = min(side_residual(x, slice(None, nx), sides[0]), side_residual(y, slice(nx, None), sides[1]))
     return min(worst, float((c - _outer(inner(1.0, c), norm)).min()))
 
 

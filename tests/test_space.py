@@ -18,8 +18,10 @@ from fuzzygh import (
     Stationary,
     Step,
     TNorm,
+    ZERO,
     UnionMetric,
     check_axioms,
+    glue_constant,
     is_isometric,
     make_standard_space,
     make_stationary_space,
@@ -28,9 +30,10 @@ from fuzzygh import (
     validate_distance_matrix,
     validate_union,
 )
+from fuzzygh import gluing as gluing_module
 from fuzzygh import space as space_module
 from fuzzygh.space import certification_grid, pair_indices, scan_points, slices_at, t_diameters
-from fuzzygh.valuefn import values
+from fuzzygh.valuefn import PairTable, values
 
 from conftest import make_random_standard, make_random_stationary
 from oracles import (
@@ -775,10 +778,122 @@ def test_a_certified_check_scans_no_slice(rng, monkeypatch, product):
     assert report.passed and scanned == [64]
 
 
+def _glued_reports(monkeypatch, x, y, floor, tol):
+    """The union reports ``glue_constant`` reads, also when its check fails."""
+    reports = []
+    check = gluing_module.validate_union
+
+    def recording(*args, **kw):
+        reports.append(check(*args, **kw))
+        return reports[-1]
+
+    monkeypatch.setattr(gluing_module, "validate_union", recording)
+    try:
+        glue_constant(x, y, floor, tol=tol)
+    except ConstructionError:
+        pass
+    monkeypatch.setattr(gluing_module, "validate_union", check)
+    return reports
+
+
+@pytest.mark.parametrize("block", [1, 40, 1 << 16])
+@pytest.mark.parametrize("norm", NORMS, ids=lambda nm: nm.kind)
+def test_streamed_checks_equal_the_dense_scan_in_blocks_of_any_size(monkeypatch, norm, block):
+    """The streamed pass against the dense scan, in blocks of one pair, of
+    under one pair's 64 values and of all pairs: checks, and constant
+    gluings of two certified sides, of a point and a certified side, and of
+    a certified side and a step side, which is scanned.  With tol = 0 a
+    Lukasiewicz residual lies below 0, and the witness comes from the scan.
+    The (1, 2.0001, 1) space fails the certificate, once, and is scanned."""
+    monkeypatch.setattr(space_module, "_BLOCK", block)
+    rng = np.random.default_rng(53)
+    metric = _ultrametric if norm.kind == "minimum" else lambda n, s: s * random_metric(rng, n)
+    dx, dy = metric(8, 1.0), metric(7, 2.0)
+    x, y = (make_standard_space([f"{p}{i}" for i in range(len(d))], d, norm) for p, d in (("x", dx), ("y", dy)))
+    point = make_standard_space(["o"], [[0.0]], norm)
+    step = _iso_space(metric(5, 1.0), norm, "step", "s")
+    floor = Standard(float(max(dx.max(), dy.max())))
+    failed = []
+    for tol in (1e-12, 0.0):
+        for sp in (x, y):
+            certified, dense, outcomes = _certified_and_dense(monkeypatch, lambda: check_axioms(sp, None, tol))
+            _assert_same_report(certified, dense)
+            assert outcomes == [True]
+            failed.append(not certified.na1)
+        for left, right, cross in ((x, y, floor), (point, y, floor), (x, point, floor), (x, step, ZERO)):
+            certified, dense, outcomes = _certified_and_dense(
+                monkeypatch, lambda: _glued_reports(monkeypatch, left, right, cross, tol)
+            )
+            assert len(certified) == 1 and outcomes == [True] * ((left is x) + (right is y))
+            _assert_same_report(certified[0], dense[0])
+            failed.append(not certified[0].na1)
+    assert any(failed) == (norm.kind == "lukasiewicz")
+    bent = FuzzySpace("bent", ("a", "b", "c"), norm, (Standard(1.0), Standard(2.0001), Standard(1.0)))
+    certified, dense, outcomes = _certified_and_dense(monkeypatch, lambda: check_axioms(bent))
+    assert outcomes == [False]
+    _assert_same_report(certified, dense)
+
+
+@pytest.mark.parametrize("block", [64, 5 * 64, 1 << 16])
+@pytest.mark.parametrize("kind", ["product", "lukasiewicz"])
+def test_the_stream_sees_a_drop_in_any_block(monkeypatch, kind, block):
+    """A certified 8-point space whose values, as the stream reads them,
+    drop before the second, third or last of 64 slices in the last block:
+    blocks of one pair, of five and of all 28.  The stream decides the
+    report, and no slice is built."""
+    sp = make_standard_space([f"p{i}" for i in range(8)], random_metric(np.random.default_rng(59), 8), TNorm(kind))
+    assert check_axioms(sp).passed
+    monkeypatch.setattr(space_module, "_BLOCK", block)
+    monkeypatch.setattr(space_module, "slices_at", None)
+    real = PairTable.blocks
+    read = []
+
+    def dropped(table, ts, step, pos):
+        blocks = list(real(table, ts, step))
+        idx, values = blocks[-1]
+        values = values.copy()
+        values[pos:, -1] *= 0.5
+        read.append(len(blocks))
+        return [*blocks[:-1], (idx, values)]
+
+    for pos in (1, 2, 63):
+        monkeypatch.setattr(PairTable, "blocks", lambda table, ts, step, pos=pos: dropped(table, ts, step, pos))
+        report = check_axioms(sp)
+        assert report.na1 and not report.na2
+    assert read == [{64: 28, 5 * 64: 6, 1 << 16: 1}[block]] * 3
+
+
+def test_certified_checks_build_no_slice_tensor(monkeypatch, product):
+    """A 320-point certified check and a 160 + 160 certified constant gluing
+    stream their pair values: no slice is written and none scanned, and each
+    peaks below 8 MiB under tracemalloc, where their 64 slices alone take
+    50 MiB."""
+    rng = np.random.default_rng(61)
+    sp = make_random_standard(rng, 320, product)
+    dx, dy = random_metric(rng, 160), random_metric(rng, 160)
+    x, y = (make_standard_space([f"{p}{i}" for i in range(160)], d, product) for p, d in (("x", dx), ("y", dy)))
+    floor = Standard(float(max(dx.max(), dy.max())))
+    built = []
+    for module, name in ((space_module, "slices_at"), (space_module, "write_slices"),
+                         (space_module, "triangle_residual"), (gluing_module, "write_slices")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, real=real, name=name: built.append(name) or real(*args))
+    for call in (lambda: check_axioms(sp).passed, lambda: glue_constant(x, y, floor) is not None):
+        tracemalloc.start()
+        try:
+            passed = call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert passed and peak < 8 * 2 ** 20, peak
+    assert built == []
+
+
 def test_check_axioms_memory_is_bounded(rng, product):
     # at 100 points the (T, n, n, n) residual alone would take 64 * 100**3 * 8
-    # bytes = 512 MB; at 160 points the 64 slices take 12.5 MiB, and their
-    # difference across the whole grid would add 12.3 MiB more
+    # bytes = 512 MB, and at 160 points the 64 slices 12.5 MiB; these spaces
+    # pass the distance certificate, so the check streams their pair values
+    # and builds neither
     for n, cap in ((100, 32), (160, 24)):
         sp = make_random_standard(rng, n, product)
         tracemalloc.start()
