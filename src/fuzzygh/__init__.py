@@ -19,7 +19,6 @@ from .ghdist import (
     GHBounds,
     LowerBoundResult,
     UpperBoundResult,
-    classical_gh_diameter_bound,
     classical_gh_exact,
     gh_fuzzy_bounds,
     gh_fuzzy_lower_bound,

@@ -127,9 +127,13 @@ def _cmd_diam(args) -> int:
     return 0
 
 
+def _labels(text: str) -> list[str]:
+    """The nonblank comma-separated labels of ``text``, in the order given."""
+    return [s.strip() for s in text.split(",") if s.strip()]
+
+
 def _parse_subset(space, text: str) -> SubsetRef:
-    labels = [s.strip() for s in text.split(",") if s.strip()]
-    return SubsetRef.from_labels(space, labels)
+    return SubsetRef.from_labels(space, _labels(text))
 
 
 def _cmd_hausdorff(args) -> int:
@@ -156,11 +160,12 @@ def _cmd_hausdorff(args) -> int:
     return 0
 
 
-def _add_floor(p: argparse.ArgumentParser) -> None:
+def _add_floor(p: argparse.ArgumentParser, other: str) -> None:
+    """``--floor FILE`` or ``other``, the flag of the floor the verb does not default to."""
+    p.set_defaults(floor_zero=False, floor_envelope=False)
     floor = p.add_mutually_exclusive_group()
     floor.add_argument("--floor", type=str, default=None, help="value-function JSON file")
-    floor.add_argument("--floor-zero", action="store_true")
-    floor.add_argument("--floor-envelope", action="store_true")
+    floor.add_argument(other, action="store_true")
 
 
 def _floor_fn(args, left, right, grid):
@@ -196,12 +201,22 @@ def _cmd_glue(args) -> int:
     return 0 if report.passed else 1
 
 
+def _parse_net(space, text: str) -> tuple[int, ...]:
+    """The indices of the labels in the order given: nets pair by position."""
+    net = tuple(map(space.index_of, _labels(text)))
+    if not net:
+        raise DomainError("a net must be nonempty")
+    return net
+
+
 def _cmd_mdelta(args) -> int:
     left = fio.load_space(args.left)
     right = fio.load_space(args.right)
     grid = _grid(args)
-    l_idx = _parse_subset(left, args.net_left).indices if args.net_left else tuple(range(left.n))
-    r_idx = _parse_subset(right, args.net_right).indices if args.net_right else tuple(range(right.n))
+    l_idx = _parse_net(left, args.net_left) if args.net_left else tuple(range(left.n))
+    r_idx = _parse_net(right, args.net_right) if args.net_right else tuple(range(right.n))
+    if len(l_idx) != len(r_idx):
+        raise DomainError(f"nets pair by position and must be equally long, got {len(l_idx)} and {len(r_idx)} points")
     floor = _floor_fn(args, left, right, grid)
     try:
         union = attempt_net_gluing(
@@ -364,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("glue", help="constant gluing of two spaces")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
-    _add_floor(p)
+    _add_floor(p, "--floor-envelope")
     p.add_argument("--t", type=float, default=None, help="also report H at this scale")
     _add_common(p)
     p.set_defaults(fn=_cmd_glue)
@@ -374,9 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--right", required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--net-left", type=str, default=None, help="comma-separated labels")
-    p.add_argument("--net-right", type=str, default=None, help="comma-separated labels")
-    _add_floor(p)
+    p.add_argument("--net-left", type=str, default=None, help="comma-separated labels, paired by position")
+    p.add_argument("--net-right", type=str, default=None, help="comma-separated labels, paired by position")
+    _add_floor(p, "--floor-zero")
     _add_common(p)
     p.set_defaults(fn=_cmd_mdelta)
 

@@ -99,21 +99,22 @@ def _lower_bound(
 ) -> LowerBoundResult:
     """The first best of the constant gluings and, given a relation, the relation gluing.
 
-    The envelope and relation unions are built unvalidated and ranked by their
-    Hausdorff value at t, the envelope first at a tie; they are validated in
-    that order and the first that passes is returned.  One whose build or
-    validation fails is skipped.  The zero gluing comes last and is built only
-    when no candidate of positive value passes: its value is 0, so it wins
-    only then, and its union passes iff X and Y pass on its grid, which every
-    other candidate's grid contains.  So it is the one gluing that raises
-    when X or Y fails its axiom check.
+    The envelope and relation unions are built unvalidated, the relation
+    union with its cross samples, and ranked by their Hausdorff value at t,
+    the envelope first at a tie; they are validated in that order and the
+    first that passes is returned.  One whose build or validation fails is
+    skipped.  The zero gluing comes last and is built only when no candidate
+    of positive value passes: its value is 0, so it wins only then, and its
+    union passes iff X and Y pass on its grid, which every other candidate's
+    grid contains.  So it is the one gluing that raises when X or Y fails
+    its axiom check.
     """
     found = []
     try:
         envelope = floor_envelope(x, y, grid)
         # ONE: neither space has a pair, and no union takes a cross that never drops below 1
         if envelope != ONE:
-            found.append((*_constant_union(x, y, envelope, grid, tol), "constant-envelope"))
+            found.append((*_constant_union(x, y, envelope, grid, tol), None, "constant-envelope"))
     except (ConstructionError, HypothesisError):
         pass  # a floor the union cannot take falls back to the other strategies
     if relation is not None:
@@ -121,12 +122,12 @@ def _lower_bound(
             found.append((*_relation_union(x, y, t, relation, grid), "witness-relation"))
         except ConstructionError:
             pass
-    ranked = sorted(((union_hausdorff(u, t), u, g, m) for u, g, m in found), key=lambda c: -c[0])
-    for value, u, g, method in ranked:
+    ranked = sorted(((union_hausdorff(c[0], t), *c) for c in found), key=lambda c: -c[0])
+    for value, u, g, samples, method in ranked:
         if value <= 0.0:
             break
         try:
-            return LowerBoundResult(t, value, _validated(u, g, tol, method), method)
+            return LowerBoundResult(t, value, _validated(u, g, tol, method, samples), method)
         except ConstructionError:
             pass
     zero = glue_constant(x, y, ZERO, grid, tol)
@@ -259,20 +260,10 @@ def classical_gh_exact(dx, dy, limit: int = 12) -> float:
     my = _coerce_metric(dy)
     nx, ny = mx.n, my.n
     if nx * ny > limit:
-        raise SizeLimitError(
-            f"{nx}x{ny} cells exceed the relation-search limit {limit}; "
-            "use classical_gh_diameter_bound instead"
-        )
+        raise SizeLimitError(f"{nx}x{ny} cells exceed the relation-search limit {limit}")
     a, b = _cell_pairs(mx.as_array(), my.as_array())
     g = -np.abs(a - b)
     # each unordered pair of cells reads its entry in the earlier cell's row,
     # so a metric symmetric only within the validation tolerance counts it once
     g = np.where(np.tri(len(g), k=-1, dtype=bool), g.T, g)
     return -_bottleneck(g, nx, ny)[0] / 2
-
-
-def classical_gh_diameter_bound(dx, dy) -> float:
-    """Half the diameter gap, a universal lower bound for the classical GH distance."""
-    mx = _coerce_metric(dx)
-    my = _coerce_metric(dy)
-    return abs(mx.diameter - my.diameter) / 2.0

@@ -26,8 +26,7 @@ from .space import (
     FuzzySpace,
     axiom_report,
     certification_grid,
-    certified_check,
-    glued_residual,
+    glued_check,
     pair_indices,
     scan_points,
     t_diameters,
@@ -88,28 +87,31 @@ class UnionMetric:
         return tuple(range(self.n_left, self.n_left + self.n_right))
 
 
-def validate_union(u: UnionMetric, grid: Optional[GridSpec] = None, tol: float = TOL) -> AxiomReport:
+def validate_union(
+    u: UnionMetric, grid: Optional[GridSpec] = None, tol: float = TOL, *, _samples: Optional[np.ndarray] = None
+) -> AxiomReport:
     """Full axiom check over all points of the union on the certification
     grid: the report of ``check_axioms(u.as_space(), grid)``, built from the
     union's blocks.
 
     The side blocks are written from the sides' own tables.  The cross block
-    is read from the samples a closure gluing's union carries, on the grid
-    they were taken on (``_closure_union``), or else from the ``PairTable``
-    of the cross entries, each distinct entry once; its breakpoints are the
-    points after which some sample changes, or the entries' own.  A cross
-    entry that never drops below 1 is refused with ``as_space``'s error.  A
-    cross block constant in each slice, as a constant gluing's, is checked
-    in closed form from the side blocks (``glued_residual``).  When each
-    side either holds one point or passes the distance certificate
-    (``certified_check``), and one side does, the sides are streamed from
-    their tables and no slice tensor is built; otherwise, and for the
-    witness of a residual below -tol, the union's slices are.
+    is read from the ``PairTable`` of the cross entries, each distinct entry
+    once, with the entries' own breakpoints.  ``_samples`` belongs to the
+    closure gluings alone (``_validated``): it must be the (S+1, n_x, n_y)
+    array on ``grid`` that ``_step_cross`` built ``u.cross`` from, and is
+    then read in place of the entries, with the points after which some
+    sample changes as breakpoints; only its shape is checked, so samples of
+    another cross give the report of that cross.  A cross entry that never
+    drops below 1 is refused with ``as_space``'s error.  A cross block that holds one value in each slice,
+    as a constant gluing's, is checked from the two sides alone
+    (``glued_check``), with no slice tensor of the union; any other cross,
+    and the witness of a residual below -tol, are read from the union's
+    slices.
     """
-    x, y = u.left, u.right
-    built = u.__dict__.get("_built_from")
-    samples = built[1] if built is not None and built[0] == grid else None
+    x, y, samples = u.left, u.right, _samples
     if samples is not None:
+        if grid is None or samples.shape != (len(grid) + 1, x.n, y.n):
+            raise DomainError("samples must hold the len(grid) + 1 cross slices on grid")
         table, separated, steplike = None, bool((samples[0] < 1.0).all()), True
         changes = compress(grid.values, (samples[1:] != samples[:-1]).any(axis=(1, 2)).tolist())
     else:
@@ -126,36 +128,27 @@ def validate_union(u: UnionMetric, grid: Optional[GridSpec] = None, tol: float =
         cross = samples[np.searchsorted(grid.array(), ts, side="left")]
     else:
         cross = table.values(ts).reshape(len(ts), -1, y.n if table.size > 1 else 1)
-    # a cross that holds one value in each slice, bit for bit, is checked in closed form
+    # a cross that holds one value in each slice, bit for bit
     bits = cross.view(np.int64)
-    constant = cross[0].size == 1 or (bits == bits[:, :1, :1]).all()
-    if constant:
-        c = cross[:, 0, 0]
-        sides = [certified_check(sp, ts, tol, c) for sp in (x, y)]
-        # certified sides and sides of one point are read without slices
-        if sides != [None, None] and all(s is not None or sp.n == 1 for s, sp in zip(sides, (x, y))):
-            worst = glued_residual(None, x, y, c, sides)
-            if worst >= -tol:
-                monotone = all(s[1] for s in sides if s) and bool((c[1:] - c[:-1] >= -tol).all())
-                return AxiomReport.of(ug, tol, worst, monotone)
+    if cross[0].size == 1 or (bits == bits[:, :1, :1]).all():
+        worst, monotone = glued_check(x, y, ts, tol, cross[:, 0, 0])
+        if worst >= -tol:
+            return AxiomReport.of(ug, tol, worst, monotone)
     nx, n = x.n, x.n + y.n
     V = np.ones((n, n, len(ts))).transpose(2, 0, 1)
     write_slices(x, ts, V[:, :nx, :nx])
     write_slices(y, ts, V[:, nx:, nx:])
     V[:, :nx, nx:] = cross
     V[:, nx:, :nx] = cross.transpose(0, 2, 1)
-    worst = glued_residual(V, x, y, c, sides) if constant else None
-    return axiom_report(V, ug, fresh, x.norm, tol, worst)
+    return axiom_report(V, ug, fresh, x.norm, tol)
 
 
-def _validated(u: UnionMetric, grid: GridSpec, tol: float, what: str) -> UnionMetric:
-    """``u`` once it passes the full union axiom check; ConstructionError otherwise.
-
-    The samples a closure gluing's union carries are dropped after the
-    check, the one read they serve, so a union returned holds none.
-    """
-    report = validate_union(u, grid, tol=tol)
-    u.__dict__.pop("_built_from", None)
+def _validated(
+    u: UnionMetric, grid: GridSpec, tol: float, what: str, samples: Optional[np.ndarray] = None
+) -> UnionMetric:
+    """``u`` once it passes the full union axiom check, read from the cross
+    ``samples`` of a closure gluing when given; ConstructionError otherwise."""
+    report = validate_union(u, grid, tol, _samples=samples)
     if not report.passed:
         raise ConstructionError(f"{what} gluing fails the union axiom check: {report.as_dict()}")
     return u
@@ -477,11 +470,8 @@ def _step_cross(points: Sequence[float], samples: np.ndarray) -> tuple[tuple[Val
 
 def _closure_union(x: FuzzySpace, y: FuzzySpace, g: GridSpec, samples: np.ndarray) -> UnionMetric:
     """The union with the cross of steps of the (S+1, n_x, n_y) ``samples``
-    on ``g`` (``_step_cross``).  It carries ``(g, samples)``, outside its
-    fields, for ``validate_union`` on ``g`` until ``_validated`` drops them."""
-    u = UnionMetric(x, y, _step_cross(g.values, samples))
-    object.__setattr__(u, "_built_from", (g, samples))
-    return u
+    on ``g`` (``_step_cross``); ``validate_union`` reads them on ``g``."""
+    return UnionMetric(x, y, _step_cross(g.values, samples))
 
 
 # ---------------------------------------------------------------------------
@@ -576,9 +566,9 @@ def glue_via_nets(
         raise HypothesisError("(2)", detail="right side is not a (t, eps)-net")
 
     _check_mutual_bounds(mx, my, nets, g, x.norm, tol)
-    u = _closure_union(x, y, g, _net_cross(mx, my, nets, floor, t - delta, g, x.norm))
+    samples = _net_cross(mx, my, nets, floor, t - delta, g, x.norm)
     del mx, my  # the union check below sets the peak
-    u = _validated(u, g, tol, "matched-net")
+    u = _validated(_closure_union(x, y, g, samples), g, tol, "matched-net", samples)
     h = union_hausdorff(u, t)
     threshold = x.norm(1.0 - eps, 1.0 - eps)
     if not gt_strict(h, threshold, tol):
@@ -651,7 +641,8 @@ def glue_via_relation(
     full union axiom suite (``validate_union``, from the cross samples it was
     built from).
     """
-    return _validated(*_relation_union(x, y, t, relation, grid), tol, "witness-relation")
+    u, g, samples = _relation_union(x, y, t, relation, grid)
+    return _validated(u, g, tol, "witness-relation", samples)
 
 
 def _relation_union(
@@ -660,8 +651,9 @@ def _relation_union(
     t: float,
     relation: Sequence[tuple[int, int]],
     grid: Optional[GridSpec],
-) -> tuple[UnionMetric, GridSpec]:
-    """``glue_via_relation``'s union and certification grid, not yet validated."""
+) -> tuple[UnionMetric, GridSpec, np.ndarray]:
+    """``glue_via_relation``'s union, certification grid and cross samples
+    (``_step_cross``), not yet validated."""
     if x.norm.kind != y.norm.kind:
         raise DomainError("both spaces must share the t-norm kind")
     require_positive(t, "t")
@@ -676,7 +668,8 @@ def _relation_union(
     caps = (np.concatenate([m[:-1], m[-2:-1]]) for m in (mx, my))
     gamma = np.minimum.accumulate(_damping(closure, *caps, x.norm)[::-1])[::-1]
     gamma[: g.values.index(s0) + 1] = 0.0
-    return _closure_union(x, y, g, x.norm.array(closure, gamma[:, None, None])), g
+    samples = x.norm.array(closure, gamma[:, None, None])
+    return _closure_union(x, y, g, samples), g, samples
 
 
 # ---------------------------------------------------------------------------

@@ -269,10 +269,6 @@ class DistanceMatrix:
     def n(self) -> int:
         return len(self.entries)
 
-    @property
-    def diameter(self) -> float:
-        return max(map(max, self.entries))
-
     def as_array(self) -> np.ndarray:
         return np.asarray(self.entries)
 
@@ -622,14 +618,7 @@ def check_axioms(space: FuzzySpace, grid: Optional[GridSpec] = None, tol: float 
     return axiom_report(slices_at(space, ts), g, fresh, space.norm, tol)
 
 
-def axiom_report(
-    V: np.ndarray,
-    g: GridSpec,
-    fresh: np.ndarray,
-    norm: TNorm,
-    tol: float,
-    worst: Optional[float] = None,
-) -> AxiomReport:
+def axiom_report(V: np.ndarray, g: GridSpec, fresh: np.ndarray, norm: TNorm, tol: float) -> AxiomReport:
     """The axiom report of the (F, n, n) slices V at the points ``fresh`` of ``g``.
 
     Monotonicity is re-checked numerically between consecutive slices, and
@@ -637,60 +626,62 @@ def axiom_report(
     point left out of ``fresh`` repeats a read slice one bit for bit, so its
     step is zero, the residual and its first witness are those of the full
     scan, and the witness scale is the first grid point of its run.
-
-    ``worst`` is the worst triangle residual when the caller has it from
-    the blocks of V (``glued_residual``): V is scanned whole only when it
-    is None or below -tol, for the first witness.  ``check_axioms`` and
-    ``validate_union`` build V and call this only when the streamed pass
-    (``certified_check``) does not decide the report.
+    ``check_axioms`` and ``validate_union`` build V and call this only when
+    their passes over the blocks (``certified_check``, ``glued_check``) do
+    not decide the report.
     """
-    if worst is None or worst < -tol:
-        worst, rows = triangle_residual(V, norm)
-    # monotonicity: structural for each representation, re-checked numerically
-    # between consecutive slices, in blocks of rows i through one buffer of at
-    # most _BLOCK floats (one row once a row exceeds it), once the scan's is freed
-    W = V.transpose(1, 2, 0)
-    T, n, _ = V.shape
-    blk = max(1, _BLOCK // (n * T))
-    buf = np.empty((min(blk, n), n, T - 1))
-    na2 = True
-    for i0 in range(0, n, blk):
-        w = W[i0 : i0 + blk]
-        na2 &= bool((np.subtract(w[..., 1:], w[..., :-1], out=buf[: len(w)]) >= -tol).all())
+    worst, rows = triangle_residual(V, norm)
     witness = None
     if not worst >= -tol:
         tpos, i, j, k = triangle_witness(V, norm, worst, rows)
         witness = (i, j, k, float(g.values[fresh[tpos]]))
-    return AxiomReport.of(g, tol, worst, na2, witness)
+    return AxiomReport.of(g, tol, worst, _monotone(V, tol), witness)
 
 
-def glued_residual(
-    V: Optional[np.ndarray], x: FuzzySpace, y: FuzzySpace, c: np.ndarray, sides: Sequence[Optional[tuple[float, bool]]]
-) -> float:
-    """The worst triangle residual of the (F, n, n) slices V of a union of
-    x and y whose every cross value in slice t is c[t], or of the union's
-    blocks alone when V is None and ``sides`` holds both.
+def _monotone(V: np.ndarray, tol: float) -> bool:
+    """Whether no value of the (F, n, n) slices V drops by more than tol
+    from one slice to the next: structural for each representation,
+    re-checked numerically in blocks of rows i through one buffer of at most
+    ``_BLOCK`` floats (one row once a row exceeds it)."""
+    W = V.transpose(1, 2, 0)
+    T, n, _ = V.shape
+    blk = max(1, _BLOCK // (n * T))
+    buf = np.empty((min(blk, n), n, T - 1))
+    for i0 in range(0, n, blk):
+        w = W[i0 : i0 + blk]
+        if not (np.subtract(w[..., 1:], w[..., :-1], out=buf[: len(w)]) >= -tol).all():
+            return False
+    return True
 
-    Only the two side blocks are checked, each with T(c_t, c_t), the term of
-    every j across, folded into its maximum over j: a side's ``sides`` entry
-    is its ``certified_check`` with c, or None to scan its block of V.  A
-    side of one point holds only the triple (i, i, i), whose residual
-    1 - g(inner(1, 1)) is 0.  A triple whose i and k lie across takes the
-    closed form c_t - g(inner(1, c_t)): the diagonal is 1, every value lies
-    in [0, 1], and correctly rounded ``*``, ``+`` and ``min`` are monotone,
-    so no j beats j = i.  Equal to the worst residual of
-    ``triangle_residual(V)``, bit for bit.
+
+def glued_check(x: FuzzySpace, y: FuzzySpace, ts: np.ndarray, tol: float, c: np.ndarray) -> tuple[float, bool]:
+    """(worst triangle residual, whether every value is nondecreasing within
+    tol) at the scales ts of the union of x and y whose every cross value in
+    slice t is c[t], from its two sides alone: bit for bit the worst of
+    ``triangle_residual`` and the verdict of ``axiom_report`` on the union's
+    slices, which are never built.
+
+    Each side takes T(c_t, c_t), the term of every j across, into its
+    maximum over j: a side of one point holds only the triple (i, i, i),
+    whose residual 1 - g(inner(1, 1)) is 0; a side its distances certify is
+    streamed (``certified_check``); any other side's own slices are scanned.
+    A triple whose i and k lie across takes the closed form
+    c_t - g(inner(1, c_t)): the diagonal is 1, every value lies in [0, 1],
+    and correctly rounded ``*``, ``+`` and ``min`` are monotone, so no j
+    beats j = i.
     """
-    norm, nx = x.norm, x.n
-    inner = _INNER[norm.kind]
-
-    def side_residual(sp: FuzzySpace, block: slice, checked: Optional[tuple[float, bool]]) -> float:
-        if checked is not None:
-            return checked[0]
-        return 0.0 if sp.n == 1 else triangle_residual(V[:, block, block], norm, inner(c, c))[0]
-
-    worst = min(side_residual(x, slice(None, nx), sides[0]), side_residual(y, slice(nx, None), sides[1]))
-    return min(worst, float((c - _outer(inner(1.0, c), norm)).min()))
+    inner = _INNER[x.norm.kind]
+    sides = []
+    for sp in (x, y):
+        checked = (0.0, len(ts) < 2 or tol >= 0.0) if sp.n == 1 else certified_check(sp, ts, tol, c)
+        if checked is None:
+            V = slices_at(sp, ts)
+            checked = triangle_residual(V, sp.norm, inner(c, c))[0], _monotone(V, tol)
+            del V  # one side's slices at a time
+        sides.append(checked)
+    (wx, mx), (wy, my) = sides
+    worst = min(min(wx, wy), float((c - _outer(inner(1.0, c), x.norm)).min()))
+    return worst, mx and my and bool((c[1:] - c[:-1] >= -tol).all())
 
 
 def t_diameter(space: FuzzySpace, t: float) -> float:

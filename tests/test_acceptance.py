@@ -21,7 +21,6 @@ from fuzzygh import (
     attempt_net_gluing,
     certify_group,
     check_axioms,
-    classical_gh_diameter_bound,
     classical_gh_exact,
     floor_envelope,
     gh_fuzzy_lower_bound,
@@ -225,7 +224,7 @@ def test_criterion_8_classical_gh():
         nx, ny = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         dx, dy = random_metric(rng, nx), random_metric(rng, ny)
         exact = classical_gh_exact(dx, dy, limit=16)
-        assert exact >= classical_gh_diameter_bound(dx, dy) - TOL
+        assert exact >= abs(dx.max() - dy.max()) / 2 - TOL  # half the diameter gap
 
 
 @criterion(9, "bound sandwich on 200 random small pairs")

@@ -6,10 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from fuzzygh import TNorm, make_standard_space, make_stationary_space
+import numpy as np
+
+from fuzzygh import TNorm, attempt_net_gluing, make_standard_space, make_stationary_space
 from fuzzygh import cli
 from fuzzygh.cli import main
-from fuzzygh.io import save_family, save_space
+from fuzzygh.io import load_space, save_family, save_space, union_from_doc, union_to_doc
 from fuzzygh.sequences import SequenceFamily
 from fuzzygh.valuefn import Step
 
@@ -152,7 +154,7 @@ def test_glue_bad_t_exits_two_before_gluing(capsys, half, monkeypatch, t):
         raise AssertionError("glued with a bad --t")
 
     monkeypatch.setattr(cli, "glue_constant", never)
-    assert main(["glue", "--left", half, "--right", half, "--floor-zero", "--t", t]) == 2
+    assert main(["glue", "--left", half, "--right", half, "--t", t]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: t must be positive and finite, got {float(t)!r}\n"
 
@@ -164,14 +166,17 @@ def test_conflicting_floor_flags_exit_two(capsys, half, tmp_path, verb):
     base = [verb, "--left", half, "--right", half]
     if verb == "mdelta":
         base += ["--t", "1.0", "--eps", "0.1"]
-    flags = (["--floor", str(floor_doc)], ["--floor-zero"], ["--floor-envelope"])
+    # each verb takes the flag of the floor it does not default to: glue
+    # defaults to the zero floor, mdelta to the envelope
+    other, default = ("--floor-envelope", "--floor-zero") if verb == "glue" else ("--floor-zero", "--floor-envelope")
+    flags = (["--floor", str(floor_doc)], [other])
     for flag in flags:
         assert main([*base, *flag]) != 2
         capsys.readouterr()
-    for k, first in enumerate(flags):
-        for second in flags[k + 1 :]:
-            assert main([*base, *first, *second]) == 2
-            assert "not allowed with argument" in capsys.readouterr().err
+    assert main([*base, *flags[0], *flags[1]]) == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert main([*base, default]) == 2
+    assert f"unrecognized arguments: {default}" in capsys.readouterr().err
 
 
 def test_mdelta(capsys, half):
@@ -180,6 +185,59 @@ def test_mdelta(capsys, half):
     )
     assert code == 0
     assert doc["hausdorff"] > 0.81
+
+
+def test_mdelta_pairs_the_nets_in_the_order_given(capsys, std3, tmp_path):
+    """Net labels pair by position: the reflection of std3 puts (a, c) at
+    0.7 at t = 1, as the library's gluing through (0, 1, 2) and (2, 1, 0)
+    does; two collinear spaces labelled in opposite orders glue through
+    the pairing that matches them."""
+    base = ["mdelta", "--left", std3, "--right", std3, "--t", "1.0", "--eps", "0.3"]
+    code, doc = run(capsys, *base, "--net-left", "a,b,c", "--net-right", "c,b,a")
+    assert code == 0
+    x = load_space(std3)
+    expected = attempt_net_gluing(x, x, 1.0, 0.3, (0, 1, 2), (2, 1, 0))
+    assert doc["union"] == union_to_doc(expected)
+    assert union_from_doc(doc["union"]).cross_value(0, 2, 1.0) == pytest.approx(0.7)
+    code, doc = run(capsys, *base, "--net-left", "a,b,c", "--net-right", "a,b,c")
+    assert code == 0 and union_from_doc(doc["union"]).cross_value(0, 0, 1.0) == pytest.approx(0.7)
+
+    def line(name, positions):
+        sp = make_standard_space(["a", "b", "c"], abs(np.subtract.outer(positions, positions)), TNorm.product(), name)
+        save_space(sp, tmp_path / f"{name}.json")
+        return str(tmp_path / f"{name}.json")
+
+    left, right = line("left", np.array([0.0, 1.0, 3.0])), line("right", np.array([3.0, 1.0, 0.0]))
+    base = ["mdelta", "--left", left, "--right", right, "--t", "1.0", "--eps", "0.1"]
+    code, doc = run(capsys, *base, "--net-left", "a,b,c", "--net-right", "c,b,a")
+    assert code == 0 and doc["hausdorff"] == pytest.approx(0.9)
+    code, doc = run(capsys, *base, "--net-left", "a,b,c", "--net-right", "a,b,c")
+    assert code == 1 and doc["failed_hypothesis"] == "(a)/(b)"
+
+
+@pytest.mark.parametrize("net", ["a,z", ",", " , "])
+def test_mdelta_bad_net_labels_exit_two(capsys, std3, net):
+    argv = ["mdelta", "--left", std3, "--right", std3, "--t", "1.0", "--eps", "0.3"]
+    assert main([*argv, "--net-left", net]) == 2
+    assert main([*argv, "--net-right", net]) == 2
+    err = capsys.readouterr().err
+    assert ("unknown point label 'z'" if "z" in net else "a net must be nonempty") in err
+
+
+def test_mdelta_unequal_nets_exit_two(capsys, std3, half):
+    """Nets pair by position: nets of different lengths are a usage error,
+    whether given (a repeated label included) or the default nets of two
+    spaces of different sizes."""
+    base = ["mdelta", "--t", "1.0", "--eps", "0.3"]
+    for argv, sizes in (
+        ([*base, "--left", std3, "--right", std3, "--net-left", "a,b"], (2, 3)),
+        ([*base, "--left", std3, "--right", std3, "--net-left", "a,a", "--net-right", "a"], (2, 1)),
+        ([*base, "--left", std3, "--right", half], (3, 2)),
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: nets pair by position and must be equally long, got {sizes[0]} and {sizes[1]} points\n"
 
 
 def test_gh_bounds_schema(capsys, half):

@@ -607,6 +607,19 @@ def test_step_cross_refuses_what_the_constructor_refuses(rng):
     assert messages == {True, False}  # decreasing, and out of range
 
 
+def _count_cross_tables(monkeypatch):
+    """Count the cross blocks read from their entries (``PairTable`` in ``validate_union``)."""
+    calls = {"PairTable": 0}
+    inner = fuzzygh.gluing.PairTable
+
+    def counted(*args):
+        calls["PairTable"] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(fuzzygh.gluing, "PairTable", counted)
+    return calls
+
+
 def _count_object_checks(monkeypatch):
     """Count the unions rebuilt as one space (``UnionMetric.as_space``)."""
     calls = {"as_space": 0}
@@ -624,9 +637,9 @@ FIXTURES = Path(__file__).parent / "golden" / "fixtures"
 
 
 def closure_unions(rng, grid):
-    """(union, grid) of matched-net and relation unions built on ``grid``,
-    unvalidated, from the golden fixtures of each norm and from seeded pairs
-    with standard, step and stationary sides."""
+    """(union, grid, cross samples) of matched-net and relation unions built
+    on ``grid``, unvalidated, from the golden fixtures of each norm and from
+    seeded pairs with standard, step and stationary sides."""
     pairs = []
     by_norm = {}
     for path in sorted(FIXTURES.glob("*.json")):
@@ -647,7 +660,8 @@ def closure_unions(rng, grid):
         floor = Stationary(0.2) if rng.uniform() < 0.5 else floor_envelope(x, y, grid)
         g = certification_grid(grid, x, y, extra=(1.0, 0.5, *floor.breakpoints))
         try:
-            yield _closure_union(x, y, g, _net_cross(_samples(x, g), _samples(y, g), nets, floor, 0.5, g, x.norm)), g
+            samples = _net_cross(_samples(x, g), _samples(y, g), nets, floor, 0.5, g, x.norm)
+            yield _closure_union(x, y, g, samples), g, samples
         except ConstructionError:
             pass  # a floor above the detours: the cross decreases
 
@@ -655,12 +669,14 @@ def closure_unions(rng, grid):
 @pytest.mark.parametrize("grid", (None, GridSpec.parse("log:1e-2:1e2:17")), ids=("default", "log17"))
 def test_closure_unions_validate_from_their_samples(monkeypatch, rng, grid):
     calls = _count_object_checks(monkeypatch)
+    tables = _count_cross_tables(monkeypatch)
     kinds = set()
     failed = 0
-    for u, g in closure_unions(rng, grid):
-        calls["as_space"] = 0
-        report = validate_union(u, g)
+    for u, g, samples in closure_unions(rng, grid):
+        calls["as_space"] = tables["PairTable"] = 0
+        report = validate_union(u, g, _samples=samples)
         assert calls["as_space"] == 0  # read from the samples
+        assert tables["PairTable"] == 0
         expected = check_axioms(u.as_space(), g)
         assert report == expected and repr(report) == repr(expected)
         failed += not report.passed
@@ -676,16 +692,17 @@ def test_a_failing_closure_union_reports_its_witness(monkeypatch, rng, product):
     bad_side = _relation_union(x, y, 1.0, ((0, 0), (2, 1)), None)
     g = certification_grid(None, y)
     # random nondecreasing cross samples break the triangle through the cross
-    bad_cross = (_closure_union(y, y, g, np.sort(rng.uniform(0.1, 0.9, size=(len(g) + 1, 2, 2)), axis=0)), g)
+    samples = np.sort(rng.uniform(0.1, 0.9, size=(len(g) + 1, 2, 2)), axis=0)
+    bad_cross = (_closure_union(y, y, g, samples), g, samples)
     calls = _count_object_checks(monkeypatch)
-    for u, grid in (bad_side, bad_cross):
+    for u, grid, s in (bad_side, bad_cross):
         calls["as_space"] = 0
-        report = validate_union(u, grid)
+        report = validate_union(u, grid, _samples=s)
         assert calls["as_space"] == 0
         assert not report.passed and report.witness is not None and report.na1_residual < 0.0
         assert report == check_axioms(u.as_space(), grid)
     # both sides pass, so the worst triple meets both
-    i, j, k, _ = validate_union(*bad_cross).witness
+    i, j, k, _ = validate_union(bad_cross[0], g, _samples=samples).witness
     assert min(i, j, k) < 2 <= max(i, j, k)
 
 
@@ -693,21 +710,22 @@ def test_a_union_without_its_samples_is_read_from_its_entries(monkeypatch, rng):
     calls = _count_object_checks(monkeypatch)
     other = GridSpec.parse("log:1e-1:1e1:9")
     seen = returned = 0
-    for u, g in closure_unions(rng, None):
+    for u, g, samples in closure_unions(rng, None):
         plain = UnionMetric(u.left, u.right, u.cross)
-        # the samples are kept outside the fields: equality, repr and documents ignore them
+        # a closure union holds its fields alone: equality, repr and documents see all of it
         assert plain == u and repr(plain) == repr(u)
         assert union_to_doc(plain) == union_to_doc(u)
+        assert set(vars(u)) == {"left", "right", "cross"}
         for union, grid in ((plain, g), (union_from_doc(union_to_doc(u)), g), (u, other), (u, None)):
             calls["as_space"] = 0
             report = validate_union(union, grid)
             assert calls["as_space"] == 0  # read from the entries
             assert report == check_axioms(u.as_space(), grid)
             seen += 1
-        # the gluings drop the samples once they have validated the union
-        if fuzzygh.gluing.validate_union(u, g).passed:
-            fuzzygh.gluing._validated(u, g, 1e-12, "closure")
-            assert "_built_from" not in u.__dict__
+        # a union a gluing validated from its samples is read from its entries after
+        if fuzzygh.gluing.validate_union(u, g, _samples=samples).passed:
+            assert fuzzygh.gluing._validated(u, g, 1e-12, "closure", samples) is u
+            assert set(vars(u)) == {"left", "right", "cross"}
             calls["as_space"] = 0
             assert validate_union(u, g) == check_axioms(u.as_space(), g)
             assert calls["as_space"] == 1  # the test's own
@@ -715,12 +733,24 @@ def test_a_union_without_its_samples_is_read_from_its_entries(monkeypatch, rng):
     assert seen > 0 and returned > 0
 
 
+def test_samples_off_their_grid_are_refused(two_point_half, two_point_third):
+    x, y = two_point_half, two_point_third
+    g = certification_grid(None, x, y)
+    samples = np.full((len(g) + 1, x.n, y.n), 0.1)
+    u = _closure_union(x, y, g, samples)
+    assert validate_union(u, g, _samples=samples).passed
+    for grid, s in ((None, samples), (GridSpec.log(1e-1, 1e1, 5), samples), (g, samples[:, :1])):
+        with pytest.raises(DomainError, match="cross slices on grid"):
+            validate_union(u, grid, _samples=s)
+
+
 def test_a_closure_cross_that_never_drops_below_one_is_refused_as_by_as_space(two_point_half, two_point_third):
     x, y = two_point_half, two_point_third
     g = certification_grid(None, x, y)
-    u = _closure_union(x, y, g, np.ones((len(g) + 1, x.n, y.n)))
+    samples = np.ones((len(g) + 1, x.n, y.n))
+    u = _closure_union(x, y, g, samples)
     with pytest.raises(ConstructionError) as refused:
-        validate_union(u, g)
+        validate_union(u, g, _samples=samples)
     with pytest.raises(ConstructionError) as expected:
         u.as_space()
     assert str(refused.value) == str(expected.value)
@@ -740,10 +770,11 @@ def union_outcome(u, grid):
     return got, expected
 
 
-def assert_same_report(u, grid):
-    """validate_union's report, equal by ``==`` and ``repr`` to check_axioms's
-    on ``u.as_space()`` (witness and ``na1_residual`` included)."""
-    report = validate_union(u, grid)
+def assert_same_report(u, grid, samples=None):
+    """validate_union's report, read from the cross ``samples`` when given,
+    equal by ``==`` and ``repr`` to check_axioms's on ``u.as_space()``
+    (witness and ``na1_residual`` included)."""
+    report = validate_union(u, grid, _samples=samples)
     expected = check_axioms(u.as_space(), grid)
     assert report == expected and repr(report) == repr(expected)
     return report
@@ -797,9 +828,57 @@ def test_a_closure_cross_constant_in_each_slice_validates_as_one_space(rng, norm
             x, y = random_space(rng, kinds[0], norm, nx, band), random_space(rng, kinds[1], norm, ny, band)
             g = certification_grid(grid, x, y)
             levels = np.sort(rng.uniform(0.0, 0.7, size=len(g) + 1))
-            u = _closure_union(x, y, g, np.broadcast_to(levels[:, None, None], (len(g) + 1, nx, ny)).copy())
-            for union in (UnionMetric(x, y, u.cross), union_from_doc(union_to_doc(u)), u):
+            samples = np.broadcast_to(levels[:, None, None], (len(g) + 1, nx, ny)).copy()
+            u = _closure_union(x, y, g, samples)
+            for union in (UnionMetric(x, y, u.cross), union_from_doc(union_to_doc(u))):
                 assert_same_report(union, g)
+            assert_same_report(u, g, samples)
+
+
+@pytest.mark.parametrize("norm", NORMS, ids=lambda nm: nm.kind)
+def test_a_passing_constant_gluing_builds_no_union_slices(rng, monkeypatch, norm):
+    """Constant gluings with a stationary or step side, and with sides of one
+    point, are checked side by side: a passing one writes no (T, n_x + n_y,
+    n_x + n_y) array, and its report is check_axioms's on the union as one
+    space.  Under Lukasiewicz two single points glued at c take the across
+    term c - (1 + c - 1), which rounds above 0 for some c; the sides' 0 wins,
+    as in the one-space scan."""
+    written = []
+    real = fuzzygh.gluing.write_slices
+    monkeypatch.setattr(fuzzygh.gluing, "write_slices", lambda sp, ts, out: written.append(out.shape) or real(sp, ts, out))
+    def side(kind, n):
+        if kind == "flat":  # one step on every pair: admissible under every norm
+            rise = Step((1.0,), (0.7, 0.75))
+            return make_step_space([f"p{i}" for i in range(n)], dict.fromkeys(zip(*np.triu_indices(n, 1)), rise), norm)
+        return random_space(rng, kind, norm, n, (0.64, 0.8))
+
+    passed = []
+    for kinds in (("stationary", "step"), ("step", "stationary"), ("standard", "flat"), ("flat", "step")):
+        for nx, ny in ((1, 1), (1, 4), (4, 1), (7, 5)):
+            x, y = side(kinds[0], nx), side(kinds[1], ny)
+            # the envelope of two single points never drops below 1: no union takes it
+            for c in (ZERO, Stationary(0.1), Stationary(0.4), *[floor_envelope(x, y)][: nx * ny - 1]):
+                try:
+                    u, g = fuzzygh.gluing._constant_union(x, y, c, None, 1e-12)
+                except HypothesisError:
+                    continue  # the floor rises above a Standard side's t-diameter
+                written.clear()
+                report = assert_same_report(u, g)
+                assert report.passed == (written == [])
+                if report.passed:
+                    passed.append((nx, ny))
+    assert passed.count((1, 1)) == 12 and sum(nx * ny > 1 for nx, ny in passed) >= 5
+    x = random_space(rng, "stationary", norm, 1)
+    u, g = fuzzygh.gluing._constant_union(x, x, Stationary(0.4), None, 1e-12)
+    if norm.kind == "lukasiewicz":
+        assert 0.4 - ((1.0 + 0.4) - 1.0) > 0.0
+    assert assert_same_report(u, g).na1_residual.hex() == "0x0.0p+0"
+    # a one-point side's diagonal steps are 0: they pass a tol of 0 and fail a
+    # negative one, however c rises
+    ts, c = np.array([0.5, 1.0, 2.0]), np.array([0.1, 0.2, 0.3])
+    for tol in (0.0, -1e-12):
+        assert fuzzygh.space.glued_check(x, x, ts, tol, c)[1] == (tol >= 0.0)
+        assert fuzzygh.space.glued_check(x, x, ts[:1], tol, c[:1])[1]
 
 
 def test_large_constant_unions_validate_as_one_space(rng):

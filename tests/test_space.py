@@ -955,7 +955,9 @@ def test_validate_distance_matrix_names_first_loop_violation(rng):
     # a metric of 80 points, scanned in two blocks of rows, broken in the second
     big = random_metric(rng, 80)
     big[70, 75] = big[75, 70] = 100.0
-    for m in (d, big):
+    # asymmetric within tol: only (2, 1, 0) breaks the inequality, by 5e-10
+    line = np.array([[0.0, 1.0, 2.0 + 6e-10], [1.0, 0.0, 1.0], [2.0 + 1.5e-9, 1.0, 0.0]])
+    for m in (d, big, line):
         i, j, k = first_triangle_violation(m)
         with pytest.raises(ConstructionError, match=rf"fails on \({i}, {j}, {k}\):"):
             validate_distance_matrix(m)
