@@ -27,7 +27,6 @@ from .space import (
     axiom_report,
     certification_grid,
     glued_check,
-    pair_indices,
     scan_points,
     t_diameters,
     write_slices,
@@ -426,13 +425,9 @@ def _closure(mx: np.ndarray, my: np.ndarray, relation, norm) -> np.ndarray:
 def _samples(space: FuzzySpace, g: GridSpec) -> np.ndarray:
     """(T + 1, n, n) slices at the T points of ``g``, then the limits at
     infinity, diagonal 1: what both closure gluings read of a space, written
-    into one array.  The limit of a ``Standard`` entry is 1, that of a step
-    the last column of its table."""
+    into one array by one read of its table at the points and ``inf``."""
     out = np.ones((len(g) + 1, space.n, space.n))
-    write_slices(space, g.array(), out[:-1])
-    i, j = pair_indices(space.n)
-    for _, idx, table in space._table.steps:
-        out[-1, i[idx], j[idx]] = out[-1, j[idx], i[idx]] = table[:, -1]
+    write_slices(space, np.append(g.array(), np.inf), out)
     return out
 
 
@@ -613,12 +608,14 @@ def attempt_net_gluing(
 def _damping(closure: np.ndarray, capx: np.ndarray, capy: np.ndarray, norm) -> np.ndarray:
     """(S,) largest gamma with T(T(c_a, c_b), T(gamma, gamma)) <= A for every upper instance
     of the (S, n_x, n_y) cross matrix c = ``closure``, 1 if none: cells (p, q), (p2, q)
-    with A = capx[s, p, p2], and cells (p, q), (p, q2) with A = capy[s, q, q2]."""
-    px, px2 = pair_indices(capx.shape[1])
-    qy, qy2 = pair_indices(capy.shape[1])
-    gx = norm.max_damping(norm.array(closure[:, px], closure[:, px2]), capx[:, px, px2, None])
-    gy = norm.max_damping(norm.array(closure[:, :, qy], closure[:, :, qy2]), capy[:, None, qy, qy2])
-    return np.minimum(gx.min(axis=(1, 2), initial=1.0), gy.min(axis=(1, 2), initial=1.0))
+    with A = capx[s, p, p2], and cells (p, q), (p, q2) with A = capy[s, q, q2].
+    ``max_damping`` is nonincreasing in kk, so a pair of rows needs only its largest
+    T(c_a, c_b): c's closure with itself through the identity relation, in O(S n^2)
+    memory; a diagonal cell is capped by 1 and allows 1."""
+    c, ct = closure, closure.transpose(0, 2, 1)
+    kx = _closure(ct, ct, ((q, q) for q in range(c.shape[2])), norm)
+    ky = _closure(c, c, ((p, p) for p in range(c.shape[1])), norm)
+    return np.minimum(norm.max_damping(kx, capx).min(axis=(1, 2)), norm.max_damping(ky, capy).min(axis=(1, 2)))
 
 
 def glue_via_relation(

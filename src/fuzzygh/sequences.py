@@ -88,19 +88,18 @@ def register_nets(
         raw = [tuple(int(i) for i in idx) for idx in indices]
         if len(raw) != len(family.spaces):
             raise DomainError("one net per space required")
+        if not all(raw):
+            raise DomainError("registered nets must be nonempty")
     size = max(len(r) for r in raw)
-    padded_list = []
+    padded = []
     for sp, r in zip(family.spaces, raw):
-        unused = [i for i in range(sp.n) if i not in set(r)]
-        fill = tuple(unused[: size - len(r)])
-        fill = fill + (r[0],) * (size - len(r) - len(fill))
-        padded_list.append(tuple(r) + fill)
-    padded = tuple(padded_list)
+        fill = [i for i in range(sp.n) if i not in r][: size - len(r)]
+        padded.append((*r, *fill, *(r[0],) * (size - len(r) - len(fill))))
     for sp, net in zip(family.spaces, padded):
         sp.check_index(*net)
         if not is_net(sp.at(t), net, 1.0 - eps, tol):
             raise ConstructionError(f"registered indices are not a (t, eps)-net in space {sp.name!r}")
-    family.nets[(float(t), float(eps))] = padded
+    family.nets[(float(t), float(eps))] = tuple(padded)
     return size
 
 
@@ -597,12 +596,11 @@ def verify_no_cauchy(
     require_positive(t, "t")
     require_unit(eps, "eps")
     spaces = family.spaces
+    if len(spaces) < 2:
+        raise DomainError("need at least two spaces")
     norm = family.norm
-    values = [sp.value(0, 1, t) for sp in spaces]
-    evens = [v for n, v in enumerate(values, start=1) if n % 2 == 0]
-    odds = [v for n, v in enumerate(values, start=1) if n % 2 == 1]
-    even_value = evens[0]
-    odd_value = odds[0]
+    # the first space is odd, the second even (counted from 1)
+    odd_value, even_value = [sp.value(0, 1, t) for sp in spaces][:2]
     damped = norm(even_value, norm(1.0 - eps, 1.0 - eps))
     necessity_holds = geq(odd_value, damped)
 

@@ -139,10 +139,10 @@ def tn_check_axioms(norm: TNorm, grid: Sequence[float]) -> TNormAxiomReport:
     g = np.asarray(sorted(require_unit(v, "grid value") for v in grid))
     table = norm.array(g[:, None], g[None, :])
     comm = float(np.max(np.abs(table - table.T)))
-    # E[i,j] then combined with each grid value c: (a*b)*c vs a*(b*c)
-    lhs = norm.array(table[:, :, None], g[None, None, :])
-    rhs = norm.array(g[:, None, None], norm.array(g[None, :, None], g[None, None, :]))
-    assoc = float(np.max(np.abs(lhs - rhs)))
+    # (a*b)*c vs a*(b*c), one grid value c at a time: O(m^2) memory
+    assoc = max(
+        float(np.max(np.abs(norm.array(table, c) - norm.array(g[:, None], norm.array(g, c))))) for c in g
+    )
     ident = float(np.max(np.abs(norm.array(g, 1.0) - g)))
     # on a sorted grid, monotone in each argument == rows and columns nondecreasing
     rows, cols = table[:, :-1] - table[:, 1:], table[:-1, :] - table[1:, :]

@@ -80,12 +80,6 @@ class Step:
             return 0.0
         return self.values[bisect.bisect_left(self.breakpoints, t)]
 
-    def right_limit(self, s: float) -> float:
-        """Value on the interval immediately to the right of s (s >= 0)."""
-        if s < 0.0:
-            raise DomainError(f"s must be nonnegative, got {s!r}")
-        return self.values[bisect.bisect_right(self.breakpoints, s)]
-
 
 @dataclass(frozen=True)
 class Standard:
@@ -106,13 +100,6 @@ class Standard:
         if t == 0.0:
             return 0.0
         return t / (t + self.d)
-
-    def right_limit(self, s: float) -> float:
-        if s < 0.0:
-            raise DomainError(f"s must be nonnegative, got {s!r}")
-        if s == 0.0:
-            return 0.0 if self.d > 0.0 else 1.0
-        return 1.0 if s == np.inf else s / (s + self.d)
 
 
 def Stationary(c: float) -> Step:
@@ -144,7 +131,8 @@ class PairTable:
     breakpoint tuple the indices of its steps with one (m, K + 1) table of
     their values, whose last column holds their limits at infinity.  A
     ``FuzzySpace`` builds the table of its pairs once, at construction;
-    ``values`` builds one for any list.
+    ``values`` builds one for any list.  Every read takes positive scales,
+    and a last scale ``inf`` reads the limits at infinity.
 
     Derived from the groups when built: ``breakpoints``, sorted; whether
     every entry is a step (``steplike``); and ``inseparable``, the index of
@@ -180,8 +168,8 @@ class PairTable:
             firsts = flat[:: len(key) + 1]
             if max(firsts) >= 1.0:
                 bad.append(idx[firsts.index(1.0)])
-            steps.append((key, idx, np.fromiter(flat, float, len(flat)).reshape(len(idx), -1)))
-        #: (breakpoints, indices, table) per breakpoint tuple
+            steps.append((np.array(key), idx, np.fromiter(flat, float, len(flat)).reshape(len(idx), -1)))
+        #: (breakpoints as an array, indices, table) per breakpoint tuple
         self.steps = tuple(steps)
         self.breakpoints = tuple(sorted(set().union(*groups))) if len(groups) > 1 else next(iter(groups), ())
         self.steplike = standard is None
@@ -193,7 +181,7 @@ class PairTable:
         scalar ``eval`` covers t = 0."""
         col = ts[:, None]
         for lo in range(0, len(self.standard), step):
-            yield self.standard[lo : lo + step], col / (col + self.distances[lo : lo + step])
+            yield self.standard[lo : lo + step], _ratios(col, self.distances[lo : lo + step])
         for bps, idx, table in self.steps:
             pos = np.searchsorted(bps, ts, side="left")
             for lo in range(0, len(idx), step):
@@ -214,10 +202,20 @@ class PairTable:
         ``values(ts)``, bit for bit."""
         out = np.ones(len(ts))
         if len(self.distances):
-            np.minimum(out, ts / (ts + self.distances.max()), out=out)
+            np.minimum(out, _ratios(ts, self.distances.max()), out=out)
         for bps, _, table in self.steps:
             np.minimum(out, table.min(axis=0)[np.searchsorted(bps, ts, side="left")], out=out)
         return out
+
+
+def _ratios(ts: np.ndarray, d) -> np.ndarray:
+    """t / (t + d) at the positive scales ts, a vector or a column; a last
+    scale ``inf`` reads the limit 1, apart from the finite ones."""
+    if not (ts.size and ts.flat[-1] == inf):
+        return ts / (ts + d)
+    out = np.ones(np.broadcast_shapes(ts.shape, np.shape(d)))
+    np.divide(ts[:-1], ts[:-1] + d, out=out[:-1])
+    return out
 
 
 _distance = attrgetter("d")
@@ -243,15 +241,21 @@ def vf_min(fns: Sequence[ValueFn], grid: Sequence[float] = ()) -> ValueFn:
         raise DomainError("vf_min needs at least one function")
     if len(fns) == 1:
         return fns[0]
-    if all(isinstance(f, Standard) for f in fns):
+    steps = [f for f in fns if is_steplike(f)]
+    if not steps:
         return Standard(max(f.d for f in fns))
-    bps: set[float] = set().union(*(f.breakpoints for f in fns))
-    if not all(is_steplike(f) for f in fns):
+    bps: set[float] = set().union(*(f.breakpoints for f in steps))
+    if len(steps) < len(fns):
         bps.update(float(g) for g in grid if g > 0.0)
         if not bps:
             raise DomainError("vf_min of mixed representations needs a sampling grid")
     # the step lower envelope: on (a, b] the infimum of a left-continuous
-    # nondecreasing function is its right limit at a; for steps alone it is
-    # exact, since a step's value on (b_{k-1}, b_k] is its right limit at b_{k-1}
+    # nondecreasing function is its right limit at a: a step's value at b (at
+    # inf past the last point), exact for steps alone, and a / (a + max d)
     pts = sorted(bps)
-    return Step(pts, [min(f.right_limit(s) for f in fns) for s in [0.0, *pts]])
+    env = PairTable(steps).minimum(np.array([*pts, inf]))
+    d = max((f.d for f in fns if not is_steplike(f)), default=0.0)
+    if d > 0.0:
+        a = np.array([0.0, *pts])
+        np.minimum(env, a / (a + d), out=env)
+    return Step(pts, env.tolist())

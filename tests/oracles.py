@@ -270,7 +270,7 @@ def net_cross_closures(x, y, nets, floor, splice: float, points):
                 best = max(norm(fx.eval(s), fy.eval(s)) for fx, fy in zip(fxs, fys))
                 return norm(best, one_minus)
 
-            tail = max(norm(fx.right_limit(math.inf), fy.right_limit(math.inf))
+            tail = max(norm(right_limit(fx, math.inf), right_limit(fy, math.inf))
                        for fx, fy in zip(fxs, fys))
             # the value at each point, then at infinity; a breakpoint is
             # kept where the value changes
@@ -919,7 +919,42 @@ def vf_min_steps_loop(fns):
         return Stationary(min(f.values[0] for f in fns))
     pts = sorted(bps)
     vals = [min(f.eval(s) for f in fns) for s in pts]
-    return compress_step_loop(pts, vals + [min(f.right_limit(pts[-1]) for f in fns)])
+    return compress_step_loop(pts, vals + [min(right_limit(f, pts[-1]) for f in fns)])
+
+
+def right_limit(f, s: float) -> float:
+    """The limit of f(t) as t falls to s >= 0, its limit at infinity for
+    s = inf: a step's value after its breakpoints <= s; for t / (t + d),
+    s / (s + d), except 0 (d > 0) or 1 (d = 0) at s = 0 and 1 at s = inf."""
+    from fuzzygh.valuefn import Standard
+
+    if not isinstance(f, Standard):
+        return f.values[sum(b <= s for b in f.breakpoints)]
+    if s == 0.0:
+        return 0.0 if f.d > 0.0 else 1.0
+    return 1.0 if s == math.inf else s / (s + f.d)
+
+
+def vf_min_loop(fns, grid=()):
+    """The step lower envelope of value functions of any representation: on
+    each interval (a, b] between merged breakpoints and grid points, the least
+    right limit at a."""
+    from fuzzygh.valuefn import Step
+
+    pts = sorted({b for f in fns for b in f.breakpoints} | {float(g) for g in grid if g > 0.0})
+    return Step(pts, [min(right_limit(f, s) for f in fns) for s in [0.0, *pts]])
+
+
+def damping_pairs(closure, capx, capy, norm):
+    """(S,) least damping over every upper instance of the (S, n_x, n_y)
+    cross ``closure``, expanded into one (S, pairs, n) array per side: the
+    pairs p < p2 of rows with their caps capx[s, p, p2], then the pairs of
+    columns with capy[s, q, q2]; 1 when a side has no pair."""
+    px, px2 = np.triu_indices(capx.shape[1], 1)
+    qy, qy2 = np.triu_indices(capy.shape[1], 1)
+    gx = norm.max_damping(norm.array(closure[:, px], closure[:, px2]), capx[:, px, px2, None])
+    gy = norm.max_damping(norm.array(closure[:, :, qy], closure[:, :, qy2]), capy[:, None, qy, qy2])
+    return np.minimum(gx.min(axis=(1, 2), initial=1.0), gy.min(axis=(1, 2), initial=1.0))
 
 
 # ---------------------------------------------------------------------------

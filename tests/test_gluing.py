@@ -41,6 +41,7 @@ from fuzzygh import (
 from fuzzygh.gluing import (
     _check_mutual_bounds,
     _closure_union,
+    _damping,
     _net_cross,
     _relation_union,
     _samples,
@@ -52,6 +53,7 @@ from fuzzygh.valuefn import PairTable
 
 from conftest import make_random_standard, make_random_stationary
 from oracles import (
+    damping_pairs,
     match_nets_loop,
     mutual_bounds_loop,
     net_cross_closures,
@@ -533,6 +535,53 @@ def test_glue_via_nets_memory_cap(rng, product):
         tracemalloc.stop()
     assert len(u.cross) == 60 and len(u.cross[0]) == 60
     assert peak < 32 * 2**20, peak
+
+
+@pytest.mark.parametrize("norm", NORMS, ids=lambda nm: nm.kind)
+def test_damping_equals_the_pair_expanded_formula(rng, norm):
+    """The largest T(c_a, c_b) of each pair of rows or columns gives the
+    damping of every pair of cells, bit for bit: zero values and caps, ties
+    from a few levels, and one-point sides, which have no pair."""
+    levels = np.array([0.0, 0.0, 0.25, 0.5, 0.5, 0.75, 0.9, 1.0])
+    zero_caps = zero_values = 0
+    for nx in (1, 2, 3, 5):
+        for ny in (1, 2, 4):
+            for _ in range(12):
+                S = int(rng.integers(1, 5))
+                closure = rng.choice(levels, size=(S, nx, ny))
+                if rng.uniform() < 0.5:
+                    closure = rng.uniform(size=(S, nx, ny)) * (rng.uniform(size=(S, nx, ny)) < 0.8)
+                caps = []
+                for n in (nx, ny):
+                    cap = rng.choice(levels, size=(S, n, n))
+                    cap = np.minimum(cap, cap.transpose(0, 2, 1))
+                    cap[:, np.arange(n), np.arange(n)] = 1.0
+                    caps.append(cap)
+                got, want = _damping(closure, *caps, norm), damping_pairs(closure, *caps, norm)
+                assert got.tobytes() == want.tobytes()
+                zero_values += (closure == 0.0).any()
+                zero_caps += any((cap == 0.0).any() for cap in caps)
+    assert zero_values > 0 and zero_caps > 0
+
+
+@pytest.mark.parametrize("kind", ["product", "lukasiewicz"])
+def test_glue_via_relation_memory_cap(rng, kind):
+    # two 40-point spaces through the diagonal relation: the whole call peaks
+    # at 8.8 MiB under tracemalloc, most of it the 80-point union check; the
+    # damping expanded into (S, pairs, n) tensors took 68.3 MiB (product) and
+    # 83.9 MiB (Lukasiewicz)
+    norm = TNorm(kind)
+    d = random_metric(rng, 40, lo=0.2, hi=6.0)
+    x = make_standard_space([f"p{i}" for i in range(40)], d, norm)
+    y = make_standard_space([f"q{i}" for i in range(40)], d * 1.05, norm)
+    tracemalloc.start()
+    try:
+        u = glue_via_relation(x, y, 1.0, [(i, i) for i in range(40)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(u.cross) == 40 and len(u.cross[0]) == 40
+    assert peak < 12 * 2**20, peak
 
 
 def test_relation_gluing_takes_any_relation_of_cells(two_point_half, two_point_third):

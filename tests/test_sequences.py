@@ -303,6 +303,15 @@ def test_bridge_validates_each_matrix_once(rng, monkeypatch):
 # the family without Cauchy subsequences
 
 
+def test_register_nets_refuses_an_empty_given_net():
+    # padding an empty net would repeat its first point, which it lacks
+    for indices in ([[0], []], [[], []]):
+        fam = gen_no_cauchy_family(2)
+        with pytest.raises(DomainError, match="nonempty"):
+            register_nets(fam, 0.5, 0.1, indices=indices)
+        assert fam.nets == {}
+
+
 def test_nocauchy_generator_shapes():
     fam = gen_no_cauchy_family(5)
     assert len(fam.spaces) == 5
@@ -315,6 +324,12 @@ def test_nocauchy_generator_shapes():
 def test_nocauchy_generator_rejects_tiny_count():
     with pytest.raises(DomainError):
         gen_no_cauchy_family(1)
+
+
+def test_nocauchy_verification_needs_two_spaces():
+    fam = SequenceFamily(gen_no_cauchy_family(2).spaces[:1])
+    with pytest.raises(DomainError, match="at least two spaces"):
+        verify_no_cauchy(fam)
 
 
 def test_nocauchy_verification_report():

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fuzzygh import ConstructionError, DomainError, Standard, Stationary, Step
-from fuzzygh.valuefn import ONE, values, vf_min
+from fuzzygh.valuefn import ONE, PairTable, values, vf_min
 
-from oracles import compress_step_loop, vf_min_steps_loop
+from oracles import compress_step_loop, vf_min_loop, vf_min_steps_loop
 
 
 def test_standard_eval():
@@ -45,21 +45,20 @@ def test_step_validation():
         Step((1.0,), (0.5, 1.5))  # outside [0, 1]
 
 
-def test_right_limits():
-    f = Step((1.0, 3.0), (0.2, 0.5, 1.0))
-    assert f.right_limit(0.0) == 0.2
-    assert f.right_limit(1.0) == 0.5
-    assert f.right_limit(3.0) == 1.0
-    assert Standard(1.0).right_limit(0.0) == 0.0
-    assert Stationary(0.3).right_limit(0.0) == 0.3
-
-
-def test_right_limit_at_infinity_is_the_limit():
-    # Standard's s / (s + d) is inf / inf there, the limit 1
-    assert Standard(2.0).right_limit(math.inf) == 1.0
-    assert Standard(0.0).right_limit(math.inf) == 1.0
-    assert Step((1.0, 3.0), (0.2, 0.5, 0.9)).right_limit(math.inf) == 0.9
-    assert Stationary(0.3).right_limit(math.inf) == 0.3
+def test_values_at_infinity_are_the_limits():
+    # a last scale inf reads the limits at infinity: 1 for Standard, where
+    # t / (t + d) would be inf / inf, a step's last value and a stationary value
+    fns = (Standard(2.0), Standard(0.0), Step((1.0, 3.0), (0.2, 0.5, 0.9)), Stationary(0.3), Stationary(0.0))
+    limits = [1.0, 1.0, 0.9, 0.3, 0.0]
+    for ts in ([math.inf], [0.5, 3.0, math.inf]):
+        out = values(fns, np.array(ts))
+        assert out[-1].tolist() == limits
+        assert out[:-1].tolist() == [[f.eval(t) for f in fns] for t in ts[:-1]]
+    # each group alone, in blocks of one entry, and the minimum over them
+    for f, limit in zip(fns, limits):
+        table = PairTable([f, f])
+        assert [b[-1].tolist() for _, b in table.blocks(np.array([1.0, math.inf]), 1)] == [[limit]] * 2
+        assert table.minimum(np.array([1.0, math.inf])).tolist() == [f.eval(1.0), limit]
 
 
 def test_values_matches_scalar():
@@ -83,7 +82,7 @@ def test_vf_min_and_compress_step_reproduce_steps():
     assert vf_min([f, ONE]) == f
     # a step drops its silent breakpoints
     pts = [0.5, 1.0, 2.0, 3.0, 4.0]
-    assert Step(pts, [f.eval(p) for p in pts] + [f.right_limit(pts[-1])]) == f
+    assert Step(pts, [f.eval(p) for p in pts] + [values([f], np.array([math.inf]))[0, 0]]) == f
 
 
 def test_vf_min_of_mixed_inputs_is_a_lower_envelope():
@@ -181,7 +180,7 @@ def test_stationary_is_a_step_without_breakpoints():
         f = Stationary(c)
         assert f == Step((), (c,))
         assert repr(f) == f"Step(breakpoints=(), values=({c!r},))"
-        assert (f.eval(0.0), f.eval(2.5), f.right_limit(0.0), f.right_limit(math.inf)) == (0.0, c, c, c)
+        assert (f.eval(0.0), f.eval(2.5), *values([f], np.array([5e-324, math.inf]))[:, 0]) == (0.0, c, c, c)
     with pytest.raises(ConstructionError, match="outside"):
         Stationary(1.5)
 
@@ -206,4 +205,28 @@ def test_vf_min_of_steps_matches_the_eval_envelope():
         cases.append([_random_step(rng, pool) for _ in range(rng.integers(1, 5))])
     for fns in cases:
         got, want = vf_min(fns), vf_min_steps_loop(fns)
+        assert (got.breakpoints, got.values) == (want.breakpoints, want.values)
+
+
+def test_vf_min_matches_the_right_limit_loop():
+    """The envelope read from the pair table equals, bit for bit, the least
+    right limit at the left end of each interval: steps alone, mixed inputs
+    on a grid, and Standard(0.0), which reads 1 right of 0."""
+    rng = np.random.default_rng(29)
+    cases = [
+        ([Standard(0.0), Step((1.0,), (0.4, 0.9))], [0.5, 2.0]),
+        ([Standard(0.0), Standard(0.0), Stationary(0.3)], [1.0]),
+        ([Standard(0.0), Standard(2.0), Step((1.0,), (0.0, 1.0))], [0.25]),
+        ([Standard(1e-300), Stationary(1.0)], [1e-300, 1.0]),
+    ]
+    for _ in range(400):
+        pool = [0.5, 1.0, 2.0] if rng.uniform() < 0.5 else rng.uniform(0.01, 10.0, size=4)
+        fns = [_random_step(rng, pool) for _ in range(rng.integers(1, 4))]
+        grid = []
+        if rng.uniform() < 0.6:
+            fns += [Standard(float(d)) for d in rng.choice([0.0, 0.3, 1.0, 7.5], size=rng.integers(1, 3))]
+            grid = sorted(rng.choice([0.0, 0.1, 0.5, 1.0, 3.0, 20.0], size=rng.integers(1, 4), replace=False))
+        cases.append((fns, grid))
+    for fns, grid in cases:
+        got, want = vf_min(fns, grid=grid), vf_min_loop(fns, grid)
         assert (got.breakpoints, got.values) == (want.breakpoints, want.values)
