@@ -38,7 +38,7 @@ from .sequences import (
 )
 from .space import check_axioms, t_diameter
 from .tnorm import KINDS, TNorm, tn_check_axioms, tn_has_tn1, tn_leq, unit_grid, unit_grid_pairs
-from .util import TOL, require_positive
+from .util import TOL, require_open_unit, require_positive
 from .valuefn import ZERO
 
 
@@ -210,6 +210,8 @@ def _parse_net(space, text: str) -> tuple[int, ...]:
 
 
 def _cmd_mdelta(args) -> int:
+    require_positive(args.t, "t")
+    require_open_unit(args.eps, "eps")
     left = fio.load_space(args.left)
     right = fio.load_space(args.right)
     grid = _grid(args)

@@ -31,7 +31,7 @@ from .space import (
     t_diameters,
 )
 from .tnorm import TNorm
-from .util import TOL, Report, geq, require_positive, require_unit
+from .util import TOL, Report, geq, require_open_unit, require_positive, require_unit
 from .valuefn import Standard, Stationary, Step, ValueFn, is_stationary, values
 
 
@@ -497,7 +497,7 @@ def standard_bridge_check(
     """
     require_positive(bound, "bound")
     require_positive(t, "t")
-    require_unit(eps, "eps")
+    require_open_unit(eps, "eps")
     mats = [m if isinstance(m, DistanceMatrix) else DistanceMatrix.from_array(m) for m in metrics]
     if not mats:
         raise DomainError("at least one metric required")

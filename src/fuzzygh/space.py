@@ -413,22 +413,13 @@ def _row_blocks(n: int, T: int) -> list[tuple[int, int, int]]:
     return blocks
 
 
-def _buffer(blocks: list[tuple[int, int, int]], n: int, T: int) -> np.ndarray:
-    """One buffer for the largest chunk of the blocks."""
-    return np.empty(max((i1 - i0) * jb * (n - i0) * T for i0, i1, jb in blocks))
-
-
-def _block_residual(
-    W: np.ndarray, norm: TNorm, i0: int, i1: int, jb: int, buf: np.ndarray, fold: Optional[np.ndarray] = None
-) -> np.ndarray:
+def _block_residual(W: np.ndarray, norm: TNorm, i0: int, i1: int, jb: int, buf: np.ndarray) -> np.ndarray:
     """(i1 - i0, n - i0, T) minimum over j of the residual at (i, k >= i0, t)
     of the (n, n, T) value array W, as V(i, k) - g(max_j inner(V(i, j), V(j, k))).
 
     Rounding is monotone, so this equals the minimum over j of the residual
     computed term by term, bit for bit.  The rows j go through ``buf`` in
-    chunks of ``jb`` that feed a running maximum.  A (T,) array ``fold``
-    joins that maximum: inner(c_t, c_t), the term of the points j of another
-    block whose every value with the points of W is c_t.
+    chunks of ``jb`` that feed a running maximum.
     """
     n, _, T = W.shape
     inner = _INNER[norm.kind]
@@ -437,64 +428,52 @@ def _block_residual(
         j1 = min(j0 + jb, n)
         blk = buf[: (i1 - i0) * (j1 - j0) * (n - i0) * T].reshape(i1 - i0, j1 - j0, n - i0, T)
         inner(W[i0:i1, j0:j1, None, :], W[None, j0:j1, i0:, :], out=blk)
-        if best is None:
-            best = blk.max(axis=1)
-        else:
-            np.maximum(best, blk.max(axis=1), out=best)
-    if fold is not None:
-        np.maximum(best, fold, out=best)
+        top = blk.max(axis=1)
+        best = top if best is None else np.maximum(best, top, out=best)
     return np.subtract(W[i0:i1, i0:], _outer(best, norm), out=best)
 
 
-def triangle_residual(
-    V: np.ndarray, norm: TNorm, fold: Optional[np.ndarray] = None
-) -> tuple[float, list[tuple[int, int, int]]]:
+def triangle_residual(V: np.ndarray, norm: TNorm, tol: float) -> tuple[float, Optional[tuple[int, int]]]:
     """Worst residual M(i,k,t) - T(M(i,j,t), M(j,k,t)) of a (T, n, n) value
-    array, and the row blocks that reach it, for ``triangle_witness``.
+    array and, when it lies below -tol, the first (t, i), in C order, of
+    its positions, for ``triangle_witness``.
 
     One max-T product per block of rows i: each element of the (T, n, n, n)
     residual is one write and one max-reduce, never materialised.  V is
     symmetric and the norm commutative, so the residual at (i, j, k) is the
     one at (k, j, i): the rows i <= k reach every value, and a block of rows
-    from i0 reads the columns k >= i0 only.  The scan runs over the
-    transposed (n, n, T) array, contiguous for the output of ``slices_at``,
-    so t runs innermost.  The buffer holds at most ``_BLOCK`` floats
-    (one (n, T) row once that exceeds it).  ``fold`` is passed to each
-    block (``_block_residual``).
+    from i0 reads the columns k >= i0 only.  The first position has i <= k
+    (its mirror would come earlier), so the first (t, i) with a hit over the
+    blocks that reach the worst value is its (t, i), read off each block's
+    own residual.  The scan runs over the transposed (n, n, T) array,
+    contiguous for the output of ``slices_at``, so t runs innermost.  The
+    buffer holds at most ``_BLOCK`` floats (one (n, T) row once that
+    exceeds it).
     """
     W = V.transpose(1, 2, 0)
     n, _, T = W.shape
     blocks = _row_blocks(n, T)
-    buf = _buffer(blocks, n, T)
-    worst, rows = np.inf, []
-    for block in blocks:
-        value = float(_block_residual(W, norm, *block, buf, fold).min())
-        if value < worst:
-            worst, rows = value, [block]
-        elif value == worst:
-            rows.append(block)
-    return worst, rows
+    buf = np.empty(max((i1 - i0) * jb * (n - i0) * T for i0, i1, jb in blocks))
+    worst, first = np.inf, None
+    for i0, i1, jb in blocks:
+        R = _block_residual(W, norm, i0, i1, jb, buf)
+        value = float(R.min())
+        if value <= worst and not value >= -tol:
+            hit = (R == value).any(axis=1)
+            t, di = np.unravel_index(int(np.argmax(hit.T)), (T, i1 - i0))
+            at = (int(t), i0 + int(di))
+            first = min(first, at) if value == worst else at
+        worst = min(worst, value)
+    return worst, first
 
 
-def triangle_witness(
-    V: np.ndarray, norm: TNorm, worst: float, rows: list[tuple[int, int, int]]
-) -> tuple[int, int, int, int]:
+def triangle_witness(V: np.ndarray, norm: TNorm, worst: float, first: tuple[int, int]) -> tuple[int, int, int, int]:
     """First position (tpos, i, j, k), in C order, of ``worst`` in the
-    residual of V, from the row blocks ``triangle_residual`` found to reach it.
-
-    The first position has i <= k (its mirror (k, j, i) would come earlier),
-    so the block of its row i reads its column k: the first (t, i) with a hit
-    over those blocks is its (t, i).  Then the first (j, k) of that one row
-    and slice, in chunks of rows j of at most ``_BLOCK`` floats.
-    """
+    residual of V: the first (t, i) ``triangle_residual`` found, then the
+    first (j, k) of that row and slice, in chunks of rows j of at most
+    ``_BLOCK`` floats."""
     W = V.transpose(1, 2, 0)
-    n, _, T = W.shape
-    buf = _buffer(rows, n, T)
-    first = (T, n)
-    for i0, i1, jb in rows:
-        hit = (_block_residual(W, norm, i0, i1, jb, buf) == worst).any(axis=1)
-        t, di = np.unravel_index(int(np.argmax(hit.T)), (T, i1 - i0))
-        first = min(first, (int(t), i0 + int(di)))
+    n = W.shape[0]
     t, i = first
     step = max(1, _BLOCK // n)
     for j0 in range(0, n, step):
@@ -511,7 +490,7 @@ _U = 2.0 ** -53
 #: the fewest points of a block decided from its distances: with fewer than
 #: 3 no j lies outside {i, k}, and on 4-5 points the dense scan of the 64
 #: default slices costs about as much as the certificate's dozen array
-#: calls, or less (with a fold, or under Lukasiewicz); from 6 points the
+#: calls, or less (under Lukasiewicz); from 6 points the
 #: certificate wins under both norms (``timeit`` on 3-10 point blocks)
 _CERTIFY_MIN = 6
 
@@ -561,41 +540,32 @@ def _dominated(dist: np.ndarray, n: int, ts: np.ndarray, kind: str) -> bool:
     return True
 
 
-def certified_check(
-    space: FuzzySpace, ts: np.ndarray, tol: float, cross: Optional[np.ndarray] = None
-) -> Optional[tuple[float, bool]]:
+def certified_check(space: FuzzySpace, ts: np.ndarray, tol: float) -> Optional[tuple[float, bool]]:
     """(worst triangle residual, whether every pair value is nondecreasing
     within tol) of ``space`` at the scales ts, from one streamed pass over
     its ``PairTable``, when every entry is ``Standard`` and the distances
     certify that the terms j outside {i, k} are dominated (``_dominated``);
     None otherwise, and for a space of fewer than ``_CERTIFY_MIN`` points.
 
-    Given ``cross``, the space is a side of a union whose every cross value
-    in slice t is cross[t], and fold_t = inner(cross_t, cross_t), the term of
-    every j across, joins the maximum over j.  That maximum is then the term
-    j = i (j = k gives its bits), so the residual at (t, i, k) is
-    v - g(max(inner(1, v), fold_t)) for v = M(i, k, t): bit for bit the
-    worst of ``triangle_residual`` on the slices.  Under product and minimum
-    without a cross it is v - v = 0.  On the diagonal v = 1 at every scale:
-    the residual is 0, as is each step.  Each block holds at most
-    ``_BLOCK`` values (one pair's once the scales exceed it), so the memory
-    beyond the distances is fixed.
+    The maximum over j is then the term j = i (j = k gives its bits), so the
+    residual at (t, i, k) is v - g(inner(1, v)) for v = M(i, k, t): bit for
+    bit the worst of ``triangle_residual`` on the slices.  Under product and
+    minimum it is v - v = 0, so only Lukasiewicz computes it.  On the
+    diagonal v = 1 at every scale: the residual is 0, as is each step.  Each
+    block holds at most ``_BLOCK`` values (one pair's once the scales exceed
+    it), so the memory beyond the distances is fixed.
     """
     table, kind = space._table, space.norm.kind
     if space.n < _CERTIFY_MIN or len(table.standard) < table.size:
         return None
     if not _dominated(table.distances, space.n, ts, kind):
         return None
-    inner = _INNER[kind]
-    fold = None if cross is None else inner(cross, cross)[:, None]
     worst, monotone = 0.0, len(ts) < 2 or tol >= 0.0
     for _, P in table.blocks(ts, max(1, _BLOCK // len(ts))):
         monotone = monotone and bool((P[1:] - P[:-1] >= -tol).all())
-        if fold is not None or kind == "lukasiewicz":
-            best = inner(1.0, P)
-            if fold is not None:
-                np.maximum(best, fold, out=best)
-            worst = min(worst, float(np.subtract(P, _outer(best, space.norm), out=best).min()))
+        if kind == "lukasiewicz":
+            best = _outer(1.0 + P, space.norm)
+            worst = min(worst, float(np.subtract(P, best, out=best).min()))
     return worst, monotone
 
 
@@ -630,10 +600,10 @@ def axiom_report(V: np.ndarray, g: GridSpec, fresh: np.ndarray, norm: TNorm, tol
     their passes over the blocks (``certified_check``, ``glued_check``) do
     not decide the report.
     """
-    worst, rows = triangle_residual(V, norm)
+    worst, first = triangle_residual(V, norm, tol)
     witness = None
-    if not worst >= -tol:
-        tpos, i, j, k = triangle_witness(V, norm, worst, rows)
+    if first is not None:
+        tpos, i, j, k = triangle_witness(V, norm, worst, first)
         witness = (i, j, k, float(g.values[fresh[tpos]]))
     return AxiomReport.of(g, tol, worst, _monotone(V, tol), witness)
 
@@ -661,27 +631,34 @@ def glued_check(x: FuzzySpace, y: FuzzySpace, ts: np.ndarray, tol: float, c: np.
     ``triangle_residual`` and the verdict of ``axiom_report`` on the union's
     slices, which are never built.
 
-    Each side takes T(c_t, c_t), the term of every j across, into its
-    maximum over j: a side of one point holds only the triple (i, i, i),
-    whose residual 1 - g(inner(1, 1)) is 0; a side its distances certify is
-    streamed (``certified_check``); any other side's own slices are scanned.
-    A triple whose i and k lie across takes the closed form
+    Each side is checked on its own: a side of one point holds only the
+    triple (i, i, i), whose residual 1 - g(inner(1, 1)) is 0; a side its
+    distances certify is streamed (``certified_check``); any other side's
+    own slices are scanned; each holds the diagonal's 0.  Every j across
+    adds T(c_t, c_t) to the maximum over j, and g and correctly rounded
+    ``-`` are monotone, so v - g(max(a, b)) = min(v - g(a), v - g(b)): those
+    terms add the side's t-diameter (1 for a point) minus T(c_t, c_t).  A
+    triple whose i and k lie across takes the closed form
     c_t - g(inner(1, c_t)): the diagonal is 1, every value lies in [0, 1],
     and correctly rounded ``*``, ``+`` and ``min`` are monotone, so no j
     beats j = i.
     """
     inner = _INNER[x.norm.kind]
-    sides = []
+    across = _outer(inner(c, c), x.norm)
+    worst = float((c - _outer(inner(1.0, c), x.norm)).min())
+    monotone = bool((c[1:] - c[:-1] >= -tol).all())
     for sp in (x, y):
-        checked = (0.0, len(ts) < 2 or tol >= 0.0) if sp.n == 1 else certified_check(sp, ts, tol, c)
-        if checked is None:
-            V = slices_at(sp, ts)
-            checked = triangle_residual(V, sp.norm, inner(c, c))[0], _monotone(V, tol)
+        if sp.n == 1:
+            checked, diameter = (0.0, len(ts) < 2 or tol >= 0.0), 1.0
+        elif (checked := certified_check(sp, ts, tol)) is not None:
+            diameter = sp._table.minimum(ts)
+        else:
+            V = slices_at(sp, ts)  # t runs fastest: reduce i, then k
+            checked, diameter = (triangle_residual(V, sp.norm, tol)[0], _monotone(V, tol)), V.min(axis=1).min(axis=1)
             del V  # one side's slices at a time
-        sides.append(checked)
-    (wx, mx), (wy, my) = sides
-    worst = min(min(wx, wy), float((c - _outer(inner(1.0, c), x.norm)).min()))
-    return worst, mx and my and bool((c[1:] - c[:-1] >= -tol).all())
+        worst = min(worst, checked[0], float((diameter - across).min()))
+        monotone = monotone and checked[1]
+    return worst, monotone
 
 
 def t_diameter(space: FuzzySpace, t: float) -> float:

@@ -240,6 +240,25 @@ def test_mdelta_unequal_nets_exit_two(capsys, std3, half):
         assert captured.err == f"error: nets pair by position and must be equally long, got {sizes[0]} and {sizes[1]} points\n"
 
 
+@pytest.mark.parametrize("verb, argv, message", [
+    ("mdelta", ["--t", "1.0", "--eps", "1.0"], "eps must lie strictly between 0 and 1"),
+    ("mdelta", ["--t", "1.0", "--eps", "0"], "eps must lie strictly between 0 and 1"),
+    ("mdelta", ["--t", "0", "--eps", "0.3"], "t must be positive and finite, got 0.0"),
+    ("bridge", ["--bound", "5.0", "--eps", "1.0"], "eps must lie strictly between 0 and 1"),
+    ("bridge", ["--bound", "5.0", "--eps", "0"], "eps must lie strictly between 0 and 1"),
+], ids=["mdelta-eps-1", "mdelta-eps-0", "mdelta-t-0", "bridge-eps-1", "bridge-eps-0"])
+def test_out_of_range_scales_exit_two(capsys, monkeypatch, std3, tmp_path, verb, argv, message):
+    """A --t or --eps outside its range is a usage error, refused before any
+    work: exit 2 with one error line, not a finding or a traceback."""
+    metrics = tmp_path / "metrics.json"
+    metrics.write_text(json.dumps([[[0, 1.0], [1.0, 0]]]), encoding="utf-8")
+    monkeypatch.setattr(cli, "attempt_net_gluing", None)
+    inputs = ["--left", std3, "--right", std3] if verb == "mdelta" else ["--metrics", str(metrics)]
+    assert main([verb, *inputs, *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 def test_gh_bounds_schema(capsys, half):
     code, doc = run(capsys, "gh-bounds", "--left", half, "--right", half, "--t", "1.0")
     assert code == 0

@@ -282,6 +282,13 @@ def test_bridge_single_matrix_trivially_passes(rng):
     assert report.passed
 
 
+@pytest.mark.parametrize("eps", [0.0, 1.0])
+def test_bridge_refuses_eps_outside_the_open_unit_interval(rng, eps):
+    # at eps = 1 the classical radius eps t / (1 - eps) divides by zero
+    with pytest.raises(DomainError, match="eps must lie strictly between 0 and 1"):
+        standard_bridge_check([random_metric(rng, 3)], 12.0, eps=eps)
+
+
 def test_bridge_validates_each_matrix_once(rng, monkeypatch):
     """A matrix is validated when its ``DistanceMatrix`` is built, and its
     standard space is built from that without a second check, however the

@@ -584,6 +584,21 @@ def test_triangle_scan_visits_each_distinct_slice_once(rng, monkeypatch, product
 # the max-T kernel: rows i <= k, t innermost, the witness located on failure
 
 
+def _record_blocks(monkeypatch) -> list[tuple[tuple[int, int, int], float]]:
+    """((i0, i1, jb), least residual) of each row block the triangle scans
+    compute, recorded as they happen."""
+    reached = []
+    real = space_module._block_residual
+
+    def recording(W, norm, i0, i1, jb, *buf):
+        R = real(W, norm, i0, i1, jb, *buf)
+        reached.append(((i0, i1, jb), float(R.min())))
+        return R
+
+    monkeypatch.setattr(space_module, "_block_residual", recording)
+    return reached
+
+
 def test_a_worst_value_tied_across_row_blocks_takes_the_first_scale(monkeypatch, product):
     # blocks of rows [0, 2), [2, 5) and [5, 6): row 0 reaches the worst value
     # first in scan order, row 3 at the earlier scale
@@ -591,12 +606,33 @@ def test_a_worst_value_tied_across_row_blocks_takes_the_first_scale(monkeypatch,
     monkeypatch.setattr(space_module, "_BLOCK", 300)
     g, fresh = fresh_slices(None, sp)
     V = space_module.slices_at(sp, g.array()[fresh])
-    worst, rows = space_module.triangle_residual(V, product)
-    assert rows == [(0, 2, 6), (2, 5, 6)]
+    reached = _record_blocks(monkeypatch)
+    worst, first = space_module.triangle_residual(V, product, 1e-12)
+    assert [block for block, value in reached if value == worst] == [(0, 2, 6), (2, 5, 6)]
     report = check_axioms(sp)
     assert report.na1_residual == worst == 0.7 - 1.0
     assert report.witness == (3, 4, 5, min(t for t in report.grid if t > 1.0))
+    assert first == (g.array()[fresh].tolist().index(report.witness[3]), 3)
     assert report.witness == na1_first_witness(sp, product, report.grid)[1]
+
+
+@pytest.mark.parametrize("block, blocks", [(7, 40), (300, 39), (1 << 16, 1)])
+def test_a_failing_scan_takes_each_row_block_once(monkeypatch, product, block, blocks):
+    """The witness of a failing scan is located in the pass that finds its
+    worst value: one max-T product per row block, none run again.  A
+    40-point stationary space with one pair planted low, in blocks of one
+    row, of one to seven rows and of all 40."""
+    v = np.full((40, 40), 0.7)
+    np.fill_diagonal(v, 1.0)
+    v[5, 31] = v[31, 5] = 0.1
+    sp = make_stationary_space([f"p{i}" for i in range(40)], v, product)
+    monkeypatch.setattr(space_module, "_BLOCK", block)
+    reached = _record_blocks(monkeypatch)
+    report = check_axioms(sp)
+    assert not report.na1
+    assert len(reached) == len(space_module._row_blocks(40, 1)) == blocks
+    assert (report.na1_residual, report.witness) == na1_first_witness(sp, product, report.grid)
+    assert report.witness[:3] == (5, 0, 31)
 
 
 @pytest.mark.parametrize("norm", NORMS, ids=lambda nm: nm.kind)
@@ -723,21 +759,30 @@ def test_certified_standard_checks_equal_the_dense_scan(monkeypatch):
 
 @pytest.mark.parametrize("norm", NORMS, ids=lambda nm: nm.kind)
 def test_certified_glued_sides_equal_the_dense_scan(monkeypatch, norm):
-    """Constant gluings of Standard sides: each side takes the fold T(c, c)
-    into its maximum over j, and a floor above a side's values fails."""
+    """Constant gluings of Standard sides, certified or scanned, of a point
+    and of a step side: each side takes the term T(c, c) of every j across
+    at its t-diameter, and a floor above a side's values fails.  With a
+    tolerance of 1 every union passes and the side-by-side check decides
+    the report, whose worst value, from a floor of 0.9, is that term: equal
+    bit for bit to the scan of the union as one space."""
     rng = np.random.default_rng(43)
     held = []
-    for nx, ny in ((3, 7), (8, 8), (1, 12)):
+    for nx, ny in ((3, 7), (8, 8), (1, 12), (8, 5)):
         dx = _ultrametric(nx, 1.0) if norm.kind == "minimum" else random_metric(rng, nx)
         dy = _ultrametric(ny, 2.0) if norm.kind == "minimum" else random_metric(rng, ny)
         x = make_standard_space([f"x{i}" for i in range(nx)], dx, norm)
-        y = make_standard_space([f"y{i}" for i in range(ny)], dy, norm)
-        for floor in (Standard(float(max(dx.max(), dy.max()))), Stationary(0.3)):
+        y = _iso_space(dy, norm, "step" if ny == 5 else "standard", "y")
+        for floor, tol in ((Standard(float(max(dx.max(), dy.max()))), 1e-12), (Stationary(0.3), 1e-12),
+                           (Stationary(0.9), 1.0)):
             union = UnionMetric(x, y, tuple(tuple(floor for _ in range(ny)) for _ in range(nx)))
             for grid in (None, GridSpec.log(1e-3, 1e6, 40)):
-                certified, dense, outcomes = _certified_and_dense(monkeypatch, lambda: validate_union(union, grid))
+                certified, dense, outcomes = _certified_and_dense(monkeypatch, lambda: validate_union(union, grid, tol))
                 _assert_same_report(certified, dense)
                 held += outcomes
+                if tol == 1.0:
+                    _assert_same_report(certified, check_axioms(union.as_space(), grid, tol))
+                    sides = [check_axioms(sp, grid, tol).na1_residual for sp in (x, y)]
+                    assert certified.passed and certified.na1_residual < min(sides) - 0.1
     assert held.count(True) >= 8
 
 
