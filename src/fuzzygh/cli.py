@@ -38,7 +38,7 @@ from .sequences import (
 )
 from .space import check_axioms, t_diameter
 from .tnorm import KINDS, TNorm, tn_check_axioms, tn_has_tn1, tn_leq, unit_grid, unit_grid_pairs
-from .util import TOL, require_open_unit, require_positive
+from .util import TOL, require_open_unit, require_positive, require_unit
 from .valuefn import ZERO
 
 
@@ -330,6 +330,8 @@ def _cmd_bridge(args) -> int:
 def _cmd_example(args) -> int:
     if args.which != "no-cauchy":
         raise DomainError(f"unknown example {args.which!r}")
+    require_positive(args.t, "t")
+    require_unit(args.eps, "eps")
     family = gen_no_cauchy_family(args.count)
     doc: dict = {"count": args.count, "params": _params(args)}
     if args.out_dir:

@@ -16,6 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import space
 from .covering import cover_number, find_net, is_net, metric_cover_number
 from .errors import ConstructionError, DomainError, HypothesisError
 from .ghdist import DistanceMatrix, gh_fuzzy_lower_bound, gh_fuzzy_upper_bound
@@ -26,7 +27,6 @@ from .space import (
     certification_grid,
     make_standard_space,
     make_step_space,
-    slices_at,
     t_diameter,
     t_diameters,
 )
@@ -103,11 +103,13 @@ def register_nets(
     return size
 
 
-def _net_block(sp: FuzzySpace, net: Sequence[int], t: float) -> list[list[float]]:
-    """Similarities M(net[i], net[j], t) between the points of a registered net."""
-    sp.check_index(*net)
-    rows = sp.at(t)
-    return [[rows[i][j] for j in net] for i in net]
+def _net_values(family: SequenceFamily, t: float, eps: float, ts: np.ndarray) -> np.ndarray:
+    """(count, size, size, T) similarities M(net[i], net[j], s) between the
+    points of each space's registered (t, eps)-net at the positive scales ts:
+    one ``values`` read of every space's net entries, ``ONE`` on the diagonal."""
+    nets = family.nets_for(t, eps)
+    fns = [sp.entry(i, j) for sp, net in zip(family.spaces, nets) for i in net for j in net]
+    return np.ascontiguousarray(values(fns, ts).T).reshape(len(nets), len(nets[0]), -1, len(ts))
 
 
 # ---------------------------------------------------------------------------
@@ -202,46 +204,43 @@ def check_ratio_condition(
     with M_n(s) < M_m(s), the damped ratio at s must not drop below its value
     at t.  For the product norm the undamped ratio form is checked as well.
     """
-    nets = family.nets_for(t, eps)
     norm = family.norm
-    one_minus = 1.0 - eps
-    if s_grid is None:
-        s_grid = default_ratio_grid(family, t)
-    s_vals = [s for s in s_grid if s > t]
-    count = len(family.spaces)
-    vals_t = np.array([_net_block(sp, net, t) for sp, net in zip(family.spaces, nets)])
+    s_vals = [s for s in (default_ratio_grid(family, t) if s_grid is None else s_grid) if s > t]
+    vals = _net_values(family, t, eps, np.array([t, *s_vals], dtype=float))
+    # (count, size, size) net similarities at t, (count, size, size, S) at the scales s > t
+    vals_t, vals_s = vals[..., 0], vals[..., 1:]
     if np.any(vals_t <= tol):
         raise DomainError("zero net similarity at t; the diameter floor must be violated")
-    # (count, size, size, S) net similarities at the scales s > t
-    ts = np.asarray(s_vals, dtype=float)
-    vals_s = np.array([slices_at(sp, ts)[:, net][:, :, net] for sp, net in zip(family.spaces, nets)])
-    vals_s = vals_s.transpose(0, 2, 3, 1)
-
-    # damped denominators of every space; space n is compared with each m != n
-    # in turn, so memory stays O(count * size^2 * S)
-    den_t = norm.array(vals_t, one_minus)
-    den_s = norm.array(vals_s, one_minus)
+    den = norm.array(vals, 1.0 - eps)
+    den_t, den_s = den[..., 0], den[..., 1:]
     # with two spaces or more every denominator is a divisor below; each is
     # nondecreasing in s, so none vanishes at s > t unless it does at t
-    if count > 1 and (den_t <= tol).any():
+    if len(vals) > 1 and (den_t <= tol).any():
         raise DomainError("zero damped denominator at t")
-    is_product = norm.kind == "product"
-    product_passed: Optional[bool] = True if is_product else None
+    product_passed: Optional[bool] = True if norm.kind == "product" else None
     worst = math.inf
     witnesses: list[tuple[int, int, int, int, float]] = []
+    # rows n of the (n, m, i, j, s) comparison (count * size^2 * S floats each) in
+    # blocks of at most _BLOCK floats in one reused buffer, or one row if larger
+    step = max(1, space._BLOCK // max(1, vals_s.size))
+    buf = np.empty((min(step, len(vals)), *vals_s.shape))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for n in range(count):
-            a_t, a_s = vals_t[n], vals_s[n]
-            active = vals_s - a_s > tol
-            active[n] = False
-            margin = a_s / den_s - (a_t / den_t)[..., None]
-            if active.any():
-                worst = min(worst, float(margin[active].min()))
-            for m, i, j, s_pos in np.argwhere(active & (margin < -tol)):
-                witnesses.append((n, int(m), int(i), int(j), float(s_vals[s_pos])))
-            if is_product and product_passed:
-                plain = a_s / vals_s - (a_t / vals_t)[..., None]
-                product_passed = not (active & (plain < -tol)).any()
+        for n0 in range(0, len(vals), step):
+            a_t, a_s = vals_t[n0 : n0 + step, None], vals_s[n0 : n0 + step, None]
+            margin = np.subtract(vals_s, a_s, out=buf[: len(a_s)])
+            active = margin > tol
+            active[range(len(a_s)), range(n0, n0 + len(a_s))] = False
+            np.divide(a_s, den_s, out=margin)
+            margin -= (a_t / den_t)[..., None]
+            low = float(margin.min(where=active, initial=math.inf))
+            worst = min(worst, low)
+            if low < -tol:
+                for n, m, i, j, s_pos in np.argwhere(active & (margin < -tol)):
+                    witnesses.append((n0 + int(n), int(m), int(i), int(j), float(s_vals[s_pos])))
+            if product_passed:
+                plain = np.divide(a_s, vals_s, out=margin)
+                plain -= (a_t / vals_t)[..., None]
+                product_passed = not plain.min(where=active, initial=math.inf) < -tol
     return RatioReport(
         passed=not witnesses,
         product_form_passed=product_passed,
@@ -282,19 +281,18 @@ def pigeonhole_subsequence(
     """
     if family.floor is None:
         raise DomainError("pigeonhole extraction needs a floor function")
-    nets = family.nets_for(t, eps)
+    blocks = _net_values(family, t, eps, np.array([t], dtype=float))[..., 0]
     width = family.norm(family.floor.eval(t), eps)
     if not width > 0.0:
         raise DomainError(f"cell width {width} is not positive; pick a larger eps or floor")
-    blocks = [_net_block(sp, net, t) for sp, net in zip(family.spaces, nets)]
-    matrices = [tuple(tuple(int(math.floor(v / width)) for v in row) for row in b) for b in blocks]
+    matrices = [tuple(tuple(map(math.floor, row)) for row in b) for b in (blocks / width).tolist()]
     groups_by_matrix: dict = {}
     for n, mat in enumerate(matrices):
         groups_by_matrix.setdefault(mat, []).append(n)
     groups = tuple(tuple(g) for g in groups_by_matrix.values())
     selected = min(groups, key=lambda g: (-len(g), g[0]))
     # soundness: equal integer parts bound the similarity gap by the cell width
-    if not (np.ptp([blocks[n] for n in selected], axis=0) < width).all():
+    if not (np.ptp(blocks[list(selected)], axis=0) < width).all():
         raise AssertionError("pigeonhole grouping lost its width guarantee")
     table = PigeonholeTable(
         t=t,

@@ -259,7 +259,7 @@ class DistanceMatrix:
 
     def __post_init__(self):
         d = validate_distance_matrix(self.entries)
-        object.__setattr__(self, "entries", tuple(tuple(float(v) for v in row) for row in d))
+        object.__setattr__(self, "entries", tuple(map(tuple, d.tolist())))
 
     @classmethod
     def from_array(cls, distances) -> "DistanceMatrix":

@@ -165,6 +165,41 @@ def diameter_floor_loop(family, grid=None, tol: float = 1e-12):
     )
 
 
+def pigeonhole_loop(family, t: float, eps: float):
+    """pigeonhole_subsequence's table by one ``sp.value`` per net cell and
+    ``math.floor(v / width)``, grouped by first occurrence."""
+    from fuzzygh.errors import DomainError
+    from fuzzygh.sequences import PigeonholeTable
+
+    nets = family.nets_for(t, eps)
+    width = family.norm(family.floor.eval(t), eps)
+    if not width > 0.0:
+        raise DomainError(f"cell width {width} is not positive; pick a larger eps or floor")
+    matrices = []
+    for sp, net in zip(family.spaces, nets):
+        matrices.append(tuple(tuple(math.floor(sp.value(i, j, t) / width) for j in net) for i in net))
+    groups: list[list[int]] = []
+    for n, mat in enumerate(matrices):
+        for g in groups:
+            if matrices[g[0]] == mat:
+                g.append(n)
+                break
+        else:
+            groups.append([n])
+    best = groups[0]
+    for g in groups[1:]:
+        if len(g) > len(best):
+            best = g
+    return PigeonholeTable(
+        t=t,
+        eps=eps,
+        cell_width=width,
+        matrices=tuple(matrices),
+        groups=tuple(tuple(g) for g in groups),
+        selected=tuple(best),
+    )
+
+
 def ratio_condition_loop(family, t: float, eps: float, s_grid=None, tol: float = 1e-12):
     """check_ratio_condition by a five-deep loop over (n, m, i, j, s) with the scalar norm."""
     from fuzzygh.errors import DomainError

@@ -246,14 +246,22 @@ def test_mdelta_unequal_nets_exit_two(capsys, std3, half):
     ("mdelta", ["--t", "0", "--eps", "0.3"], "t must be positive and finite, got 0.0"),
     ("bridge", ["--bound", "5.0", "--eps", "1.0"], "eps must lie strictly between 0 and 1"),
     ("bridge", ["--bound", "5.0", "--eps", "0"], "eps must lie strictly between 0 and 1"),
-], ids=["mdelta-eps-1", "mdelta-eps-0", "mdelta-t-0", "bridge-eps-1", "bridge-eps-0"])
+    ("example", ["--t", "-1", "--eps", "1.0"], "t must be positive and finite, got -1.0"),
+    ("example", ["--eps", "1.5"], "eps must lie in [0, 1], got 1.5"),
+], ids=["mdelta-eps-1", "mdelta-eps-0", "mdelta-t-0", "bridge-eps-1", "bridge-eps-0", "example-t-neg", "example-eps-big"])
 def test_out_of_range_scales_exit_two(capsys, monkeypatch, std3, tmp_path, verb, argv, message):
     """A --t or --eps outside its range is a usage error, refused before any
-    work: exit 2 with one error line, not a finding or a traceback."""
+    work, with or without ``example --verify``: exit 2 with one error line,
+    not a finding or a traceback."""
     metrics = tmp_path / "metrics.json"
     metrics.write_text(json.dumps([[[0, 1.0], [1.0, 0]]]), encoding="utf-8")
     monkeypatch.setattr(cli, "attempt_net_gluing", None)
-    inputs = ["--left", std3, "--right", std3] if verb == "mdelta" else ["--metrics", str(metrics)]
+    monkeypatch.setattr(cli, "gen_no_cauchy_family", None)
+    inputs = {
+        "mdelta": ["--left", std3, "--right", std3],
+        "bridge": ["--metrics", str(metrics)],
+        "example": ["no-cauchy", "--count", "3"],
+    }[verb]
     assert main([verb, *inputs, *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"

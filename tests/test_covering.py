@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -102,6 +104,18 @@ def test_a_distance_matrix_is_validated_however_it_is_built():
     m = DistanceMatrix(((0, 1), (1, 0)))
     assert m == DistanceMatrix.from_array(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert m.entries == ((0.0, 1.0), (1.0, 0.0)) and all(type(v) is float for row in m.entries for v in row)
+
+
+def test_distance_matrix_entries_are_the_validated_floats():
+    # nested tuples of plain floats, bit for bit the validated array's: a
+    # float32 input widened, an integer, and a -0.0 on the diagonal kept
+    d = np.array([[-0.0, 0.1, 1], [0.1, 0.0, 1.0], [1, 1.0, -0.0]], dtype=np.float32)
+    m = DistanceMatrix.from_array(d)
+    validated = validate_distance_matrix(d)
+    assert type(m.entries) is tuple and all(type(row) is tuple for row in m.entries)
+    assert all(type(v) is float for row in m.entries for v in row)
+    assert np.array_equal(np.array(m.entries).view(np.int64), validated.view(np.int64))
+    assert math.copysign(1.0, m.entries[0][0]) == -1.0 and m.entries[0][1] == float(np.float32(0.1))
 
 
 def test_metric_cover_number_does_not_check_the_triangle_inequality():

@@ -30,9 +30,11 @@ from fuzzygh import (
     standard_bridge_check,
     verify_no_cauchy,
 )
+from fuzzygh.sequences import default_ratio_grid
 
 from oracles import (
     diameter_floor_loop,
+    pigeonhole_loop,
     random_metric,
     random_safe_stationary_values,
     ratio_condition_loop,
@@ -481,10 +483,68 @@ def test_ratio_condition_without_scales_above_t():
     assert json.loads(got[1])["passed"]
 
 
+def _spaces_per_block(monkeypatch, fam, t, eps, per, s_grid=None):
+    """Set the block buffer so that each block of the ratio check holds
+    ``per`` spaces: one row is count * size^2 * S floats."""
+    s_grid = default_ratio_grid(fam, t) if s_grid is None else s_grid
+    row = len(fam.spaces) * len(fam.nets_for(t, eps)[0]) ** 2 * sum(s > t for s in s_grid)
+    monkeypatch.setattr(fuzzygh.space, "_BLOCK", per * max(1, row))
+
+
+@pytest.mark.parametrize("per", [2, 3])
+def test_ratio_condition_block_seams_match_loop(monkeypatch, per):
+    # 7 spaces in blocks of 2 or 3: witnesses from every block, in (n, m, i, j, s) order
+    fam = gen_no_cauchy_family(7)
+    register_nets(fam, 0.5, 0.1)
+    _spaces_per_block(monkeypatch, fam, 0.5, 0.1, per)
+    report = check_ratio_condition(fam, 0.5, 0.1)
+    assert outcome(check_ratio_condition, fam, 0.5, 0.1) == outcome(ratio_condition_loop, fam, 0.5, 0.1)
+    assert {n // per for n, *_ in report.witnesses} == set(range(-(-7 // per)))
+    assert list(report.witnesses) == sorted(report.witnesses)
+
+    # no scales above t: every block is empty and the worst margin reads 0
+    two = SequenceFamily(tuple(make_step_space(["a", "b"], {(0, 1): Step((), (0.8,))}, TNorm.product()) for _ in range(2)))
+    register_nets(two, 1.0, 0.3, indices=[(0, 1)] * 2)
+    _spaces_per_block(monkeypatch, two, 1.0, 0.3, 1, s_grid=(0.5,))
+    got = outcome(check_ratio_condition, two, 1.0, 0.3, s_grid=(0.5,))
+    assert got == outcome(ratio_condition_loop, two, 1.0, 0.3, s_grid=(0.5,))
+    assert json.loads(got[1])["worst_margin"] == 0.0
+
+    # Lukasiewicz damps 0.2 to max(0.2 - 0.3, 0) = 0: one space divides by
+    # it (under errstate, with nothing to compare), several refuse it
+    f = Step((1.5, 4.0), (0.2, 0.4, 1.0))
+    luk = make_step_space(["a", "b", "c"], {(0, 1): f, (0, 2): f, (1, 2): f}, TNorm.lukasiewicz())
+    for count in (1, 3):
+        fam = SequenceFamily((luk,) * count)
+        register_nets(fam, 1.0, 0.3, indices=[range(3)] * count)
+        _spaces_per_block(monkeypatch, fam, 1.0, 0.3, 1)
+        got = outcome(check_ratio_condition, fam, 1.0, 0.3)
+        assert got == outcome(ratio_condition_loop, fam, 1.0, 0.3)
+        assert (got[0] == "DomainError") == (count > 1)
+
+
+@pytest.mark.parametrize("norm", NORMS, ids=lambda nm: nm.kind)
+def test_pigeonhole_matches_loop(rng, norm):
+    # wide cells (floor 0.9) put several of 7 spaces in one group; the nets
+    # are minimal ones padded to a common length
+    largest = set()
+    for kind in KINDS:
+        for t, eps in ((1.0, 0.6), (0.7, 0.4), (2.0, 0.3)):
+            fam = random_family(rng, kind, norm, count=7)
+            fam.floor = Stationary(0.9)
+            register_nets(fam, t, eps)
+            table, selected = pigeonhole_subsequence(fam, t, eps)
+            expected = pigeonhole_loop(fam, t, eps)
+            assert repr(table) == repr(expected) and selected == expected.selected
+            assert all(type(v) is int for mat in table.matrices for row in mat for v in row)
+            largest.add(len(selected))
+    assert max(largest) > 1 and min(largest) < 7
+
+
 def test_ratio_condition_memory_is_per_space(rng):
     # 40 spaces with 10-point nets on 32 scales: a (count, count, size, size, S)
-    # tensor would take 40 MB, while the scan of one space against all others
-    # peaks near 6 MB
+    # tensor would take 40 MB, while blocks of one space against all others
+    # (128000 floats each, past _BLOCK) peak near 3.4 MB
     spaces = tuple(
         make_standard_space([f"p{i}" for i in range(10)], random_metric(rng, 10, lo=0.2, hi=6.0), TNorm.product())
         for _ in range(40)
