@@ -25,18 +25,13 @@ The results go to a JSON file, BENCH_axioms.json by default:
     PYTHONPATH=src python3 scripts/run_axioms_curve.py --max-n 320 --repeats 3
 """
 
-import argparse
 import json
-import os
-import platform
-import time
-import tracemalloc
 
 import numpy as np
 
+from curves import best_time, measure, parse_args, step_of, write
 from fuzzygh import (
     FuzzySpace,
-    Step,
     TNorm,
     Standard,
     check_axioms,
@@ -53,8 +48,6 @@ from fuzzygh.space import scan_points
 CHECK_SIZES = (20, 40, 80, 160, 320)
 GLUE_SIZES = (10, 20, 40, 80, 160)
 ISOMETRY_SIZES = (10, 20, 30, 40, 50)
-#: breakpoints of the step spaces: eight distinct slices on the default grid
-STEP_BREAKS = tuple(float(b) for b in np.logspace(-1.0, 1.0, 7))
 
 
 def random_metric(rng, n):
@@ -80,12 +73,6 @@ def space_builder(rng, n, norm, rep, name="p", d=None):
     return lambda: make_step_space(labels, pairs, norm)
 
 
-def step_of(d):
-    """The step equal to t/(t+d) sampled at the right end of each interval."""
-    samples = np.asarray(STEP_BREAKS + (2.0 * STEP_BREAKS[-1],))
-    return Step(STEP_BREAKS, tuple(float(v) for v in samples / (samples + d)))
-
-
 def step_pairs(d):
     """Per-pair steps of ``step_of``."""
     n = len(d)
@@ -96,28 +83,6 @@ def scanned_slices(*spaces):
     bps = [b for sp in spaces for b in sp.breakpoints()]
     g, fresh, _ = scan_points(None, bps, all(sp.all_steplike() for sp in spaces))
     return len(g), len(fresh)
-
-
-def best_time(call, repeats):
-    """(minimum wall time in s over the repeats, result)."""
-    best = np.inf
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = call()
-        best = min(best, time.perf_counter() - start)
-    return best, result
-
-
-def measure(call, repeats):
-    """(minimum wall time in s over the repeats, tracemalloc peak in MB, result)."""
-    best, result = best_time(call, repeats)
-    tracemalloc.start()
-    try:
-        call()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return best, peak / 1e6, result
 
 
 def counts(call):
@@ -137,12 +102,7 @@ def counts(call):
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--max-n", type=int, default=max(CHECK_SIZES))
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default="BENCH_axioms.json")
-    args = parser.parse_args()
+    args = parse_args(__doc__, "BENCH_axioms.json", max_n=max(CHECK_SIZES))
 
     rng = np.random.default_rng(args.seed)
     entries = []
@@ -193,18 +153,7 @@ def main() -> int:
                             "construct_s": ca + cb, "peak_mb": peak, "passed": found == inverse,
                             "certified": None, "slice_writes": counts(lambda: is_isometric(a, b))[1]})
             print(json.dumps(entries[-1]), flush=True)
-
-    doc = {
-        "harness": "scripts/run_axioms_curve.py",
-        "argv": {"max_n": args.max_n, "repeats": args.repeats, "seed": args.seed},
-        "machine": {"platform": platform.platform(), "cpus": os.cpu_count(),
-                    "python": platform.python_version(), "numpy": np.__version__},
-        "entries": entries,
-    }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-    return 0 if all(e["passed"] for e in entries) else 1
+    return write(args, entries, "passed")
 
 
 if __name__ == "__main__":

@@ -12,17 +12,12 @@ BENCH_bounds.json by default:
     PYTHONPATH=src python3 scripts/run_bounds_curve.py --max-n 6 --repeats 3
 """
 
-import argparse
 import json
-import os
-import platform
-import time
-import tracemalloc
 
 import numpy as np
 
+from curves import measure, parse_args, step_of, write
 from fuzzygh import (
-    Step,
     TNorm,
     check_axioms,
     gh_fuzzy_bounds,
@@ -35,8 +30,6 @@ SIZES = (1, 2, 3, 4, 5, 6)
 NORMS = ("minimum", "product", "lukasiewicz")
 REPRESENTATIONS = ("standard", "stationary", "step")
 T = 1.0
-#: breakpoints of the step spaces, which sample t/(t+d) at the right end of each interval
-STEP_BREAKS = tuple(float(b) for b in np.logspace(-1.0, 1.0, 7))
 
 
 def distances(rng, n, kind):
@@ -75,38 +68,12 @@ def make_space(rng, n, kind, rep, name):
     d = distances(rng, n, kind)
     if rep == "standard":
         return make_standard_space(labels, d, norm, name=name)
-    samples = np.asarray(STEP_BREAKS + (2.0 * STEP_BREAKS[-1],))
-    steps = {
-        (i, j): Step(STEP_BREAKS, tuple(float(v) for v in samples / (samples + d[i, j])))
-        for i in range(n)
-        for j in range(i + 1, n)
-    }
+    steps = {(i, j): step_of(d[i, j]) for i in range(n) for j in range(i + 1, n)}
     return make_step_space(labels, steps, norm, name=name)
 
 
-def measure(call, repeats):
-    """(minimum wall time in s over the repeats, tracemalloc peak in MB, result)."""
-    best = np.inf
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = call()
-        best = min(best, time.perf_counter() - start)
-    tracemalloc.start()
-    try:
-        call()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return best, peak / 1e6, result
-
-
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--max-n", type=int, default=max(SIZES))
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default="BENCH_bounds.json")
-    args = parser.parse_args()
+    args = parse_args(__doc__, "BENCH_bounds.json", max_n=max(SIZES))
 
     rng = np.random.default_rng(args.seed)
     entries = []
@@ -122,18 +89,7 @@ def main() -> int:
                                 "lower": bounds.lower.value, "upper": bounds.upper.value,
                                 "lower_method": bounds.lower.method, "valid": valid})
                 print(json.dumps(entries[-1]), flush=True)
-
-    doc = {
-        "harness": "scripts/run_bounds_curve.py",
-        "argv": {"max_n": args.max_n, "repeats": args.repeats, "seed": args.seed},
-        "machine": {"platform": platform.platform(), "cpus": os.cpu_count(),
-                    "python": platform.python_version(), "numpy": np.__version__},
-        "entries": entries,
-    }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-    return 0 if all(e["valid"] for e in entries) else 1
+    return write(args, entries, "valid")
 
 
 if __name__ == "__main__":

@@ -14,16 +14,12 @@ one more call.  The results go to a JSON file, BENCH_ratio.json by default:
     PYTHONPATH=src python3 scripts/run_ratio_curve.py --max-count 64 --max-size 10 --repeats 3
 """
 
-import argparse
 import json
-import os
-import platform
-import time
-import tracemalloc
 
 import numpy as np
 
 import fuzzygh.space
+from curves import measure, parse_args, write
 from fuzzygh import SequenceFamily, TNorm, check_ratio_condition, make_standard_space, register_nets
 from fuzzygh.sequences import default_ratio_grid
 
@@ -39,30 +35,8 @@ def distances(rng, n):
     return d * (rng.uniform(1.0, 5.9) / max(d.max(), 1e-300)) + 0.1 * (1.0 - np.eye(n))
 
 
-def measure(call, repeats):
-    """(minimum wall time in s over the repeats, tracemalloc peak in MB, result)."""
-    best = np.inf
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = call()
-        best = min(best, time.perf_counter() - start)
-    tracemalloc.start()
-    try:
-        call()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return best, peak / 1e6, result
-
-
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--max-count", type=int, default=max(COUNTS))
-    parser.add_argument("--max-size", type=int, default=max(SIZES))
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default="BENCH_ratio.json")
-    args = parser.parse_args()
+    args = parse_args(__doc__, "BENCH_ratio.json", max_count=max(COUNTS), max_size=max(SIZES))
 
     rng = np.random.default_rng(args.seed)
     entries = []
@@ -82,19 +56,7 @@ def main() -> int:
                             "wall_s": wall, "peak_mb": peak,
                             "passed": report.passed, "worst_margin": report.worst_margin})
             print(json.dumps(entries[-1]), flush=True)
-
-    doc = {
-        "harness": "scripts/run_ratio_curve.py",
-        "argv": {"max_count": args.max_count, "max_size": args.max_size,
-                 "repeats": args.repeats, "seed": args.seed},
-        "machine": {"platform": platform.platform(), "cpus": os.cpu_count(),
-                    "python": platform.python_version(), "numpy": np.__version__},
-        "entries": entries,
-    }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-    return 0 if all(e["passed"] for e in entries) else 1
+    return write(args, entries, "passed")
 
 
 if __name__ == "__main__":

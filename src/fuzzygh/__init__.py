@@ -72,7 +72,7 @@ from .space import (
     t_diameter,
     validate_distance_matrix,
 )
-from .tnorm import TNorm, tn_check_axioms, tn_eval, tn_has_tn1, tn_leq
+from .tnorm import TNorm, tn_check_axioms, tn_has_tn1, tn_leq
 from .valuefn import ONE, ZERO, Standard, Stationary, Step, ValueFn
 
 __all__ = [name for name in dir() if not name.startswith("_")]

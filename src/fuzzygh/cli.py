@@ -328,8 +328,6 @@ def _cmd_bridge(args) -> int:
 
 
 def _cmd_example(args) -> int:
-    if args.which != "no-cauchy":
-        raise DomainError(f"unknown example {args.which!r}")
     require_positive(args.t, "t")
     require_unit(args.eps, "eps")
     family = gen_no_cauchy_family(args.count)

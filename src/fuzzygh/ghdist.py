@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConstructionError, DomainError, HypothesisError, SizeLimitError
+from .errors import ConstructionError, HypothesisError, SizeLimitError
 from .gluing import (
     UnionMetric,
     _constant_union,
@@ -39,15 +39,11 @@ from .gluing import (
     union_hausdorff,
 )
 from .grids import GridSpec
-from .space import _CLIQUE_NODE_BUDGET, DistanceMatrix, FuzzySpace, _covering_clique
+from .space import _CLIQUE_NODE_BUDGET, DistanceMatrix, FuzzySpace, _covering_clique, require_same_norm
 from .util import TOL, Report, require_positive
 from .valuefn import ONE, ZERO
 
 MAX_CROSS_VARIABLES = 36
-
-
-def _coerce_metric(d) -> DistanceMatrix:
-    return d if isinstance(d, DistanceMatrix) else DistanceMatrix.from_array(d)
 
 
 # ---------------------------------------------------------------------------
@@ -62,9 +58,6 @@ class LowerBoundResult:
     value: float
     witness: UnionMetric
     method: str
-
-    def as_dict(self) -> dict:
-        return {"t": self.t, "value": self.value, "method": self.method}
 
 
 def gh_fuzzy_lower_bound(
@@ -85,8 +78,7 @@ def gh_fuzzy_lower_bound(
     below it are never validated.
     """
     require_positive(t, "t")
-    if x.norm.kind != y.norm.kind:
-        raise DomainError("both spaces must share the t-norm kind")
+    require_same_norm(x, y)
     try:
         relation: Optional[tuple] = gh_fuzzy_upper_bound(x, y, t, tol).relation
     except SizeLimitError:
@@ -191,8 +183,7 @@ def gh_fuzzy_upper_bound(
     cross variables.
     """
     require_positive(t, "t")
-    if x.norm.kind != y.norm.kind:
-        raise DomainError("both spaces must share the t-norm kind")
+    require_same_norm(x, y)
     k = x.n * y.n
     if k > MAX_CROSS_VARIABLES:
         raise SizeLimitError(
@@ -256,8 +247,7 @@ def classical_gh_exact(dx, dy, limit: int = 12) -> float:
     distance distortion |d_X(p, p') - d_Y(q, q')| over pairs of its cells: the
     bottleneck of the negated distortions.  Only for |X| * |Y| <= limit.
     """
-    mx = _coerce_metric(dx)
-    my = _coerce_metric(dy)
+    mx, my = DistanceMatrix.from_array(dx), DistanceMatrix.from_array(dy)
     nx, ny = mx.n, my.n
     if nx * ny > limit:
         raise SizeLimitError(f"{nx}x{ny} cells exceed the relation-search limit {limit}")

@@ -27,6 +27,7 @@ from .space import (
     axiom_report,
     certification_grid,
     glued_check,
+    require_same_norm,
     scan_points,
     t_diameters,
     write_slices,
@@ -78,12 +79,6 @@ class UnionMetric:
             start = stop
         pairs += self.right.pairs
         return FuzzySpace("", labels, self.left.norm, tuple(pairs))
-
-    def left_indices(self) -> tuple[int, ...]:
-        return tuple(range(self.n_left))
-
-    def right_indices(self) -> tuple[int, ...]:
-        return tuple(range(self.n_left, self.n_left + self.n_right))
 
 
 def validate_union(
@@ -208,8 +203,7 @@ def _constant_union(
     x: FuzzySpace, y: FuzzySpace, c: ValueFn, grid: Optional[GridSpec], tol: float
 ) -> tuple[UnionMetric, GridSpec]:
     """``glue_constant``'s union and certification grid, not yet validated."""
-    if x.norm.kind != y.norm.kind:
-        raise DomainError("both spaces must share the t-norm kind")
+    require_same_norm(x, y)
     g = certification_grid(grid, x, y, extra=c.breakpoints)
     _check_floor(np.minimum(t_diameters(x, g), t_diameters(y, g)), c, g, tol)
     return UnionMetric(x, y, ((c,) * y.n,) * x.n), g
@@ -246,8 +240,7 @@ def persistence_delta(
     """
     require_positive(t, "t")
     require_unit(eps, "eps")
-    if x.norm.kind != y.norm.kind:
-        raise DomainError("both spaces must share the t-norm kind")
+    require_same_norm(x, y)
     fX = x.entry(px, px2)
     fY = y.entry(py, py2)
     one_minus = 1.0 - eps
@@ -545,8 +538,7 @@ def glue_via_nets(
     samples it was built from) and must beat (1-eps)*(1-eps) in Hausdorff
     value at t.
     """
-    if x.norm.kind != y.norm.kind:
-        raise DomainError("both spaces must share the t-norm kind")
+    require_same_norm(x, y)
     t, eps = nets.t, nets.eps
     require_positive(t, "t")
     if not 0.0 < delta <= t:
@@ -587,9 +579,10 @@ def attempt_net_gluing(
     """Convenience pipeline: match the nets, take the worst pairwise persistence
     width, and build the matched-net gluing."""
     nets = match_nets(x, y, t, eps, left, right, tol=tol)
-    delta = t
+    # a pair (i, i) compares ONE with ONE, whose width is t / 2
+    delta = t / 2.0
     for i in range(nets.size):
-        for j in range(i, nets.size):
+        for j in range(i + 1, nets.size):
             delta = min(
                 delta,
                 persistence_delta(
@@ -651,8 +644,7 @@ def _relation_union(
 ) -> tuple[UnionMetric, GridSpec, np.ndarray]:
     """``glue_via_relation``'s union, certification grid and cross samples
     (``_step_cross``), not yet validated."""
-    if x.norm.kind != y.norm.kind:
-        raise DomainError("both spaces must share the t-norm kind")
+    require_same_norm(x, y)
     require_positive(t, "t")
     if not relation or not all(0 <= p < x.n and 0 <= q < y.n for p, q in relation):
         raise DomainError(f"relation must be a nonempty set of cells of the {x.n}x{y.n} cross matrix")

@@ -17,13 +17,15 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import space
-from .covering import cover_number, find_net, is_net, metric_cover_number
+from .covering import find_net, is_net, metric_cover_number
 from .errors import ConstructionError, DomainError, HypothesisError
-from .ghdist import DistanceMatrix, gh_fuzzy_lower_bound, gh_fuzzy_upper_bound
+from .ghdist import gh_fuzzy_lower_bound, gh_fuzzy_upper_bound
 from .gluing import attempt_net_gluing, union_hausdorff
 from .grids import GridSpec
 from .space import (
+    DistanceMatrix,
     FuzzySpace,
+    breakpoint_grid,
     certification_grid,
     make_standard_space,
     make_step_space,
@@ -78,7 +80,8 @@ def register_nets(
     When ``indices`` is omitted, minimal nets are computed and shorter ones
     are padded to the common length with unused points in index order,
     repeating the first net point once a space runs out of points; padding
-    never breaks the net property.
+    never breaks the net property.  Given ``indices`` are padded the same
+    way, and the padded nets are checked.
     """
     require_positive(t, "t")
     require_unit(eps, "eps")
@@ -95,10 +98,11 @@ def register_nets(
     for sp, r in zip(family.spaces, raw):
         fill = [i for i in range(sp.n) if i not in r][: size - len(r)]
         padded.append((*r, *fill, *(r[0],) * (size - len(r) - len(fill))))
-    for sp, net in zip(family.spaces, padded):
-        sp.check_index(*net)
-        if not is_net(sp.at(t), net, 1.0 - eps, tol):
-            raise ConstructionError(f"registered indices are not a (t, eps)-net in space {sp.name!r}")
+    if indices is not None:
+        for sp, net in zip(family.spaces, padded):
+            sp.check_index(*net)
+            if not is_net(sp.at(t), net, 1.0 - eps, tol):
+                raise ConstructionError(f"registered indices are not a (t, eps)-net in space {sp.name!r}")
     family.nets[(float(t), float(eps))] = tuple(padded)
     return size
 
@@ -169,13 +173,10 @@ _RATIO_SCALES = 32
 
 def default_ratio_grid(family: SequenceFamily, t: float) -> tuple[float, ...]:
     """Scales s > t where the ratio condition is checked: a log sweep of
-    (t, 100t] merged with every step breakpoint past t and a tail point."""
-    vals = set(np.logspace(math.log10(t), math.log10(100.0 * t), _RATIO_SCALES + 1)[1:])
+    (t, 100t] merged by ``breakpoint_grid`` with every step breakpoint past t."""
+    sweep = np.logspace(math.log10(t), math.log10(100.0 * t), _RATIO_SCALES + 1)[1:]
     bps = [b for sp in family.spaces for b in sp.breakpoints() if b > t]
-    vals.update(bps)
-    if bps:
-        vals.add(max(bps) * 1.5 + 1.0)
-    return tuple(sorted(vals))
+    return breakpoint_grid(GridSpec(tuple(sweep.tolist())), bps).values
 
 
 @dataclass(frozen=True)
@@ -441,12 +442,9 @@ def check_stationary_hypotheses(
     if failures:
         return StationaryReport(False, tuple(failures), best_c, None, (), None)
 
-    # each net is found once: its size gives the uniform cover bound and
-    # register_nets re-verifies it
-    nets = [find_net(sp, 1.0, eps, tol=tol).indices for sp in family.spaces]
-    cover_bound = max(len(net) for net in nets)
     pipeline = SequenceFamily(family.spaces, floor=Stationary(best_c))
-    register_nets(pipeline, 1.0, eps, indices=nets, tol=tol)
+    # the common length of the minimal nets is the uniform cover bound
+    cover_bound = register_nets(pipeline, 1.0, eps, tol=tol)
     _, group = pigeonhole_subsequence(pipeline, 1.0, eps)
     cert = certify_group(pipeline, group, 1.0, eps, tol=tol)
     return StationaryReport(
@@ -489,14 +487,16 @@ def standard_bridge_check(
 
     The floor is s/(s+bound); ball membership translates to classical balls of
     radius eps*t/(1-eps), so fuzzy cover numbers must match classical covering
-    numbers at that radius and stay below the uniform bound; the ratio
+    numbers at that radius and stay below the uniform bound.  A fuzzy ball
+    compared at ``tol`` reaches the radius t/(1-eps+tol) - t, at which the
+    classical balls are decided with no tolerance of their own; the ratio
     condition holds identically for standard values and is re-verified on the
     grid.  Failures are reported, not raised.
     """
     require_positive(bound, "bound")
     require_positive(t, "t")
     require_open_unit(eps, "eps")
-    mats = [m if isinstance(m, DistanceMatrix) else DistanceMatrix.from_array(m) for m in metrics]
+    mats = [DistanceMatrix.from_array(m) for m in metrics]
     if not mats:
         raise DomainError("at least one metric required")
     spaces = tuple(
@@ -507,20 +507,18 @@ def standard_bridge_check(
     floor_report = check_diameter_floor(family, grid, tol=tol)
 
     radius = eps * t / (1.0 - eps)
-    classical_rows = [metric_cover_number(m, radius) for m in mats]
+    # the nets come first: at tol >= eps find_net refuses them with its own error
+    nets = [find_net(sp, t, eps, tol=tol).indices for sp in spaces]
+    # a fuzzy ball compared at tol holds the points with t / (t + d) > 1 - eps + tol,
+    # so the classical balls are decided at that reach, with no tolerance of their own
+    reach = t / (1.0 - eps + tol) - t
+    classical_rows = [metric_cover_number(m, reach, tol=0.0) for m in mats]
     n_bound = max(classical_rows)
-    cover_rows = []
-    nets = []
-    translation_ok = True
-    bound_ok = True
-    for k, (sp, classical) in enumerate(zip(spaces, classical_rows)):
-        fuzzy, cert = cover_number(sp, eps, t, tol=tol)
-        nets.append(cert.indices)
-        cover_rows.append((k, fuzzy, classical, n_bound))
-        if fuzzy != classical:
-            translation_ok = False
-        if fuzzy > n_bound:
-            bound_ok = False
+    cover_rows = [
+        (k, len(net), classical, n_bound) for k, (net, classical) in enumerate(zip(nets, classical_rows))
+    ]
+    translation_ok = all(fuzzy == classical for _, fuzzy, classical, _ in cover_rows)
+    bound_ok = all(fuzzy <= n_bound for _, fuzzy, _, _ in cover_rows)
 
     register_nets(family, t, eps, indices=nets, tol=tol)
     ratio_report = check_ratio_condition(family, t, eps, tol=tol)

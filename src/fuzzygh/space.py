@@ -24,6 +24,9 @@ from .valuefn import ONE, PairTable, Standard, Step, ValueFn
 _BLOCK = 1 << 16
 #: backtracking nodes one relation or cover search may visit
 _CLIQUE_NODE_BUDGET = 1_000_000
+#: absolute tolerance of the zero-diagonal, symmetry and triangle checks of a
+#: classical distance matrix
+_METRIC_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -124,6 +127,12 @@ class FuzzySpace:
             raise DomainError(f"unknown point label {label!r}") from exc
 
 
+def require_same_norm(x: FuzzySpace, y: FuzzySpace) -> None:
+    """Raise ``DomainError`` unless the two spaces share their t-norm kind."""
+    if x.norm.kind != y.norm.kind:
+        raise DomainError("both spaces must share the t-norm kind")
+
+
 def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices of the pairs i < j in lexicographic order, as in
     ``FuzzySpace.pairs`` (``np.triu_indices(n, 1)``, without its overhead)."""
@@ -204,7 +213,7 @@ def scan_points(
 # constructors
 
 
-def check_distance_entries(distances, tol: float = 1e-9) -> np.ndarray:
+def check_distance_entries(distances) -> np.ndarray:
     """``validate_distance_matrix`` without the O(n^3) triangle inequality:
     a square, finite, symmetric matrix with a zero diagonal and positive
     distances between distinct points, as a float array."""
@@ -214,9 +223,9 @@ def check_distance_entries(distances, tol: float = 1e-9) -> np.ndarray:
     if not np.isfinite(d).all():
         raise ConstructionError("distance matrix entries must be finite")
     n = d.shape[0]
-    if (np.abs(d.diagonal()) > tol).any():
+    if (np.abs(d.diagonal()) > _METRIC_TOL).any():
         raise ConstructionError("distance matrix must have zero diagonal")
-    if (np.abs(d - d.T) > tol).any():
+    if (np.abs(d - d.T) > _METRIC_TOL).any():
         raise ConstructionError("distance matrix must be symmetric")
     bad = ~(d > 0.0)
     np.fill_diagonal(bad, False)
@@ -228,16 +237,16 @@ def check_distance_entries(distances, tol: float = 1e-9) -> np.ndarray:
     return d
 
 
-def validate_distance_matrix(distances, tol: float = 1e-9) -> np.ndarray:
+def validate_distance_matrix(distances) -> np.ndarray:
     """Check finiteness, symmetry, zero diagonal, positivity and the triangle inequality."""
-    d = check_distance_entries(distances, tol)
+    d = check_distance_entries(distances)
     n = d.shape[0]
-    # d[i, k] > d[i, j] + d[j, k] + tol over blocks of rows i; the first
+    # d[i, k] > d[i, j] + d[j, k] + _METRIC_TOL over blocks of rows i; the first
     # violation in C order is the first triple of the loop over (i, j, k)
     step = max(1, _BLOCK // max(1, n * n))
     for i0 in range(0, n, step):
         rows = d[i0 : i0 + step]
-        viol = rows[:, None, :] > rows[:, :, None] + d + tol
+        viol = rows[:, None, :] > rows[:, :, None] + d + _METRIC_TOL
         if viol.any():
             di, j, k = np.unravel_index(int(np.argmax(viol)), viol.shape)
             i, j, k = i0 + int(di), int(j), int(k)
@@ -263,7 +272,9 @@ class DistanceMatrix:
 
     @classmethod
     def from_array(cls, distances) -> "DistanceMatrix":
-        return cls(distances)
+        """``distances`` itself when it is a ``DistanceMatrix``, else a new
+        one built, and so validated, from the matrix."""
+        return distances if isinstance(distances, cls) else cls(distances)
 
     @property
     def n(self) -> int:

@@ -105,13 +105,6 @@ class TNormAxiomReport(Report):
         )
 
 
-def tn_eval(norm: TNorm, a: float, b: float) -> float:
-    """Evaluate ``a * b`` under the norm; arguments must lie in [0, 1]."""
-    require_unit(a, "a")
-    require_unit(b, "b")
-    return float(norm(a, b))
-
-
 #: the finest sample step: ``unit_grid_pairs`` builds (1/step + 1)^2 pairs
 MIN_GRID_STEP = 1e-3
 
@@ -171,13 +164,6 @@ def tn_has_tn1(
     return True, None
 
 
-def tn_leq(
-    weaker: TNorm,
-    stronger: TNorm,
-    samples: Optional[Sequence[tuple[float, float]]] = None,
-    tol: float = TOL,
-) -> bool:
-    """True iff weaker(a,b) <= stronger(a,b) on every sample pair."""
-    if samples is None:
-        samples = unit_grid_pairs(0.01)
-    return all(weaker(a, b) <= stronger(a, b) + tol for a, b in samples)
+def tn_leq(weaker: TNorm, stronger: TNorm, samples: Sequence[tuple[float, float]]) -> bool:
+    """True iff weaker(a,b) <= stronger(a,b) within ``TOL`` on every sample pair."""
+    return all(weaker(a, b) <= stronger(a, b) + TOL for a, b in samples)

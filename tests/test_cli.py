@@ -12,7 +12,7 @@ from fuzzygh import TNorm, attempt_net_gluing, make_standard_space, make_station
 from fuzzygh import cli
 from fuzzygh.cli import main
 from fuzzygh.io import load_space, save_family, save_space, union_from_doc, union_to_doc
-from fuzzygh.sequences import SequenceFamily
+from fuzzygh.sequences import SequenceFamily, gen_no_cauchy_family
 from fuzzygh.valuefn import Step
 
 
@@ -246,13 +246,15 @@ def test_mdelta_unequal_nets_exit_two(capsys, std3, half):
     ("mdelta", ["--t", "0", "--eps", "0.3"], "t must be positive and finite, got 0.0"),
     ("bridge", ["--bound", "5.0", "--eps", "1.0"], "eps must lie strictly between 0 and 1"),
     ("bridge", ["--bound", "5.0", "--eps", "0"], "eps must lie strictly between 0 and 1"),
+    ("bridge", ["--bound", "5.0", "--tol", "0.1"], "eps = 0.1 must exceed tol = 0.1: no ball holds its own centre"),
     ("example", ["--t", "-1", "--eps", "1.0"], "t must be positive and finite, got -1.0"),
     ("example", ["--eps", "1.5"], "eps must lie in [0, 1], got 1.5"),
-], ids=["mdelta-eps-1", "mdelta-eps-0", "mdelta-t-0", "bridge-eps-1", "bridge-eps-0", "example-t-neg", "example-eps-big"])
+], ids=["mdelta-eps-1", "mdelta-eps-0", "mdelta-t-0", "bridge-eps-1", "bridge-eps-0", "bridge-tol-eps",
+        "example-t-neg", "example-eps-big"])
 def test_out_of_range_scales_exit_two(capsys, monkeypatch, std3, tmp_path, verb, argv, message):
-    """A --t or --eps outside its range is a usage error, refused before any
-    work, with or without ``example --verify``: exit 2 with one error line,
-    not a finding or a traceback."""
+    """A --t or --eps outside its range, or a --tol that is not below --eps,
+    is a usage error, refused before any gluing, with or without ``example
+    --verify``: exit 2 with one error line, not a finding or a traceback."""
     metrics = tmp_path / "metrics.json"
     metrics.write_text(json.dumps([[[0, 1.0], [1.0, 0]]]), encoding="utf-8")
     monkeypatch.setattr(cli, "attempt_net_gluing", None)
@@ -310,6 +312,28 @@ def test_bridge_verb(capsys, tmp_path):
     code, doc = run(capsys, "bridge", "--metrics", str(path), "--bound", "3.0")
     assert code == 0
     assert doc["report"]["passed"]
+
+
+@pytest.mark.parametrize("gap, tol", [(5e-4, ["--tol", "1e-3"]), (1.1e-12, [])], ids=["tol-1e-3", "default-tol"])
+def test_bridge_decides_classical_balls_where_the_fuzzy_balls_end(capsys, tmp_path, gap, tol):
+    """Two points just inside the classical radius eps t / (1 - eps) = 1/9,
+    whose fuzzy ball compared at --tol does not reach: the classical cover
+    counts two balls too, and the bridge passes; the report's radius stays
+    eps t / (1 - eps)."""
+    d = 1.0 / 9.0 - gap
+    path = tmp_path / "metrics.json"
+    path.write_text(json.dumps([[[0, d], [d, 0]]]), encoding="utf-8")
+    code, doc = run(capsys, "bridge", "--metrics", str(path), "--bound", "5", *tol)
+    assert code == 0
+    assert doc["report"]["cover_rows"] == [[0, 2, 2, 2]]
+    assert doc["report"]["radius"] == 0.1 * 1.0 / (1.0 - 0.1)
+
+
+def test_pigeonhole_without_a_floor_exits_two(capsys, tmp_path):
+    save_family(SequenceFamily(gen_no_cauchy_family(2).spaces), tmp_path / "fam")
+    assert main(["pigeonhole", "--family", str(tmp_path / "fam"), "--t", "0.5", "--eps", "0.1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: family has no floor; pass --floor\n"
 
 
 def test_reports_are_byte_identical(capsys, std3):

@@ -4,6 +4,7 @@ import pytest
 
 from fuzzygh import (
     ConstructionError,
+    FuzzySpace,
     Standard,
     Stationary,
     Step,
@@ -133,6 +134,21 @@ def test_space_doc_validation_errors(line4):
         space_from_doc({"points": ["a"], "tnorm": "product"})
     with pytest.raises(ConstructionError):
         space_from_doc({"name": "x", "points": ["a"], "tnorm": "frank", "metric": {}})
+
+
+def test_space_doc_guards(product):
+    mixed = FuzzySpace("s", ("a", "b", "c"), product, (Standard(1.0), Step((1.0,), (0.5, 1.0)), Standard(1.0)))
+    pair = {"i": 0, "j": 1, "breakpoints": [1.0], "values": [0.5, 1.0]}
+    doc = lambda metric: {"name": "s", "points": ["a", "b"], "tnorm": "product", "metric": metric}
+    for call, message in (
+        (lambda: space_to_doc(mixed), "space mixes analytic and step entries; not representable in the document schema"),
+        (lambda: space_from_doc(doc({"kind": "step", "pairs": [pair, pair]})),
+         "space 's': duplicate step entry for pair (0, 1)"),
+        (lambda: space_from_doc(doc({"kind": "spline"})), "space 's': unknown metric kind 'spline'"),
+    ):
+        with pytest.raises(ConstructionError) as err:
+            call()
+        assert str(err.value) == message
 
 
 def test_step_doc_requires_every_pair(product):

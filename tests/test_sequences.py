@@ -312,6 +312,21 @@ def test_bridge_validates_each_matrix_once(rng, monkeypatch):
 # the family without Cauchy subsequences
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda fam: SequenceFamily(()), ConstructionError, "family must contain at least one space"),
+    (lambda fam: fam.nets_for(0.5, 0.1), DomainError, "no nets registered for (t, eps) = (0.5, 0.1)"),
+    (lambda fam: register_nets(fam, 0.5, 0.1, indices=[[0]]), DomainError, "one net per space required"),
+    (lambda fam: check_diameter_floor(SequenceFamily(fam.spaces)), DomainError,
+     "family has no floor function registered"),
+    (lambda fam: diagonal_subsequence(lambda t, e, prev: [0], -1), DomainError, "depth must be nonnegative"),
+    (lambda fam: standard_bridge_check([], 5.0), DomainError, "at least one metric required"),
+])
+def test_family_input_guards(call, error, message):
+    with pytest.raises(error) as err:
+        call(gen_no_cauchy_family(2))
+    assert str(err.value) == message
+
+
 def test_register_nets_refuses_an_empty_given_net():
     # padding an empty net would repeat its first point, which it lacks
     for indices in ([[0], []], [[], []]):

@@ -177,7 +177,7 @@ def _unions(kind, seed=3):
 @pytest.mark.parametrize("kind", NORMS)
 def test_union_hausdorff_reads_the_cross_block(kind):
     for u, t in _unions(kind):
-        left, right = u.left_indices(), u.right_indices()
+        left, right = tuple(range(u.n_left)), tuple(range(u.n_left, u.n_left + u.n_right))
         h = union_hausdorff(u, t)
         assert h == hausdorff_fuzzy(u.as_space(), left, right, t)
         assert h == hausdorff_fuzzy_loop(u.as_space(), left, right, t)

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import itertools
+import math
 import pickle
 import re
 import tracemalloc
@@ -177,6 +178,8 @@ def test_isometry_self_and_relabeling(two_point_half, two_point_third, product):
     relabeled = make_stationary_space(["u", "v"], [[1, 0.5], [0.5, 1]], product)
     assert is_isometric(two_point_half, relabeled) in ((0, 1), (1, 0))
     assert is_isometric(two_point_half, two_point_third) is None
+    # spaces of different sizes are not compared
+    assert is_isometric(two_point_half, make_stationary_space(["u"], [[1.0]], product)) is None
 
 
 def test_isometry_under_permutation(rng, product):
@@ -200,6 +203,42 @@ def test_isometry_under_permutation(rng, product):
             assert sp2.value(i, j, 2.0) == pytest.approx(
                 sp.value(inverse_of_pi[i], inverse_of_pi[j], 2.0), abs=1e-12
             )
+
+
+_STEP = Step((1.0,), (0.5, 1.0))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: GridSpec(()), DomainError, "grid must be nonempty"),
+    (lambda: GridSpec((1.0, 1.0)), DomainError, "grid values must be strictly increasing and positive"),
+    (lambda: GridSpec.parse("1,x"), DomainError, "bad grid spec '1,x'"),
+    (lambda: GridSpec.default().merged([math.inf]), DomainError, "grid values must be finite"),
+    (lambda: FuzzySpace("s", (), TNorm.product(), ()), ConstructionError, "space needs at least one point"),
+    (lambda: FuzzySpace("s", ("a", "a"), TNorm.product(), (_STEP,)), ConstructionError,
+     "point labels must be unique"),
+    (lambda: FuzzySpace("s", ("a", "b"), TNorm.product(), ()), ConstructionError,
+     "wrong number of off-diagonal entries"),
+    (lambda: make_stationary_space(["a", "b"], [[1, 0.5], [0.5, 1]], TNorm.product()).pair_index(1, 1),
+     DomainError, "diagonal has no stored entry"),
+    (lambda: make_standard_space(["a"], [[0, 1], [1, 0]], TNorm.product()), ConstructionError,
+     "label count does not match the distance matrix"),
+    (lambda: make_stationary_space(["a"], [[1, 0.5], [0.5, 1]], TNorm.product()), ConstructionError,
+     "values matrix shape does not match labels"),
+    (lambda: make_stationary_space(["a", "b"], [[1, 0.5], [0.4, 1]], TNorm.product()), ConstructionError,
+     "values matrix must be symmetric"),
+    (lambda: make_step_space(["a", "b"], {(0, 0): _STEP}, TNorm.product()), ConstructionError,
+     "bad pair indices (0, 0)"),
+    (lambda: make_step_space(["a", "b"], {(0, 1): _STEP, (1, 0): _STEP}, TNorm.product()), ConstructionError,
+     "duplicate entry for pair (0, 1)"),
+    (lambda: make_step_space(["a", "b"], {(0, 1): Standard(1.0)}, TNorm.product()), ConstructionError,
+     "pair entries must be Step functions"),
+    (lambda: make_step_space(["a", "b", "c"], {(0, 1): _STEP}, TNorm.product()), ConstructionError,
+     "missing entry for pair (0, 2)"),
+])
+def test_grid_and_space_input_guards(build, error, message):
+    with pytest.raises(error) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_isometry_requires_same_norm(two_point_half):

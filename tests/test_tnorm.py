@@ -12,7 +12,6 @@ from fuzzygh import (
     SizeLimitError,
     TNorm,
     tn_check_axioms,
-    tn_eval,
     tn_has_tn1,
     tn_leq,
 )
@@ -23,18 +22,11 @@ unit = st.floats(0.0, 1.0, allow_nan=False)
 
 
 def test_eval_closed_forms():
-    assert tn_eval(TNorm.product(), 0.5, 0.5) == 0.25
-    assert tn_eval(TNorm.lukasiewicz(), 0.7, 0.7) == pytest.approx(0.4, abs=1e-15)
-    assert tn_eval(TNorm.lukasiewicz(), 0.3, 0.3) == 0.0
+    assert TNorm.product()(0.5, 0.5) == 0.25
+    assert TNorm.lukasiewicz()(0.7, 0.7) == pytest.approx(0.4, abs=1e-15)
+    assert TNorm.lukasiewicz()(0.3, 0.3) == 0.0
     for norm in (TNorm.minimum(), TNorm.product(), TNorm.lukasiewicz()):
-        assert tn_eval(norm, 0.3, 1.0) == pytest.approx(0.3, abs=1e-15)
-
-
-def test_eval_rejects_out_of_range():
-    with pytest.raises(DomainError):
-        tn_eval(TNorm.product(), 1.5, 0.5)
-    with pytest.raises(DomainError):
-        tn_eval(TNorm.product(), 0.5, -0.1)
+        assert norm(0.3, 1.0) == pytest.approx(0.3, abs=1e-15)
 
 
 @pytest.mark.parametrize("kind", ["minimum", "product", "lukasiewicz"])

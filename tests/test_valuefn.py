@@ -32,8 +32,20 @@ def test_stationary_eval():
 
 
 def test_negative_t_rejected():
-    with pytest.raises(DomainError):
-        Standard(1.0).eval(-0.1)
+    for f in (Standard(1.0), Step((2.0,), (0.5, 1.0))):
+        with pytest.raises(DomainError) as err:
+            f.eval(-0.1)
+        assert str(err.value) == "t must be nonnegative, got -0.1"
+
+
+@pytest.mark.parametrize("fns, grid, message", [
+    ([], (), "vf_min needs at least one function"),
+    ([Standard(1.0), Stationary(0.5)], (), "vf_min of mixed representations needs a sampling grid"),
+])
+def test_vf_min_guards(fns, grid, message):
+    with pytest.raises(DomainError) as err:
+        vf_min(fns, grid=grid)
+    assert str(err.value) == message
 
 
 def test_step_validation():
