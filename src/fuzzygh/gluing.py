@@ -26,6 +26,7 @@ from .space import (
     FuzzySpace,
     axiom_report,
     certification_grid,
+    floor_envelope,
     glued_check,
     require_same_norm,
     scan_points,
@@ -33,7 +34,7 @@ from .space import (
     write_slices,
 )
 from .util import TOL, gt_strict, require_open_unit, require_positive, require_unit
-from .valuefn import ONE, PairTable, Step, ValueFn, is_steplike, values, vf_min
+from .valuefn import PairTable, Step, ValueFn, is_steplike, values
 
 
 @dataclass(frozen=True)
@@ -158,21 +159,9 @@ def _cross_at(u: UnionMetric, t: float) -> list[list[float]]:
     return [[f.eval(t) for f in row] for row in u.cross]
 
 
-def floor_envelope(x: FuzzySpace, y: FuzzySpace, grid: Optional[GridSpec] = None) -> ValueFn:
-    """Pointwise min of both t-diameters, as a value function.
-
-    Exact when the pair entries share a representation family; otherwise a
-    step lower envelope on the certification grid (sound from below).
-    """
-    fns = list(x.pairs) + list(y.pairs)
-    if not fns:
-        return ONE
-    g = certification_grid(grid, x, y)
-    return vf_min(fns, grid=g.values)
-
-
-def _check_floor(bound: np.ndarray, c: ValueFn, grid: GridSpec, tol: float) -> None:
-    """(1): c stays below ``bound``, the smaller t-diameter at each point of ``grid``."""
+def _check_floor(x: FuzzySpace, y: FuzzySpace, c: ValueFn, grid: GridSpec, tol: float) -> None:
+    """(1): c stays below the smaller t-diameter of x and y at each point of ``grid``."""
+    bound = np.minimum(t_diameters(x, grid), t_diameters(y, grid))
     floor = values([c], grid.array())[:, 0]
     bad = floor > bound + tol
     if bad.any():
@@ -205,7 +194,7 @@ def _constant_union(
     """``glue_constant``'s union and certification grid, not yet validated."""
     require_same_norm(x, y)
     g = certification_grid(grid, x, y, extra=c.breakpoints)
-    _check_floor(np.minimum(t_diameters(x, g), t_diameters(y, g)), c, g, tol)
+    _check_floor(x, y, c, g, tol)
     return UnionMetric(x, y, ((c,) * y.n,) * x.n), g
 
 
@@ -456,12 +445,6 @@ def _step_cross(points: Sequence[float], samples: np.ndarray) -> tuple[tuple[Val
     )
 
 
-def _closure_union(x: FuzzySpace, y: FuzzySpace, g: GridSpec, samples: np.ndarray) -> UnionMetric:
-    """The union with the cross of steps of the (S+1, n_x, n_y) ``samples``
-    on ``g`` (``_step_cross``); ``validate_union`` reads them on ``g``."""
-    return UnionMetric(x, y, _step_cross(g.values, samples))
-
-
 # ---------------------------------------------------------------------------
 # the matched-net gluing
 
@@ -546,7 +529,7 @@ def glue_via_nets(
     g = certification_grid(grid, x, y, extra=(t, t - delta, *floor.breakpoints))
     mx, my = _samples(x, g), _samples(y, g)
 
-    _check_floor(np.minimum(mx[:-1].min(axis=(1, 2)), my[:-1].min(axis=(1, 2))), floor, g, tol)
+    _check_floor(x, y, floor, g, tol)
     if not nets.left_net_eps:
         raise HypothesisError("(2)", detail="left side is not a (t, eps)-net")
     if not nets.right_net_eps:
@@ -555,7 +538,7 @@ def glue_via_nets(
     _check_mutual_bounds(mx, my, nets, g, x.norm, tol)
     samples = _net_cross(mx, my, nets, floor, t - delta, g, x.norm)
     del mx, my  # the union check below sets the peak
-    u = _validated(_closure_union(x, y, g, samples), g, tol, "matched-net", samples)
+    u = _validated(UnionMetric(x, y, _step_cross(g.values, samples)), g, tol, "matched-net", samples)
     h = union_hausdorff(u, t)
     threshold = x.norm(1.0 - eps, 1.0 - eps)
     if not gt_strict(h, threshold, tol):
@@ -658,7 +641,7 @@ def _relation_union(
     gamma = np.minimum.accumulate(_damping(closure, *caps, x.norm)[::-1])[::-1]
     gamma[: g.values.index(s0) + 1] = 0.0
     samples = x.norm.array(closure, gamma[:, None, None])
-    return _closure_union(x, y, g, samples), g, samples
+    return UnionMetric(x, y, _step_cross(g.values, samples)), g, samples
 
 
 # ---------------------------------------------------------------------------

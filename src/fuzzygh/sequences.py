@@ -205,6 +205,8 @@ def check_ratio_condition(
     with M_n(s) < M_m(s), the damped ratio at s must not drop below its value
     at t.  For the product norm the undamped ratio form is checked as well.
     """
+    if not 0.0 < 100.0 * t < math.inf:
+        raise DomainError(f"t must be positive with a finite sweep end 100 t, got {t!r}")
     norm = family.norm
     s_vals = [s for s in (default_ratio_grid(family, t) if s_grid is None else s_grid) if s > t]
     vals = _net_values(family, t, eps, np.array([t, *s_vals], dtype=float))

@@ -398,18 +398,6 @@ class AxiomReport(Report):
         return {("grid_size" if k == "grid" else k): (len(v) if k == "grid" else v) for k, v in doc}
 
 
-#: the inner operation of each norm's max-T product: T(a, b) = g(inner(a, b))
-#: with g the identity, except under Lukasiewicz, where g(x) = max(x - 1, 0)
-_INNER = {"product": np.multiply, "minimum": np.minimum, "lukasiewicz": np.add}
-
-
-def _outer(x: np.ndarray, norm: TNorm) -> np.ndarray:
-    """g(x), in place: T(a, b) = g(inner(a, b)) (see ``_INNER``)."""
-    if norm.kind == "lukasiewicz":
-        np.maximum(np.subtract(x, 1.0, out=x), 0.0, out=x)
-    return x
-
-
 def _row_blocks(n: int, T: int) -> list[tuple[int, int, int]]:
     """(i0, i1, jb): the blocks of rows i of the triangle scan, and the rows j
     per chunk.  A block reads the columns k >= i0; each chunk of
@@ -426,22 +414,21 @@ def _row_blocks(n: int, T: int) -> list[tuple[int, int, int]]:
 
 def _block_residual(W: np.ndarray, norm: TNorm, i0: int, i1: int, jb: int, buf: np.ndarray) -> np.ndarray:
     """(i1 - i0, n - i0, T) minimum over j of the residual at (i, k >= i0, t)
-    of the (n, n, T) value array W, as V(i, k) - g(max_j inner(V(i, j), V(j, k))).
+    of the (n, n, T) value array W, as V(i, k) - outer(max_j inner(V(i, j), V(j, k))).
 
-    Rounding is monotone, so this equals the minimum over j of the residual
-    computed term by term, bit for bit.  The rows j go through ``buf`` in
-    chunks of ``jb`` that feed a running maximum.
+    ``TNorm.outer`` and rounding are monotone, so this equals the minimum
+    over j of the residual computed term by term, bit for bit.  The rows j
+    go through ``buf`` in chunks of ``jb`` that feed a running maximum.
     """
     n, _, T = W.shape
-    inner = _INNER[norm.kind]
     best = None
     for j0 in range(0, n, jb):
         j1 = min(j0 + jb, n)
         blk = buf[: (i1 - i0) * (j1 - j0) * (n - i0) * T].reshape(i1 - i0, j1 - j0, n - i0, T)
-        inner(W[i0:i1, j0:j1, None, :], W[None, j0:j1, i0:, :], out=blk)
+        norm.inner(W[i0:i1, j0:j1, None, :], W[None, j0:j1, i0:, :], out=blk)
         top = blk.max(axis=1)
         best = top if best is None else np.maximum(best, top, out=best)
-    return np.subtract(W[i0:i1, i0:], _outer(best, norm), out=best)
+    return np.subtract(W[i0:i1, i0:], norm.outer(best, out=best), out=best)
 
 
 def triangle_residual(V: np.ndarray, norm: TNorm, tol: float) -> tuple[float, Optional[tuple[int, int]]]:
@@ -559,7 +546,7 @@ def certified_check(space: FuzzySpace, ts: np.ndarray, tol: float) -> Optional[t
     None otherwise, and for a space of fewer than ``_CERTIFY_MIN`` points.
 
     The maximum over j is then the term j = i (j = k gives its bits), so the
-    residual at (t, i, k) is v - g(inner(1, v)) for v = M(i, k, t): bit for
+    residual at (t, i, k) is v - outer(inner(1, v)) for v = M(i, k, t): bit for
     bit the worst of ``triangle_residual`` on the slices.  Under product and
     minimum it is v - v = 0, so only Lukasiewicz computes it.  On the
     diagonal v = 1 at every scale: the residual is 0, as is each step.  Each
@@ -575,8 +562,8 @@ def certified_check(space: FuzzySpace, ts: np.ndarray, tol: float) -> Optional[t
     for _, P in table.blocks(ts, max(1, _BLOCK // len(ts))):
         monotone = monotone and bool((P[1:] - P[:-1] >= -tol).all())
         if kind == "lukasiewicz":
-            best = _outer(1.0 + P, space.norm)
-            worst = min(worst, float(np.subtract(P, best, out=best).min()))
+            best = 1.0 + P
+            worst = min(worst, float(np.subtract(P, space.norm.outer(best, out=best), out=best).min()))
     return worst, monotone
 
 
@@ -643,20 +630,19 @@ def glued_check(x: FuzzySpace, y: FuzzySpace, ts: np.ndarray, tol: float, c: np.
     slices, which are never built.
 
     Each side is checked on its own: a side of one point holds only the
-    triple (i, i, i), whose residual 1 - g(inner(1, 1)) is 0; a side its
+    triple (i, i, i), whose residual 1 - T(1, 1) is 0; a side its
     distances certify is streamed (``certified_check``); any other side's
     own slices are scanned; each holds the diagonal's 0.  Every j across
-    adds T(c_t, c_t) to the maximum over j, and g and correctly rounded
-    ``-`` are monotone, so v - g(max(a, b)) = min(v - g(a), v - g(b)): those
-    terms add the side's t-diameter (1 for a point) minus T(c_t, c_t).  A
-    triple whose i and k lie across takes the closed form
-    c_t - g(inner(1, c_t)): the diagonal is 1, every value lies in [0, 1],
-    and correctly rounded ``*``, ``+`` and ``min`` are monotone, so no j
-    beats j = i.
+    adds T(c_t, c_t) to the maximum over j, and ``TNorm.outer`` and
+    correctly rounded ``-`` are monotone, so v - outer(max(a, b)) =
+    min(v - outer(a), v - outer(b)): those terms add the side's t-diameter
+    (1 for a point) minus T(c_t, c_t).  A triple whose i and k lie across
+    takes the closed form c_t - T(1, c_t): the diagonal is 1, every value
+    lies in [0, 1], and correctly rounded ``*``, ``+`` and ``min`` are
+    monotone, so no j beats j = i.
     """
-    inner = _INNER[x.norm.kind]
-    across = _outer(inner(c, c), x.norm)
-    worst = float((c - _outer(inner(1.0, c), x.norm)).min())
+    across = x.norm.array(c, c)
+    worst = float((c - x.norm.array(1.0, c)).min())
     monotone = bool((c[1:] - c[:-1] >= -tol).all())
     for sp in (x, y):
         if sp.n == 1:
@@ -681,6 +667,28 @@ def t_diameters(space: FuzzySpace, grid: GridSpec) -> np.ndarray:
     """t_diameter at every grid point, in closed form on the space's
     ``PairTable`` (``PairTable.minimum``)."""
     return space._table.minimum(grid.array())
+
+
+def floor_envelope(x: FuzzySpace, y: FuzzySpace, grid: Optional[GridSpec] = None) -> ValueFn:
+    """Pointwise min of both t-diameters, as a value function read from the
+    two spaces' ``PairTable``s: ``Standard(max d)`` when neither holds a
+    step, else the step lower envelope on the merged breakpoints, plus the
+    certification grid when an entry is ``Standard``.  On each (a, b] the
+    infimum of a left-continuous nondecreasing function is its right limit
+    at a: the tables' ``step_minimum`` at b (at inf past the last point),
+    and a / (a + max d).  Exact when every entry is a step, sound from below
+    otherwise."""
+    tx, ty = x._table, y._table
+    d = [*tx.distances.tolist(), *ty.distances.tolist()]
+    if d and not (tx.steps or ty.steps):
+        return Standard(max(d))
+    pts = sorted({*x.breakpoints(), *y.breakpoints(), *(certification_grid(grid, x, y) if d else ())})
+    right = np.array([*pts, np.inf])
+    env = np.minimum(tx.step_minimum(right), ty.step_minimum(right))
+    if d:
+        a = np.array([0.0, *pts])
+        np.minimum(env, a / (a + max(d)), out=env)
+    return Step(pts, env.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,20 @@ class TNorm:
             return np.minimum(a, b, out=out)
         return np.maximum(np.subtract(np.add(a, b, out=out), 1.0, out=out), 0.0, out=out)
 
+    def inner(self, a, b, out=None):
+        """The inner operation of the norm's max-T split T(a, b) =
+        outer(inner(a, b)): the product, the minimum, or the sum under
+        Lukasiewicz.  ``outer`` is monotone, so a maximum over terms may be
+        taken before it."""
+        return {"product": np.multiply, "minimum": np.minimum, "lukasiewicz": np.add}[self.kind](a, b, out=out)
+
+    def outer(self, x, out=None):
+        """The outer function of the split (``inner``): max(x - 1, 0) under
+        Lukasiewicz, the identity otherwise, written into ``out`` when given."""
+        if self.kind == "lukasiewicz":
+            return np.maximum(np.subtract(x, 1.0, out=out), 0.0, out=out)
+        return x if out is None or out is x else np.positive(x, out=out)
+
     def max_damping(self, kk, cap):
         """Elementwise largest gamma in [0, 1] with T(kk, T(gamma, gamma)) <= cap,
         in the closed form of the norm."""

@@ -197,12 +197,17 @@ class PairTable:
     def minimum(self, ts: np.ndarray) -> np.ndarray:
         """(T,) minimum over the entries at the positive scales ts, 1 for
         none: t / (t + max d) on the ``Standard`` entries, since correctly
-        rounded ``+`` and ``/`` are monotone, and on each step table the
-        minimum over its rows, read at ts.  Equal to the minimum of
-        ``values(ts)``, bit for bit."""
-        out = np.ones(len(ts))
+        rounded ``+`` and ``/`` are monotone, and ``step_minimum`` on the
+        steps.  Equal to the minimum of ``values(ts)``, bit for bit."""
+        out = self.step_minimum(ts)
         if len(self.distances):
             np.minimum(out, _ratios(ts, self.distances.max()), out=out)
+        return out
+
+    def step_minimum(self, ts: np.ndarray) -> np.ndarray:
+        """(T,) minimum over the step entries at the positive scales ts, 1
+        for none: on each step table the minimum over its rows, read at ts."""
+        out = np.ones(len(ts))
         for bps, _, table in self.steps:
             np.minimum(out, table.min(axis=0)[np.searchsorted(bps, ts, side="left")], out=out)
         return out
@@ -227,35 +232,3 @@ def values(fns: Sequence[ValueFn], ts: np.ndarray) -> np.ndarray:
     """(T, P) array of fns[p] at the positive scales ts, from the
     ``PairTable`` of fns built on the fly; the scalar ``eval`` covers t = 0."""
     return PairTable(fns).values(ts)
-
-
-def vf_min(fns: Sequence[ValueFn], grid: Sequence[float] = ()) -> ValueFn:
-    """Pointwise minimum of value functions, exact whenever representable.
-
-    All-Standard inputs give Standard(max d); piecewise-constant inputs combine
-    exactly on merged breakpoints; mixed inputs fall back to the step lower
-    envelope sampled on ``grid`` merged with all breakpoints (sound from below).
-    """
-    fns = list(fns)
-    if not fns:
-        raise DomainError("vf_min needs at least one function")
-    if len(fns) == 1:
-        return fns[0]
-    steps = [f for f in fns if is_steplike(f)]
-    if not steps:
-        return Standard(max(f.d for f in fns))
-    bps: set[float] = set().union(*(f.breakpoints for f in steps))
-    if len(steps) < len(fns):
-        bps.update(float(g) for g in grid if g > 0.0)
-        if not bps:
-            raise DomainError("vf_min of mixed representations needs a sampling grid")
-    # the step lower envelope: on (a, b] the infimum of a left-continuous
-    # nondecreasing function is its right limit at a: a step's value at b (at
-    # inf past the last point), exact for steps alone, and a / (a + max d)
-    pts = sorted(bps)
-    env = PairTable(steps).minimum(np.array([*pts, inf]))
-    d = max((f.d for f in fns if not is_steplike(f)), default=0.0)
-    if d > 0.0:
-        a = np.array([0.0, *pts])
-        np.minimum(env, a / (a + d), out=env)
-    return Step(pts, env.tolist())

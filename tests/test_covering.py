@@ -231,3 +231,10 @@ def test_past_the_node_budget_the_cover_is_greedy(monkeypatch):
         assert got == min_cover_numpy(cov, 15 if got[1] else 0)
         minimal.add(got[1])
     assert minimal == {True, False}
+
+
+def test_uniform_cover_bound_refuses_an_empty_family():
+    with pytest.raises(DomainError) as err:
+        uniform_cover_bound([], 0.1, 1.0)
+    assert str(err.value) == "family must be nonempty"
+

@@ -759,3 +759,16 @@ def test_bounds_memory_at_the_limit(kind):
     assert bounds.lower.method == "witness-relation"
     assert bounds.upper.variables == ghdist.MAX_CROSS_VARIABLES
     assert peak < 4e6
+
+
+def test_bounds_refuse_a_lower_bound_above_the_upper():
+    x = make_standard_space("ab", [[0, 1], [1, 0]], TNorm.product())
+    witness = gh_fuzzy_bounds(x, x, 1.0).lower.witness
+    lower = ghdist.LowerBoundResult(1.0, 0.9, witness, "constant")
+    upper = ghdist.UpperBoundResult(1.0, 0.5, 1, 1, ((0, 0),))
+    with pytest.raises(ConstructionError) as err:
+        ghdist.GHBounds(1.0, lower, upper)
+    assert str(err.value) == (
+        "bound sandwich violated: lower 0.9 > upper 0.5; one of the two computations is buggy"
+    )
+

@@ -39,8 +39,8 @@ from fuzzygh import (
 )
 
 from fuzzygh.gluing import (
+    MatchedNets,
     _check_mutual_bounds,
-    _closure_union,
     _damping,
     _net_cross,
     _relation_union,
@@ -710,7 +710,7 @@ def closure_unions(rng, grid):
         g = certification_grid(grid, x, y, extra=(1.0, 0.5, *floor.breakpoints))
         try:
             samples = _net_cross(_samples(x, g), _samples(y, g), nets, floor, 0.5, g, x.norm)
-            yield _closure_union(x, y, g, samples), g, samples
+            yield UnionMetric(x, y, _step_cross(g.values, samples)), g, samples
         except ConstructionError:
             pass  # a floor above the detours: the cross decreases
 
@@ -742,7 +742,7 @@ def test_a_failing_closure_union_reports_its_witness(monkeypatch, rng, product):
     g = certification_grid(None, y)
     # random nondecreasing cross samples break the triangle through the cross
     samples = np.sort(rng.uniform(0.1, 0.9, size=(len(g) + 1, 2, 2)), axis=0)
-    bad_cross = (_closure_union(y, y, g, samples), g, samples)
+    bad_cross = (UnionMetric(y, y, _step_cross(g.values, samples)), g, samples)
     calls = _count_object_checks(monkeypatch)
     for u, grid, s in (bad_side, bad_cross):
         calls["as_space"] = 0
@@ -786,7 +786,7 @@ def test_samples_off_their_grid_are_refused(two_point_half, two_point_third):
     x, y = two_point_half, two_point_third
     g = certification_grid(None, x, y)
     samples = np.full((len(g) + 1, x.n, y.n), 0.1)
-    u = _closure_union(x, y, g, samples)
+    u = UnionMetric(x, y, _step_cross(g.values, samples))
     assert validate_union(u, g, _samples=samples).passed
     for grid, s in ((None, samples), (GridSpec.log(1e-1, 1e1, 5), samples), (g, samples[:, :1])):
         with pytest.raises(DomainError, match="cross slices on grid"):
@@ -797,7 +797,7 @@ def test_a_closure_cross_that_never_drops_below_one_is_refused_as_by_as_space(tw
     x, y = two_point_half, two_point_third
     g = certification_grid(None, x, y)
     samples = np.ones((len(g) + 1, x.n, y.n))
-    u = _closure_union(x, y, g, samples)
+    u = UnionMetric(x, y, _step_cross(g.values, samples))
     with pytest.raises(ConstructionError) as refused:
         validate_union(u, g, _samples=samples)
     with pytest.raises(ConstructionError) as expected:
@@ -878,7 +878,7 @@ def test_a_closure_cross_constant_in_each_slice_validates_as_one_space(rng, norm
             g = certification_grid(grid, x, y)
             levels = np.sort(rng.uniform(0.0, 0.7, size=len(g) + 1))
             samples = np.broadcast_to(levels[:, None, None], (len(g) + 1, nx, ny)).copy()
-            u = _closure_union(x, y, g, samples)
+            u = UnionMetric(x, y, _step_cross(g.values, samples))
             for union in (UnionMetric(x, y, u.cross), union_from_doc(union_to_doc(u))):
                 assert_same_report(union, g)
             assert_same_report(u, g, samples)
@@ -948,3 +948,51 @@ def test_large_constant_unions_validate_as_one_space(rng):
     assert len(reports[0].grid) == 64
     i, j, k, _ = reports[3].witness
     assert min(i, j, k) >= 40  # the bent side's own triple
+
+
+def _guard_point(norm):
+    return make_standard_space(["a"], [[0]], norm)
+
+
+def _guard_close_union():
+    """A 3-point space beside itself, every cross diagonal entry 1: Hausdorff
+    value 1 at t = 1, while [0] is no (1, 0.1)-net of the left part."""
+    x = make_standard_space("abc", [[0, 1, 2], [1, 0, 1], [2, 1, 0]], TNorm.product())
+    cross = tuple(tuple(Stationary(1.0) if p == q else x.entry(p, q) for q in range(3)) for p in range(3))
+    return UnionMetric(x, x, cross)
+
+
+def _guard_right_not_a_net():
+    """Matched nets [0] and [0] of which only the left covers at eps = 0.1."""
+    a = make_stationary_space("ab", [[1, 0.95], [0.95, 1]], TNorm.product())
+    b = make_stationary_space("ab", [[1, 0.5], [0.5, 1]], TNorm.product())
+    nets = match_nets(a, b, 1.0, 0.1, [0], [0])
+    assert nets.left_net_eps and not nets.right_net_eps
+    return glue_via_nets(a, b, nets, 0.5, ZERO)
+
+
+def _guard_exact_tie():
+    """Product norm, distances 3 against 1, t = 1, eps = 0.5: at t the bound
+    1/4 >= 1/2 * 1/2 holds with equality, and below t it fails."""
+    x, y = (make_standard_space("ab", [[0, d], [d, 0]], TNorm.product()) for d in (3.0, 1.0))
+    return persistence_delta(x, y, 0, 1, 0, 1, 1.0, 0.5)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: UnionMetric(_guard_point(TNorm.product()), _guard_point(TNorm.minimum()), ((ZERO,),)),
+     ConstructionError, "both parts must share the t-norm kind"),
+    (lambda: UnionMetric(_guard_point(TNorm.product()), _guard_point(TNorm.product()), ((ZERO, ZERO),)),
+     ConstructionError, "cross matrix shape must be n_left x n_right"),
+    (lambda: MatchedNets(1.0, 0.1, (), (), (), (), True, True, True, True),
+     ConstructionError, "matched nets must be nonempty and equally long"),
+    (lambda: extract_matched_nets(_guard_close_union(), 1.0, 0.1, [0]),
+     DomainError, "net_left is not a (t, eps)-net in the left space"),
+    (_guard_right_not_a_net, HypothesisError, "hypothesis (2) failed: right side is not a (t, eps)-net"),
+    (_guard_exact_tie, HypothesisError,
+     "hypothesis (a)/(b) failed at 1.0: bounds hold at t with no positive persistence width (exact tie)"),
+], ids=["union-norms", "union-shape", "empty-nets", "extract-not-a-net", "right-not-a-net", "exact-tie"])
+def test_gluing_guards(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
+

@@ -591,3 +591,37 @@ def test_stationary_hypotheses_find_each_net_once(monkeypatch):
     report = check_stationary_hypotheses(fam, 0.3, tol=1e-9)
     assert report.passed and report.cover_bound == 2
     assert calls == [1e-9] * 6
+
+
+def _zero_similarity_family():
+    """Two 2-point stationary spaces at similarity 0, with no floor: each
+    registered net holds both points."""
+    fam = stationary_family([0.0, 0.0])
+    register_nets(fam, 1.0, 0.1)
+    assert fam.nets_for(1.0, 0.1) == ((0, 1), (0, 1))
+    return fam
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda fam: check_ratio_condition(fam, 1.0, 0.1),
+     "zero net similarity at t; the diameter floor must be violated"),
+    (lambda fam: pigeonhole_subsequence(fam, 1.0, 0.1), "pigeonhole extraction needs a floor function"),
+    (lambda fam: certify_group(fam, [0, 1], 1.0, 0.1), "certification needs a floor function"),
+], ids=["zero-similarity", "pigeonhole-no-floor", "certify-no-floor"])
+def test_family_guards_on_a_zero_similarity_family(call, message):
+    with pytest.raises(DomainError) as err:
+        call(_zero_similarity_family())
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("t, message", [
+    (0.0, "t must be positive with a finite sweep end 100 t, got 0.0"),
+    (-1.0, "t must be positive with a finite sweep end 100 t, got -1.0"),
+    (1e307, "t must be positive with a finite sweep end 100 t, got 1e+307"),
+])
+def test_ratio_condition_refuses_a_bad_t(t, message):
+    # refused before any array is built: no NumPy warning, no math error
+    with pytest.raises(DomainError) as err:
+        check_ratio_condition(_zero_similarity_family(), t, 0.1)
+    assert str(err.value) == message
+

@@ -5,10 +5,21 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fuzzygh import ConstructionError, DomainError, Standard, Stationary, Step
-from fuzzygh.valuefn import ONE, PairTable, values, vf_min
+from fuzzygh import ConstructionError, DomainError, FuzzySpace, GridSpec, Standard, Stationary, Step, TNorm
+from fuzzygh.space import certification_grid, floor_envelope
+from fuzzygh.valuefn import ONE, PairTable, values
 
 from oracles import compress_step_loop, vf_min_loop, vf_min_steps_loop
+
+# The ``vf_min`` tests check the pointwise minimum of the value functions of
+# two spaces, ``floor_envelope``, against the oracles of that name.
+
+
+def _space(*pairs):
+    """The space whose pairs, in order, are ``pairs``: 0, 1, 3, 6 or 10 of
+    them make 1-5 points."""
+    n = round((1 + math.sqrt(1 + 8 * len(pairs))) / 2)
+    return FuzzySpace("", tuple(map(str, range(n))), TNorm("product"), tuple(pairs))
 
 
 def test_standard_eval():
@@ -36,16 +47,6 @@ def test_negative_t_rejected():
         with pytest.raises(DomainError) as err:
             f.eval(-0.1)
         assert str(err.value) == "t must be nonnegative, got -0.1"
-
-
-@pytest.mark.parametrize("fns, grid, message", [
-    ([], (), "vf_min needs at least one function"),
-    ([Standard(1.0), Stationary(0.5)], (), "vf_min of mixed representations needs a sampling grid"),
-])
-def test_vf_min_guards(fns, grid, message):
-    with pytest.raises(DomainError) as err:
-        vf_min(fns, grid=grid)
-    assert str(err.value) == message
 
 
 def test_step_validation():
@@ -90,33 +91,29 @@ def test_values_matches_scalar():
 
 def test_vf_min_and_compress_step_reproduce_steps():
     f = Step((1.0, 3.0), (0.2, 0.5, 1.0))
-    assert vf_min([f, f]) == f
-    assert vf_min([f, ONE]) == f
+    x = _space(f)
+    assert floor_envelope(x, x) == f
+    # a one-point side adds no pair
+    assert floor_envelope(x, _space()) == f
+    assert floor_envelope(_space(), _space()) == ONE
     # a step drops its silent breakpoints
     pts = [0.5, 1.0, 2.0, 3.0, 4.0]
     assert Step(pts, [f.eval(p) for p in pts] + [values([f], np.array([math.inf]))[0, 0]]) == f
 
 
-def test_vf_min_of_mixed_inputs_is_a_lower_envelope():
-    f = Standard(1.0)
-    g = vf_min([f, ONE], grid=[0.5, 1.0, 2.0])
-    assert g == Step((0.5, 1.0, 2.0), (0.0, 1 / 3, 0.5, 2 / 3))
-    for t in np.linspace(0.01, 5.0, 200):
-        assert g.eval(t) <= f.eval(t) + 1e-15
-
-
 def test_vf_min_exact_families():
-    assert vf_min([Standard(1.0), Standard(4.0)]) == Standard(4.0)
-    assert vf_min([Stationary(0.5), Stationary(1 / 3)]) == Stationary(1 / 3)
-    m = vf_min([Step((2.0,), (0.5, 1.0)), Step((3.0,), (1 / 3, 1.0))])
+    assert floor_envelope(_space(Standard(1.0)), _space(Standard(4.0))) == Standard(4.0)
+    assert floor_envelope(_space(Standard(1.0)), _space()) == Standard(1.0)
+    assert floor_envelope(_space(Stationary(0.5)), _space(Stationary(1 / 3))) == Stationary(1 / 3)
+    m = floor_envelope(_space(Step((2.0,), (0.5, 1.0))), _space(Step((3.0,), (1 / 3, 1.0))))
     assert m.eval(1.0) == 1 / 3
     assert m.eval(2.5) == 1 / 3
     assert m.eval(3.5) == 1.0
 
 
 def test_vf_min_mixed_is_below_both():
-    grid = np.linspace(0.1, 10.0, 25)
-    m = vf_min([Standard(2.0), Step((1.0,), (0.4, 0.9))], grid=grid)
+    grid = GridSpec(tuple(np.linspace(0.1, 10.0, 25).tolist()))
+    m = floor_envelope(_space(Standard(2.0)), _space(Step((1.0,), (0.4, 0.9))), grid)
     for t in np.linspace(0.05, 12.0, 157):
         assert m.eval(t) <= min(Standard(2.0).eval(t), Step((1.0,), (0.4, 0.9)).eval(t)) + 1e-15
 
@@ -184,7 +181,8 @@ def test_standard_has_no_breakpoints():
     f = Standard(2.0)
     assert f.breakpoints == ()
     assert repr(f) == "Standard(d=2.0)"
-    assert vf_min([f, Step((1.0,), (0.4, 0.9))], grid=[0.5]).breakpoints == (0.5, 1.0)
+    # the grid point, the breakpoint and the tail point 1.5 * 1.0 + 1
+    assert floor_envelope(_space(f), _space(Step((1.0,), (0.4, 0.9))), GridSpec((0.5,))).breakpoints == (0.5, 1.0, 2.5)
 
 
 def test_stationary_is_a_step_without_breakpoints():
@@ -199,46 +197,96 @@ def test_stationary_is_a_step_without_breakpoints():
 
 def _random_step(rng, pool):
     bps = sorted(rng.choice(pool, size=rng.integers(0, len(pool) + 1), replace=False).tolist())
-    # distinct values from a coarse lattice: each step is compressed, and
-    # several steps tie
-    vals = np.sort(rng.choice(5, size=len(bps) + 1, replace=False) / 4.0).tolist()
-    return Step(tuple(bps), tuple(vals))
+    # distinct values from a coarse lattice, the first below 1 and a last 1
+    # after a breakpoint: each step is compressed and separates, and several
+    # steps tie
+    vals = np.sort(rng.choice(4, size=min(len(bps) + 1, 4), replace=False) / 4.0).tolist()
+    if len(vals) > 1 and rng.uniform() < 0.5:
+        vals[-1] = 1.0
+    return Step(tuple(bps[: len(vals) - 1]), tuple(vals))
+
+
+def _random_space(rng, kind, pool):
+    """A space of 1-5 points whose pairs are all ``Standard``, all
+    stationary, all steps, or a mix of ``Standard`` and steps."""
+    pairs = [0, 1, 3, 6, 10][rng.integers(0, 5)]
+    draw = {
+        "standard": lambda: Standard(float(rng.choice([0.3, 1.0, 7.5, rng.uniform(0.01, 10.0)]))),
+        "stationary": lambda: Stationary(float(rng.choice([0.0, 0.25, 0.5, 0.75]))),
+        "step": lambda: _random_step(rng, pool),
+    }
+    if kind == "mixed":
+        return _space(*(draw[rng.choice(["standard", "step"])]() for _ in range(pairs)))
+    return _space(*(draw[kind]() for _ in range(pairs)))
+
+
+def _random_pair(rng, kinds):
+    pool = [0.5, 1.0, 2.0] if rng.uniform() < 0.5 else rng.uniform(0.01, 10.0, size=4)
+    return tuple(_random_space(rng, rng.choice(kinds), pool) for _ in range(2))
 
 
 def test_vf_min_of_steps_matches_the_eval_envelope():
+    """Spaces of steps alone: the envelope read from both tables equals the
+    minimum read off by ``eval`` at the merged breakpoints, on any grid."""
     rng = np.random.default_rng(13)
     cases = [
-        [Stationary(0.5), Stationary(0.25), Stationary(0.25)],  # all breakpoint-less, tied
-        [Step((1.0, 2.0), (0.2, 0.5, 0.9)), Step((1.0, 2.0), (0.2, 0.6, 0.8))],  # shared, tied
-        [Step((1.0,), (0.5, 1.0)), Stationary(0.5)],  # ties the first value
+        (_space(Stationary(0.5), Stationary(0.25), Stationary(0.25)), _space(Stationary(0.25))),  # tied
+        (_space(Step((1.0, 2.0), (0.2, 0.5, 0.9))), _space(Step((1.0, 2.0), (0.2, 0.6, 0.8)))),  # shared
+        (_space(Step((1.0,), (0.5, 1.0))), _space(Stationary(0.5))),  # ties the first value
     ]
-    for _ in range(300):
-        pool = [0.5, 1.0, 2.0] if rng.uniform() < 0.5 else rng.uniform(0.01, 10.0, size=4)
-        cases.append([_random_step(rng, pool) for _ in range(rng.integers(1, 5))])
-    for fns in cases:
-        got, want = vf_min(fns), vf_min_steps_loop(fns)
+    cases += [_random_pair(rng, ["stationary", "step"]) for _ in range(300)]
+    for x, y in cases:
+        if x.n == y.n == 1:
+            continue
+        grid = None if rng.uniform() < 0.5 else GridSpec((0.3, 4.0))
+        got, want = floor_envelope(x, y, grid), vf_min_steps_loop([*x.pairs, *y.pairs])
         assert (got.breakpoints, got.values) == (want.breakpoints, want.values)
 
 
 def test_vf_min_matches_the_right_limit_loop():
-    """The envelope read from the pair table equals, bit for bit, the least
-    right limit at the left end of each interval: steps alone, mixed inputs
-    on a grid, and Standard(0.0), which reads 1 right of 0."""
+    """Spaces of every representation, a space that mixes ``Standard`` and
+    step entries among them: the envelope read from both tables is
+    ``Standard(max d)`` without a step and otherwise equals, bit for bit,
+    the least right limit at the left end of each interval between the
+    breakpoints and, with a ``Standard`` entry, the certification grid."""
     rng = np.random.default_rng(29)
     cases = [
-        ([Standard(0.0), Step((1.0,), (0.4, 0.9))], [0.5, 2.0]),
-        ([Standard(0.0), Standard(0.0), Stationary(0.3)], [1.0]),
-        ([Standard(0.0), Standard(2.0), Step((1.0,), (0.0, 1.0))], [0.25]),
-        ([Standard(1e-300), Stationary(1.0)], [1e-300, 1.0]),
+        (_space(Standard(1e-300)), _space(Stationary(0.0)), None),
+        (_space(Standard(2.0), Standard(0.5), Step((1.0,), (0.0, 0.9))), _space(), GridSpec((0.25,))),
     ]
     for _ in range(400):
-        pool = [0.5, 1.0, 2.0] if rng.uniform() < 0.5 else rng.uniform(0.01, 10.0, size=4)
-        fns = [_random_step(rng, pool) for _ in range(rng.integers(1, 4))]
-        grid = []
-        if rng.uniform() < 0.6:
-            fns += [Standard(float(d)) for d in rng.choice([0.0, 0.3, 1.0, 7.5], size=rng.integers(1, 3))]
-            grid = sorted(rng.choice([0.0, 0.1, 0.5, 1.0, 3.0, 20.0], size=rng.integers(1, 4), replace=False))
-        cases.append((fns, grid))
-    for fns, grid in cases:
-        got, want = vf_min(fns, grid=grid), vf_min_loop(fns, grid)
-        assert (got.breakpoints, got.values) == (want.breakpoints, want.values)
+        x, y = _random_pair(rng, ["standard", "stationary", "step", "mixed"])
+        grid = None
+        if rng.uniform() < 0.5:
+            grid = GridSpec.explicit(rng.choice([0.1, 0.5, 1.0, 3.0, 20.0], size=rng.integers(1, 4), replace=False))
+        cases.append((x, y, grid))
+    kinds = set()
+    for x, y, grid in cases:
+        fns = [*x.pairs, *y.pairs]
+        got = floor_envelope(x, y, grid)
+        if not fns:
+            assert got == ONE
+        elif all(isinstance(f, Standard) for f in fns):
+            assert got == Standard(max(f.d for f in fns))
+        else:
+            steplike = not any(isinstance(f, Standard) for f in fns)
+            want = vf_min_loop(fns, () if steplike else certification_grid(grid, x, y).values)
+            assert (got.breakpoints, got.values) == (want.breakpoints, want.values)
+            kinds.add((steplike, any(len({type(f) for f in sp.pairs}) > 1 for sp in (x, y))))
+    # steps alone, a Standard space beside a step space, a space that mixes them
+    assert kinds == {(True, False), (False, False), (False, True)}
+
+
+def test_pair_table_minimum_is_the_minimum_of_its_values():
+    """``PairTable.minimum``, its ``step_minimum`` and t / (t + max d) on the
+    ``Standard`` entries, equals the minimum over ``values``, bit for bit, a
+    last ``inf`` included."""
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        x, y = _random_pair(rng, ["standard", "stationary", "step", "mixed"])
+        fns = [*x.pairs, *y.pairs]
+        if not fns:
+            continue
+        ts = np.array([*np.sort(rng.uniform(1e-3, 20.0, size=rng.integers(1, 8))), 1.0, 2.0, math.inf])
+        table = PairTable(fns)
+        assert table.minimum(ts).tobytes() == table.values(ts).min(axis=1).tobytes()
